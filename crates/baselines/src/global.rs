@@ -131,13 +131,13 @@ pub fn ssf_flood(
 /// yet `D·poly(Δ)`-ish in practice, escaping the Theorem 6 regime because
 /// sensing *is* an extra model feature.
 pub fn carrier_sense_flood(net: &Network, source: usize, window: u64, cap: u64) -> GlobalOutcome {
-    use dcluster_sim::radio::{sensed_power, GridResolver, SinrResolver};
+    use dcluster_sim::radio::{sensed_power, AggregatedResolver, SinrResolver};
     let window = window.max(2);
     let fresh = |id: u64, round: u64| hash64(0xC5_F100D, &[id, round]) % window + 1;
     let mut awake = vec![false; net.len()];
     awake[source] = true;
     let mut backoff: Vec<u64> = (0..net.len()).map(|v| fresh(net.id(v), 0)).collect();
-    let mut radio = GridResolver::new();
+    let mut radio = AggregatedResolver::new();
     let mut transmissions = 0u64;
     let mut rounds = 0u64;
     let busy_threshold = net.params().noise;

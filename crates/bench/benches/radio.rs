@@ -1,6 +1,5 @@
 //! Micro-benchmarks of the SINR reception resolver backends — naive
-//! oracle vs grid short-circuit vs cell-aggregated interference — across
-//! transmitter densities.
+//! oracle vs the aggregated backend — across transmitter densities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcluster_sim::{deploy, rng::Rng64, Network, ResolverKind};

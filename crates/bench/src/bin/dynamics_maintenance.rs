@@ -20,9 +20,9 @@
 //!
 //! Flags: `--mobility none|waypoint|walk|group` (default `waypoint`),
 //! `--churn on|off` (default `on`), `--power uniform|het` (default
-//! `het`), `--resolver naive|grid|aggregated` — the *primary* backend
-//! whose run is recorded and rerun for the determinism check (default
-//! `aggregated`; the other backends always run too, for the agreement
+//! `het`), `--resolver naive|aggregated` — the *primary* backend whose
+//! run is recorded and rerun for the determinism check (default
+//! `aggregated`; the other backend always runs too, for the agreement
 //! gate) — or `--scenario <file>.scn` to run one committed spec through
 //! the maintenance workload instead.
 //! Tiers via `DCLUSTER_SCALE=ci|quick|full`; the `ci` tier exits non-zero
@@ -238,7 +238,7 @@ fn main() {
     }
     let tier = scale();
     let sc = scenario_from_flags();
-    let primary = resolver_override().unwrap_or(ResolverKind::Aggregated);
+    let primary = resolver_override().unwrap_or_default();
     let (n, epochs) = match tier {
         Scale::Ci => (80, 3),
         Scale::Quick => (150, 5),

@@ -1,89 +1,149 @@
-//! **Resolver scaling sweep** — wall clock and agreement of the four
-//! SINR resolver backends on uniform deployments, up to 10⁵ nodes.
+//! **Resolver scaling sweep** — wall clock and agreement of the SINR
+//! resolver backends on uniform deployments, up to 10⁵ nodes.
 //!
-//! Two sweep modes per network size:
+//! Three sweep modes per network size:
 //!
 //! * **rotate** — deterministic rotating transmitter sets at two
-//!   densities: consecutive rounds are unrelated, so every backend
-//!   (including the persistent ones, whose sparse-patch heuristic bails
-//!   to a rebuild on large diffs) pays the full per-round field cost;
+//!   densities: consecutive rounds are unrelated, so the aggregated
+//!   backend (whose sparse-patch heuristic bails to a rebuild on large
+//!   diffs) pays the full per-round field cost;
+//! * **fixed** — rotating sets of exactly `|T|` ∈ [`FIXED_TX`]
+//!   transmitters, timed per round for the naive oracle, the aggregated
+//!   backend as dispatched, and its field path forced at every `|T|`
+//!   (`field`). Both per-round costs grow linearly in `n`, so the
+//!   naive ÷ field ratio locates the `|T|` crossover. The crossover table
+//!   prints the threshold that sets `radio::EXACT_MAX_TX`: the one whose
+//!   worst per-round slowdown against the faster path is smallest;
 //! * **evolve** — a saturated membership set (99.95% transmit — the
 //!   busy-tone/wake-up-storm regime, where the round cost *is* the
-//!   interference field) churned by ~0.01% of the nodes per round: the
-//!   persistent backends patch the cached field with the sparse diff
-//!   instead of rebuilding it, and the per-round speedup over
-//!   rebuild-from-scratch `aggregated` is recorded (the ROADMAP's ≥2×
-//!   target at 10⁵ nodes).
+//!   interference field) churned by ~0.01% of the nodes per round, which
+//!   the aggregated backend's persistent field patches instead of
+//!   rebuilding.
 //!
-//! Both modes audit that every backend returns identical receptions
-//! (the naive oracle joins only at sizes where its `O(n·|T|)` cost stays
-//! reasonable); the audit reuses one resolver instance per backend
-//! across rounds, so the persistent patch path is what gets audited.
+//! Every mode audits that the backends return identical receptions (the
+//! naive oracle joins the rotate and evolve audits only at sizes where its
+//! `O(n·|T|)` cost stays reasonable); the audit reuses one resolver
+//! instance per backend across rounds, so the persistent patch path is
+//! what gets audited.
 //!
 //! Scale tiers (`DCLUSTER_SCALE`):
 //!
 //! * `ci` — n up to ≈2·10³; additionally acts as the CI gate: exits
-//!   non-zero if any backend disagrees anywhere or `aggregated`'s total
-//!   rotate-mode wall clock regresses to more than 2× of `grid`'s.
+//!   non-zero if the backends disagree anywhere or `aggregated`'s total
+//!   rotate-mode wall clock exceeds half of `naive`'s.
 //! * `quick` (default) — n up to 2·10⁴.
 //! * `full` — n up to 10⁵ (the ROADMAP scale target).
 //!
 //! Deployments are scenario specs; `--scenario <file>.scn` sweeps that
 //! one deployment instead of the size ladder.
 //!
-//! Output: markdown table, `results/scale_resolvers.csv`, and
+//! Output: markdown tables, `results/scale_resolvers.csv`, and
 //! `BENCH_resolvers.json` (committed reference numbers).
 
 use dcluster_bench::{
     print_table, scale, scenario_override, write_csv, Runner, Scale, ScenarioSpec,
 };
 use dcluster_core::check::audit_resolver_equivalence;
-use dcluster_sim::{rng::Rng64, Network, ResolverKind};
+use dcluster_sim::radio::EXACT_MAX_TX;
+use dcluster_sim::{
+    rng::Rng64, AggregatedResolver, NaiveResolver, Network, ResolverKind, SinrResolver,
+};
 use std::time::Instant;
 
-/// Rounds resolved per (n, density) configuration.
+/// Rounds resolved per rotate/evolve configuration.
 const ROUNDS: usize = 8;
-/// Naive oracle joins the audit only up to this size.
+/// Transmitter counts of the fixed mode.
+const FIXED_TX: [usize; 7] = [1, 2, 4, 6, 8, 12, 16];
+/// Node-rounds per fixed-mode configuration: small networks run more
+/// rounds, so every per-round time is averaged over comparable work.
+const FIXED_NODE_ROUNDS: usize = 400_000;
+/// Fixed-mode timings keep the fastest of this many repetitions (the
+/// host's slow spells only ever add time).
+const FIXED_REPEATS: usize = 3;
+/// Naive oracle joins the rotate/evolve audits only up to this size.
 const NAIVE_CAP: usize = 4_000;
 /// Transmit fraction of the evolve mode (saturated: almost everyone
 /// transmits, so per-round cost is dominated by the interference field,
-/// which the persistent backends patch instead of rebuilding).
+/// which the persistent field patches instead of rebuilding).
 const EVOLVE_FRAC: f64 = 0.9995;
 /// Fraction of nodes whose membership flips per evolve round. Kept
 /// sparse (0.01%) so churn does not accumulate a listener pool across
 /// rounds — the regime stays saturated and the field cost dominant.
 const EVOLVE_CHURN: f64 = 0.000_1;
 
+/// What a row times: one of the two backends, or the aggregated
+/// backend's field path forced at any `|T|`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Timed {
+    Naive,
+    Aggregated,
+    Field,
+}
+
+impl Timed {
+    fn name(self) -> &'static str {
+        match self {
+            Timed::Naive => "naive",
+            Timed::Aggregated => "aggregated",
+            Timed::Field => "field",
+        }
+    }
+}
+
 struct Row {
     mode: &'static str,
     n: usize,
     tx_frac: f64,
     tx_avg: usize,
-    kind: ResolverKind,
+    timed: Timed,
+    rounds: usize,
     millis: f64,
     receptions: u64,
 }
 
-/// Times `ROUNDS` resolves of `tx_sets` through one persistent resolver
-/// instance (so the backend's cross-round state — if any — is in play).
-fn time_kind(net: &Network, kind: ResolverKind, tx_sets: &[Vec<usize>]) -> (f64, u64) {
-    let mut resolver = kind.build();
+impl Row {
+    fn us_per_round(&self) -> f64 {
+        self.millis * 1e3 / self.rounds as f64
+    }
+}
+
+/// Times one resolve per transmitter set through one resolver instance
+/// (so the aggregated backend's cross-round cache is in play).
+fn time_rounds(net: &Network, timed: Timed, tx_sets: &[Vec<usize>]) -> (f64, u64) {
+    let mut naive = NaiveResolver::new();
+    let mut agg = AggregatedResolver::new();
     let mut out = Vec::new();
     let mut receptions = 0u64;
     let start = Instant::now();
     for tx in tx_sets {
-        resolver.resolve_into(net, tx, &mut out);
+        match timed {
+            Timed::Naive => naive.resolve_into(net, tx, &mut out),
+            Timed::Aggregated => agg.resolve_into(net, tx, &mut out),
+            Timed::Field => agg.resolve_field_into(net, tx, &mut out),
+        }
         receptions += out.len() as u64;
     }
     (start.elapsed().as_secs_f64() * 1e3, receptions)
 }
 
+/// Reports a backend disagreement found by the audit.
+fn disagreement(label: &str, d: &dcluster_core::check::ResolverDisagreement) {
+    eprintln!(
+        "DISAGREEMENT at {label}: {} vs {} in audited round {} ({} vs {} receptions)",
+        d.disagreeing,
+        d.reference,
+        d.round,
+        d.got.len(),
+        d.expected.len()
+    );
+}
+
 fn main() {
     let tier = scale();
     let ns: &[usize] = match tier {
-        Scale::Ci => &[500, 1_000, 2_000],
-        Scale::Quick => &[1_000, 4_000, 20_000],
-        Scale::Full => &[1_000, 10_000, 100_000],
+        Scale::Ci => &[52, 500, 1_000, 2_000],
+        Scale::Quick => &[52, 1_000, 4_000, 20_000],
+        Scale::Full => &[52, 1_000, 10_000, 100_000],
     };
     let tx_fracs = [0.05f64, 0.3];
     // Constant node density (≈40 per unit ball) so |T| — not the geometry —
@@ -106,6 +166,11 @@ fn main() {
             .build_network()
             .expect("sweep spec is valid");
         let n = net.len();
+        let backends: &[ResolverKind] = if n <= NAIVE_CAP {
+            &ResolverKind::ALL
+        } else {
+            &[ResolverKind::Aggregated]
+        };
 
         // Mode 1: rotating, unrelated transmitter sets.
         for &frac in &tx_fracs {
@@ -118,36 +183,23 @@ fn main() {
                 })
                 .collect();
             let tx_avg = tx_sets.iter().map(Vec::len).sum::<usize>() / ROUNDS;
-
-            let mut audited: Vec<ResolverKind> = vec![
-                ResolverKind::Grid,
-                ResolverKind::Aggregated,
-                ResolverKind::Parallel,
-            ];
-            if n <= NAIVE_CAP {
-                audited.insert(0, ResolverKind::Naive);
-            }
-            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, &audited) {
+            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, backends) {
                 disagreements += 1;
-                eprintln!(
-                    "DISAGREEMENT at n={n}, tx_frac={frac}: {} vs {} in audited round {} \
-                     ({} vs {} receptions)",
-                    d.disagreeing,
-                    d.reference,
-                    d.round,
-                    d.got.len(),
-                    d.expected.len()
-                );
+                disagreement(&format!("n={n}, tx_frac={frac}"), &d);
             }
-
-            for kind in audited {
-                let (millis, receptions) = time_kind(&net, kind, &tx_sets);
+            for &kind in backends {
+                let timed = match kind {
+                    ResolverKind::Naive => Timed::Naive,
+                    ResolverKind::Aggregated => Timed::Aggregated,
+                };
+                let (millis, receptions) = time_rounds(&net, timed, &tx_sets);
                 rows.push(Row {
                     mode: "rotate",
                     n,
                     tx_frac: frac,
                     tx_avg,
-                    kind,
+                    timed,
+                    rounds: ROUNDS,
                     millis,
                     receptions,
                 });
@@ -155,8 +207,55 @@ fn main() {
             eprintln!("done: n={n}, tx_frac={frac} (rotate)");
         }
 
-        // Mode 2: saturated membership with sparse churn — the persistent
-        // backends patch the cached field instead of rebuilding it.
+        // Mode 2: exactly k transmitters per round, k on both sides of
+        // the exact-routine threshold.
+        let rounds = (FIXED_NODE_ROUNDS / n).max(ROUNDS);
+        for k in FIXED_TX.into_iter().filter(|&k| k < n) {
+            let tx_sets: Vec<Vec<usize>> = (0..rounds)
+                .map(|r| {
+                    let mut rr = Rng64::new((n as u64) << 24 | (k as u64) << 16 | r as u64);
+                    let mut tx: Vec<usize> = Vec::with_capacity(k);
+                    while tx.len() < k {
+                        let v = rr.range_usize(n);
+                        if !tx.contains(&v) {
+                            tx.push(v);
+                        }
+                    }
+                    tx.sort_unstable();
+                    tx
+                })
+                .collect();
+            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, &ResolverKind::ALL) {
+                disagreements += 1;
+                disagreement(&format!("n={n}, |T|={k}"), &d);
+            }
+            let mut received = Vec::new();
+            for timed in [Timed::Naive, Timed::Aggregated, Timed::Field] {
+                let (millis, receptions) = (0..FIXED_REPEATS)
+                    .map(|_| time_rounds(&net, timed, &tx_sets))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .expect("at least one repetition");
+                received.push(receptions);
+                rows.push(Row {
+                    mode: "fixed",
+                    n,
+                    tx_frac: k as f64 / n as f64,
+                    tx_avg: k,
+                    timed,
+                    rounds,
+                    millis,
+                    receptions,
+                });
+            }
+            if received.iter().any(|&r| r != received[0]) {
+                disagreements += 1;
+                eprintln!("DISAGREEMENT at n={n}, |T|={k}: field path receptions {received:?}");
+            }
+        }
+        eprintln!("done: n={n} (fixed)");
+
+        // Mode 3: saturated membership with sparse churn — the persistent
+        // field is patched instead of rebuilt.
         {
             let mut rng = Rng64::new(0xE01_5E7 ^ n as u64);
             let mut member: Vec<bool> = (0..n).map(|_| rng.chance(EVOLVE_FRAC)).collect();
@@ -171,49 +270,22 @@ fn main() {
                 })
                 .collect();
             let tx_avg = tx_sets.iter().map(Vec::len).sum::<usize>() / ROUNDS;
-
-            // Grid is pathological at dense |T| and large n; the oracle of
-            // this mode is `aggregated` (itself audited against naive and
-            // grid in rotate mode and at small n here).
-            let mut audited: Vec<ResolverKind> =
-                vec![ResolverKind::Aggregated, ResolverKind::Parallel];
-            if n <= NAIVE_CAP {
-                audited.insert(0, ResolverKind::Naive);
-            }
-            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, &audited) {
+            if let Some(d) = audit_resolver_equivalence(&net, &tx_sets, backends) {
                 disagreements += 1;
-                eprintln!(
-                    "DISAGREEMENT at n={n} (evolve): {} vs {} in audited round {} \
-                     ({} vs {} receptions)",
-                    d.disagreeing,
-                    d.reference,
-                    d.round,
-                    d.got.len(),
-                    d.expected.len()
-                );
+                disagreement(&format!("n={n} (evolve)"), &d);
             }
-
-            let mut timed = std::collections::HashMap::new(); // lint:allow(D1, reason = "keyed by backend; read back by key in fixed list order")
-            for kind in [ResolverKind::Aggregated, ResolverKind::Parallel] {
-                let (millis, receptions) = time_kind(&net, kind, &tx_sets);
-                timed.insert(kind, millis);
-                rows.push(Row {
-                    mode: "evolve",
-                    n,
-                    tx_frac: EVOLVE_FRAC,
-                    tx_avg,
-                    kind,
-                    millis,
-                    receptions,
-                });
-            }
-            let agg = timed[&ResolverKind::Aggregated];
-            let par = timed[&ResolverKind::Parallel];
-            eprintln!(
-                "done: n={n} (evolve): aggregated(rebuild) {agg:.1} ms, \
-                 parallel(persistent) {par:.1} ms, speedup {:.2}x",
-                agg / par.max(1e-9)
-            );
+            let (millis, receptions) = time_rounds(&net, Timed::Aggregated, &tx_sets);
+            rows.push(Row {
+                mode: "evolve",
+                n,
+                tx_frac: EVOLVE_FRAC,
+                tx_avg,
+                timed: Timed::Aggregated,
+                rounds: ROUNDS,
+                millis,
+                receptions,
+            });
+            eprintln!("done: n={n} (evolve): aggregated {millis:.1} ms");
         }
     }
 
@@ -223,10 +295,12 @@ fn main() {
             vec![
                 r.mode.to_string(),
                 r.n.to_string(),
-                format!("{:.2}", r.tx_frac),
+                format!("{:.4}", r.tx_frac),
                 r.tx_avg.to_string(),
-                r.kind.name().to_string(),
+                r.timed.name().to_string(),
+                r.rounds.to_string(),
                 format!("{:.2}", r.millis),
+                format!("{:.2}", r.us_per_round()),
                 r.receptions.to_string(),
             ]
         })
@@ -237,58 +311,132 @@ fn main() {
         "tx_frac",
         "tx_avg",
         "resolver",
+        "rounds",
         "ms_total",
+        "us_per_round",
         "receptions",
     ];
     print_table(
-        &format!("Resolver scaling sweep ({ROUNDS} rounds per config, tier {tier:?})"),
+        &format!("Resolver scaling sweep (tier {tier:?})"),
         &headers,
         &table,
     );
     write_csv("scale_resolvers", &headers, &table);
+    print_crossover(&rows);
     write_json(&rows, tier);
 
-    // CI gate: exact agreement plus bounded regression of the newer
-    // backends (rotate mode only: grid runs no evolve rounds).
+    // CI gate: exact agreement, and the fast backend well ahead of the
+    // oracle where it matters (rotate mode: |T| in the tens to hundreds).
     if disagreements > 0 {
         eprintln!("FAIL: {disagreements} resolver disagreement(s)");
         std::process::exit(1);
     }
     if tier == Scale::Ci {
-        let total = |k: ResolverKind| -> f64 {
+        let total = |t: Timed| -> f64 {
             rows.iter()
-                .filter(|r| r.kind == k && r.mode == "rotate")
+                .filter(|r| r.timed == t && r.mode == "rotate")
                 .map(|r| r.millis)
                 .sum::<f64>()
         };
-        let (grid, agg) = (total(ResolverKind::Grid), total(ResolverKind::Aggregated));
-        eprintln!("ci gate: grid {grid:.1} ms total, aggregated {agg:.1} ms total");
-        if agg > 2.0 * grid {
+        let (naive, agg) = (total(Timed::Naive), total(Timed::Aggregated));
+        eprintln!("ci gate: naive {naive:.1} ms total, aggregated {agg:.1} ms total");
+        if agg > 0.5 * naive {
             eprintln!(
-                "FAIL: aggregated resolver regressed >2x vs grid ({agg:.1} ms vs {grid:.1} ms)"
+                "FAIL: aggregated resolver above half of naive's wall clock \
+                 ({agg:.1} ms vs {naive:.1} ms)"
             );
             std::process::exit(1);
         }
-        println!("\nci gate: OK (agreement + wall clock within 2x of grid)");
+        println!("\nci gate: OK (agreement + aggregated within half of naive's wall clock)");
     }
 }
 
+/// The crossover table: per-round naive ÷ field time for every fixed-mode
+/// point (above 1, the field path wins). Then the rule that sets
+/// `radio::EXACT_MAX_TX`: the threshold whose worst per-round slowdown
+/// against the faster path, over every swept size and `|T|`, is smallest.
+fn print_crossover(rows: &[Row]) {
+    let per_round = |n: usize, k: usize, t: Timed| {
+        rows.iter()
+            .find(|r| r.mode == "fixed" && r.n == n && r.tx_avg == k && r.timed == t)
+            .map(Row::us_per_round)
+    };
+    let mut ns: Vec<usize> = rows
+        .iter()
+        .filter(|r| r.mode == "fixed")
+        .map(|r| r.n)
+        .collect();
+    ns.dedup();
+    if ns.is_empty() {
+        return;
+    }
+    let ratios: Vec<Vec<Option<f64>>> = ns
+        .iter()
+        .map(|&n| {
+            FIXED_TX
+                .iter()
+                .map(|&k| Some(per_round(n, k, Timed::Naive)? / per_round(n, k, Timed::Field)?))
+                .collect()
+        })
+        .collect();
+    let table: Vec<Vec<String>> = ns
+        .iter()
+        .zip(&ratios)
+        .map(|(n, line)| {
+            std::iter::once(n.to_string())
+                .chain(line.iter().map(|r| match r {
+                    Some(r) => format!("{r:.2}"),
+                    None => "-".to_string(),
+                }))
+                .collect()
+        })
+        .collect();
+    let headers: Vec<String> = std::iter::once("n".to_string())
+        .chain(FIXED_TX.iter().map(|k| format!("|T|={k}")))
+        .collect();
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    print_table(
+        "Resolver crossover: naive ÷ field per-round time (above 1, the field wins)",
+        &headers,
+        &table,
+    );
+    // Exact routine up to FIXED_TX[c], field above it.
+    let worst = |c: usize| {
+        ratios
+            .iter()
+            .flat_map(|line| line.iter().enumerate())
+            .filter_map(|(j, r)| r.map(|r| if j <= c { r } else { 1.0 / r }))
+            .fold(1.0f64, f64::max)
+    };
+    let best = (0..FIXED_TX.len())
+        .min_by(|&a, &b| worst(a).total_cmp(&worst(b)))
+        .expect("FIXED_TX is nonempty");
+    println!(
+        "\nminimax threshold: exact routine up to |T| = {} (worst per-round slowdown {:.2}x); \
+         compiled EXACT_MAX_TX = {EXACT_MAX_TX}",
+        FIXED_TX[best],
+        worst(best)
+    );
+}
+
 /// Writes the committed reference-number artifact (schema: one object per
-/// (mode, n, tx_frac, resolver) with total milliseconds over the rounds).
+/// (mode, n, tx_frac, resolver) with total milliseconds over its rounds).
 fn write_json(rows: &[Row], tier: Scale) {
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"bench\": \"scale_resolvers\",\n  \"tier\": \"{tier:?}\",\n  \"rounds_per_config\": {ROUNDS},\n  \"rows\": [\n"
+        "  \"bench\": \"scale_resolvers\",\n  \"tier\": \"{tier:?}\",\n  \"rows\": [\n"
     ));
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"n\": {}, \"tx_frac\": {}, \"tx_avg\": {}, \"resolver\": \"{}\", \"ms_total\": {:.3}, \"receptions\": {}}}{}\n",
+            "    {{\"mode\": \"{}\", \"n\": {}, \"tx_frac\": {}, \"tx_avg\": {}, \"resolver\": \"{}\", \"rounds\": {}, \"ms_total\": {:.3}, \"us_per_round\": {:.3}, \"receptions\": {}}}{}\n",
             r.mode,
             r.n,
             r.tx_frac,
             r.tx_avg,
-            r.kind.name(),
+            r.timed.name(),
+            r.rounds,
             r.millis,
+            r.us_per_round(),
             r.receptions,
             if i + 1 == rows.len() { "" } else { "," }
         ));

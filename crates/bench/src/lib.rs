@@ -58,15 +58,16 @@ pub fn resolver_flag() -> Option<dcluster_sim::ResolverKind> {
 
 /// Resolver backend override for the harness binaries: the `--resolver`
 /// flag, else the `DCLUSTER_RESOLVER` env var; `None` means "use the
-/// network's scale-aware default". Invalid values in either place exit
-/// with an error naming the valid backends.
+/// default backend". Invalid values in either place exit with an error
+/// naming the valid backends.
 pub fn resolver_override() -> Option<dcluster_sim::ResolverKind> {
     // Same env fallback the examples use (`Runner::resolver_for`).
     resolver_flag().or_else(|| or_exit(dcluster_sim::ResolverKind::from_env()))
 }
 
 /// A `--flag value` / `--flag=value` string option from the command line
-/// (shared by the scenario flags of the experiment binaries).
+/// (shared by the scenario flags of the experiment binaries). A flag with
+/// no value exits with an error naming it.
 pub fn flag_value(flag: &str) -> Option<String> {
     let eq = format!("{flag}=");
     let mut args = std::env::args().skip(1);
@@ -75,10 +76,9 @@ pub fn flag_value(flag: &str) -> Option<String> {
             return Some(v.to_string());
         }
         if arg == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} needs a value")),
-            );
+            return Some(or_exit(
+                args.next().ok_or_else(|| format!("{flag} needs a value")),
+            ));
         }
     }
     None
@@ -100,12 +100,10 @@ pub fn trace_flag() -> Option<std::path::PathBuf> {
 }
 
 /// The spec named by `--scenario <file>.scn`, if given; parse errors
-/// abort naming the file and line.
+/// exit naming the file and line.
 pub fn scenario_override() -> Option<ScenarioSpec> {
-    flag_value("--scenario").map(|path| match ScenarioSpec::load(&path) {
-        Ok(spec) => spec,
-        Err(e) => panic!("--scenario: {e}"),
-    })
+    flag_value("--scenario")
+        .map(|path| or_exit(ScenarioSpec::load(&path).map_err(|e| format!("--scenario: {e}"))))
 }
 
 /// The standard `--scenario` entry point for workload binaries: when the
@@ -157,12 +155,15 @@ mod tests {
     }
 
     #[test]
-    fn runner_built_engine_matches_the_scale_aware_default() {
+    fn runner_built_engine_uses_the_default_backend() {
         let spec = ScenarioSpec::degree("t", 11, 40, 6);
         let runner = Runner::new(spec);
         let net = runner.build_network().unwrap();
         let engine = runner.engine(&net).unwrap();
         assert_eq!(engine.round(), 0);
-        assert_eq!(engine.resolver_kind(), net.default_resolver());
+        assert_eq!(
+            engine.resolver_kind(),
+            dcluster_sim::ResolverKind::Aggregated
+        );
     }
 }

@@ -304,7 +304,7 @@ mod tests {
             // Fresh seeds per epoch: the protocol is deterministic, so a
             // static world re-elects the exact same centers every time.
             let mut seeds = SeedSeq::new(params.seed);
-            let rep = driver.epoch(&net, net.default_resolver(), &mut seeds, &awake);
+            let rep = driver.epoch(&net, ResolverKind::Aggregated, &mut seeds, &awake);
             assert_eq!(rep.epoch, e);
             assert_eq!(rep.coverage_violations, 0, "static coverage is clean");
             if e == 0 {
@@ -330,10 +330,10 @@ mod tests {
         let mut driver = MaintenanceDriver::new(params);
         let mut seeds = SeedSeq::new(params.seed);
         let all: Vec<usize> = (0..net.len()).collect();
-        let rep_all = driver.epoch(&net, net.default_resolver(), &mut seeds, &all);
+        let rep_all = driver.epoch(&net, ResolverKind::Aggregated, &mut seeds, &all);
         assert_eq!(rep_all.awake, 30);
         let half: Vec<usize> = (0..net.len()).step_by(2).collect();
-        let rep_half = driver.epoch(&net, net.default_resolver(), &mut seeds, &half);
+        let rep_half = driver.epoch(&net, ResolverKind::Aggregated, &mut seeds, &half);
         assert_eq!(rep_half.awake, 15);
         assert_eq!(
             rep_half.coverage_violations, 0,
@@ -348,6 +348,6 @@ mod tests {
         let net = field(10, 5);
         let params = ProtocolParams::practical();
         let mut seeds = SeedSeq::new(params.seed);
-        MaintenanceDriver::new(params).epoch(&net, net.default_resolver(), &mut seeds, &[]);
+        MaintenanceDriver::new(params).epoch(&net, ResolverKind::Aggregated, &mut seeds, &[]);
     }
 }

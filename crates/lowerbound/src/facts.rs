@@ -2,7 +2,7 @@
 
 use crate::gadget::Gadget;
 use crate::nu;
-use dcluster_sim::radio::{GridResolver, SinrResolver};
+use dcluster_sim::radio::{AggregatedResolver, SinrResolver};
 use dcluster_sim::{Network, SinrParams};
 
 /// Builds the gadget as a network with sequential IDs.
@@ -19,7 +19,7 @@ fn gadget_net(g: &Gadget, params: &SinrParams) -> Network {
 pub fn check_fact_2_1(g: &Gadget, params: &SinrParams) -> Option<(usize, usize, usize)> {
     let net = gadget_net(g, params);
     let delta = g.delta();
-    let mut radio = GridResolver::new();
+    let mut radio = AggregatedResolver::new();
     for i in 0..=delta {
         for j in (i + 1)..=(delta + 1) {
             let tx = vec![g.core(i), g.core(j)];
@@ -42,7 +42,7 @@ pub fn check_fact_2_2(g: &Gadget, params: &SinrParams) -> bool {
     let net = gadget_net(g, params);
     let delta = g.delta();
     let last = g.core(delta + 1);
-    let mut radio = GridResolver::new();
+    let mut radio = AggregatedResolver::new();
     // Positive: alone, v_{∆+1} reaches t.
     let alone = radio.resolve(&net, &[last]);
     if !alone

@@ -131,8 +131,7 @@ pub trait Tracer: std::fmt::Debug {
 }
 
 /// The shape the engine holds a tracer in: shared, interior-mutable,
-/// single-threaded (the engine itself is single-threaded; resolver
-/// worker threads never see the tracer).
+/// single-threaded (like the engine itself).
 pub type SharedTracer = Rc<RefCell<dyn Tracer>>;
 
 /// Wraps any tracer into the [`SharedTracer`] handle the engine accepts.

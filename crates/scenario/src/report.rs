@@ -411,7 +411,7 @@ mod tests {
             n: 10,
             density: 3,
             max_degree: 2,
-            resolver: ResolverKind::Grid,
+            resolver: ResolverKind::Naive,
             rounds: 5,
             transmissions: 4,
             receptions: 3,
@@ -425,7 +425,7 @@ mod tests {
     fn markdown_carries_the_header_fields() {
         let md = blank().to_markdown();
         assert!(md.contains("scenario 't'"));
-        assert!(md.contains("| 10 | 3 | 2 | grid | 5 | 4 | 3 | false |"));
+        assert!(md.contains("| 10 | 3 | 2 | naive | 5 | 4 | 3 | false |"));
         assert!(md.contains("resolver work"));
     }
 

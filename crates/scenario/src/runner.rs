@@ -10,7 +10,7 @@
 //!    profile and ID-space settings;
 //! 2. [`Runner::resolver_for`] picks the backend with one precedence
 //!    everywhere: explicit override (CLI flag) → spec `resolver` line →
-//!    `DCLUSTER_RESOLVER` env → the network's scale-aware default;
+//!    `DCLUSTER_RESOLVER` env → the default (`aggregated`);
 //! 3. [`Runner::run`] executes a [`Workload`] through `Engine` /
 //!    `MaintenanceDriver` and returns the structured [`Report`].
 //!
@@ -69,7 +69,7 @@ pub fn connected_deployment(n: usize, delta: usize, seed: u64) -> Result<Network
 /// The resolver-selection precedence used everywhere, as a pure function
 /// (testable without touching process environment): explicit override
 /// (CLI `--resolver`) → the spec's `resolver` line → the
-/// `DCLUSTER_RESOLVER` environment value → the scale-aware default.
+/// `DCLUSTER_RESOLVER` environment value → [`ResolverKind::default`].
 ///
 /// # Errors
 ///
@@ -80,14 +80,13 @@ pub fn resolver_precedence(
     override_kind: Option<ResolverKind>,
     spec_kind: Option<ResolverKind>,
     env_value: Option<&str>,
-    default: ResolverKind,
 ) -> Result<ResolverKind, String> {
     if let Some(kind) = override_kind.or(spec_kind) {
         return Ok(kind);
     }
     match env_value {
         Some(v) => v.parse().map_err(|e| format!("DCLUSTER_RESOLVER: {e}")),
-        None => Ok(default),
+        None => Ok(ResolverKind::default()),
     }
 }
 
@@ -247,21 +246,17 @@ impl Runner {
     /// The backend every engine of this run uses (see
     /// [`resolver_precedence`]). A spec that pins its backend beats
     /// ambient machine state, so committed `.scn` files run
-    /// environment-independently.
+    /// environment-independently. The choice does not depend on the
+    /// network; `_net` keeps the public signature its callers use.
     ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] when the decision falls through to a
     /// `DCLUSTER_RESOLVER` value that names no backend.
-    pub fn resolver_for(&self, net: &Network) -> Result<ResolverKind, SpecError> {
+    pub fn resolver_for(&self, _net: &Network) -> Result<ResolverKind, SpecError> {
         let env = std::env::var("DCLUSTER_RESOLVER").ok();
-        resolver_precedence(
-            self.override_resolver,
-            self.spec.resolver,
-            env.as_deref(),
-            net.default_resolver(),
-        )
-        .map_err(|msg| SpecError { line: 0, msg })
+        resolver_precedence(self.override_resolver, self.spec.resolver, env.as_deref())
+            .map_err(|msg| SpecError { line: 0, msg })
     }
 
     /// An engine over `net` with [`Runner::resolver_for`]'s backend — the
@@ -595,29 +590,25 @@ mod tests {
         use ResolverKind::*;
         // Override beats spec beats env beats default.
         assert_eq!(
-            resolver_precedence(Some(Grid), Some(Naive), Some("parallel"), Aggregated),
-            Ok(Grid)
-        );
-        assert_eq!(
-            resolver_precedence(None, Some(Naive), Some("parallel"), Aggregated),
-            Ok(Naive)
-        );
-        assert_eq!(
-            resolver_precedence(None, None, Some("parallel"), Aggregated),
-            Ok(Parallel)
-        );
-        assert_eq!(
-            resolver_precedence(None, None, None, Aggregated),
+            resolver_precedence(Some(Aggregated), Some(Naive), Some("naive")),
             Ok(Aggregated)
         );
+        assert_eq!(
+            resolver_precedence(None, Some(Naive), Some("aggregated")),
+            Ok(Naive)
+        );
+        assert_eq!(resolver_precedence(None, None, Some("naive")), Ok(Naive));
+        assert_eq!(resolver_precedence(None, None, None), Ok(Aggregated));
         // An invalid env value errors (naming every backend) only when the
-        // decision actually falls through to it.
-        let err = resolver_precedence(None, None, Some("fft"), Aggregated).unwrap_err();
-        for name in ["naive", "grid", "aggregated", "parallel"] {
-            assert!(err.contains(name), "error must list '{name}': {err}");
+        // decision actually falls through to it; retired backends included.
+        for stale in ["fft", "grid", "parallel"] {
+            let err = resolver_precedence(None, None, Some(stale)).unwrap_err();
+            for name in ["naive", "aggregated"] {
+                assert!(err.contains(name), "error must list '{name}': {err}");
+            }
         }
         assert_eq!(
-            resolver_precedence(None, Some(Naive), Some("fft"), Aggregated),
+            resolver_precedence(None, Some(Naive), Some("grid")),
             Ok(Naive),
             "a spec-pinned backend shields a stale env var"
         );
@@ -667,14 +658,14 @@ mod tests {
         assert_eq!(
             Runner::new(spec.clone()).resolver_for(&net).unwrap(),
             ResolverKind::Naive,
-            "spec line wins over the scale-aware default"
+            "spec line wins over the default"
         );
         assert_eq!(
             Runner::new(spec)
-                .with_resolver_override(Some(ResolverKind::Grid))
+                .with_resolver_override(Some(ResolverKind::Aggregated))
                 .resolver_for(&net)
                 .unwrap(),
-            ResolverKind::Grid,
+            ResolverKind::Aggregated,
             "explicit override wins over the spec"
         );
     }

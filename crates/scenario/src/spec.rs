@@ -252,8 +252,8 @@ pub struct ScenarioSpec {
     /// maintenance epochs, binaries' sweep sizing); `None` defers to
     /// `DCLUSTER_SCALE`.
     pub scale: Option<Scale>,
-    /// Pinned resolver backend; `None` defers to the CLI/env/scale-aware
-    /// default chain (see `Runner::resolver_for`).
+    /// Pinned resolver backend; `None` defers to the CLI → env → default
+    /// chain (see `Runner::resolver_for`).
     pub resolver: Option<ResolverKind>,
     /// Default workload for file-driven runs; binaries may impose their
     /// own instead.
@@ -989,12 +989,14 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.msg.contains("key=value"), "{e}");
 
-        // A resolver typo lists every valid backend, including the
-        // parallel one.
-        let e = ScenarioSpec::parse("deploy uniform n=10 side=2\nresolver paralel\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        for backend in ["naive", "grid", "aggregated", "parallel"] {
-            assert!(e.msg.contains(backend), "error must list '{backend}': {e}");
+        // A resolver typo, or a retired backend, lists both valid ones.
+        for stale in ["paralel", "grid", "parallel"] {
+            let e = ScenarioSpec::parse(&format!("deploy uniform n=10 side=2\nresolver {stale}\n"))
+                .unwrap_err();
+            assert_eq!(e.line, 2);
+            for backend in ["naive", "aggregated"] {
+                assert!(e.msg.contains(backend), "error must list '{backend}': {e}");
+            }
         }
 
         // Unknown dynamics and workload names are line-numbered too.

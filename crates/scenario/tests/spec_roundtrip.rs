@@ -114,7 +114,7 @@ proptest! {
         dyn_b in 0u64..=u64::MAX,
         workload_kind in 0usize..8,
         scale_kind in 0usize..4,
-        resolver_kind in 0usize..4,
+        resolver_kind in 0usize..3,
         epochs in 0u64..50,
         max_id in 0u64..100_000,
         id_seed in 0u64..100,
@@ -143,10 +143,8 @@ proptest! {
         if scale_kind < 3 {
             spec = spec.scale([Scale::Ci, Scale::Quick, Scale::Full][scale_kind]);
         }
-        if resolver_kind < 3 {
-            spec = spec.resolver(
-                [ResolverKind::Naive, ResolverKind::Grid, ResolverKind::Aggregated][resolver_kind],
-            );
+        if resolver_kind < ResolverKind::ALL.len() {
+            spec = spec.resolver(ResolverKind::ALL[resolver_kind]);
         }
         if max_id > 0 {
             spec = spec.max_id(max_id);

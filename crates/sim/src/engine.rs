@@ -59,10 +59,10 @@ pub struct RoundStats {
 /// time-multiplexed by round number, so the counter must persist).
 ///
 /// Reception resolution is delegated to a [`SinrResolver`] backend owned
-/// by the engine; [`Engine::new`] picks the network's scale-aware default
-/// ([`Network::default_resolver`]), [`Engine::with_resolver_kind`] pins a
-/// specific one. All backends produce identical receptions, so the choice
-/// affects wall clock only — never protocol outcomes.
+/// by the engine; [`Engine::new`] picks the default
+/// ([`ResolverKind::Aggregated`]), [`Engine::with_resolver_kind`] pins a
+/// specific one. Both backends produce identical receptions, so the
+/// choice affects wall clock only — never protocol outcomes.
 #[derive(Debug)]
 pub struct Engine<'n> {
     net: &'n Network,
@@ -84,10 +84,10 @@ pub struct Engine<'n> {
 }
 
 impl<'n> Engine<'n> {
-    /// Creates an engine over `net` starting at round 0, with the
-    /// network's default resolver backend.
+    /// Creates an engine over `net` starting at round 0, with the default
+    /// resolver backend.
     pub fn new(net: &'n Network) -> Self {
-        Self::with_resolver_kind(net, net.default_resolver())
+        Self::with_resolver_kind(net, ResolverKind::default())
     }
 
     /// Creates an engine with an explicit resolver backend.
@@ -96,9 +96,9 @@ impl<'n> Engine<'n> {
     }
 
     /// Creates an engine honoring the `DCLUSTER_RESOLVER` environment
-    /// variable when set, else the network's scale-aware default — the
-    /// constructor examples and ad-hoc drivers should use, so they
-    /// exercise the same backend-selection path as the bench binaries.
+    /// variable when set, else the default backend — the constructor
+    /// examples and ad-hoc drivers should use, so they exercise the same
+    /// backend-selection path as the bench binaries.
     ///
     /// # Errors
     ///
@@ -202,7 +202,7 @@ impl<'n> Engine<'n> {
     }
 
     /// Audits the resolver's incrementally-maintained state (the
-    /// persistent backends' cached interference field) against a rebuild
+    /// aggregated backend's cached interference field) against a rebuild
     /// from scratch. Backends without such state trivially pass.
     pub fn audit_resolver(&self) -> Result<(), String> {
         self.resolver.audit(self.net)

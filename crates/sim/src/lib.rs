@@ -8,9 +8,10 @@
 //! * 2-D [`Point`] geometry, balls, and the packing function `χ(r1, r2)`
 //!   ([`metrics`]);
 //! * the SINR reception model of the paper's Eq. (1) ([`radio`]): a
-//!   [`SinrResolver`] trait with three provably-equivalent backends —
-//!   naive oracle, grid short-circuit, and per-round cell-aggregated
-//!   interference ([`field`]);
+//!   [`SinrResolver`] trait with two backends — the naive oracle, and the
+//!   default aggregated backend, which runs the oracle's exact routine on
+//!   small rounds and a persistent cell-aggregated interference field
+//!   ([`field`]) on large ones;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
 //!   protocols over a [`Network`];
 //! * deployment generators for the paper's motivating scenarios
@@ -72,8 +73,8 @@ pub use grid::{Grid, TwoNearest};
 pub use network::{Network, NetworkBuilder, NetworkError};
 pub use point::Point;
 pub use radio::{
-    AggregatedResolver, FieldCache, GridResolver, NaiveResolver, ParallelResolver, Reception,
-    ResolverKind, ResolverStats, SinrResolver,
+    AggregatedResolver, FieldCache, NaiveResolver, Reception, ResolverKind, ResolverStats,
+    SinrResolver,
 };
 pub use rng::Rng64;
 

@@ -216,21 +216,6 @@ impl Network {
         );
     }
 
-    /// The scale-aware default [`ResolverKind`](crate::radio::ResolverKind)
-    /// for this network: dense or large deployments default to the
-    /// cell-aggregated backend (whose per-receiver cost is bounded by
-    /// occupied cells, not `|T|`); small sparse ones keep the plain grid
-    /// backend and skip the per-round aggregation overhead. All backends
-    /// return identical receptions, so this is purely a performance choice.
-    pub fn default_resolver(&self) -> crate::radio::ResolverKind {
-        let n = self.len();
-        if n >= 4096 || (n >= 512 && self.max_degree() >= 64) {
-            crate::radio::ResolverKind::Aggregated
-        } else {
-            crate::radio::ResolverKind::Grid
-        }
-    }
-
     /// Network density Γ: the largest number of nodes in a unit ball
     /// (radius = transmission range), measured over balls centered at nodes.
     ///
@@ -637,22 +622,6 @@ mod tests {
         assert!(
             buf.capacity() >= cap_before.min(net.len()),
             "the whole point of the _into form is keeping the allocation"
-        );
-    }
-
-    #[test]
-    fn default_resolver_scales_with_size() {
-        let small = Network::builder(square(3, 0.5)).build().unwrap();
-        assert_eq!(
-            small.default_resolver(),
-            crate::radio::ResolverKind::Grid,
-            "tiny nets skip the aggregation overhead"
-        );
-        let big = Network::builder(square(64, 0.5)).build().unwrap();
-        assert_eq!(
-            big.default_resolver(),
-            crate::radio::ResolverKind::Aggregated,
-            "4096-node nets default to cell aggregation"
         );
     }
 

@@ -1,5 +1,5 @@
-//! SINR reception resolution — the paper's Eq. (1) — behind pluggable
-//! resolver backends.
+//! SINR reception resolution — the paper's Eq. (1) — behind two resolver
+//! backends.
 //!
 //! Given the set `T` of nodes transmitting in a round, node `u` (which must
 //! itself be silent: half-duplex) receives the message of `v ∈ T` iff
@@ -12,13 +12,30 @@
 //! and it is necessarily the one with the strongest signal (the nearest,
 //! under uniform power). Reception resolution is the hot path of every
 //! experiment binary, so it sits behind the [`SinrResolver`] trait with
-//! four interchangeable backends ([`ResolverKind`]):
+//! two backends ([`ResolverKind`]):
+//!
+//! * [`NaiveResolver`] — the oracle. Evaluates Eq. (1) literally at every
+//!   listener in `O(n·|T|)`; the fast backend must match it **exactly**.
+//! * [`AggregatedResolver`] — the fast backend and the default. A round
+//!   with `|T| ≤` [`EXACT_MAX_TX`] runs the oracle's own per-listener
+//!   routine, so it equals the oracle by construction; the paper's
+//!   protocols spend almost all their rounds there. Larger rounds use a
+//!   cell-aggregated [`InterferenceField`] kept across rounds in a
+//!   [`FieldCache`]. Two exact facts cut the work: (1) a decodable
+//!   transmitter lies within range (`signal(d) ≥ β·noise` is necessary),
+//!   so candidates come from a grid query; (2) the second-strongest
+//!   transmitter alone contributes its signal as interference, so a
+//!   receiver failing `s₁ ≥ β·(noise + s₂)` is skipped without summing.
+//!   Survivors are decided by exact cell-grouped partial sums, ring by ring
+//!   around the receiver, plus a count-based residual bound for everything
+//!   farther; the rare inconclusive case falls back to the exact far-field
+//!   sum (see [`crate::field`] for the full argument).
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
 //! ([`Network::powers`](crate::Network::powers)); signals are then
 //! `P_w / d^α` via [`Network::signal_from`](crate::Network::signal_from).
-//! The geometric backends keep their exactness: any decodable transmitter
-//! must satisfy `P_w/d^α ≥ β·noise`, i.e. lie within
+//! The field path keeps its exactness: any decodable transmitter must
+//! satisfy `P_w/d^α ≥ β·noise`, i.e. lie within
 //! [`Network::max_range`](crate::Network::max_range) of the receiver, so
 //! the candidate search stays a bounded disk query — but the decodable
 //! transmitter is the *strongest-signal* one, which under heterogeneous
@@ -26,43 +43,8 @@
 //! strongest-two scan instead of the nearest-two distance query (the
 //! uniform-power fast path is untouched).
 //!
-//! * [`NaiveResolver`] — the oracle. Evaluates Eq. (1) literally in
-//!   `O(n·|T|)`; every other backend must match it **exactly**.
-//! * [`GridResolver`] — grid short-circuit. Two exact facts cut the work:
-//!   (1) a decodable transmitter lies within the transmission range
-//!   (`signal(d) ≥ β·noise` is necessary), so candidates come from a grid
-//!   query of radius `range`; (2) the second-nearest transmitter alone
-//!   contributes `signal(d₂)` interference, so a receiver failing
-//!   `signal(d₁) ≥ β·(noise + signal(d₂))` is skipped without any summing.
-//!   Survivors still pay an exact `O(|T|)` interference sum.
-//! * [`AggregatedResolver`] — cell-aggregated interference. Builds a
-//!   per-round [`InterferenceField`](crate::field::InterferenceField):
-//!   interference is accumulated as exact cell-grouped partial sums ring by
-//!   ring around the receiver, and everything farther than `k` cells is
-//!   covered by a single count-based residual bound. Because the reception
-//!   test is monotone in the interference, a receiver is accepted or
-//!   rejected as soon as the bound is conclusive; the rare inconclusive
-//!   case falls back to the exact far-field sum. Surviving receivers
-//!   therefore pay `O(occupied cells nearby) + O(1)` instead of `O(|T|)` —
-//!   and the returned receptions are **exactly** the naive ones (the cell
-//!   sums are exact partial sums, not approximations; see
-//!   [`crate::field`] for the full argument).
-//! * [`ParallelResolver`] — the aggregated strategy, sharded and
-//!   persistent. The receiver scan is split into fixed contiguous index
-//!   chunks resolved on a scoped thread pool (`DCLUSTER_THREADS`, default
-//!   [`std::thread::available_parallelism`] capped at 8) against one shared
-//!   immutable [`InterferenceField`]; per-chunk receptions are concatenated
-//!   in chunk order, so the output is **byte-identical** to the sequential
-//!   backends for every thread count (each chunk emits its receivers in
-//!   ascending order, and counters merge commutatively). Across rounds the
-//!   field is kept in a [`FieldCache`] keyed on the network's mutation
-//!   stamp and patched with the sparse transmitter diff instead of rebuilt
-//!   — exactness is preserved because the maintained subset grid is
-//!   structurally identical to a rebuilt one (audited by
-//!   [`SinrResolver::audit`]).
-//!
-//! Equivalence of all backends is enforced by property tests on
-//! random, clumped and grid-boundary deployments
+//! Equivalence with the oracle is enforced by property tests on random,
+//! clumped and grid-boundary deployments
 //! (`crates/sim/tests/radio_equivalence.rs`).
 
 use crate::field::{FieldStats, InterferenceField};
@@ -85,36 +67,25 @@ pub struct Reception {
 }
 
 /// The available [`SinrResolver`] backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ResolverKind {
     /// Literal Eq. (1): `O(n·|T|)` oracle.
     Naive,
-    /// Grid candidate search + second-nearest short-circuit + exact sums.
-    Grid,
-    /// Grid short-circuit + per-round cell-aggregated interference field.
+    /// The oracle's exact routine up to [`EXACT_MAX_TX`] transmitters, a
+    /// persistent cell-aggregated interference field above it.
+    #[default]
     Aggregated,
-    /// The aggregated strategy with a sharded receiver scan and a
-    /// persistent, sparsely-patched interference field. Byte-identical
-    /// output for every thread count.
-    Parallel,
 }
 
 impl ResolverKind {
-    /// Every backend, in increasing order of sophistication.
-    pub const ALL: [ResolverKind; 4] = [
-        ResolverKind::Naive,
-        ResolverKind::Grid,
-        ResolverKind::Aggregated,
-        ResolverKind::Parallel,
-    ];
+    /// Every backend: the oracle first.
+    pub const ALL: [ResolverKind; 2] = [ResolverKind::Naive, ResolverKind::Aggregated];
 
     /// Stable lower-case name (CLI flags, traces, CSV columns).
     pub fn name(self) -> &'static str {
         match self {
             ResolverKind::Naive => "naive",
-            ResolverKind::Grid => "grid",
             ResolverKind::Aggregated => "aggregated",
-            ResolverKind::Parallel => "parallel",
         }
     }
 
@@ -137,9 +108,7 @@ impl ResolverKind {
     pub fn build(self) -> Box<dyn SinrResolver> {
         match self {
             ResolverKind::Naive => Box::new(NaiveResolver::new()),
-            ResolverKind::Grid => Box::new(GridResolver::new()),
             ResolverKind::Aggregated => Box::new(AggregatedResolver::new()),
-            ResolverKind::Parallel => Box::new(ParallelResolver::new()),
         }
     }
 }
@@ -155,35 +124,34 @@ impl FromStr for ResolverKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "naive" => Ok(ResolverKind::Naive),
-            "grid" => Ok(ResolverKind::Grid),
             "aggregated" | "agg" => Ok(ResolverKind::Aggregated),
-            "parallel" | "par" => Ok(ResolverKind::Parallel),
             other => Err(format!(
-                "unknown resolver '{other}' (expected naive|grid|aggregated|parallel)"
+                "unknown resolver '{other}' (expected naive|aggregated)"
             )),
         }
     }
 }
 
-/// Cumulative per-backend work counters (all backends fill `rounds` and
+/// Cumulative per-backend work counters (both backends fill `rounds` and
 /// `candidates`; the rest apply where meaningful).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Rounds resolved.
     pub rounds: u64,
-    /// Decode candidates: receivers with some transmitter within range for
-    /// the geometric backends; decoded receivers for the naive oracle
-    /// (which has no candidate search).
+    /// Decode candidates: receivers with some transmitter within range in
+    /// field rounds; decoded receivers in exact-routine rounds (which have
+    /// no candidate search).
     pub candidates: u64,
-    /// Candidates killed by the second-nearest short-circuit.
+    /// Field rounds: candidates killed by the second-strongest
+    /// short-circuit.
     pub short_circuited: u64,
-    /// Exact full-interference sums over all of `T` (naive: one per
-    /// listener; grid: one per surviving candidate; aggregated: 0).
+    /// Exact full-interference sums over all of `T`, one per listener of
+    /// an exact-routine round (every round of the naive oracle; rounds
+    /// with `|T| ≤` [`EXACT_MAX_TX`] of the aggregated backend).
     pub exact_sums: u64,
-    /// Aggregated only: candidates decided by cell sums + residual bound.
+    /// Field rounds: candidates decided by cell sums + residual bound.
     pub residual_decided: u64,
-    /// Aggregated only: candidates that needed the exact far-field
-    /// fallback.
+    /// Field rounds: candidates that needed the exact far-field fallback.
     pub exact_fallbacks: u64,
 }
 
@@ -203,7 +171,7 @@ impl ResolverStats {
 /// A reception-resolution backend: given a round's transmitter set,
 /// produce the exact reception set of Eq. (1).
 ///
-/// All backends are **observationally identical** — they differ only in
+/// Both backends are **observationally identical** — they differ only in
 /// how much work they do. Implementations may keep scratch allocations
 /// (hence `&mut self`) and must be deterministic: the same network and
 /// transmitter slice always yield the same receptions in the same order
@@ -227,7 +195,7 @@ pub trait SinrResolver: fmt::Debug {
 
     /// Verifies any incrementally-maintained internal state against a
     /// rebuild from scratch (backends without such state trivially pass).
-    /// The persistent backends compare their cached interference field's
+    /// The aggregated backend compares its cached interference field's
     /// subset grid with a fresh build over the same transmitter set —
     /// structural identity there is exactly what guarantees
     /// rebuild-identical decisions.
@@ -238,8 +206,9 @@ pub trait SinrResolver: fmt::Debug {
 
     /// What the persistent field cache did in the most recent
     /// [`SinrResolver::resolve_into`] call: `None` for backends without a
-    /// cache (or when the round had no transmitters, so the cache was
-    /// never consulted). Feeds the engine's per-round trace events.
+    /// cache, and for rounds that never consulted it (no transmitters, or
+    /// few enough for the exact routine). Feeds the engine's per-round
+    /// trace events.
     fn last_cache_op(&self) -> Option<CacheOp> {
         None
     }
@@ -271,11 +240,6 @@ pub struct FieldCache {
 }
 
 impl FieldCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns the field for this round's `(net, transmitters)`: patched
     /// from the cached round when that is sound and cheaper, rebuilt
     /// otherwise.
@@ -396,9 +360,8 @@ fn two_strongest_within(net: &Network, grid: &Grid, u: crate::Point, r: f64) -> 
 /// transmitter is in range.
 type CandidateSignals = Option<(usize, f64, f64)>;
 
-/// Shared candidate search of the geometric backends: nearest-two distance
-/// query under uniform power (bit-identical to the classic path),
-/// strongest-two signal scan under heterogeneous power.
+/// Candidate search of the field path: nearest-two distance query under
+/// uniform power, strongest-two signal scan under heterogeneous power.
 fn candidate_signals(net: &Network, tx_grid: &Grid, u: usize) -> CandidateSignals {
     let r = net.max_range();
     if net.has_uniform_power() {
@@ -433,8 +396,69 @@ fn mark_transmitters(
     }
 }
 
+/// Largest transmitter count that [`AggregatedResolver`] resolves with the
+/// oracle's exact routine instead of its interference field.
+///
+/// Per round the exact routine costs `O(n·|T|)`, and the field path one
+/// grid query per listener plus an `O(|T|)` build or patch. Both grow
+/// linearly in `n`, so the threshold is on `|T|` alone; the field's fixed
+/// costs move the crossover from about 5 at `n ≥ 10⁴` to past 16 at
+/// `n = 52`. The value minimises the worst per-round slowdown against the
+/// faster path over the fixed-`|T|` points of the `scale_resolvers` sweep
+/// at its quick tier (`n = 52 … 2·10⁴`), which prints that threshold: 8
+/// in two of three recorded runs and 6 in the third, where the two worst
+/// slowdowns were within about 5 % (EXPERIMENTS.md, "Resolver
+/// crossover"). The protocol workloads play no part in it.
+pub const EXACT_MAX_TX: usize = 8;
+
+/// The oracle's exact routine: Eq. (1) evaluated literally at every
+/// listener, each listener's total signal summed in transmitter order.
+/// [`NaiveResolver`] runs it every round and [`AggregatedResolver`] on
+/// rounds with `|T| ≤` [`EXACT_MAX_TX`], so those rounds agree bit for bit.
+/// Counts one exact sum per listener and one candidate per decoded
+/// receiver.
+fn resolve_exact(
+    net: &Network,
+    transmitters: &[usize],
+    is_tx: &mut Vec<bool>,
+    stats: &mut ResolverStats,
+    out: &mut Vec<Reception>,
+) {
+    let p = net.params();
+    is_tx.clear();
+    is_tx.resize(net.len(), false);
+    for &t in transmitters {
+        debug_assert!(!is_tx[t], "node {t} listed twice as transmitter");
+        is_tx[t] = true;
+    }
+    for (u, _) in is_tx.iter().enumerate().filter(|&(_, &tx)| !tx) {
+        stats.exact_sums += 1;
+        let total: f64 = transmitters
+            .iter()
+            .map(|&w| net.signal_from(w, net.pos(w).dist(net.pos(u))))
+            .sum();
+        let mut decoded: Option<(usize, usize)> = None;
+        for (slot, &v) in transmitters.iter().enumerate() {
+            let s = net.signal_from(v, net.pos(v).dist(net.pos(u)));
+            if s >= p.beta * (p.noise + (total - s)) {
+                debug_assert!(decoded.is_none(), "beta > 1 forbids two decodable senders");
+                decoded = Some((v, slot));
+            }
+        }
+        if let Some((v, slot)) = decoded {
+            stats.candidates += 1;
+            out.push(Reception {
+                receiver: u,
+                sender: v,
+                slot,
+            });
+        }
+    }
+}
+
 /// Reference backend: evaluates Eq. (1) literally, `O(n·|T|)`, no
-/// geometric shortcuts. The oracle every other backend is tested against.
+/// geometric shortcuts. The oracle the aggregated backend is tested
+/// against.
 #[derive(Debug, Default)]
 pub struct NaiveResolver {
     is_tx: Vec<bool>,
@@ -456,38 +480,8 @@ impl SinrResolver for NaiveResolver {
     fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
         out.clear();
         self.stats.rounds += 1;
-        if transmitters.is_empty() {
-            return;
-        }
-        let p = net.params();
-        self.is_tx.clear();
-        self.is_tx.resize(net.len(), false);
-        for &t in transmitters {
-            debug_assert!(!self.is_tx[t], "node {t} listed twice as transmitter");
-            self.is_tx[t] = true;
-        }
-        for (u, _) in self.is_tx.iter().enumerate().filter(|&(_, &tx)| !tx) {
-            self.stats.exact_sums += 1;
-            let total: f64 = transmitters
-                .iter()
-                .map(|&w| net.signal_from(w, net.pos(w).dist(net.pos(u))))
-                .sum();
-            let mut decoded: Option<(usize, usize)> = None;
-            for (slot, &v) in transmitters.iter().enumerate() {
-                let s = net.signal_from(v, net.pos(v).dist(net.pos(u)));
-                if s >= p.beta * (p.noise + (total - s)) {
-                    debug_assert!(decoded.is_none(), "beta > 1 forbids two decodable senders");
-                    decoded = Some((v, slot));
-                }
-            }
-            if let Some((v, slot)) = decoded {
-                self.stats.candidates += 1;
-                out.push(Reception {
-                    receiver: u,
-                    sender: v,
-                    slot,
-                });
-            }
+        if !transmitters.is_empty() {
+            resolve_exact(net, transmitters, &mut self.is_tx, &mut self.stats, out);
         }
     }
 
@@ -496,136 +490,57 @@ impl SinrResolver for NaiveResolver {
     }
 }
 
-/// Grid-accelerated backend (the workspace's original fast resolver):
-/// candidate search and second-nearest short-circuit via the transmitter
-/// subset grid, then an exact `O(|T|)` sum per surviving candidate.
-#[derive(Debug, Default)]
-pub struct GridResolver {
-    is_tx: Vec<bool>,
-    slot_of: Vec<u32>,
-    stats: ResolverStats,
-}
-
-impl GridResolver {
-    /// Creates the backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SinrResolver for GridResolver {
-    fn kind(&self) -> ResolverKind {
-        ResolverKind::Grid
-    }
-
-    fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
-        out.clear();
-        self.stats.rounds += 1;
-        if transmitters.is_empty() {
-            return;
-        }
-        let n = net.len();
-        let p = net.params();
-        mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let tx_grid = Grid::build_subset(net.points(), transmitters, p.range());
-        for u in 0..n {
-            if self.is_tx[u] {
-                continue; // half-duplex: transmitters do not receive
-            }
-            let Some((v, s1, i_low)) = candidate_signals(net, &tx_grid, u) else {
-                continue;
-            };
-            self.stats.candidates += 1;
-            // Short-circuit: interference ≥ the second-strongest signal.
-            if s1 < p.beta * (p.noise + i_low) {
-                self.stats.short_circuited += 1;
-                continue;
-            }
-            // Exact check with total interference over all transmitters.
-            self.stats.exact_sums += 1;
-            let mut interference = -s1; // subtract sender's own signal below
-            for &w in transmitters {
-                interference += net.signal_from(w, net.pos(w).dist(net.pos(u)));
-            }
-            if s1 >= p.beta * (p.noise + interference) {
-                out.push(Reception {
-                    receiver: u,
-                    sender: v,
-                    slot: self.slot_of[v] as usize,
-                });
-            }
-        }
-    }
-
-    fn stats(&self) -> ResolverStats {
-        self.stats
-    }
-}
-
-/// Cell-aggregated backend: per-round [`InterferenceField`] with exact
-/// cell-grouped partial sums and a global residual bound. Scales to the
-/// 10⁵–10⁶-node deployments the grid backend's per-survivor `O(|T|)` sums
-/// cannot reach.
+/// The fast backend (see the module docs): the oracle's exact routine on
+/// rounds with `|T| ≤` [`EXACT_MAX_TX`], a persistent cell-aggregated
+/// [`InterferenceField`] above it. Scales to 10⁵-node deployments with
+/// thousands of transmitters per round.
 #[derive(Debug, Default)]
 pub struct AggregatedResolver {
     is_tx: Vec<bool>,
     slot_of: Vec<u32>,
     stats: ResolverStats,
-    /// `Some` once persistence is enabled: the interference field is then
-    /// kept across rounds and patched with the sparse transmitter diff.
-    cache: Option<FieldCache>,
+    /// The field of the latest field round, patched with the sparse
+    /// transmitter diff by the next one; exact rounds leave it idle.
+    cache: FieldCache,
 }
 
 impl AggregatedResolver {
-    /// Creates the backend (field rebuilt from scratch every round — the
-    /// historical behavior).
+    /// Creates the backend.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Enables cross-round field persistence (see [`FieldCache`]).
-    /// Receptions are unchanged; only the per-round build cost is.
-    pub fn with_persistence(mut self) -> Self {
-        self.cache = Some(FieldCache::new());
-        self
-    }
-}
-
-impl SinrResolver for AggregatedResolver {
-    fn kind(&self) -> ResolverKind {
-        ResolverKind::Aggregated
-    }
-
-    fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
+    /// Resolves one round with the interference field whatever its `|T|`:
+    /// what [`SinrResolver::resolve_into`] does above [`EXACT_MAX_TX`].
+    /// Public so that `scale_resolvers` can time the field against the
+    /// oracle at small `|T|` (the sweep that sets the constant) and the
+    /// equivalence tests can hold the field to the oracle on small rounds.
+    pub fn resolve_field_into(
+        &mut self,
+        net: &Network,
+        transmitters: &[usize],
+        out: &mut Vec<Reception>,
+    ) {
         out.clear();
         self.stats.rounds += 1;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.reset_last_op();
-        }
+        self.cache.reset_last_op();
         if transmitters.is_empty() {
             return;
         }
         let n = net.len();
         let p = net.params();
         mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let fresh; // keeps the non-persistent field alive past the match
-        let field: &InterferenceField = match self.cache.as_mut() {
-            Some(cache) => cache.obtain(net, transmitters),
-            None => {
-                fresh =
-                    InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
-                &fresh
-            }
-        };
+        let field = self.cache.obtain(net, transmitters);
         let mut fs = FieldStats::default();
         for u in 0..n {
             if self.is_tx[u] {
-                continue; // half-duplex
+                continue; // half-duplex: transmitters do not receive
             }
             let Some((v, s1, i_low)) = candidate_signals(net, field.grid(), u) else {
                 continue;
             };
             self.stats.candidates += 1;
+            // Short-circuit: interference ≥ the second-strongest signal.
             if s1 < p.beta * (p.noise + i_low) {
                 self.stats.short_circuited += 1;
                 continue;
@@ -641,201 +556,23 @@ impl SinrResolver for AggregatedResolver {
         self.stats.residual_decided += fs.residual_decided + fs.exhausted;
         self.stats.exact_fallbacks += fs.exact_fallbacks;
     }
-
-    fn stats(&self) -> ResolverStats {
-        self.stats
-    }
-
-    fn audit(&self, net: &Network) -> Result<(), String> {
-        match &self.cache {
-            Some(cache) => cache.audit(net),
-            None => Ok(()),
-        }
-    }
-
-    fn last_cache_op(&self) -> Option<CacheOp> {
-        self.cache.as_ref().and_then(|c| c.last_op())
-    }
 }
 
-/// How many worker threads the parallel backend uses: `DCLUSTER_THREADS`
-/// when set, else [`std::thread::available_parallelism`] capped at 8.
-///
-/// # Panics
-///
-/// Panics when `DCLUSTER_THREADS` is set to anything but a positive
-/// integer — a typo must not silently fall back to a default.
-fn threads_from_env() -> u32 {
-    // lint:allow(D4, reason = "documented override: DCLUSTER_THREADS")
-    match std::env::var("DCLUSTER_THREADS") {
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(t) if t >= 1 => t,
-            _ => panic!("DCLUSTER_THREADS: expected a positive integer, got '{v}'"), // lint:allow(P1, reason = "documented: a bad DCLUSTER_THREADS must fail loudly, not default")
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1)
-            .min(8),
-    }
-}
-
-/// Per-chunk output slot of the parallel receiver scan. Chunks are fixed
-/// contiguous receiver ranges, so concatenating the slots in chunk order
-/// reproduces the sequential (ascending-receiver) output exactly,
-/// independent of how many threads raced over them.
-#[derive(Debug, Default)]
-struct ChunkOut {
-    recs: Vec<Reception>,
-    field_stats: FieldStats,
-    candidates: u64,
-    short_circuited: u64,
-}
-
-/// Parallel backend: the aggregated strategy with the receiver scan
-/// sharded over a scoped thread pool and the interference field kept
-/// across rounds (see the module docs and [`FieldCache`]). Deterministic
-/// and byte-identical to [`AggregatedResolver`] for every thread count —
-/// on a single-core host it degrades gracefully to the sequential scan
-/// (the 1-thread path runs inline, no spawn, no locks) and still keeps
-/// the persistence win.
-#[derive(Debug)]
-pub struct ParallelResolver {
-    is_tx: Vec<bool>,
-    slot_of: Vec<u32>,
-    stats: ResolverStats,
-    pool: scoped_threadpool::Pool,
-    cache: Option<FieldCache>,
-}
-
-impl ParallelResolver {
-    /// Creates the backend with [`threads_from_env`]'s thread count and
-    /// persistence enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `DCLUSTER_THREADS` is set to a non-integer.
-    pub fn new() -> Self {
-        Self::with_threads(threads_from_env())
-    }
-
-    /// Creates the backend with an explicit thread count (≥ 1).
-    pub fn with_threads(threads: u32) -> Self {
-        Self {
-            is_tx: Vec::new(),
-            slot_of: Vec::new(),
-            stats: ResolverStats::default(),
-            pool: scoped_threadpool::Pool::new(threads.max(1)),
-            cache: Some(FieldCache::new()),
-        }
-    }
-
-    /// Disables cross-round field persistence (the field is then rebuilt
-    /// every round, like the plain aggregated backend) — for benchmarking
-    /// the two effects separately.
-    pub fn without_persistence(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// The worker thread count.
-    pub fn threads(&self) -> u32 {
-        self.pool.thread_count()
-    }
-}
-
-impl Default for ParallelResolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SinrResolver for ParallelResolver {
+impl SinrResolver for AggregatedResolver {
     fn kind(&self) -> ResolverKind {
-        ResolverKind::Parallel
+        ResolverKind::Aggregated
     }
 
     fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
+        if transmitters.len() > EXACT_MAX_TX {
+            return self.resolve_field_into(net, transmitters, out);
+        }
         out.clear();
         self.stats.rounds += 1;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.reset_last_op();
+        self.cache.reset_last_op();
+        if !transmitters.is_empty() {
+            resolve_exact(net, transmitters, &mut self.is_tx, &mut self.stats, out);
         }
-        if transmitters.is_empty() {
-            return;
-        }
-        let n = net.len();
-        let p = net.params();
-        mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let fresh;
-        let field: &InterferenceField = match self.cache.as_mut() {
-            Some(cache) => cache.obtain(net, transmitters),
-            None => {
-                fresh =
-                    InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
-                &fresh
-            }
-        };
-        // Fixed contiguous receiver chunks; a few per thread so a dense
-        // pocket cannot stall the whole round on one worker. The chunking
-        // never affects the output (see `ChunkOut`).
-        let threads = self.pool.thread_count() as usize;
-        let chunks = if threads <= 1 {
-            1
-        } else {
-            (threads * 4).min(n.max(1))
-        };
-        let chunk_len = n.div_ceil(chunks);
-        let mut outs: Vec<ChunkOut> = (0..chunks).map(|_| ChunkOut::default()).collect();
-        let is_tx = &self.is_tx;
-        let slot_of = &self.slot_of;
-        self.pool.scoped(|scope| {
-            for (c, chunk_out) in outs.iter_mut().enumerate() {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(n);
-                scope.execute(move || {
-                    for (u, &u_is_tx) in is_tx.iter().enumerate().take(hi).skip(lo) {
-                        if u_is_tx {
-                            continue; // half-duplex
-                        }
-                        let Some((v, s1, i_low)) = candidate_signals(net, field.grid(), u) else {
-                            continue;
-                        };
-                        chunk_out.candidates += 1;
-                        if s1 < p.beta * (p.noise + i_low) {
-                            chunk_out.short_circuited += 1;
-                            continue;
-                        }
-                        let decided = field.decide_at(
-                            net.points(),
-                            net.powers(),
-                            p,
-                            net.pos(u),
-                            v,
-                            s1,
-                            &mut chunk_out.field_stats,
-                        );
-                        if decided {
-                            chunk_out.recs.push(Reception {
-                                receiver: u,
-                                sender: v,
-                                slot: slot_of[v] as usize,
-                            });
-                        }
-                    }
-                });
-            }
-        });
-        // Deterministic merge: chunk order = ascending receiver order;
-        // counters are plain sums, so the totals are chunking-invariant.
-        let mut fs = FieldStats::default();
-        for chunk_out in outs {
-            self.stats.candidates += chunk_out.candidates;
-            self.stats.short_circuited += chunk_out.short_circuited;
-            fs.merge(chunk_out.field_stats);
-            out.extend(chunk_out.recs);
-        }
-        self.stats.residual_decided += fs.residual_decided + fs.exhausted;
-        self.stats.exact_fallbacks += fs.exact_fallbacks;
     }
 
     fn stats(&self) -> ResolverStats {
@@ -843,14 +580,11 @@ impl SinrResolver for ParallelResolver {
     }
 
     fn audit(&self, net: &Network) -> Result<(), String> {
-        match &self.cache {
-            Some(cache) => cache.audit(net),
-            None => Ok(()),
-        }
+        self.cache.audit(net)
     }
 
     fn last_cache_op(&self) -> Option<CacheOp> {
-        self.cache.as_ref().and_then(|c| c.last_op())
+        self.cache.last_op()
     }
 }
 
@@ -902,8 +636,18 @@ mod tests {
         Network::builder(points).build().unwrap()
     }
 
-    fn backends() -> Vec<Box<dyn SinrResolver>> {
-        ResolverKind::ALL.iter().map(|k| k.build()).collect()
+    /// One round's receptions from every resolution path: the oracle, the
+    /// aggregated backend as dispatched, and its field path forced at any
+    /// `|T|`, so the small hand-built rounds below hold the field to the
+    /// oracle too.
+    fn all_paths(net: &Network, tx: &[usize]) -> [(&'static str, Vec<Reception>); 3] {
+        let mut field = Vec::new();
+        AggregatedResolver::new().resolve_field_into(net, tx, &mut field);
+        [
+            ("naive", NaiveResolver::new().resolve(net, tx)),
+            ("aggregated", AggregatedResolver::new().resolve(net, tx)),
+            ("field", field),
+        ]
     }
 
     #[test]
@@ -913,8 +657,7 @@ mod tests {
             Point::new(0.999, 0.0), // inside range
             Point::new(1.001, 0.0), // outside range
         ]);
-        for r in &mut backends() {
-            let got = r.resolve(&net, &[0]);
+        for (path, got) in all_paths(&net, &[0]) {
             assert_eq!(
                 got,
                 vec![Reception {
@@ -922,8 +665,7 @@ mod tests {
                     sender: 0,
                     slot: 0
                 }],
-                "backend {}",
-                r.kind()
+                "path {path}"
             );
         }
     }
@@ -931,13 +673,8 @@ mod tests {
     #[test]
     fn transmitters_do_not_receive() {
         let net = net_of(vec![Point::new(0.0, 0.0), Point::new(0.5, 0.0)]);
-        for r in &mut backends() {
-            let got = r.resolve(&net, &[0, 1]);
-            assert!(
-                got.is_empty(),
-                "{}: both transmit, nobody listens",
-                r.kind()
-            );
+        for (path, got) in all_paths(&net, &[0, 1]) {
+            assert!(got.is_empty(), "{path}: both transmit, nobody listens");
         }
     }
 
@@ -950,8 +687,8 @@ mod tests {
             Point::new(1.8, 0.0),
             Point::new(0.9, 0.0),
         ]);
-        for r in &mut backends() {
-            assert!(r.resolve(&net, &[0, 1]).is_empty(), "backend {}", r.kind());
+        for (path, got) in all_paths(&net, &[0, 1]) {
+            assert!(got.is_empty(), "path {path}");
         }
     }
 
@@ -963,8 +700,7 @@ mod tests {
             Point::new(2.0, 0.0), // interferer
             Point::new(0.1, 0.0), // receiver
         ]);
-        for r in &mut backends() {
-            let got = r.resolve(&net, &[0, 1]);
+        for (path, got) in all_paths(&net, &[0, 1]) {
             assert_eq!(
                 got,
                 vec![Reception {
@@ -972,8 +708,7 @@ mod tests {
                     sender: 0,
                     slot: 0
                 }],
-                "backend {}",
-                r.kind()
+                "path {path}"
             );
         }
     }
@@ -987,10 +722,52 @@ mod tests {
         ]);
         let tx = [0, 2];
         let s = sinr(&net, 0, 1, &tx);
-        for r in &mut backends() {
-            let received = r.resolve(&net, &tx).iter().any(|x| x.receiver == 1);
-            assert_eq!(received, s >= net.params().beta, "backend {}", r.kind());
+        for (path, got) in all_paths(&net, &tx) {
+            let received = got.iter().any(|x| x.receiver == 1);
+            assert_eq!(received, s >= net.params().beta, "path {path}");
         }
+    }
+
+    #[test]
+    fn exact_rounds_match_naive_bit_for_bit_at_the_threshold() {
+        // A listener at the origin, EXACT_MAX_TX - 1 fixed interferers and
+        // a sender slid along the x-axis ulp by ulp across the distance at
+        // which its SINR is exactly β. Every step is an exact-routine round
+        // for the aggregated backend, so it must decide like the oracle
+        // even where the decision flips.
+        let p = SinrParams::default();
+        let interferers: Vec<Point> = (1..EXACT_MAX_TX)
+            .map(|i| {
+                let (r, a) = (2.5 + 0.37 * i as f64, 1.1 * i as f64);
+                Point::new(r * a.cos(), r * a.sin())
+            })
+            .collect();
+        let interference: f64 = interferers
+            .iter()
+            .map(|w| p.signal(w.dist(Point::new(0.0, 0.0))))
+            .sum();
+        let d_star = (p.power / (p.beta * (p.noise + interference))).powf(1.0 / p.alpha);
+        let mut d = d_star;
+        for _ in 0..64 {
+            d = d.next_down();
+        }
+        let tx: Vec<usize> = (1..=EXACT_MAX_TX).collect();
+        let mut outcomes = std::collections::BTreeSet::new();
+        for step in 0..128 {
+            let mut pts = vec![Point::new(0.0, 0.0), Point::new(d, 0.0)];
+            pts.extend(interferers.iter().copied());
+            let net = net_of(pts);
+            let naive = NaiveResolver::new().resolve(&net, &tx);
+            let agg = AggregatedResolver::new().resolve(&net, &tx);
+            assert_eq!(agg, naive, "step {step}: d = {d:e}");
+            outcomes.insert(naive.len());
+            d = d.next_up();
+        }
+        assert_eq!(
+            outcomes.len(),
+            2,
+            "the sweep must cross the threshold: SINR = β·(1 ± a few ulps)"
+        );
     }
 
     #[test]
@@ -1015,19 +792,9 @@ mod tests {
             let mut all: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut all);
             all.truncate(k);
-            let mut naive = resolve_naive(&net, &all);
-            naive.sort_by_key(|r| r.receiver);
-            for kind in [
-                ResolverKind::Grid,
-                ResolverKind::Aggregated,
-                ResolverKind::Parallel,
-            ] {
-                let mut got = kind.build().resolve(&net, &all);
-                got.sort_by_key(|r| r.receiver);
-                assert_eq!(
-                    got, naive,
-                    "trial {trial}: {kind} and naive resolvers disagree"
-                );
+            let [(_, naive), rest @ ..] = all_paths(&net, &all);
+            for (path, got) in rest {
+                assert_eq!(got, naive, "trial {trial}: {path} and naive disagree");
             }
         }
     }
@@ -1048,18 +815,11 @@ mod tests {
             let net = Network::builder(pts).powers(powers).build().unwrap();
             assert!(!net.has_uniform_power());
             let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.25)).collect();
-            let mut naive = resolve_naive(&net, &tx);
-            naive.sort_by_key(|r| r.receiver);
-            for kind in [
-                ResolverKind::Grid,
-                ResolverKind::Aggregated,
-                ResolverKind::Parallel,
-            ] {
-                let mut got = kind.build().resolve(&net, &tx);
-                got.sort_by_key(|r| r.receiver);
+            let [(_, naive), rest @ ..] = all_paths(&net, &tx);
+            for (path, got) in rest {
                 assert_eq!(
                     got, naive,
-                    "trial {trial}: {kind} disagrees with naive under heterogeneous power"
+                    "trial {trial}: {path} disagrees with naive under heterogeneous power"
                 );
             }
         }
@@ -1082,13 +842,13 @@ mod tests {
         .params(p)
         .build()
         .unwrap();
-        // Strongest ≠ nearest: the grid fast path would pick node 0 and
-        // reject; the strongest-signal path must decode node 1.
+        // Strongest ≠ nearest: a nearest-sender search would pick node 0
+        // and reject; the field's strongest-signal path must decode node 1.
         let naive = resolve_naive(&net, &[0, 1]);
         assert_eq!(naive.len(), 1);
         assert_eq!(naive[0].sender, 1, "the high-power transmitter decodes");
-        for r in &mut backends() {
-            assert_eq!(r.resolve(&net, &[0, 1]), naive, "backend {}", r.kind());
+        for (path, got) in all_paths(&net, &[0, 1]) {
+            assert_eq!(got, naive, "path {path}");
         }
     }
 
@@ -1100,14 +860,12 @@ mod tests {
             .collect();
         let net = net_of(pts);
         let tx: Vec<usize> = (0..120).filter(|_| rng.chance(0.3)).collect();
-        for r in &mut backends() {
-            let rec = r.resolve(&net, &tx);
+        for (path, rec) in all_paths(&net, &tx) {
             let mut seen = std::collections::HashSet::new();
             for x in &rec {
                 assert!(
                     seen.insert(x.receiver),
-                    "{}: receiver {} decoded twice",
-                    r.kind(),
+                    "{path}: receiver {} decoded twice",
                     x.receiver
                 );
                 assert_eq!(tx[x.slot], x.sender, "slot must index the sender");
@@ -1118,8 +876,8 @@ mod tests {
     #[test]
     fn empty_transmitter_set_yields_no_receptions() {
         let net = net_of(vec![Point::new(0.0, 0.0), Point::new(0.5, 0.0)]);
-        for r in &mut backends() {
-            assert!(r.resolve(&net, &[]).is_empty(), "backend {}", r.kind());
+        for (path, got) in all_paths(&net, &[]) {
+            assert!(got.is_empty(), "path {path}");
         }
     }
 
@@ -1131,21 +889,29 @@ mod tests {
             .collect();
         let net = net_of(pts);
         let tx: Vec<usize> = (0..80).filter(|_| rng.chance(0.25)).collect();
+        assert!(tx.len() > EXACT_MAX_TX, "a field round");
         let mut agg = AggregatedResolver::new();
         let _ = agg.resolve(&net, &tx);
         let st = agg.stats();
         assert_eq!(st.rounds, 1);
-        assert_eq!(st.exact_sums, 0, "aggregated never does full naive sums");
+        assert_eq!(st.exact_sums, 0, "field rounds never do full naive sums");
         assert_eq!(
             st.candidates,
             st.short_circuited + st.residual_decided + st.exact_fallbacks,
             "every candidate is accounted for exactly once"
         );
-        let mut grid = GridResolver::new();
-        let _ = grid.resolve(&net, &tx);
-        let gst = grid.stats();
-        assert_eq!(gst.candidates, st.candidates, "same candidate set");
-        assert_eq!(gst.exact_sums + gst.short_circuited, gst.candidates);
+        // An exact-routine round counts its work exactly like the oracle.
+        let small = &tx[..EXACT_MAX_TX];
+        let mut agg = AggregatedResolver::new();
+        let mut naive = NaiveResolver::new();
+        assert_eq!(agg.resolve(&net, small), naive.resolve(&net, small));
+        assert_eq!(agg.stats(), naive.stats());
+        assert_eq!(agg.stats().exact_sums, (80 - EXACT_MAX_TX) as u64);
+        assert_eq!(
+            agg.last_cache_op(),
+            None,
+            "exact rounds leave the cache idle"
+        );
     }
 
     #[test]
@@ -1155,55 +921,36 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.name());
             assert_eq!(kind.build().kind(), kind);
         }
+        assert_eq!(ResolverKind::default(), ResolverKind::Aggregated);
         assert_eq!(
             "AGG".parse::<ResolverKind>().unwrap(),
             ResolverKind::Aggregated
         );
-        assert_eq!(
-            "par".parse::<ResolverKind>().unwrap(),
-            ResolverKind::Parallel
-        );
-        let err = "fft".parse::<ResolverKind>().unwrap_err();
-        for name in ["naive", "grid", "aggregated", "parallel"] {
-            assert!(err.contains(name), "parse error must list '{name}': {err}");
+        // Typos and the retired backends alike name what is available.
+        for bad in ["fft", "grid", "parallel", "par"] {
+            let err = bad.parse::<ResolverKind>().unwrap_err();
+            for name in ["naive", "aggregated"] {
+                assert!(
+                    err.contains(name),
+                    "'{bad}': error must list '{name}': {err}"
+                );
+            }
         }
     }
 
     #[test]
-    fn parallel_is_byte_identical_across_thread_counts() {
-        let mut rng = Rng64::new(808);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.range_f64(0.0, 5.0), rng.range_f64(0.0, 5.0)))
-            .collect();
-        let net = net_of(pts);
-        let tx: Vec<usize> = (0..300).filter(|_| rng.chance(0.3)).collect();
-        let mut reference = AggregatedResolver::new();
-        let want = reference.resolve(&net, &tx);
-        for threads in [1, 2, 8] {
-            let mut par = ParallelResolver::with_threads(threads);
-            assert_eq!(par.threads(), threads.max(1));
-            assert_eq!(
-                par.resolve(&net, &tx),
-                want,
-                "parallel({threads} threads) diverged from aggregated"
-            );
-            par.audit(&net).expect("fresh field audits clean");
-        }
-    }
-
-    #[test]
-    fn persistent_parallel_tracks_an_evolving_transmitter_set() {
+    fn persistent_aggregated_tracks_an_evolving_transmitter_set() {
         // Round after round with sparse churn: the patched field must keep
-        // producing exactly the receptions of a from-scratch backend, and
-        // the audit must confirm its grid equals a rebuild.
+        // producing exactly the oracle's receptions, and the audit must
+        // confirm its grid equals a rebuild.
         let mut rng = Rng64::new(4242);
         let pts: Vec<Point> = (0..250)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
             .collect();
         let net = net_of(pts);
         let mut tx: Vec<usize> = (0..250).filter(|_| rng.chance(0.4)).collect();
-        let mut par = ParallelResolver::with_threads(2);
         let mut agg = AggregatedResolver::new();
+        let mut patched = 0;
         for round in 0..25 {
             // ~4 joins and ~4 leaves per round, keeping the set sorted.
             for _ in 0..4 {
@@ -1216,13 +963,17 @@ mod tests {
                 }
             }
             assert_eq!(
-                par.resolve(&net, &tx),
                 agg.resolve(&net, &tx),
-                "round {round}: persistent parallel diverged"
+                resolve_naive(&net, &tx),
+                "round {round}: persistent aggregated diverged"
             );
-            par.audit(&net)
+            if let Some(CacheOp::Patched { .. }) = agg.last_cache_op() {
+                patched += 1;
+            }
+            agg.audit(&net)
                 .unwrap_or_else(|e| panic!("round {round}: audit failed: {e}"));
         }
+        assert_eq!(patched, 24, "every round after the first patches");
     }
 
     #[test]
@@ -1235,32 +986,34 @@ mod tests {
             .collect();
         let mut net = net_of(pts);
         let tx: Vec<usize> = (0..150).filter(|_| rng.chance(0.35)).collect();
-        let mut par = ParallelResolver::with_threads(2);
-        let _ = par.resolve(&net, &tx); // seed the cache
+        let mut agg = AggregatedResolver::new();
+        let _ = agg.resolve(&net, &tx); // seed the cache
         net.move_node(3, Point::new(1.5, 1.5));
         net.set_power(7, 2.0 * net.params().power);
         assert_eq!(
-            par.resolve(&net, &tx),
-            AggregatedResolver::new().resolve(&net, &tx),
+            agg.resolve(&net, &tx),
+            resolve_naive(&net, &tx),
             "stale cache leaked across a network mutation"
         );
-        par.audit(&net).expect("rebuilt field audits clean");
+        assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt));
+        agg.audit(&net).expect("rebuilt field audits clean");
     }
 
     #[test]
     fn persistent_aggregated_matches_the_default_aggregated() {
+        // One instance reused across rounds (its cache warm) must equal a
+        // fresh instance every round.
         let mut rng = Rng64::new(5150);
         let pts: Vec<Point> = (0..200)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
             .collect();
         let net = net_of(pts);
-        let mut persistent = AggregatedResolver::new().with_persistence();
-        let mut plain = AggregatedResolver::new();
+        let mut persistent = AggregatedResolver::new();
         for round in 0..10 {
             let tx: Vec<usize> = (0..200).filter(|_| rng.chance(0.3)).collect();
             assert_eq!(
                 persistent.resolve(&net, &tx),
-                plain.resolve(&net, &tx),
+                AggregatedResolver::new().resolve(&net, &tx),
                 "round {round}: persistence changed receptions"
             );
             persistent.audit(&net).expect("audit");
@@ -1277,17 +1030,17 @@ mod tests {
             .map(|_| Point::new(rng.range_f64(0.0, 3.5), rng.range_f64(0.0, 3.5)))
             .collect();
         let net = net_of(pts);
-        let mut par = ParallelResolver::with_threads(2);
-        let mut agg = AggregatedResolver::new();
+        let mut persistent = AggregatedResolver::new();
         for round in 0..8 {
             let mut tx: Vec<usize> = (0..180).collect();
             rng.shuffle(&mut tx);
             tx.truncate(60 + round);
             assert_eq!(
-                par.resolve(&net, &tx),
-                agg.resolve(&net, &tx),
+                persistent.resolve(&net, &tx),
+                AggregatedResolver::new().resolve(&net, &tx),
                 "round {round}: unsorted transmitter slice mishandled"
             );
+            assert_eq!(persistent.last_cache_op(), Some(CacheOp::Rebuilt));
         }
     }
 

@@ -1,18 +1,18 @@
 //! The persistent resolution engine must be invisible: running an
-//! [`Engine`] for N rounds over an evolving transmitter set, the parallel
-//! backend's sparsely-patched interference field (and the persistent
-//! aggregated backend's) must produce receptions identical to backends
-//! that rebuild from scratch every round — and the maintained field must
-//! audit as structurally identical to a rebuild after every step
+//! [`Engine`] for N rounds over an evolving transmitter set, the
+//! aggregated backend's sparsely-patched interference field must produce
+//! receptions identical to the naive oracle's, and the maintained field
+//! must audit as structurally identical to a rebuild after every step
 //! ([`Engine::audit_resolver`], the engine-level extension of the
-//! dynamics subsystem's `World::audit_incremental` pattern).
+//! dynamics subsystem's `World::audit_incremental` pattern). Schedules
+//! that cross `EXACT_MAX_TX` round by round leave the cache idle through
+//! the exact rounds, and it must pick up patching where it left off.
 
+use dcluster_obs::{shared, CacheOp, Event, Recorder};
 use dcluster_sim::engine::FnBehavior;
+use dcluster_sim::radio::EXACT_MAX_TX;
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{
-    AggregatedResolver, Engine, Network, ParallelResolver, Point, Reception, ResolverKind,
-    SinrParams, SinrResolver,
-};
+use dcluster_sim::{Engine, Network, Point, Reception, ResolverKind, SinrParams};
 use proptest::prelude::*;
 
 /// Pre-computes an evolving transmitter schedule: a membership vector
@@ -31,15 +31,28 @@ fn evolving_schedule(n: usize, rounds: usize, churn: usize, rng: &mut Rng64) -> 
     schedule
 }
 
-/// Runs `rounds` engine steps with the given resolver, recording each
-/// round's receptions and auditing the resolver's maintained state after
-/// every step.
-fn run_engine(
-    net: &Network,
-    resolver: Box<dyn SinrResolver>,
-    schedule: &[Vec<bool>],
-) -> Result<Vec<Vec<Reception>>, String> {
-    let mut engine = Engine::with_resolver(net, resolver);
+fn random_network(n: usize, rng: &mut Rng64) -> Network {
+    let side = (n as f64 / 12.0).sqrt().max(1.0) * 1.5;
+    let pts: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
+        .collect();
+    Network::builder(pts)
+        .params(SinrParams::default())
+        .build()
+        .expect("nonempty deployment")
+}
+
+/// Each round's receptions, and the cache operation its trace event
+/// carries.
+type Rounds = (Vec<Vec<Reception>>, Vec<Option<CacheOp>>);
+
+/// Runs one engine step per schedule entry with the given backend,
+/// recording [`Rounds`] and auditing the resolver's maintained state
+/// after every step.
+fn run_engine(net: &Network, kind: ResolverKind, schedule: &[Vec<bool>]) -> Result<Rounds, String> {
+    let mut engine = Engine::with_resolver_kind(net, kind);
+    let recorder = shared(Recorder::new());
+    engine.set_tracer(recorder.clone());
     let mut per_round = Vec::with_capacity(schedule.len());
     for (r, active) in schedule.iter().enumerate() {
         let mut b = FnBehavior {
@@ -51,15 +64,23 @@ fn run_engine(
             .audit_resolver()
             .map_err(|e| format!("round {r}: resolver audit failed: {e}"))?;
     }
-    Ok(per_round)
+    let ops = recorder
+        .borrow()
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Round { cache, .. } => Some(*cache),
+            _ => None,
+        })
+        .collect();
+    Ok((per_round, ops))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// N rounds of sparse field patching inside the engine equal a
-    /// rebuild-from-scratch every round, across all backends — the
-    /// parallel one at 1, 2 and 8 threads.
+    /// N rounds of sparse field patching inside the engine equal the
+    /// oracle every round.
     #[test]
     fn persistent_backends_equal_fresh_rebuild_over_engine_rounds(
         seed in 0u64..10_000,
@@ -67,35 +88,50 @@ proptest! {
         churn in 1usize..8,
     ) {
         let mut rng = Rng64::new(seed ^ 0x9e37);
-        let side = (n as f64 / 12.0).sqrt().max(1.0) * 1.5;
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
-            .collect();
-        let net = Network::builder(pts)
-            .params(SinrParams::default())
-            .build()
-            .expect("nonempty deployment");
+        let net = random_network(n, &mut rng);
         let schedule = evolving_schedule(n, 12, churn, &mut rng);
+        let (naive, _) = run_engine(&net, ResolverKind::Naive, &schedule)?;
+        let (agg, _) = run_engine(&net, ResolverKind::Aggregated, &schedule)?;
+        prop_assert_eq!(&naive, &agg, "persistent aggregated diverged");
+    }
 
-        // Rebuild-every-round references.
-        let naive = run_engine(&net, ResolverKind::Naive.build(), &schedule)?;
-        let grid = run_engine(&net, ResolverKind::Grid.build(), &schedule)?;
-        prop_assert_eq!(&naive, &grid, "grid diverged from naive");
-
-        // Persistent backends: patched field, audited every round.
-        let agg_persistent = run_engine(
-            &net,
-            Box::new(AggregatedResolver::new().with_persistence()),
-            &schedule,
-        )?;
-        prop_assert_eq!(&naive, &agg_persistent, "persistent aggregated diverged");
-        for threads in [1u32, 2, 8] {
-            let par = run_engine(
-                &net,
-                Box::new(ParallelResolver::with_threads(threads)),
-                &schedule,
-            )?;
-            prop_assert_eq!(&naive, &par, "parallel({}) diverged", threads);
+    /// Rounds alternating across `EXACT_MAX_TX`: a sparsely evolving
+    /// large set in even rounds, a fresh set of 1..=EXACT_MAX_TX
+    /// transmitters in odd ones. The exact rounds leave the cache idle;
+    /// every field round after the first patches the field of the previous
+    /// field round. Receptions equal the oracle's round by round.
+    #[test]
+    fn cache_idles_through_exact_rounds_and_patches_after_them(
+        seed in 0u64..10_000,
+        n in 60usize..150,
+        churn in 1usize..4,
+    ) {
+        let mut rng = Rng64::new(seed ^ 0xe8ac7);
+        let net = random_network(n, &mut rng);
+        let large = evolving_schedule(n, 8, churn, &mut rng);
+        let mut schedule = Vec::new();
+        for active in large {
+            schedule.push(active);
+            let k = 1 + rng.range_usize(EXACT_MAX_TX);
+            let mut small = vec![false; n];
+            while small.iter().filter(|&&a| a).count() < k {
+                small[rng.range_usize(n)] = true;
+            }
+            schedule.push(small);
+        }
+        let (naive, _) = run_engine(&net, ResolverKind::Naive, &schedule)?;
+        let (agg, ops) = run_engine(&net, ResolverKind::Aggregated, &schedule)?;
+        prop_assert_eq!(&naive, &agg, "aggregated diverged across the exact/field seam");
+        for (r, (active, op)) in schedule.iter().zip(&ops).enumerate() {
+            let tx = active.iter().filter(|&&a| a).count();
+            if tx <= EXACT_MAX_TX {
+                prop_assert_eq!(*op, None, "round {} (|T| = {}) consulted the cache", r, tx);
+            } else if r > 0 {
+                prop_assert!(
+                    matches!(op, Some(CacheOp::Patched { .. })),
+                    "round {} (|T| = {}) did not patch: {:?}", r, tx, op
+                );
+            }
         }
     }
 }

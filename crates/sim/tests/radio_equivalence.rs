@@ -1,13 +1,17 @@
-//! Every SINR resolver backend must return **exactly** the same receptions
-//! as the naive oracle — the equivalence promised in `radio.rs`'s module
-//! docs (for the aggregated backend: the cell sums are exact partial sums
-//! and the residual bound is only used when conclusive, so the decisions
-//! coincide with the full Eq. (1) sum). Property-tested three ways over
-//! random, clumped and grid-boundary deployments, transmitter sets and
-//! SINR parameter regimes.
+//! The aggregated backend must return **exactly** the naive oracle's
+//! receptions — the equivalence promised in `radio.rs`'s module docs.
+//! Rounds with `|T| ≤ EXACT_MAX_TX` run the oracle's own routine; above
+//! it the field's cell sums are exact partial sums and its residual bound
+//! is only used when conclusive, so the decisions coincide with the full
+//! Eq. (1) sum. Each instance is checked through the backend as
+//! dispatched and through its field path forced at any `|T|`.
+//! Property-tested over random, clumped and grid-boundary deployments,
+//! transmitter sets on both sides of the constant and SINR parameter
+//! regimes.
 
+use dcluster_sim::radio::EXACT_MAX_TX;
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{Network, Point, Reception, ResolverKind, SinrParams};
+use dcluster_sim::{AggregatedResolver, Network, Point, Reception, ResolverKind, SinrParams};
 use proptest::prelude::*;
 
 /// Canonical ordering so resolver outputs compare as sets.
@@ -26,22 +30,29 @@ fn random_network(n: usize, side: f64, params: SinrParams, rng: &mut Rng64) -> N
         .expect("nonempty deployment")
 }
 
-/// Checks every backend agrees with the oracle on one instance (error
-/// message on disagreement, for `?`-chaining inside proptest cases).
-fn assert_three_way(net: &Network, tx: &[usize], label: &str) -> Result<(), String> {
+/// Checks the aggregated backend, and its field path alone, against the
+/// oracle on one instance (error message on disagreement, for
+/// `?`-chaining inside proptest cases).
+fn assert_equivalent(net: &Network, tx: &[usize], label: &str) -> Result<(), String> {
     let naive = sorted(ResolverKind::Naive.build().resolve(net, tx));
-    for kind in [
-        ResolverKind::Grid,
-        ResolverKind::Aggregated,
-        ResolverKind::Parallel,
-    ] {
-        let got = sorted(kind.build().resolve(net, tx));
+    let mut field = Vec::new();
+    AggregatedResolver::new().resolve_field_into(net, tx, &mut field);
+    let paths = [
+        (
+            "aggregated",
+            ResolverKind::Aggregated.build().resolve(net, tx),
+        ),
+        ("field path", field),
+    ];
+    for (path, got) in paths {
+        let got = sorted(got);
         if got != naive {
             return Err(format!(
-                "{label}: {kind} and naive resolvers disagree (n={}, |T|={}): \
-                 {kind} found {:?}, naive found {:?}",
+                "{label}: {path} and naive disagree (n={}, |T|={}, EXACT_MAX_TX={}): \
+                 {path} found {:?}, naive found {:?}",
                 net.len(),
                 tx.len(),
+                EXACT_MAX_TX,
                 got,
                 naive
             ));
@@ -54,7 +65,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Equivalence on uniform deployments across densities, transmitter
-    /// fractions and (alpha, beta) regimes.
+    /// fractions and (alpha, beta) regimes; `|T|` ranges from 0 to 119, on
+    /// both sides of `EXACT_MAX_TX`.
     #[test]
     fn backends_equal_naive_on_uniform_deployments(
         seed in 0u64..10_000,
@@ -74,7 +86,7 @@ proptest! {
         let net = random_network(n, side_tenths as f64 / 10.0, params, &mut rng);
         let tx: Vec<usize> =
             (0..n).filter(|_| rng.chance(tx_permille as f64 / 1000.0)).collect();
-        assert_three_way(&net, &tx, "uniform")?;
+        assert_equivalent(&net, &tx, "uniform")?;
     }
 
     /// Equivalence when every node transmits (nobody listens) and when a
@@ -85,16 +97,16 @@ proptest! {
         let net = random_network(n, 3.0, SinrParams::default(), &mut rng);
 
         let everyone: Vec<usize> = (0..n).collect();
-        assert_three_way(&net, &everyone, "everyone-transmits")?;
+        assert_equivalent(&net, &everyone, "everyone-transmits")?;
 
         let lone = vec![rng.range_usize(n)];
-        assert_three_way(&net, &lone, "lone-transmitter")?;
+        assert_equivalent(&net, &lone, "lone-transmitter")?;
     }
 
     /// Clumped (near-duplicate) positions stress the grid bucketing, the
-    /// short-circuit bound and the aggregated backend's ring cap (distant
-    /// dense clumps make the occupied-cell set tiny but far apart);
-    /// equivalence must survive them too.
+    /// short-circuit bound and the field's ring cap (distant dense clumps
+    /// make the occupied-cell set tiny but far apart); equivalence must
+    /// survive them too.
     #[test]
     fn backends_equal_naive_on_clumped_deployments(seed in 0u64..10_000, n in 2usize..80) {
         let mut rng = Rng64::new(seed ^ 0xc1a9);
@@ -111,14 +123,14 @@ proptest! {
         }
         let net = Network::builder(pts).build().expect("nonempty");
         let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.4)).collect();
-        assert_three_way(&net, &tx, "clumped")?;
+        assert_equivalent(&net, &tx, "clumped")?;
     }
 
     /// Nodes sitting *exactly* on grid-cell boundaries (integer and
     /// half-integer lattices, including negative coordinates) — the worst
-    /// case for cell bucketing and for the aggregated backend's
-    /// "everything outside ring k is farther than k·cell" argument, which
-    /// must hold for points on cell edges too.
+    /// case for cell bucketing and for the field's "everything outside
+    /// ring k is farther than k·cell" argument, which must hold for points
+    /// on cell edges too.
     #[test]
     fn backends_equal_naive_on_grid_boundary_deployments(
         seed in 0u64..10_000,
@@ -143,6 +155,6 @@ proptest! {
         let net = Network::builder(pts).build().expect("nonempty");
         let tx: Vec<usize> =
             (0..rows * cols).filter(|_| rng.chance(tx_permille as f64 / 1000.0)).collect();
-        assert_three_way(&net, &tx, "grid-boundary")?;
+        assert_equivalent(&net, &tx, "grid-boundary")?;
     }
 }

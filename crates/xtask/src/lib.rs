@@ -8,9 +8,9 @@
 //! equivalence between backends and across reruns, so the most dangerous
 //! regressions are the ones the type system happily accepts — an iterated
 //! `HashMap` whose order leaks into a report, a wall-clock read inside a
-//! deterministic crate, an ad-hoc `thread::spawn` bypassing the
-//! chunk-ordered merge that makes the parallel resolver reproducible. The
-//! lint makes those hazards a CI failure instead of a test-suite hope.
+//! deterministic crate, a `thread::spawn` whose merge order depends on the
+//! host. The lint makes those hazards a CI failure instead of a
+//! test-suite hope.
 //!
 //! See [`rules`] for the rule table, [`policy`] for the committed
 //! `lint.toml` policy format, and the README's "Static analysis" section

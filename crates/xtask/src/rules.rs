@@ -7,7 +7,7 @@
 //! |------|----------------|
 //! | `D1` | `HashMap`/`HashSet` use in library code — iteration order leaks |
 //! | `D2` | wall-clock reads inside the deterministic crates |
-//! | `D3` | raw threading primitives bypassing the scoped pool |
+//! | `D3` | threads — the simulator is single-threaded |
 //! | `D4` | `env::var` outside the sanctioned configuration seams |
 //! | `D5` | crate roots without `#![forbid(unsafe_code)]` |
 //! | `P1` | `unwrap`/`expect`/`panic!` in fallible library code |
@@ -66,8 +66,8 @@ pub const RULES: &[Rule] = &[
         tokens: &["thread::spawn", "thread::scope", "mpsc"],
         library_only: false,
         skip_use_lines: false,
-        message: "raw threading primitive bypasses the deterministic scoped pool",
-        hint: "submit jobs through scoped_threadpool::Pool and merge results in chunk order (see ParallelResolver); raw spawns make merge order host-dependent",
+        message: "threading primitive in a single-threaded simulator",
+        hint: "parallelise across scenarios or sweep points (separate processes), never inside a round; threads make merge order host-dependent",
     },
     Rule {
         code: "D4",

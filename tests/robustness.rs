@@ -38,11 +38,14 @@ fn colocated_nodes_do_not_break_the_radio() {
     ])
     .build()
     .unwrap();
-    let recs = dcluster::sim::ResolverKind::Grid
-        .build()
-        .resolve(&net, &[0, 1]);
-    // Colocated simultaneous transmitters annihilate each other.
-    assert!(recs.iter().all(|r| r.receiver != 2 || r.sender == 2));
+    for kind in dcluster::sim::ResolverKind::ALL {
+        let recs = kind.build().resolve(&net, &[0, 1]);
+        // Colocated simultaneous transmitters annihilate each other.
+        assert!(
+            recs.iter().all(|r| r.receiver != 2 || r.sender == 2),
+            "{kind}"
+        );
+    }
     let params = ProtocolParams::practical();
     let mut seeds = SeedSeq::new(params.seed);
     let mut engine = Engine::new(&net);
