@@ -63,6 +63,10 @@ pub struct RoundStats {
 /// ([`ResolverKind::Aggregated`]), [`Engine::with_resolver_kind`] pins a
 /// specific one. Both backends produce identical receptions, so the
 /// choice affects wall clock only — never protocol outcomes.
+///
+/// A round allocates nothing once the buffers have grown: the engine
+/// keeps its transmitter and reception vectors, and [`Engine::run`] and
+/// [`Engine::run_until`] keep one message vector across their rounds.
 #[derive(Debug)]
 pub struct Engine<'n> {
     net: &'n Network,
@@ -71,7 +75,8 @@ pub struct Engine<'n> {
     stats: EngineStats,
     last_round: RoundStats,
     tx_nodes: Vec<usize>,
-    tx_msgs_scratch: usize,
+    /// The latest round's receptions (reused across rounds).
+    receptions: Vec<Reception>,
     /// Optional event sink (`None` = tracing disabled; the per-round cost
     /// is then a single `Option` check).
     tracer: Option<SharedTracer>,
@@ -120,7 +125,7 @@ impl<'n> Engine<'n> {
             stats: EngineStats::default(),
             last_round: RoundStats::default(),
             tx_nodes: Vec::new(),
-            tx_msgs_scratch: 0,
+            receptions: Vec::new(),
             tracer: None,
             phases: PhaseTable::new(),
             phase_stack: Vec::new(),
@@ -224,57 +229,65 @@ impl<'n> Engine<'n> {
         self.stats
     }
 
-    /// Runs `rounds` rounds of `behavior`. Returns the receptions of the
-    /// *last* executed round (occasionally useful for single-round probes).
-    pub fn run<M, B>(&mut self, behavior: &mut B, rounds: u64) -> Vec<Reception>
+    /// Runs `rounds` rounds of `behavior`.
+    pub fn run<M, B>(&mut self, behavior: &mut B, rounds: u64)
     where
         B: RoundBehavior<M> + ?Sized,
     {
-        let mut last = Vec::new();
+        let mut msgs = Vec::new();
         for _ in 0..rounds {
-            last = self.step(behavior);
+            self.step_with(behavior, &mut msgs);
         }
-        last
     }
 
     /// Executes a single round; returns its receptions.
-    pub fn step<M, B>(&mut self, behavior: &mut B) -> Vec<Reception>
+    pub fn step<M, B>(&mut self, behavior: &mut B) -> &[Reception]
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        self.step_with(behavior, &mut Vec::new());
+        &self.receptions
+    }
+
+    /// Executes a single round, collecting its messages in `msgs` (cleared
+    /// first; a buffer the caller reuses across rounds).
+    fn step_with<M, B>(&mut self, behavior: &mut B, msgs: &mut Vec<M>)
     where
         B: RoundBehavior<M> + ?Sized,
     {
         let round = self.round;
         self.tx_nodes.clear();
-        let mut msgs: Vec<M> = Vec::with_capacity(self.tx_msgs_scratch);
+        msgs.clear();
         for v in 0..self.net.len() {
             if let Some(m) = behavior.transmit(self.net, v, round) {
                 self.tx_nodes.push(v);
                 msgs.push(m);
             }
         }
-        self.tx_msgs_scratch = msgs.len();
-        let receptions = self.resolver.resolve(self.net, &self.tx_nodes);
-        for r in &receptions {
+        self.resolver
+            .resolve_into(self.net, &self.tx_nodes, &mut self.receptions);
+        for r in &self.receptions {
             behavior.receive(self.net, r.receiver, round, r.sender, &msgs[r.slot]);
         }
         behavior.end_round(self.net, round);
+        let (tx, rx) = (self.tx_nodes.len() as u64, self.receptions.len() as u64);
         self.stats.rounds += 1;
-        self.stats.transmissions += self.tx_nodes.len() as u64;
-        self.stats.receptions += receptions.len() as u64;
+        self.stats.transmissions += tx;
+        self.stats.receptions += rx;
         self.last_round = RoundStats {
             round,
-            transmissions: self.tx_nodes.len() as u64,
-            receptions: receptions.len() as u64,
+            transmissions: tx,
+            receptions: rx,
         };
         if let Some(t) = &self.tracer {
             t.borrow_mut().on_event(&Event::Round {
                 round,
-                tx: self.tx_nodes.len() as u64,
-                rx: receptions.len() as u64,
+                tx,
+                rx,
                 cache: self.resolver.last_cache_op(),
             });
         }
         self.round += 1;
-        receptions
     }
 
     /// Runs `behavior` until `done` returns true or `max_rounds` elapse;
@@ -289,11 +302,12 @@ impl<'n> Engine<'n> {
         F: FnMut(&B) -> bool,
     {
         let start = self.round;
+        let mut msgs = Vec::new();
         while self.round - start < max_rounds {
             if done(behavior) {
                 break;
             }
-            self.step(behavior);
+            self.step_with(behavior, &mut msgs);
         }
         self.round - start
     }

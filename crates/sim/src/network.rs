@@ -288,6 +288,15 @@ impl Network {
         self.powers[w] / d.powf(self.params.alpha)
     }
 
+    /// Received signal of transmitter `w` at node `u`:
+    /// `signal_from(w, d(w, u))`. The one expression every exact SINR sum
+    /// evaluates, so a value cached from it equals a fresh evaluation bit
+    /// for bit.
+    #[inline]
+    pub fn signal_between(&self, w: usize, u: usize) -> f64 {
+        self.signal_from(w, self.pos(w).dist(self.pos(u)))
+    }
+
     /// An opaque mutation stamp for cache invalidation: two observations of
     /// the same stamp guarantee the network's geometry and powers have not
     /// changed in between. Stamps are drawn from a process-global counter —

@@ -19,13 +19,24 @@
 //! * [`AggregatedResolver`] — the fast backend and the default. A round
 //!   with `|T| ≤` [`EXACT_MAX_TX`] runs the oracle's own per-listener
 //!   routine, so it equals the oracle by construction; the paper's
-//!   protocols spend almost all their rounds there. Larger rounds use a
-//!   cell-aggregated [`InterferenceField`] kept across rounds in a
-//!   [`FieldCache`]. Two exact facts cut the work: (1) a decodable
-//!   transmitter lies within range (`signal(d) ≥ β·noise` is necessary),
-//!   so candidates come from a grid query; (2) the second-strongest
-//!   transmitter alone contributes its signal as interference, so a
-//!   receiver failing `s₁ ≥ β·(noise + s₂)` is skipped without summing.
+//!   protocols spend almost all their rounds there. The routine's
+//!   received signals are read from a gain cache instead of recomputed:
+//!   positions and powers are fixed between network mutations, so each
+//!   pair's `P_w / d(w,u)^α` is a constant, and the cache keeps one column
+//!   of them per node that has transmitted in an exact round, filled on
+//!   first use from the same [`Network::signal_between`] the oracle calls
+//!   and keyed on the network's [stamp](Network::stamp). An exact round
+//!   then costs `n·|T|` loads and adds rather than `2·n·|T|` `sqrt` +
+//!   `powf`, and its values are the oracle's bit for bit. The cache holds
+//!   at most `max(2²⁰, EXACT_MAX_TX·n)` signals (the whole matrix up to
+//!   `n = 1024`) and is cleared whole when a round's missing columns do
+//!   not fit. Larger rounds use a cell-aggregated [`InterferenceField`]
+//!   kept across rounds in a [`FieldCache`]. Two exact facts cut the
+//!   work: (1) a decodable transmitter lies within range
+//!   (`signal(d) ≥ β·noise` is necessary), so candidates come from a grid
+//!   query; (2) the second-strongest transmitter alone contributes its
+//!   signal as interference, so a receiver failing `s₁ ≥ β·(noise + s₂)`
+//!   is skipped without summing.
 //!   Survivors are decided by exact cell-grouped partial sums, ring by ring
 //!   around the receiver, plus a count-based residual bound for everything
 //!   farther; the rare inconclusive case falls back to the exact far-field
@@ -198,7 +209,8 @@ pub trait SinrResolver: fmt::Debug {
     /// The aggregated backend compares its cached interference field's
     /// subset grid with a fresh build over the same transmitter set —
     /// structural identity there is exactly what guarantees
-    /// rebuild-identical decisions.
+    /// rebuild-identical decisions — and every cached received signal,
+    /// bit for bit, with a fresh computation.
     fn audit(&self, net: &Network) -> Result<(), String> {
         let _ = net;
         Ok(())
@@ -409,17 +421,132 @@ fn mark_transmitters(
 /// in two of three recorded runs and 6 in the third, where the two worst
 /// slowdowns were within about 5 % (EXPERIMENTS.md, "Resolver
 /// crossover"). The protocol workloads play no part in it.
+///
+/// That sweep timed the exact routine computing every signal afresh. The
+/// aggregated backend now reads them from its gain cache, which makes its
+/// exact rounds several times cheaper, so the value is conservative: the
+/// true crossover against the field path lies higher.
 pub const EXACT_MAX_TX: usize = 8;
+
+/// Fewest received signals the gain cache may hold, whatever `n`: 2²⁰
+/// `f64`s (8 MiB), the whole gain matrix up to `n = 1024`.
+const GAIN_CACHE_MIN_ENTRIES: usize = 1 << 20;
+
+/// A cross-round cache of received signals for the exact routine, keyed on
+/// the owning network's mutation [stamp](Network::stamp) like
+/// [`FieldCache`]. It holds one column per node that has transmitted in an
+/// exact round since the last network mutation: the node's signal
+/// [`Network::signal_between`] at every node. A column is computed on
+/// first use, so a cached value is the oracle's bit for bit. At most
+/// `max(2²⁰, EXACT_MAX_TX·n)` signals are held, which always fits one
+/// exact round; when a round's missing columns do not fit, the whole cache
+/// is cleared.
+#[derive(Debug, Default)]
+struct GainCache {
+    /// Network stamp the columns were computed against (0 = nothing
+    /// cached; real stamps start at 1).
+    stamp: u64,
+    /// Column index of each node's signals, `u32::MAX` when uncached.
+    col_of: Vec<u32>,
+    /// The columns back to back: column `c` of node `w` holds
+    /// `signal_between(w, u)` at `cols[c·n + u]`.
+    cols: Vec<f64>,
+    /// Where each transmitter slot's column starts in `cols`, for the
+    /// round being resolved.
+    offsets: Vec<usize>,
+}
+
+impl GainCache {
+    /// Most signals held on an `n`-node network.
+    fn budget(n: usize) -> usize {
+        GAIN_CACHE_MIN_ENTRIES.max(EXACT_MAX_TX * n)
+    }
+
+    /// Drops every column and keys the cache to `net`.
+    fn clear(&mut self, net: &Network) {
+        self.stamp = net.stamp();
+        self.col_of.clear();
+        self.col_of.resize(net.len(), u32::MAX);
+        self.cols.clear();
+    }
+
+    /// Makes the column of every transmitter present, computing the
+    /// missing ones, and records where each slot's column starts.
+    fn load(&mut self, net: &Network, transmitters: &[usize]) {
+        let n = net.len();
+        if self.stamp != net.stamp() {
+            self.clear(net);
+        }
+        let mut missing = transmitters
+            .iter()
+            .filter(|&&w| self.col_of[w] == u32::MAX)
+            .count();
+        let budget = Self::budget(n);
+        if self.cols.len() + missing * n > budget {
+            self.clear(net);
+            missing = transmitters.len();
+        }
+        // Grow by doubling, but never past the budget.
+        let needed = self.cols.len() + missing * n;
+        if needed > self.cols.capacity() {
+            let grown = (2 * self.cols.capacity()).min(budget).max(needed);
+            self.cols.reserve_exact(grown - self.cols.len());
+        }
+        self.offsets.clear();
+        for &w in transmitters {
+            if self.col_of[w] == u32::MAX {
+                self.col_of[w] = (self.cols.len() / n) as u32;
+                self.cols.extend((0..n).map(|u| net.signal_between(w, u)));
+            }
+            self.offsets.push(self.col_of[w] as usize * n);
+        }
+    }
+
+    /// Signal of the transmitter in `slot` of the latest
+    /// [`GainCache::load`] at listener `u`.
+    #[inline]
+    fn signal(&self, slot: usize, u: usize) -> f64 {
+        self.cols[self.offsets[slot] + u]
+    }
+
+    /// Compares every cached column, if the cache is keyed to `net`, bit
+    /// for bit against a fresh computation.
+    fn audit(&self, net: &Network) -> Result<(), String> {
+        if self.stamp != net.stamp() {
+            return Ok(()); // nothing cached, or stale: the next load clears
+        }
+        let n = net.len();
+        for (w, &col) in self.col_of.iter().enumerate() {
+            if col == u32::MAX {
+                continue;
+            }
+            let column = &self.cols[col as usize * n..(col as usize + 1) * n];
+            for (u, &cached) in column.iter().enumerate() {
+                let fresh = net.signal_between(w, u);
+                if cached.to_bits() != fresh.to_bits() {
+                    return Err(format!(
+                        "gain cache: transmitter {w} at listener {u} holds {cached:e}, \
+                         a fresh computation gives {fresh:e}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// The oracle's exact routine: Eq. (1) evaluated literally at every
 /// listener, each listener's total signal summed in transmitter order.
 /// [`NaiveResolver`] runs it every round and [`AggregatedResolver`] on
 /// rounds with `|T| ≤` [`EXACT_MAX_TX`], so those rounds agree bit for bit.
-/// Counts one exact sum per listener and one candidate per decoded
-/// receiver.
+/// `signal(slot, u)` is the received signal of `transmitters[slot]` at
+/// listener `u`, i.e. [`Network::signal_between`]: the oracle computes it,
+/// the aggregated backend reads it from its gain cache. Counts one exact
+/// sum per listener and one candidate per decoded receiver.
 fn resolve_exact(
     net: &Network,
     transmitters: &[usize],
+    signal: impl Fn(usize, usize) -> f64,
     is_tx: &mut Vec<bool>,
     stats: &mut ResolverStats,
     out: &mut Vec<Reception>,
@@ -433,13 +560,10 @@ fn resolve_exact(
     }
     for (u, _) in is_tx.iter().enumerate().filter(|&(_, &tx)| !tx) {
         stats.exact_sums += 1;
-        let total: f64 = transmitters
-            .iter()
-            .map(|&w| net.signal_from(w, net.pos(w).dist(net.pos(u))))
-            .sum();
+        let total: f64 = (0..transmitters.len()).map(|slot| signal(slot, u)).sum();
         let mut decoded: Option<(usize, usize)> = None;
         for (slot, &v) in transmitters.iter().enumerate() {
-            let s = net.signal_from(v, net.pos(v).dist(net.pos(u)));
+            let s = signal(slot, u);
             if s >= p.beta * (p.noise + (total - s)) {
                 debug_assert!(decoded.is_none(), "beta > 1 forbids two decodable senders");
                 decoded = Some((v, slot));
@@ -481,7 +605,15 @@ impl SinrResolver for NaiveResolver {
         out.clear();
         self.stats.rounds += 1;
         if !transmitters.is_empty() {
-            resolve_exact(net, transmitters, &mut self.is_tx, &mut self.stats, out);
+            let signal = |slot: usize, u: usize| net.signal_between(transmitters[slot], u);
+            resolve_exact(
+                net,
+                transmitters,
+                signal,
+                &mut self.is_tx,
+                &mut self.stats,
+                out,
+            );
         }
     }
 
@@ -490,10 +622,10 @@ impl SinrResolver for NaiveResolver {
     }
 }
 
-/// The fast backend (see the module docs): the oracle's exact routine on
-/// rounds with `|T| ≤` [`EXACT_MAX_TX`], a persistent cell-aggregated
-/// [`InterferenceField`] above it. Scales to 10⁵-node deployments with
-/// thousands of transmitters per round.
+/// The fast backend (see the module docs): the oracle's exact routine over
+/// cached received signals on rounds with `|T| ≤` [`EXACT_MAX_TX`], a
+/// persistent cell-aggregated [`InterferenceField`] above it. Scales to
+/// 10⁵-node deployments with thousands of transmitters per round.
 #[derive(Debug, Default)]
 pub struct AggregatedResolver {
     is_tx: Vec<bool>,
@@ -502,6 +634,9 @@ pub struct AggregatedResolver {
     /// The field of the latest field round, patched with the sparse
     /// transmitter diff by the next one; exact rounds leave it idle.
     cache: FieldCache,
+    /// The received signals of exact rounds' transmitters; field rounds
+    /// leave it idle.
+    gains: GainCache,
 }
 
 impl AggregatedResolver {
@@ -571,7 +706,17 @@ impl SinrResolver for AggregatedResolver {
         self.stats.rounds += 1;
         self.cache.reset_last_op();
         if !transmitters.is_empty() {
-            resolve_exact(net, transmitters, &mut self.is_tx, &mut self.stats, out);
+            self.gains.load(net, transmitters);
+            let gains = &self.gains;
+            let signal = |slot: usize, u: usize| gains.signal(slot, u);
+            resolve_exact(
+                net,
+                transmitters,
+                signal,
+                &mut self.is_tx,
+                &mut self.stats,
+                out,
+            );
         }
     }
 
@@ -579,8 +724,11 @@ impl SinrResolver for AggregatedResolver {
         self.stats
     }
 
+    /// Audits the cached interference field against a rebuild and every
+    /// cached signal column against a fresh computation.
     fn audit(&self, net: &Network) -> Result<(), String> {
-        self.cache.audit(net)
+        self.cache.audit(net)?;
+        self.gains.audit(net)
     }
 
     fn last_cache_op(&self) -> Option<CacheOp> {
@@ -605,7 +753,7 @@ pub fn sensed_power(net: &Network, transmitters: &[usize]) -> Vec<f64> {
             transmitters
                 .iter()
                 .filter(|&&w| w != u)
-                .map(|&w| net.signal_from(w, net.pos(w).dist(net.pos(u))))
+                .map(|&w| net.signal_between(w, u))
                 .sum()
         })
         .collect()
@@ -616,11 +764,11 @@ pub fn sensed_power(net: &Network, transmitters: &[usize]) -> Vec<f64> {
 pub fn sinr(net: &Network, v: usize, u: usize, transmitters: &[usize]) -> f64 {
     let p = net.params();
     debug_assert!(transmitters.contains(&v));
-    let s = net.signal_from(v, net.pos(v).dist(net.pos(u)));
+    let s = net.signal_between(v, u);
     let interference: f64 = transmitters
         .iter()
         .filter(|&&w| w != v)
-        .map(|&w| net.signal_from(w, net.pos(w).dist(net.pos(u))))
+        .map(|&w| net.signal_between(w, u))
         .sum();
     s / (p.noise + interference)
 }
@@ -734,7 +882,8 @@ mod tests {
         // a sender slid along the x-axis ulp by ulp across the distance at
         // which its SINR is exactly β. Every step is an exact-routine round
         // for the aggregated backend, so it must decide like the oracle
-        // even where the decision flips.
+        // even where the decision flips: a fresh instance and one warm
+        // instance reused across the steps alike.
         let p = SinrParams::default();
         let interferers: Vec<Point> = (1..EXACT_MAX_TX)
             .map(|i| {
@@ -753,6 +902,7 @@ mod tests {
         }
         let tx: Vec<usize> = (1..=EXACT_MAX_TX).collect();
         let mut outcomes = std::collections::BTreeSet::new();
+        let mut warm = AggregatedResolver::new();
         for step in 0..128 {
             let mut pts = vec![Point::new(0.0, 0.0), Point::new(d, 0.0)];
             pts.extend(interferers.iter().copied());
@@ -760,6 +910,8 @@ mod tests {
             let naive = NaiveResolver::new().resolve(&net, &tx);
             let agg = AggregatedResolver::new().resolve(&net, &tx);
             assert_eq!(agg, naive, "step {step}: d = {d:e}");
+            assert_eq!(warm.resolve(&net, &tx), naive, "warm, step {step}");
+            warm.audit(&net).unwrap();
             outcomes.insert(naive.len());
             d = d.next_up();
         }
@@ -767,6 +919,114 @@ mod tests {
             outcomes.len(),
             2,
             "the sweep must cross the threshold: SINR = β·(1 ± a few ulps)"
+        );
+    }
+
+    /// `n` nodes spread uniformly over a `side × side` square.
+    fn random_net(n: usize, side: f64, rng: &mut Rng64) -> Network {
+        net_of(
+            (0..n)
+                .map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn warm_gain_cache_follows_transmitter_mutations() {
+        // Moving a transmitter or changing its power between exact rounds
+        // must reach the cached signals: the stamp changes, the columns go.
+        let mut rng = Rng64::new(808);
+        let mut net = random_net(90, 3.0, &mut rng);
+        let tx = [4, 17, 33, 60, 71];
+        let mut agg = AggregatedResolver::new();
+        let mut check = |net: &Network, what: &str| {
+            assert_eq!(
+                agg.resolve(net, &tx),
+                resolve_naive(net, &tx),
+                "{what}: stale signals leaked into an exact round"
+            );
+            agg.audit(net).unwrap();
+        };
+        check(&net, "cold");
+        net.move_node(17, Point::new(1.5, 1.5));
+        check(&net, "move_node");
+        net.set_power(33, 6.0 * net.params().power);
+        check(&net, "set_power");
+        net.set_power(33, net.params().power);
+        check(&net, "set_power back");
+        net.move_node(4, Point::new(1.45, 1.5));
+        check(&net, "second move_node");
+    }
+
+    #[test]
+    fn warm_gain_cache_serves_two_networks_alternately() {
+        // Same size, different geometry: only the stamp tells them apart.
+        let mut rng = Rng64::new(909);
+        let nets = [random_net(90, 3.0, &mut rng), random_net(90, 3.0, &mut rng)];
+        let mut agg = AggregatedResolver::new();
+        for round in 0..8 {
+            // The same transmitters on both, so a stale column would be read.
+            let mut tx: Vec<usize> = (0..90).collect();
+            rng.shuffle(&mut tx);
+            tx.truncate(1 + round % EXACT_MAX_TX);
+            for (i, net) in nets.iter().enumerate() {
+                assert_eq!(
+                    agg.resolve(net, &tx),
+                    resolve_naive(net, &tx),
+                    "round {round}, network {i}: the other network's signals leaked"
+                );
+                agg.audit(net).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn gain_cache_clears_when_its_budget_is_full() {
+        // n = 4096 leaves room for 2²⁰ / 4096 = 256 columns, i.e. 32 exact
+        // rounds of 8 fresh transmitters; n = 3000 for 349, a remainder
+        // that plain doubling would overshoot. The round after the cache
+        // is full starts afresh, and neither the columns held nor their
+        // allocation ever exceed the bound.
+        assert_eq!(GainCache::budget(4096) / 4096, 256);
+        for n in [4096, 3000] {
+            let budget = GainCache::budget(n);
+            let per_round = EXACT_MAX_TX * n;
+            let fitting = budget / per_round;
+            let mut rng = Rng64::new(n as u64);
+            let net = random_net(n, 18.0, &mut rng);
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            let mut agg = AggregatedResolver::new();
+            for (round, tx) in order.chunks(EXACT_MAX_TX).take(fitting + 4).enumerate() {
+                let naive = resolve_naive(&net, tx);
+                assert_eq!(agg.resolve(&net, tx), naive, "n = {n}, round {round}");
+                let cols = &agg.gains.cols;
+                let held = if round < fitting {
+                    round + 1
+                } else {
+                    round + 1 - fitting
+                };
+                assert_eq!(cols.len(), held * per_round, "n = {n}, round {round}");
+                assert!(cols.capacity() <= budget, "n = {n}, round {round}");
+            }
+            agg.audit(&net).unwrap();
+        }
+    }
+
+    #[test]
+    fn gain_cache_audit_names_a_corrupted_pair() {
+        let mut rng = Rng64::new(1212);
+        let net = random_net(40, 2.0, &mut rng);
+        let mut agg = AggregatedResolver::new();
+        let _ = agg.resolve(&net, &[3, 9]);
+        agg.audit(&net).unwrap();
+        let col = agg.gains.col_of[9] as usize;
+        let entry = &mut agg.gains.cols[col * net.len() + 21];
+        *entry = f64::from_bits(entry.to_bits() + 1);
+        let err = agg.audit(&net).unwrap_err();
+        assert!(
+            err.contains("transmitter 9 at listener 21"),
+            "audit must name the pair: {err}"
         );
     }
 

@@ -6,7 +6,10 @@
 //! ([`Engine::audit_resolver`], the engine-level extension of the
 //! dynamics subsystem's `World::audit_incremental` pattern). Schedules
 //! that cross `EXACT_MAX_TX` round by round leave the cache idle through
-//! the exact rounds, and it must pick up patching where it left off.
+//! the exact rounds, and it must pick up patching where it left off; those
+//! exact rounds read the backend's warm gain cache, which the audit also
+//! checks. Every property runs under uniform and heterogeneous power (where
+//! the gain matrix is not symmetric).
 
 use dcluster_obs::{shared, CacheOp, Event, Recorder};
 use dcluster_sim::engine::FnBehavior;
@@ -31,15 +34,25 @@ fn evolving_schedule(n: usize, rounds: usize, churn: usize, rng: &mut Rng64) -> 
     schedule
 }
 
-fn random_network(n: usize, rng: &mut Rng64) -> Network {
+/// A uniform random deployment; with `het_power`, every node transmits at
+/// up to 8× the model power.
+fn random_network(n: usize, het_power: bool, rng: &mut Rng64) -> Network {
     let side = (n as f64 / 12.0).sqrt().max(1.0) * 1.5;
     let pts: Vec<Point> = (0..n)
         .map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
         .collect();
-    Network::builder(pts)
-        .params(SinrParams::default())
-        .build()
-        .expect("nonempty deployment")
+    let params = SinrParams::default();
+    let mut builder = Network::builder(pts).params(params);
+    if het_power {
+        builder = builder.powers(
+            (0..n)
+                .map(|_| params.power * (1.0 + 7.0 * rng.next_f64()))
+                .collect(),
+        );
+    }
+    let net = builder.build().expect("nonempty deployment");
+    assert_eq!(net.has_uniform_power(), !het_power);
+    net
 }
 
 /// Each round's receptions, and the cache operation its trace event
@@ -59,7 +72,7 @@ fn run_engine(net: &Network, kind: ResolverKind, schedule: &[Vec<bool>]) -> Resu
             tx: |_: &Network, v: usize, _: u64| active[v].then_some(0u8),
             rx: |_: &Network, _: usize, _: u64, _: usize, _: &u8| {},
         };
-        per_round.push(engine.step(&mut b));
+        per_round.push(engine.step(&mut b).to_vec());
         engine
             .audit_resolver()
             .map_err(|e| format!("round {r}: resolver audit failed: {e}"))?;
@@ -86,9 +99,10 @@ proptest! {
         seed in 0u64..10_000,
         n in 30usize..150,
         churn in 1usize..8,
+        het_power in 0u8..2,
     ) {
         let mut rng = Rng64::new(seed ^ 0x9e37);
-        let net = random_network(n, &mut rng);
+        let net = random_network(n, het_power == 1, &mut rng);
         let schedule = evolving_schedule(n, 12, churn, &mut rng);
         let (naive, _) = run_engine(&net, ResolverKind::Naive, &schedule)?;
         let (agg, _) = run_engine(&net, ResolverKind::Aggregated, &schedule)?;
@@ -105,9 +119,10 @@ proptest! {
         seed in 0u64..10_000,
         n in 60usize..150,
         churn in 1usize..4,
+        het_power in 0u8..2,
     ) {
         let mut rng = Rng64::new(seed ^ 0xe8ac7);
-        let net = random_network(n, &mut rng);
+        let net = random_network(n, het_power == 1, &mut rng);
         let large = evolving_schedule(n, 8, churn, &mut rng);
         let mut schedule = Vec::new();
         for active in large {
