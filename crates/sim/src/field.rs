@@ -93,8 +93,8 @@ pub struct FieldStats {
 pub struct InterferenceField {
     grid: Grid,
     /// Transmitter indices in caller order — the exact fallback iterates
-    /// this (not the hash map of cells) so summation order, and with it
-    /// every last-ulp rounding decision, is deterministic across runs.
+    /// this (not the grid's cells) so its summation order, and with it
+    /// every last-ulp rounding decision, is the oracle's transmitter order.
     /// (Engine-produced transmitter sets are sorted ascending, which is
     /// also what the incremental operations maintain.)
     tx: Vec<u32>,
@@ -161,8 +161,9 @@ impl InterferenceField {
         self.stats
     }
 
-    /// Adds transmitter `t` (not currently stored) at `points[t]` —
-    /// `O(1)` hash-map work. Requires the field's transmitter set to be
+    /// Adds transmitter `t` (not currently stored) at `points[t]` — one
+    /// sorted insert into its cell's member list and one into the
+    /// transmitter list. Requires the field's transmitter set to be
     /// sorted ascending (true for every engine-produced set).
     pub fn insert_transmitter(&mut self, points: &[Point], powers: &[f64], t: usize) {
         debug_assert!(
@@ -296,9 +297,11 @@ impl InterferenceField {
             }
         }
         // Exact fallback: add the far field transmitter by transmitter, in
-        // caller order (NOT hash-map cell order — iteration order decides
-        // last-ulp rounding, and it must be identical across runs).
+        // caller order (not cell order — iteration order decides last-ulp
+        // rounding, and it must not depend on the grid's layout).
         // Transmitters inside the scanned block are already in `i_near`.
+        // Cell keys are clamped to ±2⁶¹, so the differences cannot
+        // overflow.
         stats.exact_fallbacks += 1;
         let mut i_total = i_near;
         for &w in &self.tx {

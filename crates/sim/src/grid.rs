@@ -1,23 +1,43 @@
-//! Uniform spatial hash grid.
+//! Uniform spatial grid.
 //!
 //! All geometric queries in the simulator (communication-graph construction,
 //! density estimation, nearest-transmitter search in the SINR resolver) go
 //! through this index. Cells have a fixed side length; a disk query of radius
 //! `r` touches `O((r/cell)²)` cells.
 //!
+//! **Layout.** Member lists live in a flat table over the *cell box*: the
+//! bounding box, in cell coordinates, of the points the grid is built on.
+//! A cell lookup is two subtractions, a bounds check and an index. Cells
+//! outside the box (points moved past it after the build) live in an
+//! ordered spill map. A box of more than `max(4096, 4·n)` cells gets no
+//! table at all and every cell goes to the spill, which bounds memory for
+//! any deployment. Cell keys are clamped to `±2⁶¹`, so key differences and
+//! ring offsets around a key never overflow `i64`.
+//!
 //! The grid supports **sparse maintenance** ([`Grid::insert`],
 //! [`Grid::remove`], [`Grid::move_point`]): a dynamics step that moves `k`
-//! nodes costs `O(k)` hash-map updates instead of an `O(n)` rebuild. Each
+//! nodes costs `O(k)` cell updates instead of an `O(n)` rebuild. Each
 //! cell's member list is kept sorted ascending, so an incrementally
-//! maintained grid is **structurally identical** to one rebuilt from
-//! scratch over the same points — query iteration order, and with it every
-//! floating-point summation downstream, is the same either way. (Fresh
-//! builds insert indices in increasing order, so they satisfy the sorted
-//! invariant for free; [`Grid::build_subset`] requires its subset sorted
-//! for the same reason.)
+//! maintained grid is **structurally identical**, cell by cell, to one
+//! rebuilt from scratch over the same points, whatever table box each one
+//! uses — query iteration order, and with it every floating-point
+//! summation downstream, is the same either way. (Fresh builds insert
+//! indices in increasing order, so they satisfy the sorted invariant for
+//! free; [`Grid::build_subset`] requires its subset sorted for the same
+//! reason.)
 
 use crate::point::Point;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+
+/// Cell keys are clamped to `±KEY_LIMIT`: the difference of two keys and
+/// a key plus any ring offset the field uses (at most `2²⁰`) stay far
+/// inside `i64`. Clamping is monotone, so keys that differ by more than
+/// `k` still belong to points more than `k` cells apart.
+const KEY_LIMIT: i64 = 1 << 61;
+
+/// A cell box of up to this many cells always gets a table; larger boxes
+/// get one only up to `4·n` cells.
+const MIN_TABLE_CELLS: u64 = 4096;
 
 /// A uniform grid over a set of points, mapping cells to point indices.
 ///
@@ -28,10 +48,21 @@ use std::collections::HashMap;
 /// let near: Vec<usize> = grid.within(&pts, Point::new(0.0, 0.0), 1.0).collect();
 /// assert_eq!(near, vec![0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Grid {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<u32>>, // lint:allow(D1, reason = "cell buckets: keyed hot-path lookups, never iterated")
+    /// Smallest x and y cell keys of the table box.
+    origin: (i64, i64),
+    /// Table box extent in cells along x and y (both 0 without a table).
+    width: u64,
+    height: u64,
+    /// Member lists of the box's cells, x-major: cell `(x, y)` sits at
+    /// `(x − origin.0)·height + (y − origin.1)`.
+    table: Vec<Vec<u32>>,
+    /// Number of non-empty lists in `table`.
+    table_occupied: usize,
+    /// The non-empty cells outside the table box.
+    spill: BTreeMap<(i64, i64), Vec<u32>>,
 }
 
 /// Result of [`Grid::two_nearest_within`]: the two nearest stored points,
@@ -61,15 +92,11 @@ impl Grid {
     ///
     /// Panics if `cell` is not strictly positive and finite.
     pub fn build(points: &[Point], cell: f64) -> Self {
-        assert!(
-            cell > 0.0 && cell.is_finite(),
-            "grid cell size must be positive"
-        );
-        let mut cells: HashMap<(i64, i64), Vec<u32>> = HashMap::new(); // lint:allow(D1, reason = "cell buckets: keyed hot-path lookups, never iterated")
+        let mut grid = Self::empty_over(points, cell);
         for (i, p) in points.iter().enumerate() {
-            cells.entry(Self::key(p, cell)).or_default().push(i as u32);
+            grid.members_for_insert(Self::key(p, cell)).push(i as u32);
         }
-        Self { cell, cells }
+        grid
     }
 
     /// Builds a grid over a *subset* of the points (e.g. this round's
@@ -77,25 +104,81 @@ impl Grid {
     /// lists hold the subset's order per cell; pass the subset sorted
     /// ascending (engine-produced transmitter sets are) when the grid will
     /// be maintained incrementally — the sorted-member invariant is what
-    /// makes a maintained grid equal a fresh rebuild.
+    /// makes a maintained grid equal a fresh rebuild. The table box is that
+    /// of all of `points`, so later inserts of other indices land in it.
     pub fn build_subset(points: &[Point], subset: &[usize], cell: f64) -> Self {
+        let mut grid = Self::empty_over(points, cell);
+        for &i in subset {
+            grid.members_for_insert(Self::key(&points[i], cell))
+                .push(i as u32);
+        }
+        grid
+    }
+
+    /// An empty grid whose table covers the cell box of `points`, or no
+    /// table when that box exceeds `max(4096, 4·points.len())` cells.
+    fn empty_over(points: &[Point], cell: f64) -> Self {
         assert!(
             cell > 0.0 && cell.is_finite(),
             "grid cell size must be positive"
         );
-        let mut cells: HashMap<(i64, i64), Vec<u32>> = HashMap::new(); // lint:allow(D1, reason = "cell buckets: keyed hot-path lookups, never iterated")
-        for &i in subset {
-            cells
-                .entry(Self::key(&points[i], cell))
-                .or_default()
-                .push(i as u32);
+        let mut lo = (KEY_LIMIT, KEY_LIMIT);
+        let mut hi = (-KEY_LIMIT, -KEY_LIMIT);
+        for p in points {
+            let (x, y) = Self::key(p, cell);
+            lo = (lo.0.min(x), lo.1.min(y));
+            hi = (hi.0.max(x), hi.1.max(y));
         }
-        Self { cell, cells }
+        let cap = MIN_TABLE_CELLS.max((points.len() as u64).saturating_mul(4));
+        // Clamped keys keep `hi − lo` within 2⁶², so the extents fit.
+        let extent = |lo: i64, hi: i64| (hi - lo + 1) as u64;
+        let (origin, width, height) = if points.is_empty() {
+            ((0, 0), 0, 0)
+        } else {
+            (lo, extent(lo.0, hi.0), extent(lo.1, hi.1))
+        };
+        let (width, height) = match width.checked_mul(height) {
+            Some(cells) if cells <= cap => (width, height),
+            _ => (0, 0),
+        };
+        Self {
+            cell,
+            origin,
+            width,
+            height,
+            table: vec![Vec::new(); (width * height) as usize],
+            table_occupied: 0,
+            spill: BTreeMap::new(),
+        }
     }
 
     #[inline]
     fn key(p: &Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+        let axis = |v: f64| ((v / cell).floor() as i64).clamp(-KEY_LIMIT, KEY_LIMIT);
+        (axis(p.x), axis(p.y))
+    }
+
+    /// Table index of cell `key`, or `None` outside the table box. The
+    /// wrapping differences turn a key below the box into an offset far
+    /// above any extent, so one unsigned comparison per axis suffices.
+    #[inline]
+    fn slot(&self, (x, y): (i64, i64)) -> Option<usize> {
+        let dx = x.wrapping_sub(self.origin.0) as u64;
+        let dy = y.wrapping_sub(self.origin.1) as u64;
+        (dx < self.width && dy < self.height).then(|| (dx * self.height + dy) as usize)
+    }
+
+    /// The member list of cell `key` for a caller about to add a member to
+    /// it (an empty table list counts as occupied from here on).
+    fn members_for_insert(&mut self, key: (i64, i64)) -> &mut Vec<u32> {
+        match self.slot(key) {
+            Some(s) => {
+                let members = &mut self.table[s];
+                self.table_occupied += usize::from(members.is_empty());
+                members
+            }
+            None => self.spill.entry(key).or_default(),
+        }
     }
 
     /// Cell side length.
@@ -113,7 +196,7 @@ impl Grid {
     ) -> impl Iterator<Item = usize> + 'a {
         let r_sq = r * r;
         self.candidate_cells(center, r)
-            .flat_map(move |ids| ids.iter().copied())
+            .flat_map(|ids| ids.iter().copied())
             .filter_map(move |i| {
                 let i = i as usize;
                 (points[i].dist_sq(center) <= r_sq).then_some(i)
@@ -174,7 +257,8 @@ impl Grid {
         })
     }
 
-    /// Cell key of an arbitrary position under this grid's tiling.
+    /// Cell key of an arbitrary position under this grid's tiling (each
+    /// coordinate clamped to `±2⁶¹`).
     #[inline]
     pub fn key_of(&self, p: Point) -> (i64, i64) {
         Self::key(&p, self.cell)
@@ -184,13 +268,16 @@ impl Grid {
     /// unoccupied).
     #[inline]
     pub fn cell_members(&self, key: (i64, i64)) -> &[u32] {
-        self.cells.get(&key).map_or(&[], |v| v.as_slice())
+        match self.slot(key) {
+            Some(s) => &self.table[s],
+            None => self.spill.get(&key).map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Inserts point index `i` located at `p` — `O(cell occupancy)` for the
     /// sorted insertion. The point must not already be stored at `p`'s cell.
     pub fn insert(&mut self, i: usize, p: Point) {
-        let members = self.cells.entry(Self::key(&p, self.cell)).or_default();
+        let members = self.members_for_insert(Self::key(&p, self.cell));
         let idx = i as u32;
         match members.binary_search(&idx) {
             Ok(_) => debug_assert!(false, "point {i} already stored in its cell"),
@@ -199,8 +286,9 @@ impl Grid {
     }
 
     /// Removes point index `i` located at `p` (the position it was inserted
-    /// under). Empty cells are dropped from the map so an incrementally
-    /// maintained grid stays structurally identical to a fresh rebuild.
+    /// under). Emptied cells stop counting as occupied (spilled ones are
+    /// dropped), so an incrementally maintained grid stays structurally
+    /// identical to a fresh rebuild.
     ///
     /// # Panics
     ///
@@ -208,21 +296,30 @@ impl Grid {
     /// position bookkeeping has diverged from the grid.
     pub fn remove(&mut self, i: usize, p: Point) {
         let key = Self::key(&p, self.cell);
-        let members = self
-            .cells
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("removing {i} from an empty cell {key:?}")); // lint:allow(P1, reason = "grid/point desync is a bug, not bad input")
+        let slot = self.slot(key);
+        let members = match slot {
+            Some(s) => &mut self.table[s],
+            None => self
+                .spill
+                .get_mut(&key)
+                .unwrap_or_else(|| panic!("removing {i} from an empty cell {key:?}")), // lint:allow(P1, reason = "grid/point desync is a bug, not bad input")
+        };
         let pos = members
             .binary_search(&(i as u32))
             .unwrap_or_else(|_| panic!("point {i} not stored in cell {key:?}")); // lint:allow(P1, reason = "grid/point desync is a bug, not bad input")
         members.remove(pos);
         if members.is_empty() {
-            self.cells.remove(&key);
+            match slot {
+                Some(_) => self.table_occupied -= 1,
+                None => {
+                    self.spill.remove(&key);
+                }
+            }
         }
     }
 
     /// Relocates point index `i` from `from` to `to`. A no-op when both
-    /// positions hash to the same cell (the grid stores indices, not
+    /// positions fall in the same cell (the grid stores indices, not
     /// coordinates — callers own the position array).
     pub fn move_point(&mut self, i: usize, from: Point, to: Point) {
         if Self::key(&from, self.cell) == Self::key(&to, self.cell) {
@@ -232,19 +329,42 @@ impl Grid {
         self.insert(i, to);
     }
 
-    fn candidate_cells(&self, center: Point, r: f64) -> impl Iterator<Item = &Vec<u32>> + '_ {
-        let lo_x = ((center.x - r) / self.cell).floor() as i64;
-        let hi_x = ((center.x + r) / self.cell).floor() as i64;
-        let lo_y = ((center.y - r) / self.cell).floor() as i64;
-        let hi_y = ((center.y + r) / self.cell).floor() as i64;
-        (lo_x..=hi_x)
-            .flat_map(move |cx| (lo_y..=hi_y).map(move |cy| (cx, cy)))
-            .filter_map(move |k| self.cells.get(&k))
+    /// Member lists of the cells a disk query of radius `r` around
+    /// `center` must scan: x outer, y inner, empty cells included.
+    fn candidate_cells(&self, center: Point, r: f64) -> impl Iterator<Item = &[u32]> + '_ {
+        let (lo_x, lo_y) = self.key_of(Point::new(center.x - r, center.y - r));
+        let (hi_x, hi_y) = self.key_of(Point::new(center.x + r, center.y + r));
+        (lo_x..=hi_x).flat_map(move |cx| (lo_y..=hi_y).map(move |cy| self.cell_members((cx, cy))))
+    }
+
+    /// The occupied cells with their members: table cells in index order,
+    /// then the spill in key order.
+    fn occupied(&self) -> impl Iterator<Item = ((i64, i64), &[u32])> + '_ {
+        let table = self.table.iter().enumerate().filter(|(_, m)| !m.is_empty());
+        let table = table.map(|(s, m)| {
+            let s = s as u64;
+            let x = self.origin.0 + (s / self.height) as i64;
+            let y = self.origin.1 + (s % self.height) as i64;
+            ((x, y), m.as_slice())
+        });
+        table.chain(self.spill.iter().map(|(&k, m)| (k, m.as_slice())))
     }
 
     /// Number of non-empty cells (diagnostics).
     pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
+        self.table_occupied + self.spill.len()
+    }
+}
+
+/// Cell-by-cell equality: same cell size and the same member list, in the
+/// same order, in every cell — whatever table box either grid uses.
+impl PartialEq for Grid {
+    fn eq(&self, other: &Self) -> bool {
+        self.cell == other.cell
+            && self.occupied_cells() == other.occupied_cells()
+            && self
+                .occupied()
+                .all(|(key, members)| other.cell_members(key) == members)
     }
 }
 
@@ -280,6 +400,35 @@ mod tests {
         }
     }
 
+    /// Checks `two_nearest_within` at `c` against a brute-force sort.
+    fn assert_two_nearest_matches_brute_force(grid: &Grid, pts: &[Point], c: Point, r: f64) {
+        let mut ds: Vec<(f64, usize)> = (0..pts.len())
+            .map(|i| (pts[i].dist(c), i))
+            .filter(|&(d, _)| d <= r)
+            .collect();
+        ds.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let got = grid.two_nearest_within(pts, c, r, None);
+        match ds.len() {
+            0 => assert!(got.is_none()),
+            1 => {
+                let tn = got.unwrap();
+                assert_eq!(tn.nearest, ds[0].1);
+                assert!((tn.d1 - ds[0].0).abs() < 1e-12);
+                assert!(tn.second.is_none());
+                assert!(tn.d2.is_infinite() && tn.d2_sq.is_infinite());
+            }
+            _ => {
+                let tn = got.unwrap();
+                assert_eq!(tn.nearest, ds[0].1);
+                assert!((tn.d1 - ds[0].0).abs() < 1e-12);
+                assert!((tn.d2 - ds[1].0).abs() < 1e-12);
+                assert!((tn.d1_sq - tn.d1 * tn.d1).abs() < 1e-12);
+                let j = tn.second.expect("two points in range");
+                assert!((pts[j].dist(c) - ds[1].0).abs() < 1e-12);
+            }
+        }
+    }
+
     #[test]
     fn two_nearest_matches_brute_force() {
         let mut rng = Rng64::new(7);
@@ -289,32 +438,7 @@ mod tests {
         let grid = Grid::build(&pts, 0.5);
         for _ in 0..50 {
             let c = Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0));
-            let r = 1.5;
-            let mut ds: Vec<(f64, usize)> = (0..pts.len())
-                .map(|i| (pts[i].dist(c), i))
-                .filter(|&(d, _)| d <= r)
-                .collect();
-            ds.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let got = grid.two_nearest_within(&pts, c, r, None);
-            match ds.len() {
-                0 => assert!(got.is_none()),
-                1 => {
-                    let tn = got.unwrap();
-                    assert_eq!(tn.nearest, ds[0].1);
-                    assert!((tn.d1 - ds[0].0).abs() < 1e-12);
-                    assert!(tn.second.is_none());
-                    assert!(tn.d2.is_infinite() && tn.d2_sq.is_infinite());
-                }
-                _ => {
-                    let tn = got.unwrap();
-                    assert_eq!(tn.nearest, ds[0].1);
-                    assert!((tn.d1 - ds[0].0).abs() < 1e-12);
-                    assert!((tn.d2 - ds[1].0).abs() < 1e-12);
-                    assert!((tn.d1_sq - tn.d1 * tn.d1).abs() < 1e-12);
-                    let j = tn.second.expect("two points in range");
-                    assert!((pts[j].dist(c) - ds[1].0).abs() < 1e-12);
-                }
-            }
+            assert_two_nearest_matches_brute_force(&grid, &pts, c, 1.5);
         }
     }
 
@@ -362,6 +486,43 @@ mod tests {
             "incrementally moved grid must equal a fresh rebuild, \
              including per-cell member order"
         );
+        // Far moves out of the build-time box [0, 6]², into negative
+        // coordinates too: the maintained grid spills those cells, a fresh
+        // build tabulates a different box, and the two still agree cell by
+        // cell and on every query.
+        for step in 0..400 {
+            let i = rng.range_usize(pts.len());
+            let to = match step % 4 {
+                0 => Point::new(rng.range_f64(-40.0, -10.0), rng.range_f64(-40.0, 6.0)),
+                1 => Point::new(rng.range_f64(6.0, 30.0), rng.range_f64(-25.0, -1.0)),
+                2 => Point::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-3.0, 3.0)),
+                _ => Point::new(rng.range_f64(0.0, 6.0), rng.range_f64(0.0, 6.0)),
+            };
+            grid.move_point(i, pts[i], to);
+            pts[i] = to;
+        }
+        assert!(!grid.spill.is_empty(), "far moves must leave the table box");
+        let fresh = Grid::build(&pts, 0.8);
+        assert_eq!(grid, fresh, "maintained grid diverged after far moves");
+        assert_eq!(fresh, grid, "equality must be symmetric");
+        for _ in 0..50 {
+            let c = Point::new(rng.range_f64(-40.0, 30.0), rng.range_f64(-40.0, 7.0));
+            let r = rng.range_f64(0.5, 4.0);
+            let got: Vec<usize> = grid.within(&pts, c, r).collect();
+            assert_eq!(got, fresh.within(&pts, c, r).collect::<Vec<_>>());
+            let mut got = got;
+            got.sort_unstable();
+            assert_eq!(got, brute_within(&pts, c, r));
+        }
+        // Moving everything back home empties the spill again.
+        let home: Vec<Point> = (0..pts.len())
+            .map(|_| Point::new(rng.range_f64(0.0, 6.0), rng.range_f64(0.0, 6.0)))
+            .collect();
+        for (i, &to) in home.iter().enumerate() {
+            grid.move_point(i, pts[i], to);
+        }
+        assert!(grid.spill.is_empty(), "emptied spill cells must be dropped");
+        assert_eq!(grid, Grid::build(&home, 0.8));
     }
 
     #[test]
@@ -400,5 +561,79 @@ mod tests {
         let pts = vec![Point::new(-0.01, -0.01), Point::new(0.01, 0.01)];
         let grid = Grid::build(&pts, 1.0);
         assert_eq!(grid.count_within(&pts, Point::ORIGIN, 0.1), 2);
+    }
+
+    #[test]
+    fn oversized_cell_box_spills_every_cell() {
+        // 50 points on a 10⁷ × 10⁷ square plus two clusters 10⁹ apart: the
+        // cell box is ~10¹⁸ cells, far past the table cap.
+        let mut rng = Rng64::new(1009);
+        let mut pts: Vec<Point> = (0..50)
+            .map(|_| Point::new(rng.range_f64(0.0, 1e7), rng.range_f64(0.0, 1e7)))
+            .collect();
+        for anchor in [Point::new(-5e8, 0.0), Point::new(5e8, 0.0)] {
+            pts.extend((0..20).map(|_| {
+                Point::new(
+                    anchor.x + rng.range_f64(-1.5, 1.5),
+                    anchor.y + rng.range_f64(-1.5, 1.5),
+                )
+            }));
+        }
+        let grid = Grid::build(&pts, 1.0);
+        assert!(grid.table.is_empty(), "a box past the cap gets no table");
+        assert_eq!(grid.spill.len(), grid.occupied_cells());
+        let mut centers: Vec<Point> = pts.clone();
+        centers.extend((0..40).map(|_| {
+            let anchor = pts[50 + 20 * rng.range_usize(2)];
+            Point::new(
+                anchor.x + rng.range_f64(-3.0, 3.0),
+                anchor.y + rng.range_f64(-3.0, 3.0),
+            )
+        }));
+        for c in centers {
+            let r = rng.range_f64(0.1, 3.0);
+            let mut got: Vec<usize> = grid.within(&pts, c, r).collect();
+            got.sort_unstable();
+            assert_eq!(got, brute_within(&pts, c, r));
+            assert_two_nearest_matches_brute_force(&grid, &pts, c, r);
+        }
+    }
+
+    #[test]
+    fn table_box_respects_the_cell_cap() {
+        // A line of n points one cell apart has an n-cell box: tabulated.
+        let line: Vec<Point> = (0..5000).map(|i| Point::new(i as f64, 0.5)).collect();
+        let grid = Grid::build(&line, 1.0);
+        assert_eq!(grid.table.len(), 5000);
+        assert!(grid.spill.is_empty());
+        // Spread 4× wider (5000·4 cells for n = 5000): still at the cap.
+        let wide: Vec<Point> = (0..5000).map(|i| Point::new(4.0 * i as f64, 0.5)).collect();
+        assert_eq!(Grid::build(&wide, 1.0).table.len(), 19997);
+        // 5× wider: past max(4096, 4n), so nothing is tabulated.
+        let wider: Vec<Point> = (0..5000).map(|i| Point::new(5.0 * i as f64, 0.5)).collect();
+        let grid = Grid::build(&wider, 1.0);
+        assert!(grid.table.is_empty());
+        assert_eq!(grid.occupied_cells(), 5000);
+        assert_eq!(grid.count_within(&wider, Point::new(10.0, 0.5), 5.0), 3);
+    }
+
+    #[test]
+    fn far_out_coordinates_clamp_their_keys() {
+        let pts = vec![
+            Point::new(1e300, 0.5),
+            Point::new(-1e300, 0.5),
+            Point::new(1e300, 1.5),
+        ];
+        let grid = Grid::build(&pts, 1.0);
+        assert_eq!(grid.key_of(pts[0]), (KEY_LIMIT, 0));
+        assert_eq!(grid.key_of(pts[1]), (-KEY_LIMIT, 0));
+        assert_eq!(grid.cell_members((i64::MAX, 0)), &[] as &[u32]);
+        assert_eq!(grid.cell_members((i64::MIN, 0)), &[] as &[u32]);
+        let near: Vec<usize> = grid.within(&pts, pts[0], 1.0).collect();
+        assert_eq!(near, vec![0, 2]);
+        let tn = grid
+            .two_nearest_within(&pts, pts[1], 2.0, None)
+            .expect("the point itself");
+        assert_eq!((tn.nearest, tn.second), (1, None));
     }
 }

@@ -310,9 +310,9 @@ impl Network {
     }
 
     /// Moves node `v` to `to`, patching the spatial grid and the
-    /// communication graph incrementally (`O(Δ)` plus the grid hash ops).
-    /// The result is structurally identical to rebuilding the network from
-    /// the updated deployment.
+    /// communication graph incrementally (`O(Δ)` plus at most two grid
+    /// cell updates). The result is structurally identical to rebuilding
+    /// the network from the updated deployment.
     pub fn move_node(&mut self, v: usize, to: Point) {
         self.stamp = next_stamp();
         let from = self.points[v];

@@ -158,3 +158,55 @@ proptest! {
         assert_equivalent(&net, &tx, "grid-boundary")?;
     }
 }
+
+/// Nodes at x = ±1e300: their cell keys sit at the clamp limit, where
+/// the field's ring offsets and key differences once overflowed `i64`
+/// (a panic in debug builds). Cross-side pairs are infinitely far apart,
+/// so each side is its own vertical line of nodes 0.2 apart.
+#[test]
+fn backends_equal_naive_at_far_out_coordinates() {
+    let pts: Vec<Point> = (0..40)
+        .map(|i| {
+            let side = if i % 2 == 0 { 1e300 } else { -1e300 };
+            Point::new(side, i as f64 * 0.1)
+        })
+        .collect();
+    let net = Network::builder(pts).build().expect("nonempty");
+    let tx: Vec<usize> = (0..40).filter(|i| i % 4 < 2).collect();
+    assert_eq!(tx.len(), 20);
+    assert!(tx.len() > EXACT_MAX_TX, "a field round");
+    let naive = ResolverKind::Naive.build().resolve(&net, &tx);
+    assert!(!naive.is_empty(), "the instance must decode something");
+    assert_equivalent(&net, &tx, "far-out").unwrap();
+}
+
+/// A deployment whose cell box is far past the grid's table cap (50 nodes
+/// on a 10⁷ × 10⁷ square plus two dense clusters 10⁹ apart), so every
+/// cell lives in the grid's spill map: the field must still decide like
+/// the oracle.
+#[test]
+fn backends_equal_naive_when_the_cell_box_is_past_the_cap() {
+    let mut rng = Rng64::new(2024);
+    let mut pts: Vec<Point> = (0..50)
+        .map(|_| Point::new(rng.range_f64(0.0, 1e7), rng.range_f64(0.0, 1e7)))
+        .collect();
+    for anchor in [Point::new(-5e8, 0.0), Point::new(5e8, 0.0)] {
+        pts.extend((0..30).map(|_| {
+            Point::new(
+                anchor.x + rng.range_f64(-1.5, 1.5),
+                anchor.y + rng.range_f64(-1.5, 1.5),
+            )
+        }));
+    }
+    let n = pts.len();
+    let net = Network::builder(pts).build().expect("nonempty");
+    for trial in 0..8 {
+        let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.2)).collect();
+        assert_equivalent(&net, &tx, &format!("spilled box, trial {trial}")).unwrap();
+    }
+    let tx: Vec<usize> = (0..n).filter(|v| v % 5 == 0).collect();
+    assert!(tx.len() > EXACT_MAX_TX, "a field round");
+    let naive = ResolverKind::Naive.build().resolve(&net, &tx);
+    assert!(!naive.is_empty(), "the clusters must decode something");
+    assert_equivalent(&net, &tx, "spilled box").unwrap();
+}
