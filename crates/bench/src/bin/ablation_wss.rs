@@ -11,7 +11,7 @@
 //! spec instead (its `params` line sets the budget).
 
 use dcluster_bench::{
-    print_table, resolver_override, scenario_override, write_csv, Runner, ScenarioSpec,
+    print_table, resolver_flag, scenario_override, write_csv, Runner, ScenarioSpec,
 };
 use dcluster_core::proximity::build_proximity_graph;
 use dcluster_core::run::{ReplayUnit, SchedHandle, SeedSeq};
@@ -95,7 +95,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for spec in specs {
         let params = spec.params;
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let pairs = close_pairs(net.points(), None, net.density(), 1.0, net.params().epsilon);
 

@@ -33,7 +33,7 @@
 //! `BENCH_dynamics.json`.
 
 use dcluster_bench::{
-    epoch_row, flag_value, print_table, resolver_override, run_scenario_flag, scale, write_csv,
+    epoch_row, flag_value, print_table, resolver_flag, run_scenario_flag, scale, write_csv,
     DynamicsSpec, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome, EPOCH_HEADERS,
 };
 use dcluster_core::maintenance::EpochReport;
@@ -238,7 +238,7 @@ fn main() {
     }
     let tier = scale();
     let sc = scenario_from_flags();
-    let primary = resolver_override().unwrap_or_default();
+    let primary = resolver_flag().unwrap_or_default();
     let (n, epochs) = match tier {
         Scale::Ci => (80, 3),
         Scale::Quick => (150, 5),

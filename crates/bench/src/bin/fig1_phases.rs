@@ -7,8 +7,8 @@
 //! Pass `--scenario <file>.scn` to trace a different workload.
 
 use dcluster_bench::{
-    print_table, resolver_override, run_scenario_flag, write_csv, DeployLayer, Runner,
-    ScenarioSpec, Workload, WorkloadOutcome,
+    print_table, resolver_flag, run_scenario_flag, write_csv, DeployLayer, Runner, ScenarioSpec,
+    Workload, WorkloadOutcome,
 };
 
 /// The figure's workload: three hotspots along a line — black/red/blue
@@ -41,7 +41,7 @@ fn main() {
     if run_scenario_flag(workload.clone()) {
         return;
     }
-    let runner = Runner::new(fig1_spec()).with_resolver_override(resolver_override());
+    let runner = Runner::new(fig1_spec()).with_resolver_override(resolver_flag());
     let net = runner.build_network().expect("sweep spec is valid");
     assert!(
         net.comm_graph().is_connected(),

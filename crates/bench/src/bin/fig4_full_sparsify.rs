@@ -5,7 +5,7 @@
 //! `scenarios/fig4_levels.scn` is this exact spec; `--scenario` swaps it).
 
 use dcluster_bench::{
-    print_table, resolver_override, scenario_override, write_csv, Runner, ScenarioSpec,
+    print_table, resolver_flag, scenario_override, write_csv, Runner, ScenarioSpec,
 };
 use dcluster_core::sparsify::{full_sparsification, max_cluster_size};
 use dcluster_core::SeedSeq;
@@ -14,7 +14,7 @@ fn main() {
     let spec =
         scenario_override().unwrap_or_else(|| ScenarioSpec::uniform("fig4-levels", 44, 70, 1.6));
     let params = spec.params;
-    let runner = Runner::new(spec).with_resolver_override(resolver_override());
+    let runner = Runner::new(spec).with_resolver_override(resolver_flag());
     let net = runner.build_network().expect("sweep spec is valid");
     let mut seeds = SeedSeq::new(params.seed);
     let mut engine = runner.engine(&net).expect("sweep spec is valid");

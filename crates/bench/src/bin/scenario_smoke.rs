@@ -3,8 +3,10 @@
 //! determinism**: every spec is executed twice and the two structured
 //! reports must be equal (and their markdown renderings byte-identical).
 //!
-//! Usage: `scenario_smoke [file.scn ...]` — defaults to the two CI specs
-//! (`scenarios/ci_clustering.scn`, `scenarios/ci_maintenance.scn`).
+//! Usage: `scenario_smoke [--resolver KIND] [file.scn ...]` — defaults to
+//! the two CI specs (`scenarios/ci_clustering.scn`,
+//! `scenarios/ci_maintenance.scn`); `--resolver` outranks a spec's
+//! `resolver` line.
 //! Exits non-zero on a parse error, a failed workload, a spec whose
 //! round-trip through the text format is not the identity, or any
 //! determinism violation.
@@ -14,7 +16,7 @@
 //! one (observability must be inert), and (b) two traced runs produce
 //! byte-identical trace files.
 
-use dcluster_bench::{resolver_override, Runner, ScenarioSpec};
+use dcluster_bench::{resolver_flag, Runner, ScenarioSpec};
 use std::fs;
 
 fn main() {
@@ -50,7 +52,7 @@ fn main() {
                 failures += 1;
             }
         }
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let first = runner.run_default().expect("committed spec runs");
         let second = runner.run_default().expect("committed spec runs");
         first.print();

@@ -11,7 +11,7 @@
 
 use dcluster_baselines::local::{self, FeedbackPreset};
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
+    full_scale, print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec,
     Workload, WorkloadOutcome,
 };
 
@@ -47,7 +47,7 @@ fn main() {
             n,
             delta,
         ))
-        .with_resolver_override(resolver_override())
+        .with_resolver_override(resolver_flag())
     };
 
     // "This work" runs once per deployment; total and steady-state are two

@@ -13,7 +13,7 @@
 
 use dcluster_baselines::global;
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
+    full_scale, print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec,
     Workload, WorkloadOutcome,
 };
 
@@ -56,9 +56,7 @@ fn main() {
     let runners: Vec<Runner> = lengths
         .iter()
         .enumerate()
-        .map(|(i, &len)| {
-            Runner::new(corridor_spec(len, i)).with_resolver_override(resolver_override())
-        })
+        .map(|(i, &len)| Runner::new(corridor_spec(len, i)).with_resolver_override(resolver_flag()))
         .collect();
     let nets: Vec<(dcluster_sim::Network, u32)> = runners
         .iter()

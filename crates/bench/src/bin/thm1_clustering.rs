@@ -6,7 +6,7 @@
 //! clustering workload; `--scenario <file>.scn` runs one spec instead.
 
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
+    full_scale, print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec,
     Workload, WorkloadOutcome,
 };
 
@@ -25,7 +25,7 @@ fn main() {
     for (i, &delta) in deltas.iter().enumerate() {
         let spec = ScenarioSpec::degree(format!("thm1-d{delta}"), 700 + i as u64, n, delta);
         let out = Runner::new(spec)
-            .with_resolver_override(resolver_override())
+            .with_resolver_override(resolver_flag())
             .run(&Workload::Clustering)
             .expect("sweep spec is valid");
         let WorkloadOutcome::Clustering { report: rep, .. } = &out.outcome else {

@@ -7,7 +7,7 @@
 //! `--scenario <file>.scn` runs one spec (local workload) instead.
 
 use dcluster_bench::{
-    full_scale, print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec,
+    full_scale, print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec,
     Workload, WorkloadOutcome,
 };
 
@@ -26,7 +26,7 @@ fn main() {
     for (i, &delta) in deltas.iter().enumerate() {
         let spec = ScenarioSpec::degree(format!("thm2-d{delta}"), 300 + i as u64, 70, delta);
         let out = Runner::new(spec)
-            .with_resolver_override(resolver_override())
+            .with_resolver_override(resolver_flag())
             .run(&Workload::LocalBroadcast)
             .expect("sweep spec is valid");
         let WorkloadOutcome::LocalBroadcast { complete, .. } = out.outcome else {
@@ -59,7 +59,7 @@ fn main() {
         let n = (len * 5.0) as usize;
         let spec =
             ScenarioSpec::corridor(format!("thm3-len{len}"), 400 + i as u64, n, len, 1.2, 0.5);
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let d = net.comm_graph().diameter().unwrap_or(1).max(1);
         let out = runner

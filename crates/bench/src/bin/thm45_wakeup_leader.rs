@@ -5,7 +5,7 @@
 //! default) instead of the sweep.
 
 use dcluster_bench::{
-    print_table, resolver_override, run_scenario_flag, write_csv, Runner, ScenarioSpec, Workload,
+    print_table, resolver_flag, run_scenario_flag, write_csv, Runner, ScenarioSpec, Workload,
     WorkloadOutcome,
 };
 
@@ -19,7 +19,7 @@ fn main() {
         let n = (len * 5.0) as usize;
         let spec =
             ScenarioSpec::corridor(format!("thm45-len{len}"), 800 + i as u64, n, len, 1.2, 0.5);
-        let runner = Runner::new(spec).with_resolver_override(resolver_override());
+        let runner = Runner::new(spec).with_resolver_override(resolver_flag());
         let net = runner.build_network().expect("sweep spec is valid");
         let d = net.comm_graph().diameter().unwrap_or(0);
 

@@ -1,7 +1,7 @@
 //! # dcluster-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §2 for the
-//! full index and EXPERIMENTS.md for recorded results):
+//! One binary per table/figure of the paper (see README "Experiments" for
+//! how to run them and EXPERIMENTS.md for recorded results):
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -44,9 +44,10 @@ pub fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
     })
 }
 
-/// The `--resolver=KIND` / `--resolver KIND` CLI flag alone (no env
-/// fallback). Unknown kinds exit with the parse error, which lists every
-/// valid backend (a typo must not silently fall back).
+/// The `--resolver=KIND` / `--resolver KIND` CLI flag: the backend
+/// override of every harness binary; `None` leaves the choice to the spec
+/// and then the default. Unknown kinds exit with the parse error, which
+/// lists every valid backend (a typo must not silently fall back).
 pub fn resolver_flag() -> Option<dcluster_sim::ResolverKind> {
     flag_value("--resolver").map(|v| {
         or_exit(
@@ -54,15 +55,6 @@ pub fn resolver_flag() -> Option<dcluster_sim::ResolverKind> {
                 .map_err(|e| format!("--resolver: {e}")),
         )
     })
-}
-
-/// Resolver backend override for the harness binaries: the `--resolver`
-/// flag, else the `DCLUSTER_RESOLVER` env var; `None` means "use the
-/// default backend". Invalid values in either place exit with an error
-/// naming the valid backends.
-pub fn resolver_override() -> Option<dcluster_sim::ResolverKind> {
-    // Same env fallback the examples use (`Runner::resolver_for`).
-    resolver_flag().or_else(|| or_exit(dcluster_sim::ResolverKind::from_env()))
 }
 
 /// A `--flag value` / `--flag=value` string option from the command line
@@ -85,18 +77,11 @@ pub fn flag_value(flag: &str) -> Option<String> {
 }
 
 /// The JSONL trace destination for workload binaries: the `--trace
-/// <file>` flag, else the `DCLUSTER_TRACE` env var. `None` (the default)
-/// disables the sink; tracing never changes results, only records them.
-/// An unwritable destination exits with an error naming the path — same
-/// policy as `DCLUSTER_RESULTS_DIR`.
+/// <file>` flag. `None` (the default) disables the sink; tracing never
+/// changes results, only records them. An unwritable destination exits
+/// with an error naming the path — same policy as `DCLUSTER_RESULTS_DIR`.
 pub fn trace_flag() -> Option<std::path::PathBuf> {
-    flag_value("--trace")
-        .or_else(|| {
-            std::env::var("DCLUSTER_TRACE")
-                .ok()
-                .filter(|v| !v.is_empty())
-        })
-        .map(std::path::PathBuf::from)
+    flag_value("--trace").map(std::path::PathBuf::from)
 }
 
 /// The spec named by `--scenario <file>.scn`, if given; parse errors
@@ -110,15 +95,13 @@ pub fn scenario_override() -> Option<ScenarioSpec> {
 /// flag is present, runs the spec (its own `workload` line, else
 /// `default`) through a [`Runner`] honoring `--resolver`, prints the
 /// report and writes its CSV, and returns `true` — the binary should then
-/// skip its built-in sweep. Exits non-zero if the workload's success
-/// criterion fails.
+/// skip its built-in sweep. Exits non-zero if the workload did not
+/// succeed.
 pub fn run_scenario_flag(default: Workload) -> bool {
     let Some(spec) = scenario_override() else {
         return false;
     };
     let workload = spec.workload.clone().unwrap_or(default);
-    // Flag-only override: a spec's pinned `resolver` line outranks the
-    // ambient DCLUSTER_RESOLVER env, but never an explicit flag.
     let runner = Runner::new(spec)
         .with_resolver_override(resolver_flag())
         .with_trace(trace_flag());

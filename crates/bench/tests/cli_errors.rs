@@ -1,18 +1,17 @@
 //! Bad resolver input reaches the experiment binaries as a diagnostic and
 //! exit status 1, never a panic: a `.scn` file pinning a retired backend,
-//! `--resolver` naming one or given no value, and `DCLUSTER_RESOLVER`
-//! naming one.
+//! and `--resolver` naming one or given no value. A spec's `resolver`
+//! line picks the backend unless `--resolver` overrides it; nothing else
+//! does.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
-fn thm1(args: &[&str], env: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_thm1_clustering"));
-    cmd.args(args).env_remove("DCLUSTER_RESOLVER");
-    if let Some(v) = env {
-        cmd.env("DCLUSTER_RESOLVER", v);
-    }
-    cmd.output().expect("the binary runs")
+fn thm1(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_thm1_clustering"))
+        .args(args)
+        .output()
+        .expect("the binary runs")
 }
 
 fn assert_clean_exit(out: &Output, needle: &str) {
@@ -33,17 +32,61 @@ fn spec_pinning_a_retired_backend_exits_cleanly() {
         "scenario retired\nresolver grid\ndeploy uniform n=10 side=2\n",
     )
     .expect("temporary spec is writable");
-    let out = thm1(&["--scenario", path.to_str().expect("utf-8 path")], None);
+    let out = thm1(&["--scenario", path.to_str().expect("utf-8 path")]);
     assert_clean_exit(&out, "aggregated");
 }
 
 #[test]
 fn retired_backend_on_the_flag_or_in_the_environment_exits_cleanly() {
-    assert_clean_exit(&thm1(&["--resolver", "parallel"], None), "aggregated");
-    assert_clean_exit(&thm1(&[], Some("grid")), "aggregated");
+    assert_clean_exit(&thm1(&["--resolver", "parallel"]), "aggregated");
 }
 
 #[test]
 fn bare_resolver_flag_exits_cleanly() {
-    assert_clean_exit(&thm1(&["--resolver"], None), "--resolver needs a value");
+    assert_clean_exit(&thm1(&["--resolver"]), "--resolver needs a value");
+}
+
+/// Runs `scenario_smoke` and returns the resolver column of the first
+/// Report it prints.
+fn smoke_resolver(args: &[&str], resolver_env: Option<&str>) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_scenario_smoke"));
+    cmd.args(args);
+    if let Some(v) = resolver_env {
+        cmd.env("DCLUSTER_RESOLVER", v);
+    }
+    let out = cmd.output().expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("| n | Γ | Δ | resolver |"))
+        .nth(2)
+        .unwrap_or_else(|| panic!("no report row in: {stdout}"));
+    row.split('|')
+        .nth(4)
+        .expect("a resolver column")
+        .trim()
+        .into()
+}
+
+#[test]
+fn scenario_smoke_runs_the_spec_pin_unless_the_flag_overrides_it() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("pinned_backend.scn");
+    std::fs::write(
+        &path,
+        "scenario pin\nseed 3\nresolver aggregated\ndeploy uniform n=12 side=2\n",
+    )
+    .expect("temporary spec is writable");
+    let spec = path.to_str().expect("utf-8 path");
+    assert_eq!(
+        smoke_resolver(&[spec], Some("naive")),
+        "aggregated",
+        "the environment must not outrank the spec's resolver line"
+    );
+    assert_eq!(
+        smoke_resolver(&["--resolver", "naive", spec], None),
+        "naive",
+        "the flag outranks the spec's resolver line"
+    );
 }

@@ -1,12 +1,10 @@
-//! # dcluster-obs — deterministic tracing and metrics
+//! # dcluster-obs — deterministic tracing
 //!
 //! The instrument panel for the rest of the workspace: a zero-cost-when-
 //! disabled [`Tracer`] seam that the `Engine` and the protocol layer emit
-//! **phase spans** and **round events** into, a [`Registry`] of
-//! deterministic counters/histograms (counts only, never wall-clock), a
-//! versioned JSONL sink ([`JsonlSink`]) behind `--trace` /
-//! `DCLUSTER_TRACE`, and the one sanctioned [`Clock`](clock::Clock) seam
-//! for wall-clock timing.
+//! **phase spans** and **round events** into, the per-phase
+//! [`PhaseTable`] the scenario `Report` renders, and a versioned JSONL
+//! sink ([`JsonlSink`]) behind the bench binaries' `--trace` flag.
 //!
 //! ## Determinism contract
 //!
@@ -17,10 +15,10 @@
 //! byte-identical traces — which is what makes `xtask tracediff` a
 //! *localizing* determinism check instead of a byte-compare oracle.
 //!
-//! Wall-clock time is deliberately not representable in [`Event`] or
-//! [`Registry`]. Benchmarks that need it go through [`clock::WallClock`],
-//! the only `std::time` site inside the deterministic crate set (enforced
-//! by `xtask lint` rule D2 via `lint.toml` path scoping).
+//! Wall-clock time is deliberately not representable in [`Event`]: this
+//! crate reads no clock (`xtask lint` rule D2 covers it like the other
+//! deterministic crates). Benchmarks that need durations time the run
+//! from outside.
 //!
 //! ## Zero cost when disabled
 //!
@@ -33,15 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod jsonl;
 pub mod phase;
-pub mod registry;
 
-pub use clock::{Clock, ManualClock, WallClock};
 pub use jsonl::{JsonlSink, TraceMeta, TRACE_SCHEMA};
 pub use phase::{PhaseSummary, PhaseTable};
-pub use registry::{Histogram, Registry};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -111,7 +105,7 @@ pub enum Event {
 }
 
 impl Event {
-    /// The stable event-kind name used in JSONL traces and counters.
+    /// The stable event-kind name (the `ev` field of a JSONL trace line).
     pub fn kind(&self) -> &'static str {
         match self {
             Event::PhaseStart { .. } => "phase_start",
@@ -139,111 +133,17 @@ pub fn shared<T: Tracer + 'static>(t: T) -> Rc<RefCell<T>> {
     Rc::new(RefCell::new(t))
 }
 
-/// A tracer that drops every event — the explicit no-op impl.
-///
-/// The engine's disabled state is `None`, not a `NoopTracer`; this type
-/// exists for call sites that need *some* tracer (tests, generic code).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn on_event(&mut self, _ev: &Event) {}
-}
-
-/// An in-memory recording tracer: keeps the full event stream and feeds
-/// a [`Registry`] (event-kind counters, per-round |T|/reception
-/// histograms, silent-round count — the direct input for the ROADMAP's
-/// round-compression item).
-#[derive(Debug, Default)]
-pub struct Recorder {
-    events: Vec<Event>,
-    registry: Registry,
-}
-
-impl Recorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded event stream, in emission order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// The derived counters/histograms.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Consumes the recorder, returning the event stream.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-}
-
-impl Tracer for Recorder {
-    fn on_event(&mut self, ev: &Event) {
-        self.registry.inc(ev.kind());
-        if let Event::Round { tx, rx, cache, .. } = ev {
-            self.registry.observe("round_tx", *tx);
-            self.registry.observe("round_rx", *rx);
-            if *tx == 0 {
-                self.registry.inc("silent_rounds");
-            }
-            match cache {
-                Some(CacheOp::Rebuilt) => self.registry.inc("cache_rebuilds"),
-                Some(CacheOp::Patched { inserts, removals }) => {
-                    self.registry.inc("cache_patches");
-                    self.registry
-                        .observe("cache_diff", (inserts + removals) as u64);
-                }
-                None => {}
-            }
-        }
-        self.events.push(ev.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn recorder_keeps_events_and_counts_them() {
-        let mut r = Recorder::new();
-        r.on_event(&Event::PhaseStart {
-            phase: "clustering",
-            round: 0,
-        });
-        for round in 0..4 {
-            r.on_event(&Event::Round {
-                round,
-                tx: if round == 2 { 0 } else { 3 },
-                rx: 1,
-                cache: Some(if round == 0 {
-                    CacheOp::Rebuilt
-                } else {
-                    CacheOp::Patched {
-                        inserts: 1,
-                        removals: 1,
-                    }
-                }),
-            });
+    #[derive(Debug, Default)]
+    struct Events(Vec<Event>);
+
+    impl Tracer for Events {
+        fn on_event(&mut self, ev: &Event) {
+            self.0.push(ev.clone());
         }
-        r.on_event(&Event::PhaseEnd {
-            phase: "clustering",
-            round: 4,
-            rounds: 4,
-            tx: 9,
-            rx: 4,
-        });
-        assert_eq!(r.events().len(), 6);
-        assert_eq!(r.registry().counter("round"), 4);
-        assert_eq!(r.registry().counter("phase_start"), 1);
-        assert_eq!(r.registry().counter("silent_rounds"), 1);
-        assert_eq!(r.registry().counter("cache_rebuilds"), 1);
-        assert_eq!(r.registry().counter("cache_patches"), 3);
     }
 
     #[test]
@@ -272,7 +172,7 @@ mod tests {
 
     #[test]
     fn shared_handle_coerces_to_dyn_tracer() {
-        let rec = shared(Recorder::new());
+        let rec = shared(Events::default());
         let dyn_handle: SharedTracer = rec.clone();
         dyn_handle.borrow_mut().on_event(&Event::Round {
             round: 7,
@@ -280,6 +180,6 @@ mod tests {
             rx: 1,
             cache: None,
         });
-        assert_eq!(rec.borrow().events().len(), 1);
+        assert_eq!(rec.borrow().0.len(), 1);
     }
 }

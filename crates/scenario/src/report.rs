@@ -124,7 +124,7 @@ impl Report {
         self.phases = engine.phase_table().summaries().to_vec();
     }
 
-    /// True iff the workload's own success criterion held (complete
+    /// True iff the workload's own success condition held (complete
     /// broadcast, full coverage, …). [`WorkloadOutcome::Empty`] is false.
     pub fn ok(&self) -> bool {
         match &self.outcome {

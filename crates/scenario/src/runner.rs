@@ -9,8 +9,8 @@
 //!    single RNG seeded from the spec, applies the heterogeneous-power
 //!    profile and ID-space settings;
 //! 2. [`Runner::resolver_for`] picks the backend with one precedence
-//!    everywhere: explicit override (CLI flag) → spec `resolver` line →
-//!    `DCLUSTER_RESOLVER` env → the default (`aggregated`);
+//!    everywhere: explicit override (CLI `--resolver` flag) → spec
+//!    `resolver` line → the default (`aggregated`);
 //! 3. [`Runner::run`] executes a [`Workload`] through `Engine` /
 //!    `MaintenanceDriver` and returns the structured [`Report`].
 //!
@@ -66,30 +66,6 @@ pub fn connected_deployment(n: usize, delta: usize, seed: u64) -> Result<Network
     Network::builder(pts).build()
 }
 
-/// The resolver-selection precedence used everywhere, as a pure function
-/// (testable without touching process environment): explicit override
-/// (CLI `--resolver`) → the spec's `resolver` line → the
-/// `DCLUSTER_RESOLVER` environment value → [`ResolverKind::default`].
-///
-/// # Errors
-///
-/// When the decision falls through to `env_value` and it does not parse,
-/// returns the parse error (which names every valid backend) — a typo in
-/// the environment must never silently fall back to the default.
-pub fn resolver_precedence(
-    override_kind: Option<ResolverKind>,
-    spec_kind: Option<ResolverKind>,
-    env_value: Option<&str>,
-) -> Result<ResolverKind, String> {
-    if let Some(kind) = override_kind.or(spec_kind) {
-        return Ok(kind);
-    }
-    match env_value {
-        Some(v) => v.parse().map_err(|e| format!("DCLUSTER_RESOLVER: {e}")),
-        None => Ok(ResolverKind::default()),
-    }
-}
-
 /// The axis-aligned bounding box `[0, w]×[0, h]` the dynamics models
 /// operate in (at least the unit square).
 pub fn bounding_box(net: &Network) -> (f64, f64) {
@@ -134,7 +110,7 @@ impl Runner {
     }
 
     /// Streams a versioned JSONL trace of the run to `path` (the bench
-    /// binaries' `--trace` flag / `DCLUSTER_TRACE`); `None` is a no-op.
+    /// binaries' `--trace` flag); `None` is a no-op.
     /// An unwritable path fails the run with a [`SpecError`] naming it —
     /// same policy as `DCLUSTER_RESULTS_DIR`, never a panic. Tracing does
     /// not change the report: the per-phase aggregation is always on.
@@ -243,28 +219,29 @@ impl Runner {
         })
     }
 
-    /// The backend every engine of this run uses (see
-    /// [`resolver_precedence`]). A spec that pins its backend beats
-    /// ambient machine state, so committed `.scn` files run
-    /// environment-independently. The choice does not depend on the
+    /// The backend every engine of this run uses: the explicit override
+    /// (CLI `--resolver`), else the spec's `resolver` line, else
+    /// [`ResolverKind::default`]. The choice does not depend on the
     /// network; `_net` keeps the public signature its callers use.
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] when the decision falls through to a
-    /// `DCLUSTER_RESOLVER` value that names no backend.
+    /// Never fails. The `Result` stays because callers outside the
+    /// workspace (`perfbench`) already map its error.
     pub fn resolver_for(&self, _net: &Network) -> Result<ResolverKind, SpecError> {
-        let env = std::env::var("DCLUSTER_RESOLVER").ok();
-        resolver_precedence(self.override_resolver, self.spec.resolver, env.as_deref())
-            .map_err(|msg| SpecError { line: 0, msg })
+        Ok(self
+            .override_resolver
+            .or(self.spec.resolver)
+            .unwrap_or_default())
     }
 
     /// An engine over `net` with [`Runner::resolver_for`]'s backend — the
-    /// one way every driver now obtains its engine.
+    /// one way every driver obtains its engine.
     ///
     /// # Errors
     ///
-    /// Propagates [`Runner::resolver_for`]'s environment parse error.
+    /// Never fails, like [`Runner::resolver_for`]; the `Result` stays for
+    /// the same callers.
     pub fn engine<'n>(&self, net: &'n Network) -> Result<Engine<'n>, SpecError> {
         Ok(Engine::with_resolver_kind(net, self.resolver_for(net)?))
     }
@@ -336,9 +313,8 @@ impl Runner {
     /// # Errors
     ///
     /// Returns a [`SpecError`] naming the offending spec section when the
-    /// deployment realizes to zero nodes, the resolver environment value
-    /// is invalid, or a workload parameter is out of range for the
-    /// realized deployment.
+    /// deployment realizes to zero nodes or a workload parameter is out of
+    /// range for the realized deployment.
     pub fn run(&self, workload: &Workload) -> Result<Report, SpecError> {
         self.run_on(self.build_network()?, workload)
     }
@@ -583,35 +559,6 @@ mod tests {
             .run(&Workload::Wakeup { sources: vec![99] })
             .unwrap_err();
         assert!(err.msg.contains("wakeup"), "got: {err}");
-    }
-
-    #[test]
-    fn resolver_precedence_is_pure_and_total() {
-        use ResolverKind::*;
-        // Override beats spec beats env beats default.
-        assert_eq!(
-            resolver_precedence(Some(Aggregated), Some(Naive), Some("naive")),
-            Ok(Aggregated)
-        );
-        assert_eq!(
-            resolver_precedence(None, Some(Naive), Some("aggregated")),
-            Ok(Naive)
-        );
-        assert_eq!(resolver_precedence(None, None, Some("naive")), Ok(Naive));
-        assert_eq!(resolver_precedence(None, None, None), Ok(Aggregated));
-        // An invalid env value errors (naming every backend) only when the
-        // decision actually falls through to it; retired backends included.
-        for stale in ["fft", "grid", "parallel"] {
-            let err = resolver_precedence(None, None, Some(stale)).unwrap_err();
-            for name in ["naive", "aggregated"] {
-                assert!(err.contains(name), "error must list '{name}': {err}");
-            }
-        }
-        assert_eq!(
-            resolver_precedence(None, Some(Naive), Some("grid")),
-            Ok(Naive),
-            "a spec-pinned backend shields a stale env var"
-        );
     }
 
     #[test]

@@ -252,8 +252,8 @@ pub struct ScenarioSpec {
     /// maintenance epochs, binaries' sweep sizing); `None` defers to
     /// `DCLUSTER_SCALE`.
     pub scale: Option<Scale>,
-    /// Pinned resolver backend; `None` defers to the CLI → env → default
-    /// chain (see `Runner::resolver_for`).
+    /// Pinned resolver backend; only a CLI `--resolver` outranks it, and
+    /// `None` means the default (see `Runner::resolver_for`).
     pub resolver: Option<ResolverKind>,
     /// Default workload for file-driven runs; binaries may impose their
     /// own instead.

@@ -100,22 +100,6 @@ impl<'n> Engine<'n> {
         Self::with_resolver(net, kind.build())
     }
 
-    /// Creates an engine honoring the `DCLUSTER_RESOLVER` environment
-    /// variable when set, else the default backend — the constructor
-    /// examples and ad-hoc drivers should use, so they exercise the same
-    /// backend-selection path as the bench binaries.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error (naming every valid backend) when
-    /// `DCLUSTER_RESOLVER` is set to an unknown name.
-    pub fn from_env(net: &'n Network) -> Result<Self, String> {
-        Ok(match ResolverKind::from_env()? {
-            Some(kind) => Self::with_resolver_kind(net, kind),
-            None => Self::new(net),
-        })
-    }
-
     /// Creates an engine with a caller-constructed resolver backend.
     pub fn with_resolver(net: &'n Network, resolver: Box<dyn SinrResolver>) -> Self {
         Self {
@@ -137,11 +121,6 @@ impl<'n> Engine<'n> {
     /// tracer observes the event stream and nothing flows back.
     pub fn set_tracer(&mut self, tracer: SharedTracer) {
         self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer (phase aggregation stays on).
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
     }
 
     /// Opens a named phase span. Spans nest; an inner phase's rounds also
@@ -415,7 +394,14 @@ mod tests {
         // the phase table must all account across that whole sequence.
         let net = line(2, 0.5);
         let mut engine = Engine::new(&net);
-        let recorder = dcluster_obs::shared(dcluster_obs::Recorder::new());
+        #[derive(Debug)]
+        struct Events(Vec<Event>);
+        impl dcluster_obs::Tracer for Events {
+            fn on_event(&mut self, ev: &Event) {
+                self.0.push(ev.clone());
+            }
+        }
+        let recorder = dcluster_obs::shared(Events(Vec::new()));
         engine.set_tracer(recorder.clone());
 
         engine.begin_phase("chatter");
@@ -458,7 +444,7 @@ mod tests {
         );
         // The tracer saw every round plus both span brackets.
         let rec = recorder.borrow();
-        let kinds: Vec<&str> = rec.events().iter().map(|e| e.kind()).collect();
+        let kinds: Vec<&str> = rec.0.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "round").count(), 5);
         assert_eq!(kinds.iter().filter(|k| **k == "phase_start").count(), 2);
         assert_eq!(kinds.iter().filter(|k| **k == "phase_end").count(), 2);

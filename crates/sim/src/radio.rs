@@ -100,21 +100,6 @@ impl ResolverKind {
         }
     }
 
-    /// The backend named by the `DCLUSTER_RESOLVER` environment variable:
-    /// `Ok(None)` when unset, and the parse error — naming every valid
-    /// backend — when set to an unknown name. A typo is never silently
-    /// ignored.
-    pub fn from_env() -> Result<Option<ResolverKind>, String> {
-        // lint:allow(D4, reason = "documented override: DCLUSTER_RESOLVER")
-        match std::env::var("DCLUSTER_RESOLVER") {
-            Ok(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|e| format!("DCLUSTER_RESOLVER: {e}")),
-            Err(_) => Ok(None),
-        }
-    }
-
     /// Instantiates the backend.
     pub fn build(self) -> Box<dyn SinrResolver> {
         match self {

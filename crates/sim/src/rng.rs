@@ -66,13 +66,6 @@ impl Rng64 {
         Self { state: seed }
     }
 
-    /// Derives an independent child generator (for parallel sub-streams).
-    pub fn fork(&mut self, tag: u64) -> Self {
-        Self {
-            state: hash64(self.next_u64(), &[tag]),
-        }
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

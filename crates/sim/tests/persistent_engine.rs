@@ -11,7 +11,7 @@
 //! checks. Every property runs under uniform and heterogeneous power (where
 //! the gain matrix is not symmetric).
 
-use dcluster_obs::{shared, CacheOp, Event, Recorder};
+use dcluster_obs::{shared, CacheOp, Event, Tracer};
 use dcluster_sim::engine::FnBehavior;
 use dcluster_sim::radio::EXACT_MAX_TX;
 use dcluster_sim::rng::Rng64;
@@ -55,6 +55,16 @@ fn random_network(n: usize, het_power: bool, rng: &mut Rng64) -> Network {
     net
 }
 
+/// A tracer that keeps the engine's event stream.
+#[derive(Debug)]
+struct Events(Vec<Event>);
+
+impl Tracer for Events {
+    fn on_event(&mut self, ev: &Event) {
+        self.0.push(ev.clone());
+    }
+}
+
 /// Each round's receptions, and the cache operation its trace event
 /// carries.
 type Rounds = (Vec<Vec<Reception>>, Vec<Option<CacheOp>>);
@@ -64,7 +74,7 @@ type Rounds = (Vec<Vec<Reception>>, Vec<Option<CacheOp>>);
 /// after every step.
 fn run_engine(net: &Network, kind: ResolverKind, schedule: &[Vec<bool>]) -> Result<Rounds, String> {
     let mut engine = Engine::with_resolver_kind(net, kind);
-    let recorder = shared(Recorder::new());
+    let recorder = shared(Events(Vec::new()));
     engine.set_tracer(recorder.clone());
     let mut per_round = Vec::with_capacity(schedule.len());
     for (r, active) in schedule.iter().enumerate() {
@@ -79,7 +89,7 @@ fn run_engine(net: &Network, kind: ResolverKind, schedule: &[Vec<bool>]) -> Resu
     }
     let ops = recorder
         .borrow()
-        .events()
+        .0
         .iter()
         .filter_map(|e| match e {
             Event::Round { cache, .. } => Some(*cache),

@@ -1,6 +1,6 @@
-//! Fixture: the sanctioned wall-clock seam — the whole file is exempted
-//! from D2 in the fixture `lint.toml`, mirroring the real policy's
-//! Clock-seam scoping for `crates/obs/src/clock.rs`.
+//! Fixture: a wall-clock seam — the whole file is exempted from D2 in
+//! the fixture `lint.toml`, which exercises file-level exemptions (and
+//! flags an allow inside an exempt file as stale).
 
 pub fn now_nanos() -> u128 {
     std::time::Instant::now().elapsed().as_nanos() // no D2: file is exempt

@@ -21,8 +21,8 @@ fn main() {
     );
 
     // Theorem 1: deterministic 1-clustering, no randomness, no GPS. The
-    // Runner picks the default backend, overridable via DCLUSTER_RESOLVER
-    // — the same selection path the bench binaries use.
+    // Runner picks the default backend (the spec pins none) — the same
+    // selection path the bench binaries use.
     let out = runner
         .run_on(net.clone(), &Workload::Clustering)
         .expect("example spec is valid");
