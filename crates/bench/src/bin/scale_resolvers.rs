@@ -4,9 +4,7 @@
 //! Three sweep modes per network size:
 //!
 //! * **rotate** — deterministic rotating transmitter sets at two
-//!   densities: consecutive rounds are unrelated, so the aggregated
-//!   backend (whose sparse-patch heuristic bails to a rebuild on large
-//!   diffs) pays the full per-round field cost;
+//!   densities: consecutive rounds are unrelated;
 //! * **fixed** — rotating sets of exactly `|T|` ∈ [`FIXED_TX`]
 //!   transmitters, timed per round for the naive oracle, the aggregated
 //!   backend as dispatched, and its field path forced at every `|T|`
@@ -16,15 +14,14 @@
 //!   worst per-round slowdown against the faster path is smallest;
 //! * **evolve** — a saturated membership set (99.95% transmit — the
 //!   busy-tone/wake-up-storm regime, where the round cost *is* the
-//!   interference field) churned by ~0.01% of the nodes per round, which
-//!   the aggregated backend's persistent field patches instead of
-//!   rebuilding.
+//!   interference field) churned by ~0.01% of the nodes per round: the
+//!   sweep's backend-agreement audit at `|T| ≈ n`.
 //!
 //! Every mode audits that the backends return identical receptions (the
 //! naive oracle joins the rotate and evolve audits only at sizes where its
 //! `O(n·|T|)` cost stays reasonable); the audit reuses one resolver
-//! instance per backend across rounds, so the persistent patch path is
-//! what gets audited.
+//! instance per backend across rounds, so the warm caches are what gets
+//! audited.
 //!
 //! Scale tiers (`DCLUSTER_SCALE`):
 //!
@@ -63,8 +60,7 @@ const FIXED_REPEATS: usize = 3;
 /// Naive oracle joins the rotate/evolve audits only up to this size.
 const NAIVE_CAP: usize = 4_000;
 /// Transmit fraction of the evolve mode (saturated: almost everyone
-/// transmits, so per-round cost is dominated by the interference field,
-/// which the persistent field patches instead of rebuilding).
+/// transmits, so per-round cost is dominated by the interference field).
 const EVOLVE_FRAC: f64 = 0.9995;
 /// Fraction of nodes whose membership flips per evolve round. Kept
 /// sparse (0.01%) so churn does not accumulate a listener pool across
@@ -108,7 +104,7 @@ impl Row {
 }
 
 /// Times one resolve per transmitter set through one resolver instance
-/// (so the aggregated backend's cross-round cache is in play).
+/// (so the aggregated backend's gain cache stays warm across rounds).
 fn time_rounds(net: &Network, timed: Timed, tx_sets: &[Vec<usize>]) -> (f64, u64) {
     let mut naive = NaiveResolver::new();
     let mut agg = AggregatedResolver::new();
@@ -254,8 +250,7 @@ fn main() {
         }
         eprintln!("done: n={n} (fixed)");
 
-        // Mode 3: saturated membership with sparse churn — the persistent
-        // field is patched instead of rebuilt.
+        // Mode 3: saturated membership with sparse churn.
         {
             let mut rng = Rng64::new(0xE01_5E7 ^ n as u64);
             let mut member: Vec<bool> = (0..n).map(|_| rng.chance(EVOLVE_FRAC)).collect();

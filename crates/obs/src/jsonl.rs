@@ -13,11 +13,15 @@
 //! ```text
 //! {"schema":"dcluster-trace/1","scenario":…,"workload":…,"n":…,"resolver":…,"seed":…}
 //! {"ev":"phase_start","phase":"clustering","round":0}
-//! {"ev":"round","round":3,"tx":17,"rx":4,"cache":"patch","ins":2,"rem":1}
-//! {"ev":"round","round":4,"tx":16,"rx":5}            // no cache in play
+//! {"ev":"round","round":3,"tx":17,"rx":4,"cache":"rebuild"}
+//! {"ev":"round","round":4,"tx":6,"rx":5}             // no field built
 //! {"ev":"phase_end","phase":"clustering","round":9,"rounds":9,"tx":120,"rx":41}
 //! {"ev":"epoch","epoch":0,"rounds":88,"re_elections":2,"violations":0}
 //! ```
+//!
+//! A round whose field was patched from an earlier round's would end
+//! `"cache":"patch","ins":…,"rem":…}`; no resolver in the workspace writes
+//! that form.
 
 use crate::{CacheOp, Event, Tracer};
 use std::fmt::Write as _;

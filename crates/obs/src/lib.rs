@@ -9,8 +9,8 @@
 //! ## Determinism contract
 //!
 //! Everything this crate records is a pure function of the simulation:
-//! round numbers, transmitter/reception counts, cache patch/rebuild
-//! decisions, phase names. No timestamps, no map-iteration order, no
+//! round numbers, transmitter/reception counts, interference-field
+//! builds, phase names. No timestamps, no map-iteration order, no
 //! thread interleavings. Two runs of the same scenario produce
 //! byte-identical traces — which is what makes `xtask tracediff` a
 //! *localizing* determinism check instead of a byte-compare oracle.
@@ -40,14 +40,15 @@ pub use phase::{PhaseSummary, PhaseTable};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// What the persistent interference field did for one resolved round.
+/// What a resolver did about its interference field for one resolved
+/// round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
-    /// The cached field was discarded and rebuilt from the full
-    /// transmitter set (cold start, stamp mismatch, or a diff past the
-    /// rebuild heuristic).
+    /// The field was built from the round's full transmitter set.
     Rebuilt,
-    /// The cached field was patched with the sparse transmitter diff.
+    /// A field cached from an earlier round was patched with the sparse
+    /// transmitter diff. No resolver in the workspace produces this; the
+    /// trace encoding and perfbench's profile still accept it.
     Patched {
         /// Transmitters inserted into the field.
         inserts: usize,
@@ -88,7 +89,9 @@ pub enum Event {
         tx: u64,
         /// Successful receptions delivered.
         rx: u64,
-        /// What the persistent field cache did, if the resolver has one.
+        /// What the resolver did about its interference field: `None` for
+        /// rounds that built none (exact-routine and silent rounds) and for
+        /// resolvers without a field.
         cache: Option<CacheOp>,
     },
     /// One maintenance epoch finished.

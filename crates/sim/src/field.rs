@@ -58,8 +58,6 @@ use crate::SinrParams;
 /// (diagnostics for the resolver statistics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FieldStats {
-    /// Queries answered (one per candidate receiver).
-    pub queries: u64,
     /// Queries decided by the ring expansion + residual bound alone.
     pub residual_decided: u64,
     /// Queries that consumed every transmitter during expansion (exact by
@@ -75,33 +73,19 @@ pub struct FieldStats {
 /// Under **heterogeneous power** the cell sums use each transmitter's own
 /// power (`powers` is threaded through [`InterferenceField::build`] and
 /// [`InterferenceField::decide`]), and the far-field residual bound uses a
-/// per-field **power cap** (≥ every stored transmitter's power) in place
+/// per-field **power cap** (the largest transmitter power) in place
 /// of the uniform `P` — still a valid upper bound, so decisions stay
 /// exact. With uniform power every formula is bit-identical to the classic
 /// path.
-///
-/// The field also supports **sparse maintenance** across rounds
-/// ([`insert_transmitter`](InterferenceField::insert_transmitter),
-/// [`remove_transmitter`](InterferenceField::remove_transmitter),
-/// [`move_transmitter`](InterferenceField::move_transmitter)): workloads
-/// whose transmitter set changes by `k` nodes per round pay `O(k)` updates
-/// instead of an `O(|T|)` rebuild, and the maintained field returns
-/// exactly the decisions of a fresh rebuild (the underlying grid is
-/// structurally identical; the power cap may stay loose after removals,
-/// which can only shift *which* bound concludes, never the decision).
 #[derive(Debug)]
 pub struct InterferenceField {
     grid: Grid,
     /// Transmitter indices in caller order — the exact fallback iterates
     /// this (not the grid's cells) so its summation order, and with it
     /// every last-ulp rounding decision, is the oracle's transmitter order.
-    /// (Engine-produced transmitter sets are sorted ascending, which is
-    /// also what the incremental operations maintain.)
     tx: Vec<u32>,
-    /// Upper bound on every stored transmitter's power; drives the
-    /// far-field residual. Monotone under maintenance: removals keep it.
+    /// The largest transmitter power; drives the far-field residual.
     power_cap: f64,
-    stats: FieldStats,
 }
 
 impl InterferenceField {
@@ -114,7 +98,6 @@ impl InterferenceField {
             grid: Grid::build_subset(points, transmitters, cell),
             tx: transmitters.iter().map(|&t| t as u32).collect(),
             power_cap: transmitters.iter().map(|&t| powers[t]).fold(0.0, f64::max),
-            stats: FieldStats::default(),
         }
     }
 
@@ -123,109 +106,13 @@ impl InterferenceField {
         &self.grid
     }
 
-    /// Number of transmitters this round.
-    pub fn transmitter_count(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// The stored transmitter indices, in fallback-summation order (caller
-    /// order at build time; kept sorted ascending by the incremental ops).
-    pub fn tx(&self) -> &[u32] {
-        &self.tx
-    }
-
-    /// Checks this (possibly incrementally maintained) field against a
-    /// fresh rebuild over its own transmitter set: the subset grid must be
-    /// structurally identical and the power cap must still bound every
-    /// stored transmitter's power. Both conditions together imply the
-    /// maintained field returns exactly a rebuilt field's decisions (the
-    /// cap may be loose after removals — that shifts which bound concludes,
-    /// never the outcome).
-    pub fn audit_against_rebuild(&self, points: &[Point], powers: &[f64]) -> Result<(), String> {
-        let tx: Vec<usize> = self.tx.iter().map(|&t| t as usize).collect();
-        let fresh = InterferenceField::build(points, powers, &tx, self.grid.cell_size());
-        if self.grid != fresh.grid {
-            return Err("maintained interference field grid diverged from a fresh rebuild".into());
-        }
-        if self.power_cap < fresh.power_cap {
-            return Err(format!(
-                "maintained power cap {} no longer bounds the stored transmitters (need ≥ {})",
-                self.power_cap, fresh.power_cap
-            ));
-        }
-        Ok(())
-    }
-
-    /// Query counters accumulated so far.
-    pub fn stats(&self) -> FieldStats {
-        self.stats
-    }
-
-    /// Adds transmitter `t` (not currently stored) at `points[t]` — one
-    /// sorted insert into its cell's member list and one into the
-    /// transmitter list. Requires the field's transmitter set to be
-    /// sorted ascending (true for every engine-produced set).
-    pub fn insert_transmitter(&mut self, points: &[Point], powers: &[f64], t: usize) {
-        debug_assert!(
-            self.tx.windows(2).all(|w| w[0] < w[1]),
-            "incremental maintenance requires a sorted transmitter set"
-        );
-        self.grid.insert(t, points[t]);
-        match self.tx.binary_search(&(t as u32)) {
-            Ok(_) => debug_assert!(false, "transmitter {t} inserted twice"),
-            Err(pos) => self.tx.insert(pos, t as u32),
-        }
-        self.power_cap = self.power_cap.max(powers[t]);
-    }
-
-    /// Removes stored transmitter `t` located at `points[t]`. The power
-    /// cap is deliberately kept (still a valid, possibly loose, bound —
-    /// tightening it would cost an `O(|T|)` rescan without changing any
-    /// decision).
-    pub fn remove_transmitter(&mut self, points: &[Point], t: usize) {
-        self.grid.remove(t, points[t]);
-        let pos = self
-            .tx
-            .binary_search(&(t as u32))
-            .unwrap_or_else(|_| panic!("transmitter {t} not stored in the field")); // lint:allow(P1, reason = "caller guarantees t is a stored transmitter")
-        self.tx.remove(pos);
-    }
-
-    /// Relocates stored transmitter `t` from `from` to `to` (the caller
-    /// updates its own points array; the field stores only indices).
-    pub fn move_transmitter(&mut self, t: usize, from: Point, to: Point) {
-        debug_assert!(
-            self.tx.binary_search(&(t as u32)).is_ok(),
-            "moving a transmitter ({t}) the field does not store"
-        );
-        self.grid.move_point(t, from, to);
-    }
-
     /// Decides whether a candidate reception survives the full SINR test:
     /// returns `s1 ≥ β·(noise + I)` where `I` is the total interference at
     /// `u` over all transmitters except `sender` (whose signal `s1` at `u`
-    /// the caller already knows). Exact — see module docs.
-    pub fn decide(
-        &mut self,
-        points: &[Point],
-        powers: &[f64],
-        params: &SinrParams,
-        u: Point,
-        sender: usize,
-        s1: f64,
-    ) -> bool {
-        let mut stats = self.stats;
-        let got = self.decide_at(points, powers, params, u, sender, s1, &mut stats);
-        self.stats = stats;
-        got
-    }
-
-    /// The shared-reference form of [`InterferenceField::decide`]: answers
-    /// the same query without mutating the field, accumulating counters
-    /// into a caller-owned [`FieldStats`] instead. This is what lets the
-    /// aggregated resolver query the field its cache lends out.
+    /// the caller already knows), and counts how it was decided in
+    /// `stats`. Exact — see module docs.
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_at(
+    pub fn decide(
         &self,
         points: &[Point],
         powers: &[f64],
@@ -235,7 +122,6 @@ impl InterferenceField {
         s1: f64,
         stats: &mut FieldStats,
     ) -> bool {
-        stats.queries += 1;
         let cell = self.grid.cell_size();
         let (ucx, ucy) = self.grid.key_of(u);
         // Per-transmitter signal `P_w / d^α` — bit-identical to
@@ -372,7 +258,8 @@ mod tests {
                 continue;
             }
             let powers = uniform_powers(n, &params);
-            let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let mut stats = FieldStats::default();
             for u in 0..n {
                 if tx.contains(&u) {
                     continue;
@@ -385,7 +272,7 @@ mod tests {
                         .map(|&w| params.signal(pts[w].dist(pts[u])))
                         .sum();
                     let want = s1 >= params.beta * (params.noise + full);
-                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1);
+                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1, &mut stats);
                     assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
                 }
             }
@@ -409,7 +296,8 @@ mod tests {
                 continue;
             }
             let sig = |w: usize, d: f64| powers[w] / d.max(1e-12).powf(params.alpha);
-            let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let mut stats = FieldStats::default();
             for u in 0..n {
                 if tx.contains(&u) {
                     continue;
@@ -422,89 +310,11 @@ mod tests {
                         .map(|&w| sig(w, pts[w].dist(pts[u])))
                         .sum();
                     let want = s1 >= params.beta * (params.noise + full);
-                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1);
+                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1, &mut stats);
                     assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn incrementally_maintained_field_decides_like_a_fresh_one() {
-        let params = SinrParams::default();
-        let mut rng = Rng64::new(55);
-        let n = 120;
-        let mut pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
-            .collect();
-        let powers: Vec<f64> = (0..n)
-            .map(|_| params.power * (1.0 + rng.next_f64()))
-            .collect();
-        let mut tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.3)).collect();
-        let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
-        for round in 0..30 {
-            // Mutate the transmitter set and positions sparsely.
-            let mover = tx[rng.range_usize(tx.len())];
-            let to = Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0));
-            field.move_transmitter(mover, pts[mover], to);
-            pts[mover] = to;
-            let departing = tx[rng.range_usize(tx.len())];
-            field.remove_transmitter(&pts, departing);
-            tx.retain(|&t| t != departing);
-            if let Some(joiner) = (0..n).find(|v| !tx.contains(v)) {
-                field.insert_transmitter(&pts, &powers, joiner);
-                tx.push(joiner);
-                tx.sort_unstable();
-            }
-            // The maintained field must decide exactly like a rebuilt one.
-            let mut fresh = InterferenceField::build(&pts, &powers, &tx, params.range());
-            assert_eq!(field.grid(), fresh.grid(), "round {round}: grid diverged");
-            assert_eq!(field.transmitter_count(), tx.len());
-            field
-                .audit_against_rebuild(&pts, &powers)
-                .unwrap_or_else(|e| panic!("round {round}: audit failed: {e}"));
-            for u in (0..n).filter(|u| !tx.contains(u)).take(20) {
-                for &v in &tx {
-                    let s1 = powers[v] / pts[v].dist(pts[u]).max(1e-12).powf(params.alpha);
-                    assert_eq!(
-                        field.decide(&pts, &powers, &params, pts[u], v, s1),
-                        fresh.decide(&pts, &powers, &params, pts[u], v, s1),
-                        "round {round}: maintained and fresh fields disagree \
-                         (receiver {u}, sender {v})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decide_at_agrees_with_decide() {
-        let params = SinrParams::default();
-        let mut rng = Rng64::new(9);
-        let n = 60;
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
-            .collect();
-        let powers = uniform_powers(n, &params);
-        let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.4)).collect();
-        let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
-        let shared = InterferenceField::build(&pts, &powers, &tx, params.range());
-        let mut stats = FieldStats::default();
-        for u in (0..n).filter(|u| !tx.contains(u)) {
-            for &v in &tx {
-                let s1 = params.signal(pts[v].dist(pts[u]));
-                assert_eq!(
-                    shared.decide_at(&pts, &powers, &params, pts[u], v, s1, &mut stats),
-                    field.decide(&pts, &powers, &params, pts[u], v, s1),
-                    "decide_at and decide split (receiver {u}, sender {v})"
-                );
-            }
-        }
-        assert_eq!(
-            stats,
-            field.stats(),
-            "caller-owned counters must equal the field's own"
-        );
     }
 
     #[test]
@@ -517,12 +327,10 @@ mod tests {
         ];
         let tx = vec![0, 2];
         let powers = uniform_powers(3, &params);
-        let mut field = InterferenceField::build(&pts, &powers, &tx, params.range());
-        assert_eq!(field.transmitter_count(), 2);
+        let field = InterferenceField::build(&pts, &powers, &tx, params.range());
         let s1 = params.signal(pts[0].dist(pts[1]));
-        let _ = field.decide(&pts, &powers, &params, pts[1], 0, s1);
-        let st = field.stats();
-        assert_eq!(st.queries, 1);
+        let mut st = FieldStats::default();
+        let _ = field.decide(&pts, &powers, &params, pts[1], 0, s1, &mut st);
         assert_eq!(
             st.residual_decided + st.exhausted + st.exact_fallbacks,
             1,

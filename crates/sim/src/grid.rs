@@ -23,8 +23,7 @@
 //! uses — query iteration order, and with it every floating-point
 //! summation downstream, is the same either way. (Fresh builds insert
 //! indices in increasing order, so they satisfy the sorted invariant for
-//! free; [`Grid::build_subset`] requires its subset sorted for the same
-//! reason.)
+//! free.)
 
 use crate::point::Point;
 use std::collections::BTreeMap;
@@ -65,24 +64,17 @@ pub struct Grid {
     spill: BTreeMap<(i64, i64), Vec<u32>>,
 }
 
-/// Result of [`Grid::two_nearest_within`]: the two nearest stored points,
-/// with distances returned both plain and squared so callers (the SINR
-/// resolver backends) never recompute `d²`.
+/// Result of [`Grid::two_nearest_within`]: the nearest stored point and
+/// the distances to it and to the second-nearest one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoNearest {
     /// Index of the nearest stored point.
     pub nearest: usize,
     /// Distance to `nearest`.
     pub d1: f64,
-    /// Squared distance to `nearest`.
-    pub d1_sq: f64,
-    /// Index of the second-nearest stored point, if at least two are in
-    /// range.
-    pub second: Option<usize>,
-    /// Distance to `second` (`f64::INFINITY` if fewer than two in range).
+    /// Distance to the second-nearest stored point (`f64::INFINITY` if
+    /// fewer than two are in range).
     pub d2: f64,
-    /// Squared distance to `second` (`f64::INFINITY` if fewer than two).
-    pub d2_sq: f64,
 }
 
 impl Grid {
@@ -101,11 +93,9 @@ impl Grid {
 
     /// Builds a grid over a *subset* of the points (e.g. this round's
     /// transmitters); stored indices refer to the original slice. Member
-    /// lists hold the subset's order per cell; pass the subset sorted
-    /// ascending (engine-produced transmitter sets are) when the grid will
-    /// be maintained incrementally — the sorted-member invariant is what
-    /// makes a maintained grid equal a fresh rebuild. The table box is that
-    /// of all of `points`, so later inserts of other indices land in it.
+    /// lists hold the subset's order per cell. The table box is that of
+    /// all of `points`, so a query centred on any of them looks its cells
+    /// up in the table.
     pub fn build_subset(points: &[Point], subset: &[usize], cell: f64) -> Self {
         let mut grid = Self::empty_over(points, cell);
         for &i in subset {
@@ -208,40 +198,34 @@ impl Grid {
         self.within(points, center, r).count()
     }
 
-    /// Returns the two nearest stored points within radius `r` of `center`
-    /// — indices *and* distances (both plain and squared), so callers never
-    /// recompute `d²`. `None` if no stored point is in range. Points at
-    /// distance 0 (the querying node itself, if stored) can be excluded via
-    /// `exclude`.
+    /// Returns the nearest stored point within radius `r` of `center`, with
+    /// its distance and the second-nearest one's; `None` if no stored
+    /// point is in range.
     pub fn two_nearest_within(
         &self,
         points: &[Point],
         center: Point,
         r: f64,
-        exclude: Option<usize>,
     ) -> Option<TwoNearest> {
         let mut best: Option<(usize, f64)> = None;
-        let mut second: Option<(usize, f64)> = None;
+        let mut second: Option<f64> = None;
         let r_sq = r * r;
         for ids in self.candidate_cells(center, r) {
             for &i in ids {
                 let i = i as usize;
-                if Some(i) == exclude {
-                    continue;
-                }
                 let d2 = points[i].dist_sq(center);
                 if d2 > r_sq {
                     continue;
                 }
                 match best {
                     None => best = Some((i, d2)),
-                    Some((b, b2)) if d2 < b2 => {
-                        second = Some((b, b2));
+                    Some((_, b2)) if d2 < b2 => {
+                        second = Some(b2);
                         best = Some((i, d2));
                     }
                     Some(_) => {
-                        if second.is_none_or(|(_, s2)| d2 < s2) {
-                            second = Some((i, d2));
+                        if second.is_none_or(|s2| d2 < s2) {
+                            second = Some(d2);
                         }
                     }
                 }
@@ -250,10 +234,7 @@ impl Grid {
         best.map(|(i, d2)| TwoNearest {
             nearest: i,
             d1: d2.sqrt(),
-            d1_sq: d2,
-            second: second.map(|(j, _)| j),
-            d2: second.map_or(f64::INFINITY, |(_, s2)| s2.sqrt()),
-            d2_sq: second.map_or(f64::INFINITY, |(_, s2)| s2),
+            d2: second.map_or(f64::INFINITY, f64::sqrt),
         })
     }
 
@@ -407,24 +388,20 @@ mod tests {
             .filter(|&(d, _)| d <= r)
             .collect();
         ds.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let got = grid.two_nearest_within(pts, c, r, None);
+        let got = grid.two_nearest_within(pts, c, r);
         match ds.len() {
             0 => assert!(got.is_none()),
             1 => {
                 let tn = got.unwrap();
                 assert_eq!(tn.nearest, ds[0].1);
                 assert!((tn.d1 - ds[0].0).abs() < 1e-12);
-                assert!(tn.second.is_none());
-                assert!(tn.d2.is_infinite() && tn.d2_sq.is_infinite());
+                assert!(tn.d2.is_infinite());
             }
             _ => {
                 let tn = got.unwrap();
                 assert_eq!(tn.nearest, ds[0].1);
                 assert!((tn.d1 - ds[0].0).abs() < 1e-12);
                 assert!((tn.d2 - ds[1].0).abs() < 1e-12);
-                assert!((tn.d1_sq - tn.d1 * tn.d1).abs() < 1e-12);
-                let j = tn.second.expect("two points in range");
-                assert!((pts[j].dist(c) - ds[1].0).abs() < 1e-12);
             }
         }
     }
@@ -453,18 +430,6 @@ mod tests {
         let got: Vec<usize> = grid.within(&pts, Point::ORIGIN, 1.0).collect();
         assert_eq!(got.len(), 2);
         assert!(got.contains(&0) && got.contains(&2));
-    }
-
-    #[test]
-    fn exclude_skips_self() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(0.5, 0.0)];
-        let grid = Grid::build(&pts, 1.0);
-        let tn = grid
-            .two_nearest_within(&pts, pts[0], 1.0, Some(0))
-            .expect("neighbor in range");
-        assert_eq!(tn.nearest, 1);
-        assert!((tn.d1 - 0.5).abs() < 1e-12);
-        assert!(tn.second.is_none());
     }
 
     #[test]
@@ -632,8 +597,8 @@ mod tests {
         let near: Vec<usize> = grid.within(&pts, pts[0], 1.0).collect();
         assert_eq!(near, vec![0, 2]);
         let tn = grid
-            .two_nearest_within(&pts, pts[1], 2.0, None)
+            .two_nearest_within(&pts, pts[1], 2.0)
             .expect("the point itself");
-        assert_eq!((tn.nearest, tn.second), (1, None));
+        assert_eq!((tn.nearest, tn.d2), (1, f64::INFINITY));
     }
 }

@@ -10,8 +10,8 @@
 //! * the SINR reception model of the paper's Eq. (1) ([`radio`]): a
 //!   [`SinrResolver`] trait with two backends — the naive oracle, and the
 //!   default aggregated backend, which runs the oracle's exact routine on
-//!   small rounds and a persistent cell-aggregated interference field
-//!   ([`field`]) on large ones;
+//!   small rounds and builds a cell-aggregated interference field
+//!   ([`field`]) for each large one;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
 //!   protocols over a [`Network`];
 //! * deployment generators for the paper's motivating scenarios
@@ -73,8 +73,7 @@ pub use grid::{Grid, TwoNearest};
 pub use network::{Network, NetworkBuilder, NetworkError};
 pub use point::Point;
 pub use radio::{
-    AggregatedResolver, FieldCache, NaiveResolver, Reception, ResolverKind, ResolverStats,
-    SinrResolver,
+    AggregatedResolver, NaiveResolver, Reception, ResolverKind, ResolverStats, SinrResolver,
 };
 pub use rng::Rng64;
 

@@ -30,11 +30,11 @@
 //!   `powf`, and its values are the oracle's bit for bit. The cache holds
 //!   at most `max(2²⁰, EXACT_MAX_TX·n)` signals (the whole matrix up to
 //!   `n = 1024`) and is cleared whole when a round's missing columns do
-//!   not fit. Larger rounds use a cell-aggregated [`InterferenceField`]
-//!   kept across rounds in a [`FieldCache`]. Two exact facts cut the
-//!   work: (1) a decodable transmitter lies within range
-//!   (`signal(d) ≥ β·noise` is necessary), so candidates come from a grid
-//!   query; (2) the second-strongest transmitter alone contributes its
+//!   not fit. Larger rounds build a cell-aggregated [`InterferenceField`]
+//!   over their transmitters. Two exact facts cut the work: (1) a
+//!   decodable transmitter lies within range (`signal(d) ≥ β·noise` is
+//!   necessary), so candidates come from a grid query; (2) the
+//!   second-strongest transmitter alone contributes its
 //!   signal as interference, so a receiver failing `s₁ ≥ β·(noise + s₂)`
 //!   is skipped without summing.
 //!   Survivors are decided by exact cell-grouped partial sums, ring by ring
@@ -83,7 +83,7 @@ pub enum ResolverKind {
     /// Literal Eq. (1): `O(n·|T|)` oracle.
     Naive,
     /// The oracle's exact routine up to [`EXACT_MAX_TX`] transmitters, a
-    /// persistent cell-aggregated interference field above it.
+    /// cell-aggregated interference field above it.
     #[default]
     Aggregated,
 }
@@ -189,142 +189,22 @@ pub trait SinrResolver: fmt::Debug {
     /// Cumulative work counters.
     fn stats(&self) -> ResolverStats;
 
-    /// Verifies any incrementally-maintained internal state against a
-    /// rebuild from scratch (backends without such state trivially pass).
-    /// The aggregated backend compares its cached interference field's
-    /// subset grid with a fresh build over the same transmitter set —
-    /// structural identity there is exactly what guarantees
-    /// rebuild-identical decisions — and every cached received signal,
-    /// bit for bit, with a fresh computation.
+    /// Verifies any state kept across rounds against a fresh computation
+    /// (backends without such state trivially pass). The aggregated
+    /// backend compares every cached received signal, bit for bit, with a
+    /// fresh computation.
     fn audit(&self, net: &Network) -> Result<(), String> {
         let _ = net;
         Ok(())
     }
 
-    /// What the persistent field cache did in the most recent
-    /// [`SinrResolver::resolve_into`] call: `None` for backends without a
-    /// cache, and for rounds that never consulted it (no transmitters, or
-    /// few enough for the exact routine). Feeds the engine's per-round
-    /// trace events.
+    /// Whether the most recent [`SinrResolver::resolve_into`] call built
+    /// an interference field: [`CacheOp::Rebuilt`] when it did, `None` for
+    /// backends without a field and for rounds that built none (no
+    /// transmitters, or few enough for the exact routine). Feeds the
+    /// engine's per-round trace events.
     fn last_cache_op(&self) -> Option<CacheOp> {
         None
-    }
-}
-
-/// A cross-round cache of one [`InterferenceField`], keyed on the owning
-/// network's mutation [stamp](Network::stamp). When the stamp still
-/// matches and the transmitter set is sorted ascending (as every
-/// engine-produced set is), the next round's field is obtained by patching
-/// the cached one with the sparse transmitter diff — `O(changes)` instead
-/// of an `O(|T|)` rebuild — and is *exactly* the field a rebuild would
-/// produce: the subset grid keeps its members sorted, and the sorted
-/// transmitter list keeps the exact-fallback summation order. A network
-/// mutation, an unsorted transmitter slice, or a diff bigger than the
-/// rebuild cost all fall back to a fresh build.
-#[derive(Debug, Default)]
-pub struct FieldCache {
-    /// Network stamp the cached field was built/patched against
-    /// (0 = nothing cached; real stamps start at 1).
-    stamp: u64,
-    field: Option<InterferenceField>,
-    /// Scratch for the diff walk (kept to avoid per-round allocation).
-    removals: Vec<usize>,
-    inserts: Vec<usize>,
-    /// What the latest [`FieldCache::obtain`] did (cleared by
-    /// [`FieldCache::reset_last_op`] at the top of each resolve, so
-    /// transmitter-less rounds read as "cache not consulted").
-    last_op: Option<CacheOp>,
-}
-
-impl FieldCache {
-    /// Returns the field for this round's `(net, transmitters)`: patched
-    /// from the cached round when that is sound and cheaper, rebuilt
-    /// otherwise.
-    pub fn obtain(&mut self, net: &Network, transmitters: &[usize]) -> &InterferenceField {
-        let sorted = transmitters.windows(2).all(|w| w[0] < w[1]);
-        if sorted && self.stamp == net.stamp() && self.try_patch(net, transmitters) {
-            self.last_op = Some(CacheOp::Patched {
-                inserts: self.inserts.len(),
-                removals: self.removals.len(),
-            });
-            return self.field.as_ref().expect("patched field is cached"); // lint:allow(P1, reason = "cache hit just verified by try_patch")
-        }
-        // Rebuild. An unsorted transmitter slice must not seed later
-        // patches (patching keeps the list sorted, which would silently
-        // reorder the fallback summation), so it leaves the cache unkeyed.
-        self.last_op = Some(CacheOp::Rebuilt);
-        self.stamp = if sorted { net.stamp() } else { 0 };
-        self.field.insert(InterferenceField::build(
-            net.points(),
-            net.powers(),
-            transmitters,
-            net.params().range(),
-        ))
-    }
-
-    /// Diffs the cached transmitter set against `transmitters` (both sorted
-    /// ascending) and applies the sparse patch when it is cheaper than a
-    /// rebuild. Returns whether the cached field now covers `transmitters`.
-    fn try_patch(&mut self, net: &Network, transmitters: &[usize]) -> bool {
-        let Some(field) = self.field.as_mut() else {
-            return false;
-        };
-        let old = field.tx();
-        self.removals.clear();
-        self.inserts.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < transmitters.len() {
-            let (a, b) = (old[i] as usize, transmitters[j]);
-            match a.cmp(&b) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    self.removals.push(a);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.inserts.push(b);
-                    j += 1;
-                }
-            }
-        }
-        self.removals.extend(old[i..].iter().map(|&t| t as usize));
-        self.inserts.extend_from_slice(&transmitters[j..]);
-        // Patch only while it beats the O(|T|) rebuild.
-        if (self.removals.len() + self.inserts.len()) * 2 > old.len() + transmitters.len() {
-            return false;
-        }
-        for &t in &self.removals {
-            field.remove_transmitter(net.points(), t);
-        }
-        for &t in &self.inserts {
-            field.insert_transmitter(net.points(), net.powers(), t);
-        }
-        true
-    }
-
-    /// What the latest [`FieldCache::obtain`] since the last reset did.
-    pub fn last_op(&self) -> Option<CacheOp> {
-        self.last_op
-    }
-
-    /// Clears the patch/rebuild record; called at the top of each resolve
-    /// so rounds that never consult the cache report `None`.
-    pub fn reset_last_op(&mut self) {
-        self.last_op = None;
-    }
-
-    /// Audits the cached field (if it is still keyed to `net`) against a
-    /// fresh rebuild over its own transmitter set.
-    pub fn audit(&self, net: &Network) -> Result<(), String> {
-        match &self.field {
-            Some(field) if self.stamp == net.stamp() => {
-                field.audit_against_rebuild(net.points(), net.powers())
-            }
-            _ => Ok(()), // nothing cached, or stale: next round rebuilds
-        }
     }
 }
 
@@ -363,7 +243,7 @@ fn candidate_signals(net: &Network, tx_grid: &Grid, u: usize) -> CandidateSignal
     let r = net.max_range();
     if net.has_uniform_power() {
         let p = net.params();
-        let tn = tx_grid.two_nearest_within(net.points(), net.pos(u), r, None)?;
+        let tn = tx_grid.two_nearest_within(net.points(), net.pos(u), r)?;
         let s2 = if tn.d2.is_finite() {
             p.signal(tn.d2)
         } else {
@@ -397,7 +277,7 @@ fn mark_transmitters(
 /// oracle's exact routine instead of its interference field.
 ///
 /// Per round the exact routine costs `O(n·|T|)`, and the field path one
-/// grid query per listener plus an `O(|T|)` build or patch. Both grow
+/// grid query per listener plus an `O(|T|)` build. Both grow
 /// linearly in `n`, so the threshold is on `|T|` alone; the field's fixed
 /// costs move the crossover from about 5 at `n ≥ 10⁴` to past 16 at
 /// `n = 52`. The value minimises the worst per-round slowdown against the
@@ -418,8 +298,8 @@ pub const EXACT_MAX_TX: usize = 8;
 const GAIN_CACHE_MIN_ENTRIES: usize = 1 << 20;
 
 /// A cross-round cache of received signals for the exact routine, keyed on
-/// the owning network's mutation [stamp](Network::stamp) like
-/// [`FieldCache`]. It holds one column per node that has transmitted in an
+/// the owning network's mutation [stamp](Network::stamp). It holds one
+/// column per node that has transmitted in an
 /// exact round since the last network mutation: the node's signal
 /// [`Network::signal_between`] at every node. A column is computed on
 /// first use, so a cached value is the oracle's bit for bit. At most
@@ -609,16 +489,16 @@ impl SinrResolver for NaiveResolver {
 
 /// The fast backend (see the module docs): the oracle's exact routine over
 /// cached received signals on rounds with `|T| ≤` [`EXACT_MAX_TX`], a
-/// persistent cell-aggregated [`InterferenceField`] above it. Scales to
-/// 10⁵-node deployments with thousands of transmitters per round.
+/// cell-aggregated [`InterferenceField`] built for each round above it.
+/// Scales to 10⁵-node deployments with thousands of transmitters per round.
 #[derive(Debug, Default)]
 pub struct AggregatedResolver {
     is_tx: Vec<bool>,
     slot_of: Vec<u32>,
     stats: ResolverStats,
-    /// The field of the latest field round, patched with the sparse
-    /// transmitter diff by the next one; exact rounds leave it idle.
-    cache: FieldCache,
+    /// [`CacheOp::Rebuilt`] after a field round, `None` after an exact or
+    /// transmitter-less one.
+    last_op: Option<CacheOp>,
     /// The received signals of exact rounds' transmitters; field rounds
     /// leave it idle.
     gains: GainCache,
@@ -643,14 +523,15 @@ impl AggregatedResolver {
     ) {
         out.clear();
         self.stats.rounds += 1;
-        self.cache.reset_last_op();
         if transmitters.is_empty() {
+            self.last_op = None;
             return;
         }
+        self.last_op = Some(CacheOp::Rebuilt);
         let n = net.len();
         let p = net.params();
         mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let field = self.cache.obtain(net, transmitters);
+        let field = InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
         let mut fs = FieldStats::default();
         for u in 0..n {
             if self.is_tx[u] {
@@ -665,7 +546,7 @@ impl AggregatedResolver {
                 self.stats.short_circuited += 1;
                 continue;
             }
-            if field.decide_at(net.points(), net.powers(), p, net.pos(u), v, s1, &mut fs) {
+            if field.decide(net.points(), net.powers(), p, net.pos(u), v, s1, &mut fs) {
                 out.push(Reception {
                     receiver: u,
                     sender: v,
@@ -689,7 +570,7 @@ impl SinrResolver for AggregatedResolver {
         }
         out.clear();
         self.stats.rounds += 1;
-        self.cache.reset_last_op();
+        self.last_op = None;
         if !transmitters.is_empty() {
             self.gains.load(net, transmitters);
             let gains = &self.gains;
@@ -709,15 +590,13 @@ impl SinrResolver for AggregatedResolver {
         self.stats
     }
 
-    /// Audits the cached interference field against a rebuild and every
-    /// cached signal column against a fresh computation.
+    /// Audits every cached signal column against a fresh computation.
     fn audit(&self, net: &Network) -> Result<(), String> {
-        self.cache.audit(net)?;
         self.gains.audit(net)
     }
 
     fn last_cache_op(&self) -> Option<CacheOp> {
-        self.cache.last_op()
+        self.last_op
     }
 }
 
@@ -1152,11 +1031,7 @@ mod tests {
         assert_eq!(agg.resolve(&net, small), naive.resolve(&net, small));
         assert_eq!(agg.stats(), naive.stats());
         assert_eq!(agg.stats().exact_sums, (80 - EXACT_MAX_TX) as u64);
-        assert_eq!(
-            agg.last_cache_op(),
-            None,
-            "exact rounds leave the cache idle"
-        );
+        assert_eq!(agg.last_cache_op(), None, "exact rounds build no field");
     }
 
     #[test]
@@ -1184,70 +1059,9 @@ mod tests {
     }
 
     #[test]
-    fn persistent_aggregated_tracks_an_evolving_transmitter_set() {
-        // Round after round with sparse churn: the patched field must keep
-        // producing exactly the oracle's receptions, and the audit must
-        // confirm its grid equals a rebuild.
-        let mut rng = Rng64::new(4242);
-        let pts: Vec<Point> = (0..250)
-            .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
-            .collect();
-        let net = net_of(pts);
-        let mut tx: Vec<usize> = (0..250).filter(|_| rng.chance(0.4)).collect();
-        let mut agg = AggregatedResolver::new();
-        let mut patched = 0;
-        for round in 0..25 {
-            // ~4 joins and ~4 leaves per round, keeping the set sorted.
-            for _ in 0..4 {
-                if tx.len() > 8 {
-                    tx.remove(rng.range_usize(tx.len()));
-                }
-                let joiner = rng.range_usize(250);
-                if let Err(pos) = tx.binary_search(&joiner) {
-                    tx.insert(pos, joiner);
-                }
-            }
-            assert_eq!(
-                agg.resolve(&net, &tx),
-                resolve_naive(&net, &tx),
-                "round {round}: persistent aggregated diverged"
-            );
-            if let Some(CacheOp::Patched { .. }) = agg.last_cache_op() {
-                patched += 1;
-            }
-            agg.audit(&net)
-                .unwrap_or_else(|e| panic!("round {round}: audit failed: {e}"));
-        }
-        assert_eq!(patched, 24, "every round after the first patches");
-    }
-
-    #[test]
-    fn persistent_field_survives_network_mutation() {
-        // A network mutation between rounds must invalidate the cached
-        // field (stamp mismatch → rebuild), not poison it.
-        let mut rng = Rng64::new(99);
-        let pts: Vec<Point> = (0..150)
-            .map(|_| Point::new(rng.range_f64(0.0, 3.0), rng.range_f64(0.0, 3.0)))
-            .collect();
-        let mut net = net_of(pts);
-        let tx: Vec<usize> = (0..150).filter(|_| rng.chance(0.35)).collect();
-        let mut agg = AggregatedResolver::new();
-        let _ = agg.resolve(&net, &tx); // seed the cache
-        net.move_node(3, Point::new(1.5, 1.5));
-        net.set_power(7, 2.0 * net.params().power);
-        assert_eq!(
-            agg.resolve(&net, &tx),
-            resolve_naive(&net, &tx),
-            "stale cache leaked across a network mutation"
-        );
-        assert_eq!(agg.last_cache_op(), Some(CacheOp::Rebuilt));
-        agg.audit(&net).expect("rebuilt field audits clean");
-    }
-
-    #[test]
     fn persistent_aggregated_matches_the_default_aggregated() {
-        // One instance reused across rounds (its cache warm) must equal a
-        // fresh instance every round.
+        // One instance reused across rounds (its scratch buffers reused)
+        // must equal a fresh instance every round.
         let mut rng = Rng64::new(5150);
         let pts: Vec<Point> = (0..200)
             .map(|_| Point::new(rng.range_f64(0.0, 4.0), rng.range_f64(0.0, 4.0)))
@@ -1262,30 +1076,6 @@ mod tests {
                 "round {round}: persistence changed receptions"
             );
             persistent.audit(&net).expect("audit");
-        }
-    }
-
-    #[test]
-    fn unsorted_transmitter_slices_bypass_the_cache_soundly() {
-        // Callers are allowed to pass unsorted sets (the equivalence suites
-        // do); the cache must rebuild rather than patch, and fallback
-        // summation order must follow caller order exactly.
-        let mut rng = Rng64::new(31337);
-        let pts: Vec<Point> = (0..180)
-            .map(|_| Point::new(rng.range_f64(0.0, 3.5), rng.range_f64(0.0, 3.5)))
-            .collect();
-        let net = net_of(pts);
-        let mut persistent = AggregatedResolver::new();
-        for round in 0..8 {
-            let mut tx: Vec<usize> = (0..180).collect();
-            rng.shuffle(&mut tx);
-            tx.truncate(60 + round);
-            assert_eq!(
-                persistent.resolve(&net, &tx),
-                AggregatedResolver::new().resolve(&net, &tx),
-                "round {round}: unsorted transmitter slice mishandled"
-            );
-            assert_eq!(persistent.last_cache_op(), Some(CacheOp::Rebuilt));
         }
     }
 

@@ -1,15 +1,14 @@
 //! The persistent resolution engine must be invisible: running an
 //! [`Engine`] for N rounds over an evolving transmitter set, the
-//! aggregated backend's sparsely-patched interference field must produce
-//! receptions identical to the naive oracle's, and the maintained field
-//! must audit as structurally identical to a rebuild after every step
-//! ([`Engine::audit_resolver`], the engine-level extension of the
-//! dynamics subsystem's `World::audit_incremental` pattern). Schedules
-//! that cross `EXACT_MAX_TX` round by round leave the cache idle through
-//! the exact rounds, and it must pick up patching where it left off; those
-//! exact rounds read the backend's warm gain cache, which the audit also
-//! checks. Every property runs under uniform and heterogeneous power (where
-//! the gain matrix is not symmetric).
+//! aggregated backend must produce receptions identical to the naive
+//! oracle's, and its warm gain cache must audit as equal to a fresh
+//! computation after every step ([`Engine::audit_resolver`], the
+//! engine-level extension of the dynamics subsystem's
+//! `World::audit_incremental` pattern). Schedules that cross
+//! `EXACT_MAX_TX` round by round build an interference field on every
+//! field round and none on the exact rounds, which read the gain cache.
+//! Every property runs under uniform and heterogeneous power (where the
+//! gain matrix is not symmetric).
 
 use dcluster_obs::{shared, CacheOp, Event, Tracer};
 use dcluster_sim::engine::FnBehavior;
@@ -20,7 +19,7 @@ use proptest::prelude::*;
 
 /// Pre-computes an evolving transmitter schedule: a membership vector
 /// mutated by `churn` random flips per round, so consecutive rounds differ
-/// by a small sparse diff (the regime the field cache patches).
+/// by a small sparse diff.
 fn evolving_schedule(n: usize, rounds: usize, churn: usize, rng: &mut Rng64) -> Vec<Vec<bool>> {
     let mut active: Vec<bool> = (0..n).map(|_| rng.chance(0.4)).collect();
     let mut schedule = Vec::with_capacity(rounds);
@@ -70,8 +69,8 @@ impl Tracer for Events {
 type Rounds = (Vec<Vec<Reception>>, Vec<Option<CacheOp>>);
 
 /// Runs one engine step per schedule entry with the given backend,
-/// recording [`Rounds`] and auditing the resolver's maintained state
-/// after every step.
+/// recording [`Rounds`] and auditing the resolver's cached state after
+/// every step.
 fn run_engine(net: &Network, kind: ResolverKind, schedule: &[Vec<bool>]) -> Result<Rounds, String> {
     let mut engine = Engine::with_resolver_kind(net, kind);
     let recorder = shared(Events(Vec::new()));
@@ -102,7 +101,7 @@ fn run_engine(net: &Network, kind: ResolverKind, schedule: &[Vec<bool>]) -> Resu
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// N rounds of sparse field patching inside the engine equal the
+    /// N engine rounds over a sparsely evolving transmitter set equal the
     /// oracle every round.
     #[test]
     fn persistent_backends_equal_fresh_rebuild_over_engine_rounds(
@@ -121,11 +120,11 @@ proptest! {
 
     /// Rounds alternating across `EXACT_MAX_TX`: a sparsely evolving
     /// large set in even rounds, a fresh set of 1..=EXACT_MAX_TX
-    /// transmitters in odd ones. The exact rounds leave the cache idle;
-    /// every field round after the first patches the field of the previous
-    /// field round. Receptions equal the oracle's round by round.
+    /// transmitters in odd ones. Every field round builds its field, the
+    /// exact rounds build none. Receptions equal the oracle's round by
+    /// round.
     #[test]
-    fn cache_idles_through_exact_rounds_and_patches_after_them(
+    fn field_rounds_build_a_field_and_exact_rounds_none(
         seed in 0u64..10_000,
         n in 60usize..150,
         churn in 1usize..4,
@@ -150,11 +149,10 @@ proptest! {
         for (r, (active, op)) in schedule.iter().zip(&ops).enumerate() {
             let tx = active.iter().filter(|&&a| a).count();
             if tx <= EXACT_MAX_TX {
-                prop_assert_eq!(*op, None, "round {} (|T| = {}) consulted the cache", r, tx);
-            } else if r > 0 {
-                prop_assert!(
-                    matches!(op, Some(CacheOp::Patched { .. })),
-                    "round {} (|T| = {}) did not patch: {:?}", r, tx, op
+                prop_assert_eq!(*op, None, "round {} (|T| = {}) built a field", r, tx);
+            } else {
+                prop_assert_eq!(
+                    *op, Some(CacheOp::Rebuilt), "round {} (|T| = {}) built no field", r, tx
                 );
             }
         }
