@@ -1,7 +1,7 @@
 //! # dcluster-baselines — the competitor rows of Tables 1 and 2
 //!
 //! Shape-faithful implementations of the algorithms the paper compares
-//! against (see DESIGN.md §1.3 and §3 for the documented simplifications):
+//! against:
 //!
 //! **Local broadcast (Table 1)**
 //! * [`local::gmw_known_delta`] — Goussevskaia–Moscibroda–Wattenhofer
@@ -29,6 +29,11 @@
 //!
 //! The "randomized" rows use seeded pseudo-randomness (statistically
 //! equivalent, reproducible).
+//!
+//! **Simplified variants** (the `(*)` rows of Tables 1–2): both location
+//! rows replace the original constructions with grid coloring plus an
+//! in-cell ssf; [`local::location_grid`] and
+//! [`global::location_grid_flood`] state the cost of each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

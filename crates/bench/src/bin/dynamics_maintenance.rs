@@ -1,21 +1,14 @@
 //! **Cluster maintenance under dynamics** — the dynamics subsystem's
 //! experiment binary and CI gate.
 //!
-//! Two parts:
-//!
-//! 1. **Maintenance sweep** (protocol scale): a seeded scenario spec
-//!    (degree deployment + the selected mobility/churn/power dynamics)
-//!    runs through the unified Runner's maintenance workload; each epoch
-//!    the `MaintenanceDriver` re-runs Theorem 1 clustering over the awake
-//!    set and records cluster lifetimes, re-elections and coverage
-//!    violations. Every resolver backend drives the identical scenario
-//!    and must produce **identical** epoch reports; the primary backend's
-//!    scenario is run twice and must be **byte-identical** across runs.
-//! 2. **Incremental-vs-rebuild sweep** (10⁴–10⁵ nodes): a waypoint
-//!    mobility workload where `k ≪ n` nodes move per epoch, comparing the
-//!    wall clock of incremental world maintenance (`O(k·Δ)`) against
-//!    rebuilding the network from scratch, with an equality audit of the
-//!    maintained world against a rebuild.
+//! A seeded scenario spec (degree deployment + the selected
+//! mobility/churn/power dynamics) runs through the unified Runner's
+//! maintenance workload; each epoch the `MaintenanceDriver` re-runs
+//! Theorem 1 clustering over the awake set and records cluster lifetimes,
+//! re-elections and coverage violations. Every resolver backend drives the
+//! identical scenario and must produce **identical** epoch reports; the
+//! primary backend's scenario is run twice and must be **byte-identical**
+//! across runs.
 //!
 //! Flags: `--mobility none|waypoint|walk|group` (default `waypoint`),
 //! `--churn on|off` (default `on`), `--power uniform|het` (default
@@ -25,9 +18,8 @@
 //! gate) — or `--scenario <file>.scn` to run one committed spec through
 //! the maintenance workload instead. A flag value outside these lists
 //! exits with status 1 and a message naming the flag.
-//! Tiers via `DCLUSTER_SCALE=ci|quick|full`; the `ci` tier exits non-zero
-//! on any agreement/determinism/audit/coverage failure or if incremental
-//! maintenance is slower than rebuilding.
+//! Tiers via `DCLUSTER_SCALE=ci|quick|full`; every tier exits non-zero
+//! on any agreement, determinism or coverage failure.
 //!
 //! Output: markdown tables, `results/dynamics_maintenance.csv`,
 //! `BENCH_dynamics.json`.
@@ -37,9 +29,8 @@ use dcluster_bench::{
     write_csv, DynamicsSpec, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome, EPOCH_HEADERS,
 };
 use dcluster_core::maintenance::EpochReport;
-use dcluster_dynamics::{MobilityKind, World};
+use dcluster_dynamics::MobilityKind;
 use dcluster_sim::ResolverKind;
-use std::time::Instant;
 
 /// Fraction of nodes that are mobile in the maintenance sweep.
 const MOBILE_FRAC: f64 = 0.2;
@@ -136,63 +127,6 @@ fn run_scenario(spec: &ScenarioSpec, kind: ResolverKind) -> Vec<EpochReport> {
     epochs
 }
 
-struct ScalingRow {
-    n: usize,
-    movers: usize,
-    incr_ms: f64,
-    rebuild_ms: f64,
-}
-
-/// Part 2: incremental world maintenance vs rebuild-from-scratch on a
-/// large mobility workload (`k ≪ n` movers per epoch).
-fn scaling_sweep(ns: &[usize], epochs: u64) -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for &n in ns {
-        let side = (n as f64 / 40.0).sqrt() * 2.0; // ≈40 nodes per unit ball
-        let net = Runner::new(ScenarioSpec::uniform(
-            "dynamics-scaling",
-            SEED + n as u64,
-            n,
-            side,
-        ))
-        .build_network()
-        .expect("sweep spec is valid"); // lint:allow(P1, reason = "the built-in scaling spec is valid at every size")
-        let mut world = World::new(net);
-        // 1% movers: the sparse regime incremental maintenance targets.
-        let mut model = MobilityKind::Waypoint
-            .build(n, (side, side), 0.01, SEED ^ 1)
-            .expect("waypoint"); // lint:allow(P1, reason = "waypoint mobility at a fixed 1% fraction is valid")
-        let (mut incr_ms, mut rebuild_ms) = (0.0f64, 0.0f64);
-        let mut movers = 0usize;
-        for epoch in 0..epochs {
-            let mut updates = Vec::new();
-            model.advance(&world, &mut updates);
-            movers += updates.len();
-            // Incremental world apply vs rebuild-from-scratch.
-            let t0 = Instant::now();
-            world.apply(&updates);
-            incr_ms += t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let _rebuilt = world.rebuilt_network();
-            rebuild_ms += t1.elapsed().as_secs_f64() * 1e3;
-            if epoch == epochs - 1 {
-                world
-                    .audit_incremental()
-                    // lint:allow(P1, reason = "an audit failure is a bug, not bad input")
-                    .expect("incremental world maintenance must equal a rebuild");
-            }
-        }
-        rows.push(ScalingRow {
-            n,
-            movers,
-            incr_ms,
-            rebuild_ms,
-        });
-        eprintln!("scaling: n={n} done ({movers} moves over {epochs} epochs)");
-    }
-    rows
-}
-
 fn main() {
     if run_scenario_flag(Workload::Maintenance) {
         return;
@@ -205,11 +139,6 @@ fn main() {
         Scale::Quick => (150, 5),
         Scale::Full => (300, 8),
     };
-    let scaling_ns: &[usize] = match tier {
-        Scale::Ci => &[10_000],
-        Scale::Quick => &[10_000, 20_000],
-        Scale::Full => &[10_000, 50_000, 100_000],
-    };
     println!(
         "# dynamics_maintenance — tier {tier:?}, mobility {}, churn {}, power {}, primary resolver {primary}",
         sc.mobility,
@@ -218,7 +147,7 @@ fn main() {
     );
     let spec = spec_for(sc, n, epochs);
 
-    // ---- Part 1: maintenance sweep, all backends + determinism check.
+    // ---- Maintenance sweep, all backends + determinism check.
     let mut failures = 0u32;
     let reference = run_scenario(&spec, primary);
     let rerun = run_scenario(&spec, primary);
@@ -267,27 +196,7 @@ fn main() {
     );
     write_csv("dynamics_maintenance", &EPOCH_HEADERS, &maint_table);
 
-    // ---- Part 2: incremental vs rebuild scaling.
-    let scaling = scaling_sweep(scaling_ns, 5);
-    let scale_headers = ["n", "moves_total", "incr_ms", "rebuild_ms", "world_speedup"];
-    let scale_table: Vec<Vec<String>> = scaling
-        .iter()
-        .map(|r| {
-            vec![
-                r.n.to_string(),
-                r.movers.to_string(),
-                format!("{:.2}", r.incr_ms),
-                format!("{:.2}", r.rebuild_ms),
-                format!("{:.1}x", r.rebuild_ms / r.incr_ms.max(1e-9)),
-            ]
-        })
-        .collect();
-    print_table(
-        "Incremental world maintenance vs rebuild-from-scratch (5 epochs, 1% movers)",
-        &scale_headers,
-        &scale_table,
-    );
-    write_json(sc, tier, primary, n, &reference, &scaling);
+    write_json(sc, tier, primary, n, &reference);
 
     // ---- CI gate.
     if unassigned_total > 0 {
@@ -302,18 +211,6 @@ fn main() {
         eprintln!("FAIL: cluster radius {worst_radius:.3} exceeds the hard bound 2");
         failures += 1;
     }
-    if tier == Scale::Ci {
-        for r in &scaling {
-            if r.incr_ms > r.rebuild_ms {
-                eprintln!(
-                    "FAIL: incremental maintenance slower than rebuild at n={} \
-                     ({:.2} ms vs {:.2} ms)",
-                    r.n, r.incr_ms, r.rebuild_ms
-                );
-                failures += 1;
-            }
-        }
-    }
     if failures > 0 {
         eprintln!("FAIL: {failures} gate failure(s)");
         std::process::exit(1);
@@ -326,14 +223,7 @@ fn main() {
 }
 
 /// Committed reference numbers (`BENCH_dynamics.json`).
-fn write_json(
-    sc: Scenario,
-    tier: Scale,
-    primary: ResolverKind,
-    n: usize,
-    reports: &[EpochReport],
-    scaling: &[ScalingRow],
-) {
+fn write_json(sc: Scenario, tier: Scale, primary: ResolverKind, n: usize, reports: &[EpochReport]) {
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"bench\": \"dynamics_maintenance\",\n  \"tier\": \"{tier:?}\",\n  \
@@ -358,17 +248,6 @@ fn write_json(
             r.report.max_clusters_per_unit_ball,
             r.rounds,
             if i + 1 == reports.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"incremental_vs_rebuild\": [\n");
-    for (i, r) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"moves\": {}, \"incr_ms\": {:.3}, \"rebuild_ms\": {:.3}}}{}\n",
-            r.n,
-            r.movers,
-            r.incr_ms,
-            r.rebuild_ms,
-            if i + 1 == scaling.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");

@@ -113,6 +113,6 @@ fn main() {
     );
     println!(
         "\nNotes: all runs on identical deployments; caps {cap} rounds. \
-         (*) our [22] variant is the simplified grid+ssf version (DESIGN.md §3)."
+         (*) our [22] variant is the simplified grid+ssf version (dcluster-baselines crate docs)."
     );
 }

@@ -121,6 +121,6 @@ fn main() {
     );
     println!(
         "\nNotes: N = n² IDs; the paper's lower-bound row Ω(D·Δ^(1−1/α)) is \
-         reproduced by fig7_lowerbound_chain. (*) simplified variant, DESIGN.md §3."
+         reproduced by fig7_lowerbound_chain. (*) simplified variant (dcluster-baselines crate docs)."
     );
 }

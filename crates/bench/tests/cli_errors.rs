@@ -1,8 +1,9 @@
 //! Bad resolver input reaches the experiment binaries as a diagnostic and
 //! exit status 1, never a panic: a `.scn` file pinning a retired backend,
 //! and `--resolver` naming one or given no value. So do bad values of
-//! `dynamics_maintenance`'s scenario flags. A spec's `resolver` line picks
-//! the backend unless `--resolver` overrides it; nothing else does.
+//! `dynamics_maintenance`'s scenario flags and spec values the protocols
+//! or dynamics models cannot run with. A spec's `resolver` line picks the
+//! backend unless `--resolver` overrides it; nothing else does.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -34,6 +35,47 @@ fn spec_pinning_a_retired_backend_exits_cleanly() {
     .expect("temporary spec is writable");
     let out = thm1(&["--scenario", path.to_str().expect("utf-8 path")]);
     assert_clean_exit(&out, "aggregated");
+}
+
+#[test]
+fn out_of_range_spec_values_exit_cleanly() {
+    // Each row's lines complete a 20-node uniform spec. `Some(needle)`: the
+    // run is rejected before the protocol starts, naming directive and key.
+    // `None`: the spec is valid and the run completes.
+    let rows = [
+        ("params kappa=0", Some("params: kappa")),
+        ("params rho=0", Some("params: rho")),
+        ("params sns_k=0", Some("params: sns_k")),
+        (
+            "params len_factor=0 min_sched_len=0",
+            Some("params: min_sched_len"),
+        ),
+        (
+            "dynamics het_power spread=-2",
+            Some("dynamics het_power: spread"),
+        ),
+        ("workload wakeup sources=", Some("workload wakeup: sources")),
+        (
+            "workload maintenance\ndynamics group speed=0.2 frac=0.5 groups=100000000000",
+            Some("dynamics group: groups"),
+        ),
+        ("max_id 5\nid_seed 4", None),
+    ];
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (i, (lines, needle)) in rows.into_iter().enumerate() {
+        let path = dir.join(format!("out_of_range_{i}.scn"));
+        let spec = format!("scenario row{i}\nseed 3\ndeploy uniform n=20 side=2\n{lines}\n");
+        std::fs::write(&path, spec).expect("temporary spec is writable");
+        let out = Command::new(env!("CARGO_BIN_EXE_thm1_clustering"))
+            .args(["--scenario", path.to_str().expect("utf-8 path")])
+            .env("DCLUSTER_RESULTS_DIR", dir)
+            .output()
+            .expect("the binary runs");
+        match needle {
+            Some(needle) => assert_clean_exit(&out, needle),
+            None => assert!(out.status.success(), "{lines}: {out:?}"),
+        }
+    }
 }
 
 #[test]

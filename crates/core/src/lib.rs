@@ -19,9 +19,10 @@
 //! | Cluster maintenance under dynamics (extension) | [`maintenance`] |
 //!
 //! The protocols are orchestrated synchronous schedules over the
-//! [`dcluster_sim`] engine; see DESIGN.md §3 for the locality discipline
-//! and for how the paper's constants are parameterized
-//! ([`params::ProtocolParams`]).
+//! [`dcluster_sim`] engine, whose module docs state the locality
+//! discipline every behavior keeps ([`dcluster_sim::engine`]);
+//! [`params::ProtocolParams`] says how the paper's constants are
+//! parameterized.
 //!
 //! ## Quickstart
 //!

@@ -167,9 +167,10 @@ impl MaintenanceDriver {
     }
 
     /// Runs one maintenance epoch: re-clusters the awake set over the
-    /// (possibly mutated) network with the given resolver backend and
-    /// updates lifetimes/re-election accounting. `awake` must be nonempty
-    /// — under churn the schedules guarantee an anchor node.
+    /// epoch's network (rebuilt by the world after any move) with the
+    /// given resolver backend and updates lifetimes/re-election
+    /// accounting. `awake` must be nonempty — under churn the schedules
+    /// guarantee an anchor node.
     pub fn epoch(
         &mut self,
         net: &Network,

@@ -6,7 +6,7 @@
 //! [`ProtocolParams`] exposes all of them. [`ProtocolParams::practical`]
 //! gives laptop-scale values under which the test-suite *checks* every
 //! invariant on concrete deployments; [`ProtocolParams::theory`] gives the
-//! faithful lengths for small-instance validation. See DESIGN.md §3.
+//! faithful lengths for small-instance validation.
 
 /// Tunable constants for the whole protocol stack.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -140,44 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_establish_is_identical_on_mutated_and_rebuilt_networks() {
-        // Steady-state stacks are re-established after dynamics epochs;
-        // the incremental network maintenance must be invisible to them —
-        // same clusters, same labels, same setup cost as a fresh build.
-        let mut net = field();
-        let mut rng = Rng64::new(500);
-        for _ in 0..25 {
-            let v = rng.range_usize(net.len());
-            net.move_node(
-                v,
-                dcluster_sim::Point::new(rng.range_f64(0.0, 2.5), rng.range_f64(0.0, 2.5)),
-            );
-        }
-        let rebuilt = Network::builder(net.points().to_vec())
-            .ids(net.ids().to_vec())
-            .max_id(net.max_id())
-            .params(*net.params())
-            .build()
-            .unwrap();
-        let params = ProtocolParams::practical();
-        let establish = |n: &Network| {
-            let mut seeds = SeedSeq::new(params.seed);
-            let mut engine = Engine::new(n);
-            let stack = Stack::establish(&mut engine, &params, &mut seeds, n.density());
-            (
-                stack.setup_rounds,
-                stack.clustering().cluster_of.clone(),
-                stack.labeling().label.clone(),
-            )
-        };
-        let (rounds_a, clusters_a, labels_a) = establish(&net);
-        let (rounds_b, clusters_b, labels_b) = establish(&rebuilt);
-        assert_eq!(rounds_a, rounds_b);
-        assert_eq!(clusters_a, clusters_b, "byte-identical cluster assignment");
-        assert_eq!(labels_a, labels_b, "byte-identical labeling");
-    }
-
-    #[test]
     fn repeated_rounds_keep_working_with_fresh_payloads() {
         let net = field();
         let params = ProtocolParams::practical();

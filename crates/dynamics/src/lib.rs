@@ -6,10 +6,9 @@
 //! engine that evolves a deployed [`Network`] **between protocol rounds**:
 //!
 //! * a [`World`] wraps a network plus per-node awake flags and applies
-//!   [`WorldUpdate`] streams **incrementally** — a step that touches `k`
-//!   nodes costs `O(k·Δ)` grid/comm-graph maintenance instead of an
-//!   `O(n·Δ)` rebuild, and is audited to be structurally identical to a
-//!   rebuild ([`World::audit_incremental`]);
+//!   [`WorldUpdate`] streams: sleeps and wakes flip flags, and a stream
+//!   that moves a node or changes a power replaces the network with one
+//!   fresh build over the new positions and powers;
 //! * composable [`DynamicsModel`]s generate the updates: mobility
 //!   ([`mobility::RandomWaypoint`], [`mobility::RandomWalk`],
 //!   [`mobility::GroupDrift`]), churn ([`churn::Churn`] — deterministic
@@ -44,7 +43,7 @@
 //!     world.step(&mut models);
 //! }
 //! assert_eq!(world.epoch(), 5);
-//! world.audit_incremental().expect("incremental == rebuild");
+//! assert!(world.stats().moves > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +57,7 @@ pub use churn::Churn;
 pub use mobility::{GroupDrift, MobilityKind, RandomWalk, RandomWaypoint};
 pub use world::{World, WorldStats, WorldUpdate};
 
-use dcluster_sim::Network;
+use dcluster_sim::{Network, Point};
 
 /// A composable generator of world updates, advanced once per epoch.
 ///
@@ -86,11 +85,17 @@ pub trait DynamicsModel {
 /// `base > 0`, `spread ≥ 0`).
 pub fn with_power_profile(net: &Network, spread: f64, seed: u64) -> Network {
     let powers = dcluster_sim::deploy::power_profile(net.len(), net.params().power, spread, seed);
-    Network::builder(net.points().to_vec())
+    build_like(net, net.points().to_vec(), powers)
+}
+
+/// A fresh build over `points` and `powers` with `net`'s ids, ID space
+/// and parameters. Panics on a bad power or a length other than `n`.
+fn build_like(net: &Network, points: Vec<Point>, powers: Vec<f64>) -> Network {
+    Network::builder(points)
         .ids(net.ids().to_vec())
         .max_id(net.max_id())
         .params(*net.params())
         .powers(powers)
         .build()
-        .expect("re-building an already-valid network cannot fail")
+        .expect("one positive, finite power per node of a valid network")
 }

@@ -2,10 +2,8 @@
 //!
 //! Each model owns a deterministic RNG and a fixed **mobile subset** of
 //! the nodes (chosen by hashing at construction): real deployments mix
-//! static sensors with mobile units, and a sub-linear mover count per
-//! epoch is exactly the regime where incremental world maintenance beats
-//! rebuilding. Asleep nodes do not move (a crashed sensor stays put); they
-//! resume from wherever they stopped when woken.
+//! static sensors with mobile units. Asleep nodes do not move (a crashed
+//! sensor stays put); they resume from wherever they stopped when woken.
 
 use crate::{DynamicsModel, World, WorldUpdate};
 use dcluster_sim::rng::{hash_chance, Rng64};

@@ -1,12 +1,8 @@
-//! Property tests for the dynamics subsystem's central contract: a world
-//! maintained **incrementally** (sparse grid/comm-graph/field updates) is
-//! observationally identical to one **rebuilt from scratch** after every
-//! update — byte-identical receptions under both SINR resolver backends,
-//! under mobility, churn and heterogeneous power.
-//!
-//! Structural equality (same grid cells in the same member order) is what
-//! pins the floating-point summation order, so the reception equality here
-//! is exact `Vec<Reception>` equality, not set equality.
+//! Property tests for the dynamics subsystem: on worlds evolved under
+//! mobility, churn and heterogeneous power, the aggregated SINR backend
+//! resolves every round exactly as the naive oracle does. The world
+//! rebuilds its network whenever an update moves a node or changes a
+//! power, so these are the networks a maintenance epoch runs on.
 
 use dcluster_dynamics::{Churn, DynamicsModel, MobilityKind, World, WorldUpdate};
 use dcluster_sim::rng::Rng64;
@@ -32,14 +28,26 @@ fn resolve_all(net: &Network, tx: &[Vec<usize>], kind: ResolverKind) -> Vec<Vec<
     tx.iter().map(|t| resolver.resolve(net, t)).collect()
 }
 
+/// The aggregated backend's receptions equal the naive oracle's on every
+/// round (each round's receptions compared sorted by receiver).
+fn backends_agree(net: &Network, tx: &[Vec<usize>]) -> Result<(), String> {
+    let naive = resolve_all(net, tx, ResolverKind::Naive);
+    let got = resolve_all(net, tx, ResolverKind::Aggregated);
+    for (round, (mut a, mut b)) in naive.into_iter().zip(got).enumerate() {
+        a.sort_by_key(|r| r.receiver);
+        b.sort_by_key(|r| r.receiver);
+        prop_assert_eq!(a, b, "aggregated disagrees with naive (round {})", round);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Scenario-driven worlds: waypoint/walk/group mobility + churn +
-    /// heterogeneous power, evolved incrementally for several epochs, must
-    /// resolve identically to a from-scratch rebuild on every backend.
+    /// heterogeneous power, evolved for several epochs.
     #[test]
-    fn evolved_world_resolves_identically_to_rebuild(
+    fn evolved_world_backends_agree(
         seed in 0u64..10_000,
         n in 20usize..90,
         epochs in 1u64..8,
@@ -62,38 +70,12 @@ proptest! {
         for _ in 0..epochs {
             world.step(&mut models);
         }
-        // Structural audit: incremental grid + comm graph == rebuild.
-        world.audit_incremental()?;
-        // Observational audit: byte-identical receptions per backend.
-        let rebuilt = world.rebuilt_network();
-        let tx = tx_sets(&world, 4, seed ^ 11);
-        for kind in ResolverKind::ALL {
-            let inc = resolve_all(world.network(), &tx, kind);
-            let fresh = resolve_all(&rebuilt, &tx, kind);
-            prop_assert_eq!(
-                &inc, &fresh,
-                "{} receptions diverged between incremental and rebuilt worlds", kind
-            );
-        }
-        // Cross-backend agreement still holds on the evolved world.
-        let naive = resolve_all(world.network(), &tx, ResolverKind::Naive);
-        let got = resolve_all(world.network(), &tx, ResolverKind::Aggregated);
-        for (round, (a, b)) in naive.iter().zip(&got).enumerate() {
-            let mut a = a.clone();
-            let mut b = b.clone();
-            a.sort_by_key(|r| r.receiver);
-            b.sort_by_key(|r| r.receiver);
-            prop_assert_eq!(
-                a, b,
-                "aggregated disagrees with naive on evolved world (round {})", round
-            );
-        }
+        backends_agree(world.network(), &tx_sets(&world, 4, seed ^ 11))?;
     }
 
-    /// Raw update streams (moves, power changes, sleep/wake) applied
-    /// incrementally keep the world equal to its rebuild.
+    /// Raw update streams: moves, power changes, sleeps and wakes.
     #[test]
-    fn raw_update_stream_matches_rebuild(
+    fn raw_update_stream_backends_agree(
         seed in 0u64..10_000,
         n in 10usize..60,
         batches in 1usize..6,
@@ -124,16 +106,7 @@ proptest! {
                 })
                 .collect();
             world.apply(&updates);
-            world.audit_incremental()?;
         }
-        let rebuilt = world.rebuilt_network();
-        let tx = tx_sets(&world, 3, seed ^ 13);
-        for kind in ResolverKind::ALL {
-            prop_assert_eq!(
-                resolve_all(world.network(), &tx, kind),
-                resolve_all(&rebuilt, &tx, kind),
-                "{} receptions diverged after raw update batches", kind
-            );
-        }
+        backends_agree(world.network(), &tx_sets(&world, 3, seed ^ 13))?;
     }
 }

@@ -138,7 +138,8 @@ impl Runner {
     ///
     /// Returns a [`SpecError`] naming the offending spec section when the
     /// deployment layers realize to zero points (e.g. every layer has
-    /// `n=0`) or the ID settings are inconsistent with the node count.
+    /// `n=0`), the ID settings are inconsistent with the node count, or a
+    /// `dynamics het_power` spread is negative.
     pub fn build_network(&self) -> Result<Network, SpecError> {
         let layers = &self.spec.deploy.layers;
         if layers.is_empty() {
@@ -196,12 +197,18 @@ impl Runner {
         };
         // Heterogeneous power applies after deployment, exactly like the
         // historical drivers (sub-seed `seed ^ 3`).
-        Ok(self.spec.dynamics.iter().fold(base, |net, d| match *d {
-            DynamicsSpec::HetPower { spread } => {
-                dcluster_dynamics::with_power_profile(&net, spread, self.spec.seed ^ 3)
-            }
-            _ => net,
-        }))
+        self.spec.dynamics.iter().try_fold(base, |net, d| match *d {
+            DynamicsSpec::HetPower { spread } if spread < 0.0 => Err(SpecError {
+                line: 0,
+                msg: format!("dynamics het_power: spread must be ≥ 0, got {spread}"),
+            }),
+            DynamicsSpec::HetPower { spread } => Ok(dcluster_dynamics::with_power_profile(
+                &net,
+                spread,
+                self.spec.seed ^ 3,
+            )),
+            _ => Ok(net),
+        })
     }
 
     fn with_id_settings(&self, pts: Vec<Point>) -> Result<Network, SpecError> {
@@ -217,6 +224,34 @@ impl Runner {
             line: 0,
             msg: format!("deploy section realized {n} nodes: {e}"),
         })
+    }
+
+    /// Rejects spec values the selectors and dynamics models cannot run
+    /// with, before any protocol work: `params` `kappa`, `rho` or `sns_k`
+    /// below 1, `params` that leave every selector schedule empty, and a
+    /// `dynamics group` line with more groups than the `n` deployed nodes.
+    fn check_values(&self, n: usize) -> Result<(), SpecError> {
+        let p = &self.spec.params;
+        let zero = [("kappa", p.kappa), ("rho", p.rho), ("sns_k", p.sns_k)]
+            .into_iter()
+            .find(|&(_, v)| v == 0);
+        let groups = self.spec.dynamics.iter().find_map(|d| match *d {
+            DynamicsSpec::Group { groups, .. } if groups > n => Some(groups),
+            _ => None,
+        });
+        let msg = if let Some((key, _)) = zero {
+            format!("params: {key} must be ≥ 1, got 0")
+        } else if p.len_factor <= 0.0 && p.min_sched_len == 0 {
+            format!(
+                "params: min_sched_len=0 with len_factor={} leaves every schedule empty",
+                p.len_factor
+            )
+        } else if let Some(groups) = groups {
+            format!("dynamics group: groups={groups} exceeds the {n} deployed nodes")
+        } else {
+            return Ok(());
+        };
+        Err(SpecError { line: 0, msg })
     }
 
     /// The backend every engine of this run uses: the explicit override
@@ -313,7 +348,8 @@ impl Runner {
     /// # Errors
     ///
     /// Returns a [`SpecError`] naming the offending spec section when the
-    /// deployment realizes to zero nodes or a workload parameter is out of
+    /// deployment realizes to zero nodes, a protocol parameter or dynamics
+    /// model parameter is out of range, or a workload parameter is out of
     /// range for the realized deployment.
     pub fn run(&self, workload: &Workload) -> Result<Report, SpecError> {
         self.run_on(self.build_network()?, workload)
@@ -328,6 +364,7 @@ impl Runner {
     ///
     /// As [`Runner::run`], minus the deployment errors.
     pub fn run_on(&self, net: Network, workload: &Workload) -> Result<Report, SpecError> {
+        self.check_values(net.len())?;
         let kind = self.resolver_for(&net)?;
         let params = self.spec.params;
         let mut seeds = SeedSeq::new(params.seed);
@@ -439,9 +476,6 @@ impl Runner {
                 let mut reports = Vec::new();
                 for _ in 0..self.epochs() {
                     world.step(&mut models);
-                    world
-                        .audit_incremental()
-                        .expect("incremental world maintenance must equal a rebuild"); // lint:allow(P1, reason = "audit failure is a bug, not bad input")
                     let awake = world.awake_nodes();
                     reports.push(driver.epoch(world.network(), kind, &mut seeds, &awake));
                 }
@@ -457,6 +491,14 @@ impl Runner {
                 };
             }
             Workload::Wakeup { sources } => {
+                if sources.is_empty() {
+                    return Err(SpecError {
+                        line: 0,
+                        msg: "workload wakeup: sources is empty \
+                              (at least one spontaneous node is needed)"
+                            .into(),
+                    });
+                }
                 for &s in sources {
                     if s >= net.len() {
                         return Err(SpecError {

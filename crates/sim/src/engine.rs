@@ -185,9 +185,10 @@ impl<'n> Engine<'n> {
         self.resolver.stats()
     }
 
-    /// Audits the resolver's incrementally-maintained state (the
-    /// aggregated backend's cached interference field) against a rebuild
-    /// from scratch. Backends without such state trivially pass.
+    /// Audits the state the resolver keeps across rounds (the aggregated
+    /// backend's gain cache of received signals) against a fresh
+    /// computation, bit for bit. Backends without such state trivially
+    /// pass.
     pub fn audit_resolver(&self) -> Result<(), String> {
         self.resolver.audit(self.net)
     }

@@ -45,19 +45,6 @@ impl Graph {
         }
     }
 
-    /// Removes the undirected edge `{u, v}` if present (idempotent).
-    pub fn remove_edge(&mut self, u: usize, v: usize) {
-        if u == v {
-            return;
-        }
-        if let Ok(pos) = self.adj[u].binary_search(&(v as u32)) {
-            self.adj[u].remove(pos);
-        }
-        if let Ok(pos) = self.adj[v].binary_search(&(u as u32)) {
-            self.adj[v].remove(pos);
-        }
-    }
-
     /// Number of vertices.
     pub fn len(&self) -> usize {
         self.adj.len()
@@ -214,18 +201,6 @@ mod tests {
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn remove_edge_is_symmetric_and_idempotent() {
-        let mut g = path(4);
-        assert!(g.has_edge(1, 2));
-        g.remove_edge(2, 1);
-        assert!(!g.has_edge(1, 2) && !g.has_edge(2, 1));
-        g.remove_edge(2, 1); // idempotent
-        assert_eq!(g.edge_count(), 2);
-        g.add_edge(1, 2);
-        assert_eq!(g, path(4), "add after remove restores sorted adjacency");
     }
 
     #[test]

@@ -7,23 +7,16 @@
 //!
 //! **Layout.** Member lists live in a flat table over the *cell box*: the
 //! bounding box, in cell coordinates, of the points the grid is built on.
-//! A cell lookup is two subtractions, a bounds check and an index. Cells
-//! outside the box (points moved past it after the build) live in an
-//! ordered spill map. A box of more than `max(4096, 4·n)` cells gets no
-//! table at all and every cell goes to the spill, which bounds memory for
-//! any deployment. Cell keys are clamped to `±2⁶¹`, so key differences and
-//! ring offsets around a key never overflow `i64`.
+//! A cell lookup is two subtractions, a bounds check and an index. A box
+//! of more than `max(4096, 4·n)` cells gets no table at all and every cell
+//! goes to an ordered spill map, which bounds memory for any deployment.
+//! Cell keys are clamped to `±2⁶¹`, so key differences and ring offsets
+//! around a key never overflow `i64`.
 //!
-//! The grid supports **sparse maintenance** ([`Grid::insert`],
-//! [`Grid::remove`], [`Grid::move_point`]): a dynamics step that moves `k`
-//! nodes costs `O(k)` cell updates instead of an `O(n)` rebuild. Each
-//! cell's member list is kept sorted ascending, so an incrementally
-//! maintained grid is **structurally identical**, cell by cell, to one
-//! rebuilt from scratch over the same points, whatever table box each one
-//! uses — query iteration order, and with it every floating-point
-//! summation downstream, is the same either way. (Fresh builds insert
-//! indices in increasing order, so they satisfy the sorted invariant for
-//! free.)
+//! A grid is immutable once built. Members are stored in the order they
+//! are inserted at build time, so query iteration order, and with it
+//! every floating-point summation downstream, is a function of the points
+//! alone.
 
 use crate::point::Point;
 use std::collections::BTreeMap;
@@ -47,7 +40,7 @@ const MIN_TABLE_CELLS: u64 = 4096;
 /// let near: Vec<usize> = grid.within(&pts, Point::new(0.0, 0.0), 1.0).collect();
 /// assert_eq!(near, vec![0, 1]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     cell: f64,
     /// Smallest x and y cell keys of the table box.
@@ -255,61 +248,6 @@ impl Grid {
         }
     }
 
-    /// Inserts point index `i` located at `p` — `O(cell occupancy)` for the
-    /// sorted insertion. The point must not already be stored at `p`'s cell.
-    pub fn insert(&mut self, i: usize, p: Point) {
-        let members = self.members_for_insert(Self::key(&p, self.cell));
-        let idx = i as u32;
-        match members.binary_search(&idx) {
-            Ok(_) => debug_assert!(false, "point {i} already stored in its cell"),
-            Err(pos) => members.insert(pos, idx),
-        }
-    }
-
-    /// Removes point index `i` located at `p` (the position it was inserted
-    /// under). Emptied cells stop counting as occupied (spilled ones are
-    /// dropped), so an incrementally maintained grid stays structurally
-    /// identical to a fresh rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not stored in `p`'s cell — that means the caller's
-    /// position bookkeeping has diverged from the grid.
-    pub fn remove(&mut self, i: usize, p: Point) {
-        let key = Self::key(&p, self.cell);
-        let slot = self.slot(key);
-        let members = match slot {
-            Some(s) => &mut self.table[s],
-            None => self
-                .spill
-                .get_mut(&key)
-                .unwrap_or_else(|| panic!("removing {i} from an empty cell {key:?}")), // lint:allow(P1, reason = "grid/point desync is a bug, not bad input")
-        };
-        let pos = members
-            .binary_search(&(i as u32))
-            .unwrap_or_else(|_| panic!("point {i} not stored in cell {key:?}")); // lint:allow(P1, reason = "grid/point desync is a bug, not bad input")
-        members.remove(pos);
-        if members.is_empty() {
-            match slot {
-                Some(_) => self.table_occupied -= 1,
-                None => {
-                    self.spill.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Relocates point index `i` from `from` to `to`. A no-op when both
-    /// positions fall in the same cell (the grid stores indices, not
-    /// coordinates — callers own the position array).
-    pub fn move_point(&mut self, i: usize, from: Point, to: Point) {
-        if Self::key(&from, self.cell) == Self::key(&to, self.cell) {
-            return;
-        }
-        self.remove(i, from);
-        self.insert(i, to);
-    }
-
     /// Member lists of the cells a disk query of radius `r` around
     /// `center` must scan: x outer, y inner, empty cells included.
     fn candidate_cells(&self, center: Point, r: f64) -> impl Iterator<Item = &[u32]> + '_ {
@@ -318,34 +256,9 @@ impl Grid {
         (lo_x..=hi_x).flat_map(move |cx| (lo_y..=hi_y).map(move |cy| self.cell_members((cx, cy))))
     }
 
-    /// The occupied cells with their members: table cells in index order,
-    /// then the spill in key order.
-    fn occupied(&self) -> impl Iterator<Item = ((i64, i64), &[u32])> + '_ {
-        let table = self.table.iter().enumerate().filter(|(_, m)| !m.is_empty());
-        let table = table.map(|(s, m)| {
-            let s = s as u64;
-            let x = self.origin.0 + (s / self.height) as i64;
-            let y = self.origin.1 + (s % self.height) as i64;
-            ((x, y), m.as_slice())
-        });
-        table.chain(self.spill.iter().map(|(&k, m)| (k, m.as_slice())))
-    }
-
     /// Number of non-empty cells (diagnostics).
     pub fn occupied_cells(&self) -> usize {
         self.table_occupied + self.spill.len()
-    }
-}
-
-/// Cell-by-cell equality: same cell size and the same member list, in the
-/// same order, in every cell — whatever table box either grid uses.
-impl PartialEq for Grid {
-    fn eq(&self, other: &Self) -> bool {
-        self.cell == other.cell
-            && self.occupied_cells() == other.occupied_cells()
-            && self
-                .occupied()
-                .all(|(key, members)| other.cell_members(key) == members)
     }
 }
 
@@ -430,95 +343,6 @@ mod tests {
         let got: Vec<usize> = grid.within(&pts, Point::ORIGIN, 1.0).collect();
         assert_eq!(got.len(), 2);
         assert!(got.contains(&0) && got.contains(&2));
-    }
-
-    #[test]
-    fn incremental_ops_match_fresh_rebuild() {
-        let mut rng = Rng64::new(77);
-        let mut pts: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.range_f64(0.0, 6.0), rng.range_f64(0.0, 6.0)))
-            .collect();
-        let mut grid = Grid::build(&pts, 0.8);
-        for _ in 0..500 {
-            let i = rng.range_usize(pts.len());
-            let to = Point::new(rng.range_f64(-1.0, 7.0), rng.range_f64(-1.0, 7.0));
-            grid.move_point(i, pts[i], to);
-            pts[i] = to;
-        }
-        assert_eq!(
-            grid,
-            Grid::build(&pts, 0.8),
-            "incrementally moved grid must equal a fresh rebuild, \
-             including per-cell member order"
-        );
-        // Far moves out of the build-time box [0, 6]², into negative
-        // coordinates too: the maintained grid spills those cells, a fresh
-        // build tabulates a different box, and the two still agree cell by
-        // cell and on every query.
-        for step in 0..400 {
-            let i = rng.range_usize(pts.len());
-            let to = match step % 4 {
-                0 => Point::new(rng.range_f64(-40.0, -10.0), rng.range_f64(-40.0, 6.0)),
-                1 => Point::new(rng.range_f64(6.0, 30.0), rng.range_f64(-25.0, -1.0)),
-                2 => Point::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-3.0, 3.0)),
-                _ => Point::new(rng.range_f64(0.0, 6.0), rng.range_f64(0.0, 6.0)),
-            };
-            grid.move_point(i, pts[i], to);
-            pts[i] = to;
-        }
-        assert!(!grid.spill.is_empty(), "far moves must leave the table box");
-        let fresh = Grid::build(&pts, 0.8);
-        assert_eq!(grid, fresh, "maintained grid diverged after far moves");
-        assert_eq!(fresh, grid, "equality must be symmetric");
-        for _ in 0..50 {
-            let c = Point::new(rng.range_f64(-40.0, 30.0), rng.range_f64(-40.0, 7.0));
-            let r = rng.range_f64(0.5, 4.0);
-            let got: Vec<usize> = grid.within(&pts, c, r).collect();
-            assert_eq!(got, fresh.within(&pts, c, r).collect::<Vec<_>>());
-            let mut got = got;
-            got.sort_unstable();
-            assert_eq!(got, brute_within(&pts, c, r));
-        }
-        // Moving everything back home empties the spill again.
-        let home: Vec<Point> = (0..pts.len())
-            .map(|_| Point::new(rng.range_f64(0.0, 6.0), rng.range_f64(0.0, 6.0)))
-            .collect();
-        for (i, &to) in home.iter().enumerate() {
-            grid.move_point(i, pts[i], to);
-        }
-        assert!(grid.spill.is_empty(), "emptied spill cells must be dropped");
-        assert_eq!(grid, Grid::build(&home, 0.8));
-    }
-
-    #[test]
-    fn remove_drops_empty_cells() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(5.0, 5.0)];
-        let mut grid = Grid::build(&pts, 1.0);
-        assert_eq!(grid.occupied_cells(), 2);
-        grid.remove(1, pts[1]);
-        assert_eq!(grid.occupied_cells(), 1);
-        assert_eq!(grid, Grid::build_subset(&pts, &[0], 1.0));
-        grid.insert(1, pts[1]);
-        assert_eq!(grid, Grid::build(&pts, 1.0));
-    }
-
-    #[test]
-    fn move_within_a_cell_is_a_noop_on_structure() {
-        let mut pts = vec![Point::new(0.2, 0.2), Point::new(0.4, 0.4)];
-        let mut grid = Grid::build(&pts, 1.0);
-        let before = grid.clone();
-        grid.move_point(0, pts[0], Point::new(0.9, 0.9));
-        pts[0] = Point::new(0.9, 0.9);
-        assert_eq!(grid, before, "same cell: index sets unchanged");
-        assert_eq!(grid, Grid::build(&pts, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not stored")]
-    fn removing_an_absent_point_panics() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.1)];
-        let mut grid = Grid::build_subset(&pts, &[0], 1.0);
-        grid.remove(1, pts[1]);
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Description of a deployed wireless network.
 //!
-//! A [`Network`] is built once from a deployment and then queried by the
-//! protocols; under the dynamics subsystem it can also be **mutated
-//! incrementally** ([`Network::move_node`], [`Network::set_power`]): the
-//! spatial grid and the communication graph are patched in `O(Δ)` per
-//! touched node instead of rebuilt, and the result is structurally
-//! identical to a fresh build over the updated deployment (the dynamics
-//! crate's audits enforce this).
+//! A [`Network`] is built once from a deployment and never changes after
+//! that: the protocols only query it. A world that moves nodes or changes
+//! their powers between epochs builds a new network over the updated
+//! deployment (the dynamics crate's `World::apply`).
 //!
 //! Nodes may carry **heterogeneous transmit powers** (builder:
 //! [`NetworkBuilder::powers`]); all SINR evaluation goes through
@@ -23,11 +20,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-global source of network mutation stamps. Every build and every
-/// incremental mutation draws a fresh value, so a stamp observed once is
-/// never reissued — caches keyed on it can trust a match absolutely, even
-/// across [`Network::clone`]s (a clone shares its origin's stamp until the
-/// first mutation gives it a fresh one).
+/// Process-global source of network stamps. Every build draws a fresh
+/// value, so a stamp observed once is never reissued — caches keyed on it
+/// can trust a match absolutely. A [`Network::clone`] shares its origin's
+/// stamp, which is sound because neither can change.
 static STAMP_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 fn next_stamp() -> u64 {
@@ -109,15 +105,13 @@ pub struct Network {
     ranges: Vec<f64>,
     /// Cached `max(ranges)` — the candidate-search radius of the resolvers.
     max_range: f64,
-    /// Number of nodes whose power differs from `params.power`
-    /// (0 ⇔ the paper's uniform-power setting) — maintained incrementally
-    /// so `set_power` stays `O(Δ)`.
-    non_model_power: usize,
+    /// True iff every node transmits at `params.power` (the paper's
+    /// uniform-power setting).
+    uniform_power: bool,
     grid: Grid,
     comm: Graph,
     id_to_idx: HashMap<u64, usize>, // lint:allow(D1, reason = "id-to-index lookup table; never iterated")
-    /// Mutation stamp: process-globally unique, replaced on every
-    /// geometry/power mutation. See [`Network::stamp`].
+    /// Build stamp: process-globally unique. See [`Network::stamp`].
     stamp: u64,
 }
 
@@ -252,7 +246,7 @@ impl Network {
     /// nearest-transmitter fast path.
     #[inline]
     pub fn has_uniform_power(&self) -> bool {
-        self.non_model_power == 0
+        self.uniform_power
     }
 
     /// Transmission range of node `v`: `(P_v / (β·noise))^{1/α}` — the
@@ -297,83 +291,14 @@ impl Network {
         self.signal_from(w, self.pos(w).dist(self.pos(u)))
     }
 
-    /// An opaque mutation stamp for cache invalidation: two observations of
-    /// the same stamp guarantee the network's geometry and powers have not
-    /// changed in between. Stamps are drawn from a process-global counter —
-    /// assigned at build, replaced by [`Network::move_node`] and
-    /// [`Network::set_power`] — and never reissued, so distinct `Network`
-    /// values (including fresh builds over identical deployments) never
-    /// alias each other's stamps.
+    /// An opaque build stamp for cache invalidation: two observations of
+    /// the same stamp guarantee the same geometry and powers. Stamps are
+    /// drawn from a process-global counter at build and never reissued, so
+    /// distinct builds (including fresh builds over identical deployments)
+    /// never alias each other's stamps; a clone shares its origin's.
     #[inline]
     pub fn stamp(&self) -> u64 {
         self.stamp
-    }
-
-    /// Moves node `v` to `to`, patching the spatial grid and the
-    /// communication graph incrementally (`O(Δ)` plus at most two grid
-    /// cell updates). The result is structurally identical to rebuilding
-    /// the network from the updated deployment.
-    pub fn move_node(&mut self, v: usize, to: Point) {
-        self.stamp = next_stamp();
-        let from = self.points[v];
-        self.grid.move_point(v, from, to);
-        self.points[v] = to;
-        self.refresh_comm_edges(v);
-    }
-
-    /// Sets node `v`'s transmit power, recomputing its range and patching
-    /// the communication edges incident to `v` — `O(Δ)` amortized: the
-    /// cached `max_range` only needs a full rescan when the current
-    /// maximum shrinks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power` is not strictly positive and finite.
-    pub fn set_power(&mut self, v: usize, power: f64) {
-        assert!(
-            power > 0.0 && power.is_finite(),
-            "node {v} power must be positive, got {power}"
-        );
-        self.stamp = next_stamp();
-        let old_range = self.ranges[v];
-        if self.powers[v] != self.params.power {
-            self.non_model_power -= 1;
-        }
-        if power != self.params.power {
-            self.non_model_power += 1;
-        }
-        self.powers[v] = power;
-        let new_range = range_for(power, &self.params);
-        self.ranges[v] = new_range;
-        if new_range >= self.max_range {
-            self.max_range = new_range;
-        } else if old_range == self.max_range {
-            // The (possibly unique) maximum shrank: rescan.
-            self.max_range = self.ranges.iter().copied().fold(0.0, f64::max);
-        }
-        self.refresh_comm_edges(v);
-    }
-
-    /// Recomputes the communication edges incident to `v` after a move or a
-    /// power change (only those edges can have changed).
-    fn refresh_comm_edges(&mut self, v: usize) {
-        let old: Vec<u32> = self.comm.neighbors(v).to_vec();
-        for u in old {
-            self.comm.remove_edge(v, u as usize);
-        }
-        let cr_v = self.comm_radius_of(v);
-        let pv = self.points[v];
-        // Symmetric squared-distance test (`d² ≤ cr_u²` rather than
-        // `d ≤ cr_u`): evaluating the pair from either endpoint gives the
-        // same floating-point answer, so an incremental refresh of one
-        // endpoint agrees exactly with a full rebuild.
-        let nbrs: Vec<usize> = self.grid.within(&self.points, pv, cr_v).collect();
-        for u in nbrs {
-            let cr_u = self.comm_radius_of(u);
-            if u != v && self.points[u].dist_sq(pv) <= cr_u * cr_u {
-                self.comm.add_edge(v, u);
-            }
-        }
     }
 }
 
@@ -415,7 +340,8 @@ impl NetworkBuilder {
     }
 
     /// Sets the ID-space bound `N` (default: `max(4, n²)` when IDs are
-    /// auto-assigned, or the largest explicit ID).
+    /// auto-assigned, or the largest explicit ID). A bound below `n` is
+    /// raised to `n`.
     pub fn max_id(mut self, max_id: u64) -> Self {
         self.max_id = Some(max_id);
         self
@@ -445,6 +371,8 @@ impl NetworkBuilder {
                 .map(|ids| ids.iter().copied().max().unwrap_or(0))
                 .unwrap_or((n as u64 * n as u64).max(4))
         });
+        // An ID space smaller than n widens to n on every path.
+        let id_space = max_id.max(n as u64);
         let ids = match self.ids {
             Some(ids) => {
                 if ids.len() != n {
@@ -458,7 +386,7 @@ impl NetworkBuilder {
             None if self.seed == 0 => (1..=n as u64).collect(),
             None => {
                 let mut rng = crate::rng::Rng64::new(self.seed);
-                rng.sample_distinct(max_id, n)
+                rng.sample_distinct(id_space, n)
                     .into_iter()
                     .map(|v| v + 1)
                     .collect()
@@ -466,7 +394,7 @@ impl NetworkBuilder {
         };
         let mut id_to_idx = HashMap::with_capacity(n); // lint:allow(D1, reason = "id-to-index lookup table; never iterated")
         for (i, &id) in ids.iter().enumerate() {
-            if id == 0 || id > max_id.max(ids.len() as u64) {
+            if id == 0 || id > id_space {
                 return Err(NetworkError::IdOutOfRange(id));
             }
             if id_to_idx.insert(id, i).is_some() {
@@ -493,16 +421,15 @@ impl NetworkBuilder {
         };
         let ranges: Vec<f64> = powers.iter().map(|&p| range_for(p, &self.params)).collect();
         let max_range = ranges.iter().copied().fold(0.0, f64::max);
-        let non_model_power = powers.iter().filter(|&&p| p != self.params.power).count();
+        let uniform_power = powers.iter().all(|&p| p == self.params.power);
         let range = self.params.range();
         let grid = Grid::build(&self.points, range);
         let eps = self.params.epsilon;
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (v, nbrs) in adj.iter_mut().enumerate() {
-            // Edge rule: d² ≤ min(cr_u, cr_v)² — evaluated with the same
-            // squared-distance comparisons as the incremental
-            // `refresh_comm_edges`, so mutate-then-query equals
-            // rebuild-then-query exactly.
+            // Edge rule: d² ≤ min(cr_u, cr_v)². The grid query tests
+            // d² ≤ cr_v²; comparing squared distances, which are exactly
+            // symmetric in u and v, keeps the adjacency lists symmetric.
             let cr_v = ranges[v] * (1.0 - eps);
             for u in grid.within(&self.points, self.points[v], cr_v) {
                 let cr_u = ranges[u] * (1.0 - eps);
@@ -515,12 +442,12 @@ impl NetworkBuilder {
         Ok(Network {
             points: self.points,
             ids,
-            max_id: max_id.max(n as u64),
+            max_id: id_space,
             params: self.params,
             powers,
             ranges,
             max_range,
-            non_model_power,
+            uniform_power,
             grid,
             comm: Graph::from_adjacency(adj),
             id_to_idx,
@@ -673,60 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn move_node_matches_rebuild_from_scratch() {
-        let mut rng = crate::rng::Rng64::new(17);
-        let mut pts = crate::deploy::uniform_square(120, 3.0, &mut rng);
-        let powers: Vec<f64> = (0..120)
-            .map(|i| SinrParams::default().power * (1.0 + 0.3 * ((i % 5) as f64) / 4.0))
-            .collect();
-        let mut net = Network::builder(pts.clone())
-            .powers(powers.clone())
-            .build()
-            .unwrap();
-        for step in 0..200 {
-            let v = rng.range_usize(pts.len());
-            let to = Point::new(rng.range_f64(0.0, 3.0), rng.range_f64(0.0, 3.0));
-            net.move_node(v, to);
-            pts[v] = to;
-            if step % 50 == 49 {
-                let fresh = Network::builder(pts.clone())
-                    .powers(powers.clone())
-                    .build()
-                    .unwrap();
-                assert_eq!(net.grid(), fresh.grid(), "grid diverged at {step}");
-                assert_eq!(
-                    net.comm_graph(),
-                    fresh.comm_graph(),
-                    "comm graph diverged at {step}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn set_power_updates_ranges_and_edges() {
-        let mut net = Network::builder(vec![Point::new(0.0, 0.0), Point::new(0.9, 0.0)])
-            .build()
-            .unwrap();
-        assert!(!net.comm_graph().has_edge(0, 1), "0.9 > 0.8 comm radius");
-        let p = *net.params();
-        net.set_power(0, 8.0 * p.power);
-        net.set_power(1, 8.0 * p.power);
-        assert!(net.comm_graph().has_edge(0, 1), "both ranges now 2");
-        assert!(!net.has_uniform_power());
-        let fresh = Network::builder(vec![Point::new(0.0, 0.0), Point::new(0.9, 0.0)])
-            .powers(vec![8.0 * p.power; 2])
-            .build()
-            .unwrap();
-        assert_eq!(net.comm_graph(), fresh.comm_graph());
-        assert_eq!(net.max_range(), fresh.max_range());
-        net.set_power(0, p.power);
-        net.set_power(1, p.power);
-        assert!(net.has_uniform_power(), "restored to the model power");
-        assert!(!net.comm_graph().has_edge(0, 1));
-    }
-
-    #[test]
     fn bad_powers_are_rejected() {
         let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
         let err = Network::builder(pts.clone())
@@ -763,18 +636,32 @@ mod tests {
 
     #[test]
     fn stamps_distinguish_builds_and_change_on_mutation() {
-        let mut a = Network::builder(square(3, 0.5)).build().unwrap();
+        let a = Network::builder(square(3, 0.5)).build().unwrap();
         let b = Network::builder(square(3, 0.5)).build().unwrap();
         assert_ne!(a.stamp(), b.stamp(), "identical builds never alias");
         let clone = a.clone();
-        let original = a.stamp();
-        assert_eq!(clone.stamp(), original, "a clone shares until mutated");
-        a.move_node(0, Point::new(0.1, 0.1));
-        assert_ne!(a.stamp(), original, "move_node invalidates");
-        let moved = a.stamp();
-        a.set_power(0, 2.0 * a.params().power);
-        assert_ne!(a.stamp(), moved, "set_power invalidates");
-        assert_eq!(clone.stamp(), original, "untouched clone keeps its stamp");
+        assert_eq!(clone.stamp(), a.stamp(), "a clone shares its stamp");
+        let mut moved = square(3, 0.5);
+        moved[0] = Point::new(0.1, 0.1);
+        let rebuilt = Network::builder(moved).build().unwrap();
+        assert!(
+            ![a.stamp(), b.stamp()].contains(&rebuilt.stamp()),
+            "a build over a moved deployment gets a fresh stamp"
+        );
+    }
+
+    #[test]
+    fn seeded_ids_fit_an_id_space_smaller_than_n() {
+        // `max_id` below n widens to n, as it does without a seed.
+        let net = Network::builder(square(4, 0.5))
+            .max_id(5)
+            .seed(4)
+            .build()
+            .unwrap();
+        assert_eq!(net.max_id(), 16);
+        let mut ids = net.ids().to_vec();
+        ids.sort_unstable();
+        assert_eq!(ids, (1..=16).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   routine, so it equals the oracle by construction; the paper's
 //!   protocols spend almost all their rounds there. The routine's
 //!   received signals are read from a gain cache instead of recomputed:
-//!   positions and powers are fixed between network mutations, so each
-//!   pair's `P_w / d(w,u)^α` is a constant, and the cache keeps one column
+//!   a network's positions and powers never change after its build, so
+//!   each pair's `P_w / d(w,u)^α` is a constant, and the cache keeps one column
 //!   of them per node that has transmitted in an exact round, filled on
 //!   first use from the same [`Network::signal_between`] the oracle calls
 //!   and keyed on the network's [stamp](Network::stamp). An exact round
@@ -298,14 +298,13 @@ pub const EXACT_MAX_TX: usize = 8;
 const GAIN_CACHE_MIN_ENTRIES: usize = 1 << 20;
 
 /// A cross-round cache of received signals for the exact routine, keyed on
-/// the owning network's mutation [stamp](Network::stamp). It holds one
-/// column per node that has transmitted in an
-/// exact round since the last network mutation: the node's signal
-/// [`Network::signal_between`] at every node. A column is computed on
-/// first use, so a cached value is the oracle's bit for bit. At most
-/// `max(2²⁰, EXACT_MAX_TX·n)` signals are held, which always fits one
-/// exact round; when a round's missing columns do not fit, the whole cache
-/// is cleared.
+/// the network's build [stamp](Network::stamp). It holds one column per
+/// node that has transmitted in an exact round on that network: the
+/// node's signal [`Network::signal_between`] at every node. A column is
+/// computed on first use, so a cached value is the oracle's bit for bit.
+/// At most `max(2²⁰, EXACT_MAX_TX·n)` signals are held, which always fits
+/// one exact round; when a round's missing columns do not fit, the whole
+/// cache is cleared.
 #[derive(Debug, Default)]
 struct GainCache {
     /// Network stamp the columns were computed against (0 = nothing
@@ -797,29 +796,35 @@ mod tests {
 
     #[test]
     fn warm_gain_cache_follows_transmitter_mutations() {
-        // Moving a transmitter or changing its power between exact rounds
-        // must reach the cached signals: the stamp changes, the columns go.
-        let mut rng = Rng64::new(808);
-        let mut net = random_net(90, 3.0, &mut rng);
+        // Rebuilding the network with a transmitter moved or re-powered
+        // between exact rounds must reach the cached signals: the stamp
+        // changes, the columns go.
+        let mut pts = random_net(90, 3.0, &mut Rng64::new(808)).points().to_vec();
+        let base = SinrParams::default().power;
+        let mut powers = vec![base; pts.len()];
         let tx = [4, 17, 33, 60, 71];
         let mut agg = AggregatedResolver::new();
-        let mut check = |net: &Network, what: &str| {
+        let mut check = |pts: &[Point], powers: &[f64], what: &str| {
+            let net = Network::builder(pts.to_vec())
+                .powers(powers.to_vec())
+                .build()
+                .unwrap();
             assert_eq!(
-                agg.resolve(net, &tx),
-                resolve_naive(net, &tx),
+                agg.resolve(&net, &tx),
+                resolve_naive(&net, &tx),
                 "{what}: stale signals leaked into an exact round"
             );
-            agg.audit(net).unwrap();
+            agg.audit(&net).unwrap();
         };
-        check(&net, "cold");
-        net.move_node(17, Point::new(1.5, 1.5));
-        check(&net, "move_node");
-        net.set_power(33, 6.0 * net.params().power);
-        check(&net, "set_power");
-        net.set_power(33, net.params().power);
-        check(&net, "set_power back");
-        net.move_node(4, Point::new(1.45, 1.5));
-        check(&net, "second move_node");
+        check(&pts, &powers, "cold");
+        pts[17] = Point::new(1.5, 1.5);
+        check(&pts, &powers, "moved");
+        powers[33] = 6.0 * base;
+        check(&pts, &powers, "re-powered");
+        powers[33] = base;
+        check(&pts, &powers, "power restored");
+        pts[4] = Point::new(1.45, 1.5);
+        check(&pts, &powers, "second move");
     }
 
     #[test]

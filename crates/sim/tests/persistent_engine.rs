@@ -2,11 +2,10 @@
 //! [`Engine`] for N rounds over an evolving transmitter set, the
 //! aggregated backend must produce receptions identical to the naive
 //! oracle's, and its warm gain cache must audit as equal to a fresh
-//! computation after every step ([`Engine::audit_resolver`], the
-//! engine-level extension of the dynamics subsystem's
-//! `World::audit_incremental` pattern). Schedules that cross
-//! `EXACT_MAX_TX` round by round build an interference field on every
-//! field round and none on the exact rounds, which read the gain cache.
+//! computation after every step ([`Engine::audit_resolver`]). Schedules
+//! that cross `EXACT_MAX_TX` round by round build an interference field
+//! on every field round and none on the exact rounds, which read the gain
+//! cache.
 //! Every property runs under uniform and heterogeneous power (where the
 //! gain matrix is not symmetric).
 

@@ -15,7 +15,7 @@
 //! * [`selectors`] — ssf / wss / wcss / cover-free families.
 //! * [`core`] — the paper's algorithms (clustering, broadcasts, …).
 //! * [`dynamics`] — mobility, churn and heterogeneous power: seeded
-//!   scenario engine with incremental world updates.
+//!   scenario engine whose world rebuilds its network when nodes move.
 //! * [`scenario`] — declarative workload specs (`scenarios/*.scn`) and
 //!   the unified [`prelude::Runner`] every experiment driver uses.
 //! * [`baselines`] — Tables 1–2 competitor algorithms.
