@@ -34,6 +34,11 @@
 //! Deployments are scenario specs; `--scenario <file>.scn` sweeps that
 //! one deployment instead of the size ladder.
 //!
+//! Every row also counts the signals the field summed in its decisions
+//! (`field_terms`: ring sums plus exact fallbacks; 0 for the oracle and
+//! for rounds the aggregated backend resolves exactly), a deterministic
+//! measure of the field's work beside its wall clock.
+//!
 //! Output: markdown tables, `results/scale_resolvers.csv`, and
 //! `BENCH_resolvers.json` (committed reference numbers).
 
@@ -95,6 +100,8 @@ struct Row {
     rounds: usize,
     millis: f64,
     receptions: u64,
+    /// Signals the field summed in its decisions (0 for the oracle).
+    field_terms: u64,
 }
 
 impl Row {
@@ -105,7 +112,8 @@ impl Row {
 
 /// Times one resolve per transmitter set through one resolver instance
 /// (so the aggregated backend's gain cache stays warm across rounds).
-fn time_rounds(net: &Network, timed: Timed, tx_sets: &[Vec<usize>]) -> (f64, u64) {
+/// Returns the milliseconds, the receptions and the field's summed terms.
+fn time_rounds(net: &Network, timed: Timed, tx_sets: &[Vec<usize>]) -> (f64, u64, u64) {
     let mut naive = NaiveResolver::new();
     let mut agg = AggregatedResolver::new();
     let mut out = Vec::new();
@@ -119,7 +127,8 @@ fn time_rounds(net: &Network, timed: Timed, tx_sets: &[Vec<usize>]) -> (f64, u64
         }
         receptions += out.len() as u64;
     }
-    (start.elapsed().as_secs_f64() * 1e3, receptions)
+    let millis = start.elapsed().as_secs_f64() * 1e3;
+    (millis, receptions, agg.stats().field_terms)
 }
 
 /// Reports a backend disagreement found by the audit.
@@ -188,7 +197,7 @@ fn main() {
                     ResolverKind::Naive => Timed::Naive,
                     ResolverKind::Aggregated => Timed::Aggregated,
                 };
-                let (millis, receptions) = time_rounds(&net, timed, &tx_sets);
+                let (millis, receptions, field_terms) = time_rounds(&net, timed, &tx_sets);
                 rows.push(Row {
                     mode: "rotate",
                     n,
@@ -198,6 +207,7 @@ fn main() {
                     rounds: ROUNDS,
                     millis,
                     receptions,
+                    field_terms,
                 });
             }
             eprintln!("done: n={n}, tx_frac={frac} (rotate)");
@@ -227,7 +237,7 @@ fn main() {
             }
             let mut received = Vec::new();
             for timed in [Timed::Naive, Timed::Aggregated, Timed::Field] {
-                let (millis, receptions) = (0..FIXED_REPEATS)
+                let (millis, receptions, field_terms) = (0..FIXED_REPEATS)
                     .map(|_| time_rounds(&net, timed, &tx_sets))
                     .min_by(|a, b| a.0.total_cmp(&b.0))
                     .expect("at least one repetition");
@@ -241,6 +251,7 @@ fn main() {
                     rounds,
                     millis,
                     receptions,
+                    field_terms,
                 });
             }
             if received.iter().any(|&r| r != received[0]) {
@@ -269,7 +280,7 @@ fn main() {
                 disagreements += 1;
                 disagreement(&format!("n={n} (evolve)"), &d);
             }
-            let (millis, receptions) = time_rounds(&net, Timed::Aggregated, &tx_sets);
+            let (millis, receptions, field_terms) = time_rounds(&net, Timed::Aggregated, &tx_sets);
             rows.push(Row {
                 mode: "evolve",
                 n,
@@ -279,6 +290,7 @@ fn main() {
                 rounds: ROUNDS,
                 millis,
                 receptions,
+                field_terms,
             });
             eprintln!("done: n={n} (evolve): aggregated {millis:.1} ms");
         }
@@ -297,6 +309,7 @@ fn main() {
                 format!("{:.2}", r.millis),
                 format!("{:.2}", r.us_per_round()),
                 r.receptions.to_string(),
+                r.field_terms.to_string(),
             ]
         })
         .collect();
@@ -310,6 +323,7 @@ fn main() {
         "ms_total",
         "us_per_round",
         "receptions",
+        "field_terms",
     ];
     print_table(
         &format!("Resolver scaling sweep (tier {tier:?})"),
@@ -415,7 +429,8 @@ fn print_crossover(rows: &[Row]) {
 }
 
 /// Writes the committed reference-number artifact (schema: one object per
-/// (mode, n, tx_frac, resolver) with total milliseconds over its rounds).
+/// (mode, n, tx_frac, resolver) with total milliseconds over its rounds,
+/// receptions and field terms).
 fn write_json(rows: &[Row], tier: Scale) {
     let mut out = String::from("{\n");
     out.push_str(&format!(
@@ -423,7 +438,7 @@ fn write_json(rows: &[Row], tier: Scale) {
     ));
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"n\": {}, \"tx_frac\": {}, \"tx_avg\": {}, \"resolver\": \"{}\", \"rounds\": {}, \"ms_total\": {:.3}, \"us_per_round\": {:.3}, \"receptions\": {}}}{}\n",
+            "    {{\"mode\": \"{}\", \"n\": {}, \"tx_frac\": {}, \"tx_avg\": {}, \"resolver\": \"{}\", \"rounds\": {}, \"ms_total\": {:.3}, \"us_per_round\": {:.3}, \"receptions\": {}, \"field_terms\": {}}}{}\n",
             r.mode,
             r.n,
             r.tx_frac,
@@ -433,6 +448,7 @@ fn write_json(rows: &[Row], tier: Scale) {
             r.millis,
             r.us_per_round(),
             r.receptions,
+            r.field_terms,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -59,6 +59,14 @@ fn out_of_range_spec_values_exit_cleanly() {
             "workload maintenance\ndynamics group speed=0.2 frac=0.5 groups=100000000000",
             Some("dynamics group: groups"),
         ),
+        (
+            "deploy corridor n=30 length=5 width=1 spine=0",
+            Some("deploy corridor: spine"),
+        ),
+        (
+            "deploy corridor n=30 length=5 width=1 spine=-0.5",
+            Some("deploy corridor: spine"),
+        ),
         ("max_id 5\nid_seed 4", None),
     ];
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));

@@ -279,6 +279,7 @@ impl Report {
                 "exact sums",
                 "residual",
                 "fallbacks",
+                "field terms",
             ],
             &[vec![
                 rs.rounds.to_string(),
@@ -287,6 +288,7 @@ impl Report {
                 rs.exact_sums.to_string(),
                 rs.residual_decided.to_string(),
                 rs.exact_fallbacks.to_string(),
+                rs.field_terms.to_string(),
             ]],
         ));
         out
@@ -317,6 +319,7 @@ impl Report {
             "rs_exact_sums",
             "rs_residual_decided",
             "rs_exact_fallbacks",
+            "rs_field_terms",
         ];
         let rs = &self.resolver_stats;
         let rows = vec![vec![
@@ -336,6 +339,7 @@ impl Report {
             rs.exact_sums.to_string(),
             rs.residual_decided.to_string(),
             rs.exact_fallbacks.to_string(),
+            rs.field_terms.to_string(),
         ]];
         write_csv(&format!("scenario_{}", self.scenario), &headers, &rows);
         if !self.phases.is_empty() {

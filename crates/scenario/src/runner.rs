@@ -138,7 +138,8 @@ impl Runner {
     ///
     /// Returns a [`SpecError`] naming the offending spec section when the
     /// deployment layers realize to zero points (e.g. every layer has
-    /// `n=0`), the ID settings are inconsistent with the node count, or a
+    /// `n=0`), a `deploy corridor` spine spacing is not positive, the ID
+    /// settings are inconsistent with the node count, or a
     /// `dynamics het_power` spread is negative.
     pub fn build_network(&self) -> Result<Network, SpecError> {
         let layers = &self.spec.deploy.layers;
@@ -146,6 +147,17 @@ impl Runner {
             return Err(SpecError {
                 line: 0,
                 msg: "deploy section: spec has no deploy layer".into(),
+            });
+        }
+        // A spine spacing ≤ 0 would place spine points forever.
+        let bad_spine = layers.iter().find_map(|layer| match *layer {
+            DeployLayer::Corridor { spine, .. } if spine <= 0.0 => Some(spine),
+            _ => None,
+        });
+        if let Some(spine) = bad_spine {
+            return Err(SpecError {
+                line: 0,
+                msg: format!("deploy corridor: spine must be > 0, got {spine}"),
             });
         }
         let base = if let [DeployLayer::Degree { n, delta }] = layers[..] {

@@ -78,6 +78,10 @@ pub fn corridor(n: usize, length: f64, width: f64, rng: &mut Rng64) -> Vec<Point
 /// A corridor with a guaranteed backbone: points uniform in the corridor
 /// *plus* a spine of points every `spine_spacing` along the center line, so
 /// the communication graph is connected for spine spacings ≤ comm radius.
+///
+/// # Panics
+///
+/// Panics if `spine_spacing` is not positive (the spine would never end).
 pub fn corridor_with_spine(
     n: usize,
     length: f64,
@@ -85,6 +89,7 @@ pub fn corridor_with_spine(
     spine_spacing: f64,
     rng: &mut Rng64,
 ) -> Vec<Point> {
+    assert!(spine_spacing > 0.0, "spine spacing must be positive");
     let mut pts = corridor(n, length, width, rng);
     let mut x = 0.0;
     while x <= length {

@@ -12,14 +12,22 @@
 //!    accumulates these cell sums ring by ring around `u`'s cell, so after
 //!    ring `k` it holds the *exact* interference `I_near` from every
 //!    transmitter within Chebyshev cell-distance `k`.
-//! 2. **A global residual bound.** Transmitters beyond ring `k` sit in
-//!    cells whose every point is at Euclidean distance `> k·cell` from `u`
-//!    (their cell index differs by more than `k` in some axis, and `u` lies
-//!    inside its own cell). With `far = |T| − near_count` of them, the
-//!    far-field interference lies in `[0, far · P̂/(k·cell)^α]` where `P̂`
-//!    is the field's power cap (= the uniform `P` in the paper's setting)
-//!    — a single O(1) residual computed from the per-cell occupancy
-//!    aggregates.
+//! 2. **A per-ring residual bound.** A transmitter in Chebyshev ring `j`
+//!    around `u`'s cell (its cell index differs by exactly `j` in some
+//!    axis) lies at Euclidean distance at least `(j − 1)·cell` from every
+//!    point of `u`'s cell, so it sends `u` at most
+//!    `w_j = P̂/((j − 1)·cell)^α`, where `P̂` is the field's power cap
+//!    (= the uniform `P` in the paper's setting). With `count_j`
+//!    interferers in ring `j`, the far field beyond ring `k` lies in
+//!    `[0, Σ_{j>k} count_j · w_j]`. The field keeps a summed-area table of
+//!    transmitter counts over the grid's cell table, which covers the box
+//!    of all points, so each `count_j` is four table reads. The expansion
+//!    stops at a ring cap `k_cap` (past it one exact `O(|T|)` sum is
+//!    cheaper than scanning the block), so rings past `k_cap + 1` are
+//!    counted as ring `k_cap + 2`. A grid without a table (a cell box past
+//!    its cap) knows no ring counts and puts every interferer beyond ring
+//!    `k` in ring `k + 1`: the bound is then `far · P̂/(k·cell)^α`, with
+//!    `far` the number of interferers outside the block.
 //! 3. **Monotone decisions.** The reception test accepts iff
 //!    `s1 ≥ β·(noise + I)` with `I = I_near + I_far`. Since
 //!    `I ≥ I_near`, failing the test already at `I_near` is a definitive
@@ -30,10 +38,15 @@
 //!    sum's decision by construction. Either way the outcome equals the
 //!    naive resolver's on every receiver.
 //!
-//! The expected per-receiver cost is `O(occupied cells near u)` plus the
-//! O(1) residual check; the exact fallback costs `O(|T|)` but fires only
-//! on near-threshold receivers (measure-zero in random deployments, rare
-//! in structured ones).
+//! The expected per-receiver cost is `O(occupied cells near u)` for the
+//! ring sums plus one pass over at most `k_cap + 1` ring counts, which
+//! yields the residual of every ring the decision may reach. Weighting
+//! each ring by its own distance lets an accept land at the first ring
+//! whose neighbours leave room under the threshold, instead of waiting
+//! until `k·cell` is large enough to cover every far transmitter at once.
+//! The exact fallback costs `O(|T|)` but fires only on near-threshold
+//! receivers (measure-zero in random deployments, rare in structured
+//! ones).
 //!
 //! **Floating-point caveat.** The argument above is exact in real
 //! arithmetic. In `f64`, summing the same terms in a different order can
@@ -65,6 +78,9 @@ pub struct FieldStats {
     pub exhausted: u64,
     /// Queries that fell back to the exact far-field sum.
     pub exact_fallbacks: u64,
+    /// Signals the queries summed: ring-sum terms plus exact-fallback
+    /// terms.
+    pub field_terms: u64,
 }
 
 /// A per-round interference summary over the transmitter set. See the
@@ -84,20 +100,51 @@ pub struct InterferenceField {
     /// this (not the grid's cells) so its summation order, and with it
     /// every last-ulp rounding decision, is the oracle's transmitter order.
     tx: Vec<u32>,
-    /// The largest transmitter power; drives the far-field residual.
-    power_cap: f64,
+    /// The last ring the expansion scans before the exact fallback: the
+    /// first `k ≥ 1` whose `(2k+1)²` block has at least four times as
+    /// many cells as the grid has occupied ones, past which scanning the
+    /// block stops paying for itself against one `O(|T|)` sum.
+    k_cap: i64,
+    /// `weights[g] = P̂/(g·cell)^α` for `g ≤ k_cap + 1`: the most any
+    /// transmitter of ring `g + 1` sends a listener.
+    weights: Vec<f64>,
+    /// Transmitter counts per block, `None` when the grid has no table.
+    counts: Option<CountTable>,
+    /// Scratch of [`InterferenceField::decide`]: `tails[k]` bounds the
+    /// interference from the interferers outside ring `k`.
+    tails: Vec<f64>,
 }
 
 impl InterferenceField {
     /// Builds the field for one round: a subset grid over `transmitters`
-    /// (cell side = transmission range) plus its occupancy aggregates.
-    /// `powers` is the full per-node power array (uniform deployments pass
+    /// (cell side = transmission range), its block counts and the
+    /// per-ring weights under path-loss exponent `alpha`. `powers` is the
+    /// full per-node power array (uniform deployments pass
     /// `network.powers()`, which is all `params.power`).
-    pub fn build(points: &[Point], powers: &[f64], transmitters: &[usize], cell: f64) -> Self {
+    pub fn build(
+        points: &[Point],
+        powers: &[f64],
+        transmitters: &[usize],
+        cell: f64,
+        alpha: f64,
+    ) -> Self {
+        let grid = Grid::build_subset(points, transmitters, cell);
+        let occupied = grid.occupied_cells() as i64;
+        let mut k_cap = 1i64;
+        while (2 * k_cap + 1) * (2 * k_cap + 1) < 4 * occupied && k_cap < (1 << 20) {
+            k_cap += 1;
+        }
+        let power_cap = transmitters.iter().map(|&t| powers[t]).fold(0.0, f64::max);
+        let weights = (0..=k_cap + 1)
+            .map(|g| power_cap / (g as f64 * cell).max(1e-12).powf(alpha))
+            .collect();
         Self {
-            grid: Grid::build_subset(points, transmitters, cell),
+            counts: CountTable::build(&grid),
+            grid,
             tx: transmitters.iter().map(|&t| t as u32).collect(),
-            power_cap: transmitters.iter().map(|&t| powers[t]).fold(0.0, f64::max),
+            k_cap,
+            weights,
+            tails: vec![0.0; k_cap as usize + 2],
         }
     }
 
@@ -113,7 +160,7 @@ impl InterferenceField {
     /// `stats`. Exact — see module docs.
     #[allow(clippy::too_many_arguments)]
     pub fn decide(
-        &self,
+        &mut self,
         points: &[Point],
         powers: &[f64],
         params: &SinrParams,
@@ -122,8 +169,8 @@ impl InterferenceField {
         s1: f64,
         stats: &mut FieldStats,
     ) -> bool {
-        let cell = self.grid.cell_size();
-        let (ucx, ucy) = self.grid.key_of(u);
+        let key = self.grid.key_of(u);
+        let (ucx, ucy) = key;
         // Per-transmitter signal `P_w / d^α` — bit-identical to
         // `params.signal` when `powers[w]` is the model power.
         let alpha = params.alpha;
@@ -132,18 +179,9 @@ impl InterferenceField {
         let interferers = self.tx.len() - 1;
         let mut i_near = 0.0f64; // exact, cell-grouped partial sums
         let mut near_count = 0usize;
-        // Ring expansion. Cap the ring radius once scanning the (2k+1)²
-        // block stops paying for itself against |occupied cells|; past the
-        // cap the exact fallback costs one O(|T|) sum.
-        let occupied = self.grid.occupied_cells();
-        let k_cap = {
-            let mut k = 1i64;
-            while (2 * k + 1) * (2 * k + 1) < 4 * occupied as i64 && k < (1 << 20) {
-                k += 1;
-            }
-            k
-        };
-        for k in 0i64.. {
+        // `tails[k]` is filled for every ring `k < tails_end`.
+        let mut tails_end = 0i64;
+        for k in 0..=self.k_cap {
             // Accumulate the exact cell sums of ring k.
             for (cx, cy) in ring_cells(ucx, ucy, k) {
                 for &w in self.grid.cell_members((cx, cy)) {
@@ -158,28 +196,27 @@ impl InterferenceField {
             // Reject: the true interference is at least `i_near`.
             if s1 < params.beta * (params.noise + i_near) {
                 stats.residual_decided += 1;
+                stats.field_terms += near_count as u64;
                 return false;
             }
             // Exhausted: every interferer is accounted for — exact test.
             if near_count == interferers {
                 stats.exhausted += 1;
+                stats.field_terms += near_count as u64;
                 return s1 >= params.beta * (params.noise + i_near);
             }
             // Accept: even the residual upper bound cannot push the
-            // interference past the threshold. Everything beyond ring k is
-            // farther than k·cell from u, and no stored transmitter
-            // exceeds the power cap.
+            // interference past the threshold.
             if k >= 1 {
-                let far = (interferers - near_count) as f64;
-                let kc = (k as f64 * cell).max(1e-12);
-                let residual = far * (self.power_cap / kc.powf(alpha));
-                if s1 >= params.beta * (params.noise + i_near + residual) {
+                if k >= tails_end {
+                    let sender_key = self.grid.key_of(points[sender]);
+                    tails_end = self.fill_tails(key, sender_key, k, near_count, interferers) + 1;
+                }
+                if s1 >= params.beta * (params.noise + i_near + self.tails[k as usize]) {
                     stats.residual_decided += 1;
+                    stats.field_terms += near_count as u64;
                     return true;
                 }
-            }
-            if k >= k_cap {
-                break;
             }
         }
         // Exact fallback: add the far field transmitter by transmitter, in
@@ -189,6 +226,7 @@ impl InterferenceField {
         // Cell keys are clamped to ±2⁶¹, so the differences cannot
         // overflow.
         stats.exact_fallbacks += 1;
+        let mut terms = near_count as u64;
         let mut i_total = i_near;
         for &w in &self.tx {
             let w = w as usize;
@@ -196,12 +234,118 @@ impl InterferenceField {
                 continue;
             }
             let (cx, cy) = self.grid.key_of(points[w]);
-            if (cx - ucx).abs() <= k_cap && (cy - ucy).abs() <= k_cap {
+            if (cx - ucx).abs() <= self.k_cap && (cy - ucy).abs() <= self.k_cap {
                 continue; // already in i_near
             }
             i_total += sig(w, points[w].dist(u));
+            terms += 1;
         }
+        stats.field_terms += terms;
         s1 >= params.beta * (params.noise + i_total)
+    }
+
+    /// Fills `tails[k..=m]` for a listener in cell `key` whose scan has
+    /// found `near` interferers up to ring `k`, and returns `m`, the last
+    /// ring whose interferer count is known: from the count table up to
+    /// ring `k_cap + 1` (or the ring that covers the table box, if
+    /// nearer), only ring `k` itself without a table. Every interferer
+    /// beyond ring `m` counts as one of ring `m + 1`. The sums run from
+    /// ring `m` inwards, so each `tails[j]` adds non-negative terms only.
+    fn fill_tails(
+        &mut self,
+        key: (i64, i64),
+        sender_key: (i64, i64),
+        k: i64,
+        near: usize,
+        interferers: usize,
+    ) -> i64 {
+        let sender_ring = (sender_key.0 - key.0)
+            .abs()
+            .max((sender_key.1 - key.1).abs());
+        let table = self.counts.as_ref();
+        let m = table.map_or(k, |t| t.last_ring(key).min(self.k_cap + 1).max(k));
+        // Interferers within ring j ≥ k.
+        let within = |j: i64| match table {
+            Some(t) if j > k => t.block(key, j) - usize::from(sender_ring <= j),
+            _ => near,
+        };
+        debug_assert!(
+            table.is_none_or(|t| t.block(key, k) - usize::from(sender_ring <= k) == near),
+            "the ring scan and the count table disagree"
+        );
+        let mut inner = within(m);
+        let mut tail = (interferers - inner) as f64 * self.weights[m as usize];
+        self.tails[m as usize] = tail;
+        for j in (k..m).rev() {
+            let w = within(j);
+            // The interferers of ring j + 1 lie at least j cells away.
+            tail += (inner - w) as f64 * self.weights[j as usize];
+            self.tails[j as usize] = tail;
+            inner = w;
+        }
+        m
+    }
+}
+
+/// A summed-area table of transmitter counts over a grid's table box:
+/// the number of transmitters in any block of cells in four reads.
+#[derive(Debug)]
+struct CountTable {
+    /// Smallest x and y cell keys of the box.
+    origin: (i64, i64),
+    /// Box extent in cells along x and y.
+    width: usize,
+    height: usize,
+    /// `sums[x·(height + 1) + y]` counts the transmitters in the box cells
+    /// whose local coordinates are below `(x, y)`.
+    sums: Vec<u32>,
+}
+
+impl CountTable {
+    /// The table over `grid`'s table box, `None` when it has none.
+    fn build(grid: &Grid) -> Option<Self> {
+        let (origin, width, height) = grid.table_box()?;
+        let stride = height + 1;
+        let mut sums = vec![0u32; (width + 1) * stride];
+        let mut counts = grid.table_counts();
+        for x in 0..width {
+            let mut column = 0u32;
+            for (y, count) in counts.by_ref().take(height).enumerate() {
+                column += count as u32;
+                sums[(x + 1) * stride + y + 1] = sums[x * stride + y + 1] + column;
+            }
+        }
+        Some(Self {
+            origin,
+            width,
+            height,
+            sums,
+        })
+    }
+
+    /// The ring around cell `key` whose block first covers the whole box.
+    fn last_ring(&self, (cx, cy): (i64, i64)) -> i64 {
+        let (ox, oy) = self.origin;
+        let (ex, ey) = (ox + self.width as i64 - 1, oy + self.height as i64 - 1);
+        (cx - ox).max(ex - cx).max(cy - oy).max(ey - cy)
+    }
+
+    /// Transmitters within Chebyshev cell distance `j` of cell `key`.
+    /// Keys are clamped to ±2⁶¹ and `j` stays below 2²¹, so the offsets
+    /// cannot overflow.
+    fn block(&self, (cx, cy): (i64, i64), j: i64) -> usize {
+        // Box-local half-open range of the block along one axis, clipped.
+        let clip = |c: i64, o: i64, len: usize| {
+            let len = len as i64;
+            (
+                (c - j - o).clamp(0, len) as usize,
+                (c + j + 1 - o).clamp(0, len) as usize,
+            )
+        };
+        let (x0, x1) = clip(cx, self.origin.0, self.width);
+        let (y0, y1) = clip(cy, self.origin.1, self.height);
+        let s = |x: usize, y: usize| self.sums[x * (self.height + 1) + y] as usize;
+        s(x1, y1) + s(x0, y0) - s(x0, y1) - s(x1, y0)
     }
 }
 
@@ -243,6 +387,15 @@ mod tests {
         vec![params.power; n]
     }
 
+    fn field_of(
+        pts: &[Point],
+        powers: &[f64],
+        tx: &[usize],
+        params: &SinrParams,
+    ) -> InterferenceField {
+        InterferenceField::build(pts, powers, tx, params.range(), params.alpha)
+    }
+
     #[test]
     fn decide_matches_full_sum_on_random_rounds() {
         let params = SinrParams::default();
@@ -258,7 +411,7 @@ mod tests {
                 continue;
             }
             let powers = uniform_powers(n, &params);
-            let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let mut field = field_of(&pts, &powers, &tx, &params);
             let mut stats = FieldStats::default();
             for u in 0..n {
                 if tx.contains(&u) {
@@ -296,7 +449,7 @@ mod tests {
                 continue;
             }
             let sig = |w: usize, d: f64| powers[w] / d.max(1e-12).powf(params.alpha);
-            let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+            let mut field = field_of(&pts, &powers, &tx, &params);
             let mut stats = FieldStats::default();
             for u in 0..n {
                 if tx.contains(&u) {
@@ -317,6 +470,148 @@ mod tests {
         }
     }
 
+    /// Checks the residual `decide` would use at every ring `k ≥ 1` for a
+    /// listener at `u` decoding `sender`: at least the interference from
+    /// the transmitters outside the `(2k+1)²` block, summed fresh; at most
+    /// the lumped `far · P̂/(k·cell)^α`, and equal to it bit for bit when
+    /// the grid has no table.
+    fn assert_tails_bound_the_far_field(
+        field: &mut InterferenceField,
+        pts: &[Point],
+        powers: &[f64],
+        tx: &[usize],
+        alpha: f64,
+        u: Point,
+        sender: usize,
+    ) {
+        let lumped_only = field.counts.is_none();
+        let grid = field.grid();
+        let cell = grid.cell_size();
+        let key = grid.key_of(u);
+        let ring_of = |w: usize| {
+            let (cx, cy) = grid.key_of(pts[w]);
+            (cx - key.0).abs().max((cy - key.1).abs())
+        };
+        let rings: Vec<i64> = tx.iter().map(|&w| ring_of(w)).collect();
+        let sender_key = grid.key_of(pts[sender]);
+        let power_cap = tx.iter().map(|&w| powers[w]).fold(0.0, f64::max);
+        let interferers = tx.len() - 1;
+        let near = |k: i64| {
+            tx.iter()
+                .zip(&rings)
+                .filter(|&(&w, &r)| w != sender && r <= k)
+                .count()
+        };
+        let mut tails_end = 0;
+        for k in 1..=field.k_cap {
+            let near_count = near(k);
+            if near_count == interferers {
+                break; // `decide` stops here: the block holds everyone
+            }
+            if k >= tails_end {
+                tails_end = field.fill_tails(key, sender_key, k, near_count, interferers) + 1;
+            }
+            let tail = field.tails[k as usize];
+            let fresh: f64 = tx
+                .iter()
+                .zip(&rings)
+                .filter(|&(&w, &r)| w != sender && r > k)
+                .map(|(&w, _)| powers[w] / pts[w].dist(u).max(1e-12).powf(alpha))
+                .sum();
+            let far = (interferers - near_count) as f64;
+            let lumped = far * (power_cap / (k as f64 * cell).max(1e-12).powf(alpha));
+            let at = format!("listener {u:?}, sender {sender}, ring {k}");
+            assert!(
+                tail >= fresh,
+                "{at}: tail {tail:e} below the far field {fresh:e}"
+            );
+            assert!(
+                tail <= lumped,
+                "{at}: tail {tail:e} above the lumped {lumped:e}"
+            );
+            if lumped_only {
+                assert_eq!(tail.to_bits(), lumped.to_bits(), "{at}: no table, no rings");
+            }
+        }
+    }
+
+    /// A listener on an edge or a corner of a random cell of the
+    /// `side × side` box (cell side 1): one coordinate on a cell edge, the
+    /// other on an edge too or anywhere in the cell.
+    fn edge_listener(side: usize, rng: &mut Rng64) -> Point {
+        let mut coord = |edge_only: bool| {
+            let c = rng.range_usize(side) as f64;
+            match rng.range_usize(if edge_only { 2 } else { 3 }) {
+                0 => c,
+                1 => (c + 1.0).next_down(),
+                _ => c + rng.next_f64(),
+            }
+        };
+        let (edge, any) = (coord(true), coord(false));
+        if rng.chance(0.5) {
+            Point::new(edge, any)
+        } else {
+            Point::new(any, edge)
+        }
+    }
+
+    #[test]
+    fn per_ring_tails_bound_the_far_field() {
+        let params = SinrParams::default();
+        assert_eq!(params.range(), 1.0, "cell edges sit on integers");
+        let mut rng = Rng64::new(1917);
+        for trial in 0..36 {
+            let side = 12 + trial % 7;
+            let n = 400 + 20 * trial;
+            // Uniform, clumped (tight groups of eight), and uniform under
+            // heterogeneous power, in turn.
+            let shape = trial % 3;
+            let mut pts = Vec::with_capacity(n);
+            let mut anchor = Point::ORIGIN;
+            for i in 0..n {
+                if shape == 1 {
+                    if i % 8 == 0 {
+                        let inner = side as f64 - 0.5;
+                        anchor = Point::new(rng.range_f64(0.5, inner), rng.range_f64(0.5, inner));
+                    }
+                    pts.push(Point::new(
+                        anchor.x + rng.range_f64(-0.3, 0.3),
+                        anchor.y + rng.range_f64(-0.3, 0.3),
+                    ));
+                } else {
+                    let side = side as f64;
+                    pts.push(Point::new(
+                        rng.range_f64(0.0, side),
+                        rng.range_f64(0.0, side),
+                    ));
+                }
+            }
+            let powers: Vec<f64> = (0..n)
+                .map(|_| match shape {
+                    2 => params.power * (1.0 + 7.0 * rng.next_f64()),
+                    _ => params.power,
+                })
+                .collect();
+            let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.3)).collect();
+            // The same round past the table cap: two far-off listeners
+            // stretch the box to ~10¹⁴ cells.
+            let mut wide = pts.clone();
+            wide.extend([Point::new(-1e7, -1e7), Point::new(1e7, 1e7)]);
+            for (pts, tabulated) in [(&pts, true), (&wide, false)] {
+                let mut field = field_of(pts, &powers, &tx, &params);
+                assert_eq!(field.counts.is_some(), tabulated, "trial {trial}");
+                for _ in 0..40 {
+                    let u = edge_listener(side, &mut rng);
+                    let sender = tx[rng.range_usize(tx.len())];
+                    let alpha = params.alpha;
+                    assert_tails_bound_the_far_field(
+                        &mut field, pts, &powers, &tx, alpha, u, sender,
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn stats_count_every_query() {
         let params = SinrParams::default();
@@ -327,7 +622,7 @@ mod tests {
         ];
         let tx = vec![0, 2];
         let powers = uniform_powers(3, &params);
-        let field = InterferenceField::build(&pts, &powers, &tx, params.range());
+        let mut field = field_of(&pts, &powers, &tx, &params);
         let s1 = params.signal(pts[0].dist(pts[1]));
         let mut st = FieldStats::default();
         let _ = field.decide(&pts, &powers, &params, pts[1], 0, s1, &mut st);
@@ -336,5 +631,27 @@ mod tests {
             1,
             "every query ends in exactly one bucket"
         );
+        // An inconclusive query: a listener at (0.5, 0.5), its sender one
+        // cell to the left with signal 2.2 (β·noise = 2), one interferer
+        // five cells to the right sending 2/5³. Two occupied cells put the
+        // ring cap at 1, and ring 1's residual (the interferer counted at
+        // ring 2: 0.25) cannot accept, so the exact far sum decides.
+        let d = (params.power / 2.2).powf(1.0 / params.alpha);
+        let pts = vec![
+            Point::new(0.5 - d, 0.5),
+            Point::new(5.5, 0.5),
+            Point::new(0.5, 0.5),
+        ];
+        let mut field = field_of(&pts, &powers, &[0, 1], &params);
+        assert_eq!(field.k_cap, 1);
+        let s1 = params.signal(pts[0].dist(pts[2]));
+        let mut st = FieldStats::default();
+        assert!(field.decide(&pts, &powers, &params, pts[2], 0, s1, &mut st));
+        let want = FieldStats {
+            exact_fallbacks: 1,
+            field_terms: 1,
+            ..FieldStats::default()
+        };
+        assert_eq!(st, want, "one fallback summing the one far interferer");
     }
 }

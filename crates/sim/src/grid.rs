@@ -260,6 +260,20 @@ impl Grid {
     pub fn occupied_cells(&self) -> usize {
         self.table_occupied + self.spill.len()
     }
+
+    /// The table box as `(origin, width, height)`: its smallest x and y
+    /// cell keys and its extent in cells, or `None` when the grid has no
+    /// table.
+    pub(crate) fn table_box(&self) -> Option<((i64, i64), usize, usize)> {
+        (!self.table.is_empty()).then_some((self.origin, self.width as usize, self.height as usize))
+    }
+
+    /// Member counts of the table box's cells, x-major: cell `(x, y)`
+    /// comes at `(x − origin.0)·height + (y − origin.1)`. Empty without a
+    /// table.
+    pub(crate) fn table_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.table.iter().map(Vec::len)
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +409,8 @@ mod tests {
         let grid = Grid::build(&line, 1.0);
         assert_eq!(grid.table.len(), 5000);
         assert!(grid.spill.is_empty());
+        assert_eq!(grid.table_box(), Some(((0, 0), 5000, 1)));
+        assert!(grid.table_counts().all(|c| c == 1));
         // Spread 4× wider (5000·4 cells for n = 5000): still at the cap.
         let wide: Vec<Point> = (0..5000).map(|i| Point::new(4.0 * i as f64, 0.5)).collect();
         assert_eq!(Grid::build(&wide, 1.0).table.len(), 19997);
@@ -402,6 +418,8 @@ mod tests {
         let wider: Vec<Point> = (0..5000).map(|i| Point::new(5.0 * i as f64, 0.5)).collect();
         let grid = Grid::build(&wider, 1.0);
         assert!(grid.table.is_empty());
+        assert_eq!(grid.table_box(), None);
+        assert_eq!(grid.table_counts().count(), 0);
         assert_eq!(grid.occupied_cells(), 5000);
         assert_eq!(grid.count_within(&wider, Point::new(10.0, 0.5), 5.0), 3);
     }

@@ -38,9 +38,10 @@
 //!   signal as interference, so a receiver failing `s₁ ≥ β·(noise + s₂)`
 //!   is skipped without summing.
 //!   Survivors are decided by exact cell-grouped partial sums, ring by ring
-//!   around the receiver, plus a count-based residual bound for everything
-//!   farther; the rare inconclusive case falls back to the exact far-field
-//!   sum (see [`crate::field`] for the full argument).
+//!   around the receiver, plus a residual bound for everything farther
+//!   that weights each farther ring's transmitter count by that ring's
+//!   distance; the rare inconclusive case falls back to the exact
+//!   far-field sum (see [`crate::field`] for the full argument).
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
 //! ([`Network::powers`](crate::Network::powers)); signals are then
@@ -149,6 +150,9 @@ pub struct ResolverStats {
     pub residual_decided: u64,
     /// Field rounds: candidates that needed the exact far-field fallback.
     pub exact_fallbacks: u64,
+    /// Field rounds: signals summed to decide candidates — the cell sums
+    /// of the rings scanned plus the terms of exact fallbacks.
+    pub field_terms: u64,
 }
 
 impl ResolverStats {
@@ -161,6 +165,7 @@ impl ResolverStats {
         self.exact_sums += other.exact_sums;
         self.residual_decided += other.residual_decided;
         self.exact_fallbacks += other.exact_fallbacks;
+        self.field_terms += other.field_terms;
     }
 }
 
@@ -530,7 +535,8 @@ impl AggregatedResolver {
         let n = net.len();
         let p = net.params();
         mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let field = InterferenceField::build(net.points(), net.powers(), transmitters, p.range());
+        let mut field =
+            InterferenceField::build(net.points(), net.powers(), transmitters, p.range(), p.alpha);
         let mut fs = FieldStats::default();
         for u in 0..n {
             if self.is_tx[u] {
@@ -555,6 +561,7 @@ impl AggregatedResolver {
         }
         self.stats.residual_decided += fs.residual_decided + fs.exhausted;
         self.stats.exact_fallbacks += fs.exact_fallbacks;
+        self.stats.field_terms += fs.field_terms;
     }
 }
 
@@ -1029,6 +1036,7 @@ mod tests {
             st.short_circuited + st.residual_decided + st.exact_fallbacks,
             "every candidate is accounted for exactly once"
         );
+        assert!(st.field_terms > 0, "field decisions sum cell signals");
         // An exact-routine round counts its work exactly like the oracle.
         let small = &tx[..EXACT_MAX_TX];
         let mut agg = AggregatedResolver::new();

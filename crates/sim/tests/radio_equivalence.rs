@@ -6,8 +6,9 @@
 //! Eq. (1) sum. Each instance is checked through the backend as
 //! dispatched and through its field path forced at any `|T|`.
 //! Property-tested over random, clumped and grid-boundary deployments,
-//! transmitter sets on both sides of the constant and SINR parameter
-//! regimes.
+//! boxes of up to 20 cells a side with hundreds of transmitters, uniform
+//! and heterogeneous power, transmitter sets on both sides of the
+//! constant and SINR parameter regimes.
 
 use dcluster_sim::radio::EXACT_MAX_TX;
 use dcluster_sim::rng::Rng64;
@@ -65,8 +66,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Equivalence on uniform deployments across densities, transmitter
-    /// fractions and (alpha, beta) regimes; `|T|` ranges from 0 to 119, on
-    /// both sides of `EXACT_MAX_TX`.
+    /// fractions, (alpha, beta) regimes and power profiles; `|T|` ranges
+    /// from 0 to 119, on both sides of `EXACT_MAX_TX`. One case in four
+    /// (`large_box == 0`) is instead a box of side 15–20 with 820–1990
+    /// nodes, 15–45 % of them transmitting: `|T|` in the hundreds, so
+    /// decisions reach far rings and their per-ring residuals. In half the
+    /// cases (`het_power == 1`) each node transmits at up to 8× the model
+    /// power.
     #[test]
     fn backends_equal_naive_on_uniform_deployments(
         seed in 0u64..10_000,
@@ -75,6 +81,8 @@ proptest! {
         tx_permille in 1u32..1000,
         alpha_hundredths in 210u32..500,
         beta_hundredths in 110u32..400,
+        large_box in 0u32..4,
+        het_power in 0u32..2,
     ) {
         let params = SinrParams::normalized(
             alpha_hundredths as f64 / 100.0,
@@ -82,10 +90,24 @@ proptest! {
             1.0,
             0.2,
         );
+        let (n, side, tx_frac) = if large_box == 0 {
+            let tx_frac = 0.15 + 0.3 * tx_permille as f64 / 1000.0;
+            (10 * n + 800, 15.0 + side_tenths as f64 / 16.0, tx_frac)
+        } else {
+            (n, side_tenths as f64 / 10.0, tx_permille as f64 / 1000.0)
+        };
         let mut rng = Rng64::new(seed);
-        let net = random_network(n, side_tenths as f64 / 10.0, params, &mut rng);
-        let tx: Vec<usize> =
-            (0..n).filter(|_| rng.chance(tx_permille as f64 / 1000.0)).collect();
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
+            .collect();
+        let mut builder = Network::builder(pts).params(params);
+        if het_power == 1 {
+            builder = builder.powers(
+                (0..n).map(|_| params.power * (1.0 + 7.0 * rng.next_f64())).collect(),
+            );
+        }
+        let net = builder.build().expect("nonempty deployment");
+        let tx: Vec<usize> = (0..n).filter(|_| rng.chance(tx_frac)).collect();
         assert_equivalent(&net, &tx, "uniform")?;
     }
 
