@@ -14,9 +14,9 @@
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
 use dcluster_selectors::ssf::RandomSsf;
-use dcluster_selectors::wcss::RandomWcss;
+use dcluster_selectors::wcss::{RandomWcss, WcssRound};
 use dcluster_selectors::wss::RandomWss;
-use dcluster_selectors::{ClusterSchedule, Schedule};
+use dcluster_selectors::{ClusterSchedule, HashRound, Schedule};
 use dcluster_sim::engine::{Engine, RoundBehavior};
 use dcluster_sim::network::Network;
 use dcluster_sim::rng::hash64;
@@ -76,10 +76,36 @@ impl SchedHandle {
     /// cluster-oblivious kinds).
     #[inline]
     pub fn contains(&self, round: u64, id: u64, cluster: u64) -> bool {
+        self.round(round).contains(id, cluster)
+    }
+
+    /// Round `round` of the schedule, for testing many members against it.
+    #[inline]
+    pub(crate) fn round(&self, round: u64) -> SchedRound {
         match self {
-            SchedHandle::Ssf(s) => s.contains(round, id),
-            SchedHandle::Wss(s) => s.contains(round, id),
-            SchedHandle::Wcss(s) => s.contains(round, id, cluster),
+            SchedHandle::Ssf(s) => SchedRound::Ids(s.round(round)),
+            SchedHandle::Wss(s) => SchedRound::Ids(s.round(round)),
+            SchedHandle::Wcss(s) => SchedRound::Clustered(s.round(round)),
+        }
+    }
+}
+
+/// One round of a [`SchedHandle`]: the selector's per-round view.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SchedRound {
+    /// A round of a cluster-oblivious kind (ssf, wss).
+    Ids(HashRound),
+    /// A round of a wcss.
+    Clustered(WcssRound),
+}
+
+impl SchedRound {
+    /// Membership for `(id, cluster)` (cluster ignored by [`SchedRound::Ids`]).
+    #[inline]
+    pub(crate) fn contains(&self, id: u64, cluster: u64) -> bool {
+        match self {
+            SchedRound::Ids(r) => r.contains(id),
+            SchedRound::Clustered(r) => r.contains(id, cluster),
         }
     }
 }
@@ -129,20 +155,56 @@ pub type OnRx<'a> = &'a mut dyn FnMut(usize, u64, usize, &Msg);
 
 struct UnitBehavior<'a, P: Fn(usize) -> Msg> {
     sched: &'a SchedHandle,
-    member_of: &'a [Option<(u64, u64)>],
+    /// The snapshot as listed: `transmit` reads it.
+    members: &'a [Member],
+    /// One member per node, ascending by node: `transmitters` walks it.
+    by_node: Vec<Member>,
     start: u64,
     payload: P,
     on_rx: OnRx<'a>,
 }
 
+impl<'a, P: Fn(usize) -> Msg> UnitBehavior<'a, P> {
+    fn new(unit: &'a ReplayUnit, start: u64, payload: P, on_rx: OnRx<'a>) -> Self {
+        Self {
+            sched: &unit.sched,
+            members: &unit.members,
+            by_node: unit.members_by_node(),
+            start,
+            payload,
+            on_rx,
+        }
+    }
+}
+
 impl<P: Fn(usize) -> Msg> RoundBehavior<Msg> for UnitBehavior<'_, P> {
+    /// The reference decision: `v`'s last snapshot, tested against the
+    /// schedule.
     fn transmit(&mut self, _net: &Network, v: usize, round: u64) -> Option<Msg> {
-        let (id, cluster) = self.member_of[v]?;
-        let lr = round - self.start;
+        let m = self.members.iter().rev().find(|m| m.node == v)?;
         self.sched
-            .contains(lr, id, cluster)
+            .contains(round - self.start, m.id, m.cluster)
             .then(|| (self.payload)(v))
     }
+
+    /// Tests only the members, in ascending node order, against one
+    /// per-round view of the schedule.
+    fn transmitters(
+        &mut self,
+        _net: &Network,
+        round: u64,
+        nodes: &mut Vec<usize>,
+        msgs: &mut Vec<Msg>,
+    ) {
+        let view = self.sched.round(round - self.start);
+        for m in &self.by_node {
+            if view.contains(m.id, m.cluster) {
+                nodes.push(m.node);
+                msgs.push((self.payload)(m.node));
+            }
+        }
+    }
+
     fn receive(&mut self, _net: &Network, v: usize, round: u64, sender: usize, msg: &Msg) {
         (self.on_rx)(v, round - self.start, sender, msg);
     }
@@ -172,24 +234,19 @@ impl ReplayUnit {
     /// pattern with the message given by `payload`; every reception is
     /// reported to `on_rx`. Costs `sched.len()` rounds. Returns the
     /// [`UnitTrace`] recording which resolver backend produced the trace.
+    ///
+    /// A node listed twice transmits by its last snapshot. Each round
+    /// lists its transmitters ([`RoundBehavior::transmitters`]) by testing
+    /// only the members, in ascending node order, against one per-round
+    /// view of the schedule: `O(members)` work instead of a poll of all n
+    /// nodes, with the same transmitters in the same order.
     pub fn run<P>(&self, engine: &mut Engine<'_>, payload: P, on_rx: OnRx<'_>) -> UnitTrace
     where
         P: Fn(usize) -> Msg,
     {
-        let n = engine.network().len();
-        let mut member_of: Vec<Option<(u64, u64)>> = vec![None; n];
-        for m in &self.members {
-            member_of[m.node] = Some((m.id, m.cluster));
-        }
         let start_round = engine.round();
         let receptions_before = engine.stats().receptions;
-        let mut b = UnitBehavior {
-            sched: &self.sched,
-            member_of: &member_of,
-            start: start_round,
-            payload,
-            on_rx,
-        };
+        let mut b = UnitBehavior::new(self, start_round, payload, on_rx);
         engine.run(&mut b, self.sched.len());
         UnitTrace {
             resolver: engine.resolver_kind(),
@@ -202,6 +259,18 @@ impl ReplayUnit {
     /// Node indices of the members.
     pub fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.members.iter().map(|m| m.node)
+    }
+
+    /// One member per node, ascending by node; of a node listed twice,
+    /// its last snapshot. (Outside the payload-generic [`UnitBehavior`],
+    /// so the sort is compiled once.)
+    fn members_by_node(&self) -> Vec<Member> {
+        // Reversed, a stable sort puts a node's last snapshot first among
+        // its entries, and dedup keeps the first.
+        let mut by_node: Vec<Member> = self.members.iter().rev().copied().collect();
+        by_node.sort_by_key(|m| m.node);
+        by_node.dedup_by_key(|m| m.node);
+        by_node
     }
 }
 
@@ -234,6 +303,75 @@ mod tests {
     use super::*;
     use dcluster_sim::deploy;
     use dcluster_sim::rng::Rng64;
+    use proptest::prelude::*;
+
+    /// Takes the trait's default `transmitters`: the all-node poll of the
+    /// wrapped behavior's `transmit`.
+    struct PollAll<'b, B>(&'b mut B);
+
+    impl<B: RoundBehavior<Msg>> RoundBehavior<Msg> for PollAll<'_, B> {
+        fn transmit(&mut self, net: &Network, v: usize, round: u64) -> Option<Msg> {
+            self.0.transmit(net, v, round)
+        }
+        fn receive(&mut self, net: &Network, v: usize, round: u64, sender: usize, msg: &Msg) {
+            self.0.receive(net, v, round, sender, msg)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Every round, the unit's member walk lists the same nodes in the
+        /// same order, with the same messages, as polling `transmit` for
+        /// all n nodes: members in shuffled order, one node listed twice
+        /// with a different snapshot, random clusters (0 = none).
+        #[test]
+        fn member_walk_equals_the_all_node_poll(
+            seed in 0u64..1_000_000,
+            n in 1usize..60,
+            kind in 0u8..3,
+            k in 1usize..5,
+            l in 1usize..4,
+        ) {
+            let mut rng = Rng64::new(seed);
+            let side = (n as f64 / 8.0).sqrt().max(0.5);
+            let net = Network::builder(deploy::uniform_square(n, side, &mut rng))
+                .build()
+                .expect("nonempty deployment");
+            let mut members = Vec::new();
+            for v in 0..n {
+                if rng.chance(0.6) {
+                    members.push(Member { node: v, id: net.id(v), cluster: rng.range_u64(4) });
+                }
+            }
+            let twice = rng.range_usize(n);
+            members.push(Member {
+                node: twice,
+                id: 1 + rng.range_u64(1_000),
+                cluster: rng.range_u64(4),
+            });
+            rng.shuffle(&mut members);
+            let len = 96;
+            let sched = match kind {
+                0 => SchedHandle::Ssf(RandomSsf::with_len(seed, k, len)),
+                1 => SchedHandle::Wss(RandomWss::with_len(seed, k, len)),
+                _ => SchedHandle::Wcss(RandomWcss::with_len(seed, k, l, len)),
+            };
+            let unit = ReplayUnit { sched, members };
+            let start = rng.range_u64(10_000);
+            let payload = |v: usize| Msg::Hello { id: 7 * v as u64, cluster: v as u64 };
+            let mut ignore = |_: usize, _: u64, _: usize, _: &Msg| {};
+            let mut b = UnitBehavior::new(&unit, start, payload, &mut ignore);
+            for lr in 0..len {
+                let (mut nodes, mut msgs) = (Vec::new(), Vec::new());
+                b.transmitters(&net, start + lr, &mut nodes, &mut msgs);
+                let (mut polled, mut polled_msgs) = (Vec::new(), Vec::new());
+                PollAll(&mut b).transmitters(&net, start + lr, &mut polled, &mut polled_msgs);
+                prop_assert_eq!(&nodes, &polled, "nodes of local round {}", lr);
+                prop_assert_eq!(&msgs, &polled_msgs, "messages of local round {}", lr);
+            }
+        }
+    }
 
     fn small_net() -> Network {
         let mut rng = Rng64::new(1);

@@ -46,8 +46,45 @@ pub mod wss;
 pub use cff::CoverFreeFamily;
 pub use greedy::GreedySsf;
 pub use ssf::{RandomSsf, RsSsf};
-pub use wcss::RandomWcss;
+pub use wcss::{RandomWcss, WcssRound};
 pub use wss::RandomWss;
+
+use dcluster_sim::rng::{hash64_push, hash64_start};
+
+/// One round of a hashed family over IDs ([`RandomSsf`], [`RandomWss`]):
+/// the hash state after the family's seed and the round word, so that
+/// each membership test costs one hash step. The families' `contains`
+/// goes through this view too.
+#[derive(Debug, Clone, Copy)]
+pub struct HashRound {
+    state: u64,
+    k: usize,
+}
+
+impl HashRound {
+    /// Round `round` of the family hashed from `seed`, with rate `1/k`.
+    #[inline]
+    pub(crate) fn new(seed: u64, round: u64, k: usize) -> Self {
+        Self {
+            state: hash64_push(hash64_start(seed), round),
+            k,
+        }
+    }
+
+    /// Does `id` transmit in this round? Probability `1/k`,
+    /// independently per (round, id).
+    #[inline]
+    pub fn contains(&self, id: u64) -> bool {
+        one_in(hash64_push(self.state, id), self.k)
+    }
+}
+
+/// The membership rule of the hashed families: `h·k < 2⁶⁴`, which holds
+/// for a `1/k` share of the 64-bit hashes `h`.
+#[inline]
+pub(crate) fn one_in(h: u64, k: usize) -> bool {
+    (h as u128 * k as u128) >> 64 == 0
+}
 
 /// A transmission schedule over the unclustered ID universe `[1, N]`:
 /// node with ID `id` transmits in round `r` iff `contains(r, id)`.

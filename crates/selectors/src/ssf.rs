@@ -6,8 +6,7 @@
 //! (Clementi–Monti–Silvestri); explicit constructions pay an extra log.
 
 use crate::primes::next_prime;
-use crate::Schedule;
-use dcluster_sim::rng::hash64;
+use crate::{HashRound, Schedule};
 
 /// Explicit Reed–Solomon `(N,k)`-ssf of size `q²` with
 /// `q = O(k·log N / log k)` — the classical polynomial construction.
@@ -163,6 +162,12 @@ impl RandomSsf {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+
+    /// Round `round` of the family, for testing many IDs against it.
+    #[inline]
+    pub fn round(&self, round: u64) -> HashRound {
+        HashRound::new(self.seed, round, self.k)
+    }
 }
 
 impl Schedule for RandomSsf {
@@ -172,9 +177,7 @@ impl Schedule for RandomSsf {
 
     #[inline]
     fn contains(&self, round: u64, id: u64) -> bool {
-        // P[member] = 1/k, independently per (round, id).
-        let h = hash64(self.seed, &[round, id]);
-        (h as u128 * self.k as u128) >> 64 == 0
+        self.round(round).contains(id)
     }
 }
 
@@ -182,7 +185,7 @@ impl Schedule for RandomSsf {
 mod tests {
     use super::*;
     use crate::verify;
-    use dcluster_sim::rng::Rng64;
+    use dcluster_sim::rng::{hash64, Rng64};
 
     #[test]
     fn rs_parameters_satisfy_invariants() {
@@ -262,6 +265,20 @@ mod tests {
             (ratio - 4.0).abs() < 0.2,
             "quadratic scaling, got ratio {ratio}"
         );
+    }
+
+    #[test]
+    fn round_view_matches_contains_and_the_hash_definition() {
+        let s = RandomSsf::with_len(0xABCD, 5, 300);
+        for r in (0..s.len()).chain([u64::MAX]) {
+            let view = s.round(r);
+            for id in (0..40u64).chain([u64::MAX]) {
+                let h = hash64(s.seed, &[r, id]);
+                let defined = (h as u128 * s.k as u128) >> 64 == 0;
+                assert_eq!(view.contains(id), defined, "round {r}, id {id}");
+                assert_eq!(s.contains(r, id), defined, "round {r}, id {id}");
+            }
+        }
     }
 
     #[test]

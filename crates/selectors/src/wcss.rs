@@ -6,8 +6,8 @@
 //! `S_i` selects `x` from `X`, contains the witness `y`, and is **free** of
 //! all clusters in `C` (no pair `(·, c)` with `c ∈ C` is scheduled).
 
-use crate::ClusterSchedule;
-use dcluster_sim::rng::hash64;
+use crate::{one_in, ClusterSchedule};
+use dcluster_sim::rng::{hash64_push, hash64_start};
 
 /// Seeded randomized `(N,k,l)`-wcss of size `O((k+l)·l·k² log N)`, built
 /// exactly as in the Lemma 3 proof: round `i` first samples an *allowed*
@@ -66,8 +66,18 @@ impl RandomWcss {
     /// of a cluster iff the cluster is not allowed.
     #[inline]
     pub fn cluster_allowed(&self, round: u64, cluster: u64) -> bool {
-        let h = hash64(self.seed ^ 0x0C10_57E2, &[round, cluster]);
-        (h as u128 * self.l as u128) >> 64 == 0
+        self.round(round).cluster_allowed(cluster)
+    }
+
+    /// Round `round` of the family, for testing many pairs against it.
+    #[inline]
+    pub fn round(&self, round: u64) -> WcssRound {
+        WcssRound {
+            cluster_state: hash64_push(hash64_start(self.seed ^ 0x0C10_57E2), round),
+            member_state: hash64_push(hash64_start(self.seed ^ 0x5743_5353), round),
+            k: self.k,
+            l: self.l,
+        }
     }
 
     /// Set-size bound `k`.
@@ -88,11 +98,38 @@ impl ClusterSchedule for RandomWcss {
 
     #[inline]
     fn contains(&self, round: u64, id: u64, cluster: u64) -> bool {
-        if !self.cluster_allowed(round, cluster) {
-            return false;
-        }
-        let h = hash64(self.seed ^ 0x5743_5353, &[round, id, cluster]);
-        (h as u128 * self.k as u128) >> 64 == 0
+        self.round(round).contains(id, cluster)
+    }
+}
+
+/// One round of a [`RandomWcss`]: the states of its cluster hash and of
+/// its member hash after the seed and the round word, so that each test
+/// costs one hash step per word still to come.
+#[derive(Debug, Clone, Copy)]
+pub struct WcssRound {
+    cluster_state: u64,
+    member_state: u64,
+    k: usize,
+    l: usize,
+}
+
+impl WcssRound {
+    /// Whether `cluster` is in this round's allowed set (probability
+    /// `1/l`).
+    #[inline]
+    pub fn cluster_allowed(&self, cluster: u64) -> bool {
+        one_in(hash64_push(self.cluster_state, cluster), self.l)
+    }
+
+    /// Membership of the pair `(id, cluster)` in this round: its cluster
+    /// is allowed, and then the pair is drawn with probability `1/k`.
+    #[inline]
+    pub fn contains(&self, id: u64, cluster: u64) -> bool {
+        self.cluster_allowed(cluster)
+            && one_in(
+                hash64_push(hash64_push(self.member_state, id), cluster),
+                self.k,
+            )
     }
 }
 
@@ -100,7 +137,7 @@ impl ClusterSchedule for RandomWcss {
 mod tests {
     use super::*;
     use crate::verify;
-    use dcluster_sim::rng::Rng64;
+    use dcluster_sim::rng::{hash64, Rng64};
 
     #[test]
     fn wcss_property_holds_at_theory_length() {
@@ -135,6 +172,34 @@ mod tests {
                     if wcss.contains(r, id, c) {
                         assert!(wcss.cluster_allowed(r, c));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_view_matches_contains_and_the_hash_definition() {
+        let wcss = RandomWcss::with_len(0x77, 2, 3, 200);
+        for r in (0..wcss.len()).chain([u64::MAX]) {
+            let view = wcss.round(r);
+            for c in (0..6u64).chain([u64::MAX]) {
+                let h = hash64(wcss.seed ^ 0x0C10_57E2, &[r, c]);
+                let allowed = (h as u128 * wcss.l as u128) >> 64 == 0;
+                assert_eq!(view.cluster_allowed(c), allowed, "round {r}, cluster {c}");
+                assert_eq!(
+                    wcss.cluster_allowed(r, c),
+                    allowed,
+                    "round {r}, cluster {c}"
+                );
+                for id in (0..12u64).chain([u64::MAX]) {
+                    let h = hash64(wcss.seed ^ 0x5743_5353, &[r, id, c]);
+                    let defined = allowed && (h as u128 * wcss.k as u128) >> 64 == 0;
+                    assert_eq!(view.contains(id, c), defined, "round {r}, pair ({id}, {c})");
+                    assert_eq!(
+                        wcss.contains(r, id, c),
+                        defined,
+                        "round {r}, pair ({id}, {c})"
+                    );
                 }
             }
         }

@@ -8,8 +8,7 @@
 //! where `w` also transmitted, then `(u, w)` is certainly not a close pair
 //! — and wss guarantees every far node is eventually such a `w`.
 
-use crate::Schedule;
-use dcluster_sim::rng::hash64;
+use crate::{HashRound, Schedule};
 
 /// Seeded randomized `(N,k)`-wss of size `O(k³ log N)` (Lemma 2).
 ///
@@ -63,6 +62,12 @@ impl RandomWss {
     pub fn k(&self) -> usize {
         self.k
     }
+
+    /// Round `round` of the family, for testing many IDs against it.
+    #[inline]
+    pub fn round(&self, round: u64) -> HashRound {
+        HashRound::new(self.seed ^ 0x57_55_53_53, round, self.k)
+    }
 }
 
 impl Schedule for RandomWss {
@@ -72,8 +77,7 @@ impl Schedule for RandomWss {
 
     #[inline]
     fn contains(&self, round: u64, id: u64) -> bool {
-        let h = hash64(self.seed ^ 0x57_55_53_53, &[round, id]);
-        (h as u128 * self.k as u128) >> 64 == 0
+        self.round(round).contains(id)
     }
 }
 
@@ -81,7 +85,7 @@ impl Schedule for RandomWss {
 mod tests {
     use super::*;
     use crate::verify;
-    use dcluster_sim::rng::Rng64;
+    use dcluster_sim::rng::{hash64, Rng64};
 
     #[test]
     fn wss_property_holds_at_theory_length() {
@@ -129,6 +133,20 @@ mod tests {
                     && wss.contains(r, y)
             });
             assert!(found);
+        }
+    }
+
+    #[test]
+    fn round_view_matches_contains_and_the_hash_definition() {
+        let wss = RandomWss::with_len(0x1234, 3, 300);
+        for r in (0..wss.len()).chain([u64::MAX]) {
+            let view = wss.round(r);
+            for id in (0..40u64).chain([u64::MAX]) {
+                let h = hash64(wss.seed ^ 0x57_55_53_53, &[r, id]);
+                let defined = (h as u128 * wss.k as u128) >> 64 == 0;
+                assert_eq!(view.contains(id), defined, "round {r}, id {id}");
+                assert_eq!(wss.contains(r, id), defined, "round {r}, id {id}");
+            }
         }
     }
 

@@ -11,6 +11,16 @@
 //! `receive` is the only channel through which information crosses nodes.
 //! Behaviors in this workspace keep per-node state in indexed vectors and
 //! touch only the entry of the node passed in.
+//!
+//! The engine asks for each round's transmitters through
+//! [`RoundBehavior::transmitters`]. Its default polls `transmit` for every
+//! node in ascending order. A behavior that knows which nodes can transmit
+//! (a replay unit knows its members) may list them directly instead, at a
+//! cost independent of n. The list must equal the default poll: the same
+//! nodes, in ascending order, with equal messages. So `transmit` stays the
+//! per-node decision, held to the discipline above, and tests compare the
+//! two. The order matters as much as the set: every resolver sums signals
+//! in transmitter order, so a reordered list can change receptions.
 
 use crate::network::Network;
 use crate::radio::{Reception, ResolverKind, ResolverStats, SinrResolver};
@@ -24,6 +34,28 @@ pub trait RoundBehavior<M> {
     /// Decides whether node `node` transmits in `round`, and with what
     /// message. Returning `None` means the node listens.
     fn transmit(&mut self, net: &Network, node: usize, round: u64) -> Option<M>;
+
+    /// Lists the transmitters of `round` in `nodes`, in ascending order,
+    /// with their messages at the same positions in `msgs`; the engine
+    /// passes both empty. The default polls [`RoundBehavior::transmit`]
+    /// for every node of `net` in ascending order. An override must give
+    /// exactly what that poll gives (see the module docs); debug builds
+    /// check that `nodes` ascends strictly, stays below `net.len()` and is
+    /// as long as `msgs`.
+    fn transmitters(
+        &mut self,
+        net: &Network,
+        round: u64,
+        nodes: &mut Vec<usize>,
+        msgs: &mut Vec<M>,
+    ) {
+        for v in 0..net.len() {
+            if let Some(m) = self.transmit(net, v, round) {
+                nodes.push(v);
+                msgs.push(m);
+            }
+        }
+    }
 
     /// Delivers a message received by `node` in `round` from `sender`.
     fn receive(&mut self, net: &Network, node: usize, round: u64, sender: usize, msg: &M);
@@ -238,12 +270,22 @@ impl<'n> Engine<'n> {
         let round = self.round;
         self.tx_nodes.clear();
         msgs.clear();
-        for v in 0..self.net.len() {
-            if let Some(m) = behavior.transmit(self.net, v, round) {
-                self.tx_nodes.push(v);
-                msgs.push(m);
-            }
-        }
+        behavior.transmitters(self.net, round, &mut self.tx_nodes, msgs);
+        debug_assert!(
+            self.tx_nodes.windows(2).all(|w| w[0] < w[1]),
+            "round {round}: transmitters {:?} not strictly ascending",
+            self.tx_nodes
+        );
+        debug_assert!(
+            self.tx_nodes.last().is_none_or(|&v| v < self.net.len()),
+            "round {round}: transmitter index past n = {}",
+            self.net.len()
+        );
+        debug_assert_eq!(
+            self.tx_nodes.len(),
+            msgs.len(),
+            "round {round}: one message per transmitter"
+        );
         self.resolver
             .resolve_into(self.net, &self.tx_nodes, &mut self.receptions);
         for r in &self.receptions {
@@ -449,6 +491,31 @@ mod tests {
         assert_eq!(kinds.iter().filter(|k| **k == "round").count(), 5);
         assert_eq!(kinds.iter().filter(|k| **k == "phase_start").count(), 2);
         assert_eq!(kinds.iter().filter(|k| **k == "phase_end").count(), 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn transmitters_out_of_order_are_caught() {
+        struct Descending;
+        impl RoundBehavior<u8> for Descending {
+            fn transmit(&mut self, _: &Network, v: usize, _: u64) -> Option<u8> {
+                (v == 1 || v == 2).then_some(0)
+            }
+            fn transmitters(
+                &mut self,
+                _: &Network,
+                _: u64,
+                nodes: &mut Vec<usize>,
+                msgs: &mut Vec<u8>,
+            ) {
+                nodes.extend([2, 1]);
+                msgs.extend([0, 0]);
+            }
+            fn receive(&mut self, _: &Network, _: usize, _: u64, _: usize, _: &u8) {}
+        }
+        let net = line(3, 0.5);
+        Engine::new(&net).step(&mut Descending);
     }
 
     #[test]

@@ -25,15 +25,29 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// Used for O(1) membership tests of randomized selector families: the
 /// family is *defined* as `member(round, id) ⇔ hash64(seed, &[round, id]) <
 /// threshold`, so no set is ever materialized.
+///
+/// It is the fold of [`hash64_push`] over `words` from
+/// [`hash64_start`]`(seed)`, so a caller hashing many word sequences with
+/// a common prefix can push the prefix once and keep the state.
 #[inline]
 pub fn hash64(seed: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(hash64_start(seed), |acc, &w| hash64_push(acc, w))
+}
+
+/// The [`hash64`] state after the seed and no words.
+#[inline]
+pub fn hash64_start(seed: u64) -> u64 {
     let mut s = seed ^ 0xD1B5_4A32_D192_ED03;
-    let mut acc = splitmix64(&mut s);
-    for &w in words {
-        let mut t = acc ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        acc = splitmix64(&mut t);
-    }
-    acc
+    splitmix64(&mut s)
+}
+
+/// Folds one more word into a [`hash64`] state.
+#[inline]
+pub fn hash64_push(acc: u64, word: u64) -> u64 {
+    let mut t = acc ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    splitmix64(&mut t)
 }
 
 /// Stateless Bernoulli trial: true with probability `p`, decided by
@@ -257,6 +271,27 @@ mod tests {
         assert!(!hash_chance(1, &[2, 3], 0.0));
         assert!(hash_chance(1, &[2, 3], 1.0));
         assert_eq!(hash_chance(1, &[2, 3], 0.5), hash_chance(1, &[2, 3], 0.5));
+    }
+
+    #[test]
+    fn hash64_is_the_start_push_fold_and_keeps_its_values() {
+        // Values of the single-loop definition the split replaced.
+        let pinned = [
+            0xBF61_9943_67A4_04F7,
+            0x9139_5E79_BEC8_57C6,
+            0xC477_FDCC_B11A_3D10,
+            0x2979_8D83_7239_8474,
+            0xC682_C49C_9BD7_D10A,
+        ];
+        let words = [3u64, 0x9E37_79B9_7F4A_7C15, 0, u64::MAX];
+        for (len, &want) in pinned.iter().enumerate() {
+            let mut acc = hash64_start(0x5EED);
+            for &w in &words[..len] {
+                acc = hash64_push(acc, w);
+            }
+            assert_eq!(acc, hash64(0x5EED, &words[..len]), "{len} words");
+            assert_eq!(acc, want, "{len} words");
+        }
     }
 
     #[test]

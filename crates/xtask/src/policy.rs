@@ -51,7 +51,8 @@ impl Policy {
     /// Parses the policy text. Errors name the offending line.
     pub fn parse(text: &str) -> Result<Policy, String> {
         let mut policy = Policy::default();
-        let mut section: Option<String> = None;
+        // The open `[rule.<CODE>]` section: its code and its policy entry.
+        let mut section: Option<(String, &mut RulePolicy)> = None;
         let mut lines = text.lines().enumerate().peekable();
         while let Some((idx, raw)) = lines.next() {
             let lineno = idx + 1;
@@ -67,8 +68,8 @@ impl Policy {
                 let rule = name.strip_prefix("rule.").ok_or(format!(
                     "lint.toml:{lineno}: unknown section [{name}] (expected [rule.<CODE>])"
                 ))?;
-                section = Some(rule.to_string());
-                policy.rules.entry(rule.to_string()).or_default();
+                let rule_policy = policy.rules.entry(rule.to_string()).or_default();
+                section = Some((rule.to_string(), rule_policy));
                 continue;
             }
             let (key, mut value) = line
@@ -85,11 +86,11 @@ impl Policy {
             }
             let items = parse_string_array(&value)
                 .map_err(|e| format!("lint.toml:{lineno}: {e} in `{key}`"))?;
-            match (section.as_deref(), key.as_str()) {
+            match (section.as_mut(), key.as_str()) {
                 (None, "exclude") => policy.exclude = items,
-                (Some(rule), "paths") => policy.rules.get_mut(rule).unwrap().paths = items,
-                (Some(rule), "exempt") => policy.rules.get_mut(rule).unwrap().exempt = items,
-                (Some(rule), "exceptions") => {
+                (Some((_, rule)), "paths") => rule.paths = items,
+                (Some((_, rule)), "exempt") => rule.exempt = items,
+                (Some((_, rule)), "exceptions") => {
                     let mut split = Vec::new();
                     for item in items {
                         let (path, reason) = item.split_once('=').ok_or(format!(
@@ -103,10 +104,10 @@ impl Policy {
                         }
                         split.push((path.to_string(), reason.to_string()));
                     }
-                    policy.rules.get_mut(rule).unwrap().exceptions = split;
+                    rule.exceptions = split;
                 }
                 (sec, key) => {
-                    let at = sec.map_or("top level".to_string(), |s| format!("[rule.{s}]"));
+                    let at = sec.map_or("top level".to_string(), |(s, _)| format!("[rule.{s}]"));
                     return Err(format!("lint.toml:{lineno}: unknown key `{key}` at {at}"));
                 }
             }
