@@ -39,7 +39,8 @@
 //! for rounds the aggregated backend resolves exactly), a deterministic
 //! measure of the field's work beside its wall clock.
 //!
-//! Output: markdown tables, `results/scale_resolvers.csv`, and
+//! Output: markdown tables, `results/scale_resolvers.csv`, and — for the
+//! quick-tier size ladder only, which is what it records —
 //! `BENCH_resolvers.json` (committed reference numbers).
 
 use dcluster_bench::{
@@ -154,7 +155,9 @@ fn main() {
     // Constant node density (≈40 per unit ball) so |T| — not the geometry —
     // is what grows along the sweep.
     let side_of = |n: usize| (n as f64 / 40.0).sqrt() * 2.0;
-    let specs: Vec<ScenarioSpec> = match scenario_override() {
+    let from_file = scenario_override();
+    let ladder = from_file.is_none();
+    let specs: Vec<ScenarioSpec> = match from_file {
         Some(spec) => vec![spec],
         None => ns
             .iter()
@@ -332,7 +335,11 @@ fn main() {
     );
     write_csv("scale_resolvers", &headers, &table);
     print_crossover(&rows);
-    write_json(&rows, tier);
+    if tier == Scale::Quick && ladder {
+        write_json(&rows);
+    } else {
+        println!("[json] BENCH_resolvers.json skipped: it records the quick-tier size ladder");
+    }
 
     // CI gate: exact agreement, and the fast backend well ahead of the
     // oracle where it matters (rotate mode: |T| in the tens to hundreds).
@@ -431,11 +438,9 @@ fn print_crossover(rows: &[Row]) {
 /// Writes the committed reference-number artifact (schema: one object per
 /// (mode, n, tx_frac, resolver) with total milliseconds over its rounds,
 /// receptions and field terms).
-fn write_json(rows: &[Row], tier: Scale) {
+fn write_json(rows: &[Row]) {
     let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"bench\": \"scale_resolvers\",\n  \"tier\": \"{tier:?}\",\n  \"rows\": [\n"
-    ));
+    out.push_str("  \"bench\": \"scale_resolvers\",\n  \"tier\": \"Quick\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"mode\": \"{}\", \"n\": {}, \"tx_frac\": {}, \"tx_avg\": {}, \"resolver\": \"{}\", \"rounds\": {}, \"ms_total\": {:.3}, \"us_per_round\": {:.3}, \"receptions\": {}, \"field_terms\": {}}}{}\n",

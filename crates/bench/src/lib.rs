@@ -30,9 +30,8 @@
 #![warn(missing_docs)]
 
 pub use dcluster_scenario::{
-    connected_deployment, epoch_row, format_table, full_scale, print_table, scale, write_csv,
-    DeployLayer, DynamicsSpec, Report, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome,
-    EPOCH_HEADERS,
+    connected_deployment, format_table, full_scale, print_table, scale, write_csv, DeployLayer,
+    Report, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome,
 };
 
 /// Prints a harness-level error and exits with status 1 — for CLI/env

@@ -1,9 +1,8 @@
 //! Bad resolver input reaches the experiment binaries as a diagnostic and
 //! exit status 1, never a panic: a `.scn` file pinning a retired backend,
-//! and `--resolver` naming one or given no value. So do bad values of
-//! `dynamics_maintenance`'s scenario flags and spec values the protocols
-//! or dynamics models cannot run with. A spec's `resolver` line picks the
-//! backend unless `--resolver` overrides it; nothing else does.
+//! and `--resolver` naming one or given no value. So do spec values the
+//! protocols or dynamics models cannot run with. A spec's `resolver` line
+//! picks the backend unless `--resolver` overrides it; nothing else does.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -60,6 +59,15 @@ fn out_of_range_spec_values_exit_cleanly() {
             Some("dynamics group: groups"),
         ),
         (
+            "workload maintenance\ndynamics churn sleep=1.5 wake=0.3",
+            Some("dynamics churn: sleep"),
+        ),
+        (
+            "workload maintenance\ndynamics churn sleep=0.08 wake=-0.1",
+            Some("dynamics churn: wake"),
+        ),
+        ("workload maintenance\nepochs 0", Some("epochs: ")),
+        (
             "deploy corridor n=30 length=5 width=1 spine=0",
             Some("deploy corridor: spine"),
         ),
@@ -94,23 +102,6 @@ fn retired_backend_on_the_flag_or_in_the_environment_exits_cleanly() {
 #[test]
 fn bare_resolver_flag_exits_cleanly() {
     assert_clean_exit(&thm1(&["--resolver"]), "--resolver needs a value");
-}
-
-#[test]
-fn bad_dynamics_maintenance_flags_exit_cleanly() {
-    // Each value is rejected before any sweep runs.
-    for (flag, value, accepted) in [
-        ("--mobility", "teleport", "none|waypoint|walk|group"),
-        ("--churn", "maybe", "on|off"),
-        ("--power", "loud", "uniform|het"),
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_dynamics_maintenance"))
-            .args([flag, value])
-            .output()
-            .expect("the binary runs");
-        assert_clean_exit(&out, &format!("{flag}: "));
-        assert_clean_exit(&out, accepted);
-    }
 }
 
 /// Runs `scenario_smoke` and returns the resolver column of the first

@@ -14,14 +14,14 @@
 //! * **re-elections** — centers appearing that were not centers the
 //!   previous epoch;
 //! * **coverage violations** — awake nodes left unassigned, members
-//!   farther from their center than the configured radius bound, or unit
-//!   balls intersecting more than the configured number of clusters
-//!   (the paper's two §1.3 conditions, counted instead of asserted).
+//!   farther than 1 (the transmission range) from their center, or unit
+//!   balls intersecting more than 16 clusters (the paper's two §1.3
+//!   conditions, counted instead of asserted).
 //!
 //! The driver is resolver-agnostic and fully deterministic: the same
 //! world history and seeds reproduce the same reports byte for byte, and
-//! all resolver backends must produce identical reports (the
-//! `dynamics_maintenance` bench gates on both).
+//! all resolver backends must produce identical reports (the scenario
+//! gates hold `scenarios/ci_maintenance.scn` to both).
 
 use crate::check::{check_clustering_on, ClusteringReport};
 use crate::clustering::clustering;
@@ -31,27 +31,15 @@ use dcluster_obs::{Event, PhaseTable, SharedTracer};
 use dcluster_sim::{Engine, EngineStats, Network, ResolverKind, ResolverStats};
 use std::collections::BTreeMap;
 
-/// Bounds that turn clustering-quality measurements into violation counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenanceConfig {
-    /// Max member-to-center distance before a member counts as a coverage
-    /// violation. The paper guarantees radius ≤ 1 (the transmission
-    /// range); a small slack absorbs boundary arithmetic.
-    pub max_radius: f64,
-    /// Max clusters intersecting a unit ball before the excess counts as
-    /// violations (the paper guarantees O(1); the seed experiments observe
-    /// single digits).
-    pub max_clusters_per_ball: usize,
-}
+/// Max member-to-center distance before a member counts as a coverage
+/// violation. The paper guarantees radius ≤ 1 (the transmission range); a
+/// small slack absorbs boundary arithmetic.
+const MAX_RADIUS: f64 = 1.0 + 1e-9;
 
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        Self {
-            max_radius: 1.0 + 1e-9,
-            max_clusters_per_ball: 16,
-        }
-    }
-}
+/// Max clusters intersecting a unit ball before the excess counts as
+/// violations (the paper guarantees O(1); the seed experiments observe
+/// single digits).
+const MAX_CLUSTERS_PER_BALL: usize = 16;
 
 /// What one maintenance epoch did.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,7 +88,6 @@ pub struct MaintenanceSummary {
 #[derive(Debug, Clone)]
 pub struct MaintenanceDriver {
     params: ProtocolParams,
-    config: MaintenanceConfig,
     /// Center ID → epoch its current consecutive-center streak started.
     streaks: BTreeMap<u64, u64>,
     finished_lifetimes: Vec<u64>,
@@ -115,17 +102,10 @@ pub struct MaintenanceDriver {
 }
 
 impl MaintenanceDriver {
-    /// Creates a driver with the given protocol parameters and default
-    /// violation bounds.
+    /// Creates a driver with the given protocol parameters.
     pub fn new(params: ProtocolParams) -> Self {
-        Self::with_config(params, MaintenanceConfig::default())
-    }
-
-    /// Creates a driver with explicit violation bounds.
-    pub fn with_config(params: ProtocolParams, config: MaintenanceConfig) -> Self {
         Self {
             params,
-            config,
             streaks: BTreeMap::new(),
             finished_lifetimes: Vec::new(),
             epochs: 0,
@@ -137,11 +117,6 @@ impl MaintenanceDriver {
             resolver_stats: ResolverStats::default(),
             engine_stats: EngineStats::default(),
         }
-    }
-
-    /// The violation bounds in force.
-    pub fn config(&self) -> MaintenanceConfig {
-        self.config
     }
 
     /// Attaches a tracer: each epoch's engine emits phase spans and round
@@ -221,18 +196,17 @@ impl MaintenanceDriver {
         }
 
         // Coverage violations: unassigned + radius breaches + ball excess.
-        let r_bound = self.config.max_radius;
         let radius_breaches = awake
             .iter()
             .filter(|&&v| {
                 cl.cluster_of[v]
                     .and_then(|c| net.index_of(c))
-                    .is_some_and(|center| net.pos(v).dist(net.pos(center)) > r_bound)
+                    .is_some_and(|center| net.pos(v).dist(net.pos(center)) > MAX_RADIUS)
             })
             .count();
         let ball_excess = report
             .max_clusters_per_unit_ball
-            .saturating_sub(self.config.max_clusters_per_ball);
+            .saturating_sub(MAX_CLUSTERS_PER_BALL);
         let coverage_violations = report.unassigned + radius_breaches + ball_excess;
 
         self.epochs += 1;

@@ -60,10 +60,6 @@ impl Churn {
 }
 
 impl DynamicsModel for Churn {
-    fn name(&self) -> &'static str {
-        "churn"
-    }
-
     fn advance(&mut self, world: &World, out: &mut Vec<WorldUpdate>) {
         let epoch = world.epoch();
         for v in 0..world.network().len() {

@@ -17,12 +17,14 @@
 //!   ([`dcluster_sim::deploy::power_profile`] at deployment,
 //!   [`WorldUpdate::SetPower`] at run time);
 //! * everything is seeded and hash-driven: the same seeds replay the exact
-//!   same world history, byte for byte, which is what lets the
-//!   `dynamics_maintenance` bench gate on bit-identical repeated runs.
+//!   same world history, byte for byte, which is what lets the scenario
+//!   gates hold maintenance runs to bit-identical reruns.
 //!
 //! The cluster-maintenance driver consuming these worlds lives in
-//! `dcluster-core::maintenance`; the experiment binary in
-//! `dcluster-bench` (`dynamics_maintenance`).
+//! `dcluster-core::maintenance`. A scenario spec's `dynamics` lines
+//! describe which models a run uses; `dcluster-scenario`'s `Runner`
+//! builds them (`scenarios/dynamics_maintenance.scn` is the recorded
+//! maintenance experiment).
 //!
 //! ## Quickstart
 //!
@@ -54,7 +56,7 @@ pub mod mobility;
 pub mod world;
 
 pub use churn::Churn;
-pub use mobility::{GroupDrift, MobilityKind, RandomWalk, RandomWaypoint};
+pub use mobility::{GroupDrift, RandomWalk, RandomWaypoint};
 pub use world::{World, WorldStats, WorldUpdate};
 
 use dcluster_sim::{Network, Point};
@@ -66,9 +68,6 @@ use dcluster_sim::{Network, Point};
 /// must not inspect anything but the world passed in (no ambient state),
 /// so that scenarios replay exactly.
 pub trait DynamicsModel {
-    /// Short stable name (CLI flags, traces).
-    fn name(&self) -> &'static str;
-
     /// Appends this epoch's updates for `world` to `out`. Implementations
     /// see the world *before* any of this epoch's updates are applied;
     /// [`World::step`] applies the concatenated stream afterwards.

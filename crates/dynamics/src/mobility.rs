@@ -9,86 +9,6 @@ use crate::{DynamicsModel, World, WorldUpdate};
 use dcluster_sim::rng::{hash_chance, Rng64};
 use dcluster_sim::Point;
 
-/// Which mobility model a scenario uses (CLI-facing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MobilityKind {
-    /// No mobility.
-    None,
-    /// [`RandomWaypoint`].
-    Waypoint,
-    /// [`RandomWalk`].
-    Walk,
-    /// [`GroupDrift`].
-    Group,
-}
-
-impl MobilityKind {
-    /// Stable lower-case name (CLI flags, JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            MobilityKind::None => "none",
-            MobilityKind::Waypoint => "waypoint",
-            MobilityKind::Walk => "walk",
-            MobilityKind::Group => "group",
-        }
-    }
-
-    /// Instantiates the model for an `n`-node world on `[0, w]×[0, h]`
-    /// with default speeds scaled to the transmission range (= 1), or
-    /// `None` for [`MobilityKind::None`]. `mobile_frac` is the fraction of
-    /// nodes that move at all.
-    pub fn build(
-        self,
-        n: usize,
-        bounds: (f64, f64),
-        mobile_frac: f64,
-        seed: u64,
-    ) -> Option<Box<dyn DynamicsModel>> {
-        match self {
-            MobilityKind::None => None,
-            MobilityKind::Waypoint => Some(Box::new(RandomWaypoint::new(
-                n,
-                bounds,
-                0.25,
-                mobile_frac,
-                seed,
-            ))),
-            MobilityKind::Walk => {
-                Some(Box::new(RandomWalk::new(n, bounds, 0.2, mobile_frac, seed)))
-            }
-            MobilityKind::Group => Some(Box::new(GroupDrift::new(
-                n,
-                bounds,
-                0.2,
-                mobile_frac,
-                4,
-                seed,
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for MobilityKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for MobilityKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" | "off" => Ok(MobilityKind::None),
-            "waypoint" | "rwp" => Ok(MobilityKind::Waypoint),
-            "walk" | "rw" => Ok(MobilityKind::Walk),
-            "group" | "hotspot" => Ok(MobilityKind::Group),
-            other => Err(format!(
-                "unknown mobility '{other}' (expected none|waypoint|walk|group)"
-            )),
-        }
-    }
-}
-
 /// The deterministic mobile subset: node `v` is mobile iff
 /// `hash(seed, v) < frac` — stable under churn and replay.
 fn mobile_subset(n: usize, frac: f64, seed: u64) -> Vec<usize> {
@@ -134,10 +54,6 @@ impl RandomWaypoint {
 }
 
 impl DynamicsModel for RandomWaypoint {
-    fn name(&self) -> &'static str {
-        "waypoint"
-    }
-
     fn advance(&mut self, world: &World, out: &mut Vec<WorldUpdate>) {
         for (i, &v) in self.mobile.iter().enumerate() {
             if !world.is_awake(v) {
@@ -186,10 +102,6 @@ impl RandomWalk {
 }
 
 impl DynamicsModel for RandomWalk {
-    fn name(&self) -> &'static str {
-        "walk"
-    }
-
     fn advance(&mut self, world: &World, out: &mut Vec<WorldUpdate>) {
         for &v in &self.mobile {
             if !world.is_awake(v) {
@@ -252,10 +164,6 @@ impl GroupDrift {
 }
 
 impl DynamicsModel for GroupDrift {
-    fn name(&self) -> &'static str {
-        "group"
-    }
-
     fn advance(&mut self, world: &World, out: &mut Vec<WorldUpdate>) {
         // Reflect group velocities off the walls using the group's first
         // awake member as the probe (groups stay coherent: members share
@@ -307,24 +215,6 @@ mod tests {
                 .build()
                 .unwrap(),
         )
-    }
-
-    #[test]
-    fn kinds_parse_and_print() {
-        for kind in [
-            MobilityKind::None,
-            MobilityKind::Waypoint,
-            MobilityKind::Walk,
-            MobilityKind::Group,
-        ] {
-            assert_eq!(kind.name().parse::<MobilityKind>().unwrap(), kind);
-            assert_eq!(format!("{kind}"), kind.name());
-        }
-        assert!("teleport".parse::<MobilityKind>().is_err());
-        assert!(MobilityKind::None.build(10, (1.0, 1.0), 0.5, 1).is_none());
-        assert!(MobilityKind::Waypoint
-            .build(10, (1.0, 1.0), 0.5, 1)
-            .is_some());
     }
 
     #[test]

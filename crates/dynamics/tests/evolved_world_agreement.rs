@@ -4,7 +4,9 @@
 //! rebuilds its network whenever an update moves a node or changes a
 //! power, so these are the networks a maintenance epoch runs on.
 
-use dcluster_dynamics::{Churn, DynamicsModel, MobilityKind, World, WorldUpdate};
+use dcluster_dynamics::{
+    Churn, DynamicsModel, GroupDrift, RandomWalk, RandomWaypoint, World, WorldUpdate,
+};
 use dcluster_sim::rng::Rng64;
 use dcluster_sim::{deploy, Network, Point, Reception, ResolverKind};
 use proptest::prelude::*;
@@ -62,11 +64,14 @@ proptest! {
         let spread = spread_tenths as f64 / 10.0;
         let net = dcluster_dynamics::with_power_profile(&base, spread, seed ^ 5);
         let mut world = World::new(net);
-        let kind = [MobilityKind::Waypoint, MobilityKind::Walk, MobilityKind::Group][mobility];
-        let mut models: Vec<Box<dyn DynamicsModel>> = vec![Box::new(Churn::new(seed ^ 7, 0.15, 0.4))];
-        if let Some(m) = kind.build(n, (side, side), 0.5, seed ^ 9) {
-            models.push(m);
-        }
+        let bounds = (side, side);
+        let moving: Box<dyn DynamicsModel> = match mobility {
+            0 => Box::new(RandomWaypoint::new(n, bounds, 0.25, 0.5, seed ^ 9)),
+            1 => Box::new(RandomWalk::new(n, bounds, 0.2, 0.5, seed ^ 9)),
+            _ => Box::new(GroupDrift::new(n, bounds, 0.2, 0.5, 4, seed ^ 9)),
+        };
+        let mut models: Vec<Box<dyn DynamicsModel>> =
+            vec![Box::new(Churn::new(seed ^ 7, 0.15, 0.4)), moving];
         for _ in 0..epochs {
             world.step(&mut models);
         }

@@ -8,7 +8,7 @@
 //!
 //! * [`ScenarioSpec`] — a typed, buildable description of a complete
 //!   workload: deployment layers, dynamics models, resolver backend,
-//!   protocol parameters, seed, epochs and scale tier, with a hand-rolled
+//!   protocol parameters, seed and epochs, with a hand-rolled
 //!   deterministic text format (`scenarios/*.scn`;
 //!   [`ScenarioSpec::parse`] / [`ScenarioSpec::to_text`] round-trip);
 //! * [`Runner`] — consumes a spec plus a [`Workload`] (clustering, stack +
@@ -43,12 +43,12 @@ pub mod spec;
 
 pub use dcluster_obs::{PhaseSummary, SharedTracer, TraceMeta, Tracer, TRACE_SCHEMA};
 pub use emit::{format_table, print_table, results_dir, write_csv};
-pub use report::{epoch_row, phase_row, Report, WorkloadOutcome, EPOCH_HEADERS, PHASE_HEADERS};
+pub use report::{Report, WorkloadOutcome};
 pub use runner::{bounding_box, connected_deployment, Runner};
 pub use spec::{DeployLayer, DeploySpec, DynamicsSpec, ScenarioSpec, SpecError, Workload};
 
-/// Experiment size tier, from the spec's `scale` line or the
-/// `DCLUSTER_SCALE` env var.
+/// Experiment size tier of the sweep binaries, from the `DCLUSTER_SCALE`
+/// env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scale {
     /// CI smoke tier (`ci`): small enough for a gate job.

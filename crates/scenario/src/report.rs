@@ -125,7 +125,9 @@ impl Report {
     }
 
     /// True iff the workload's own success condition held (complete
-    /// broadcast, full coverage, …). [`WorkloadOutcome::Empty`] is false.
+    /// broadcast, full coverage, …). A maintenance run also needs every
+    /// epoch's cluster radius within 2. [`WorkloadOutcome::Empty`] is
+    /// false.
     pub fn ok(&self) -> bool {
         match &self.outcome {
             WorkloadOutcome::Empty => false,
@@ -136,9 +138,9 @@ impl Report {
                 local_broadcast_ok,
                 ..
             } => *delivered_all && *local_broadcast_ok,
-            WorkloadOutcome::Maintenance { epochs, .. } => {
-                epochs.iter().all(|e| e.report.unassigned == 0)
-            }
+            WorkloadOutcome::Maintenance { epochs, .. } => epochs
+                .iter()
+                .all(|e| e.report.unassigned == 0 && e.report.max_radius <= MAX_EPOCH_RADIUS),
             WorkloadOutcome::Wakeup { all_awake, .. } => *all_awake,
             WorkloadOutcome::Leader { .. } => true,
         }
@@ -361,11 +363,17 @@ impl Report {
     }
 }
 
+/// Hard bound on a maintenance epoch's cluster radius. Radii past the
+/// paper's bound of 1 are counted per epoch as coverage violations
+/// (heterogeneous power legitimately stretches them); a radius past 2
+/// means maintenance no longer yields a 2-clustering, and the run fails.
+const MAX_EPOCH_RADIUS: f64 = 2.0;
+
 /// Column set of the per-phase summary table (reports + CSV artifacts).
-pub const PHASE_HEADERS: [&str; 5] = ["phase", "spans", "rounds", "tx", "rx"];
+const PHASE_HEADERS: [&str; 5] = ["phase", "spans", "rounds", "tx", "rx"];
 
 /// Renders one phase summary as a row under [`PHASE_HEADERS`].
-pub fn phase_row(p: &PhaseSummary) -> Vec<String> {
+fn phase_row(p: &PhaseSummary) -> Vec<String> {
     vec![
         p.phase.clone(),
         p.spans.to_string(),
@@ -375,9 +383,8 @@ pub fn phase_row(p: &PhaseSummary) -> Vec<String> {
     ]
 }
 
-/// Column set shared by every maintenance-epoch table this workspace
-/// prints (reports, the dynamics bench, CSV artifacts).
-pub const EPOCH_HEADERS: [&str; 9] = [
+/// Column set of the maintenance-epoch table (reports + CSV artifacts).
+const EPOCH_HEADERS: [&str; 9] = [
     "epoch",
     "awake",
     "clusters",
@@ -390,7 +397,7 @@ pub const EPOCH_HEADERS: [&str; 9] = [
 ];
 
 /// Renders one maintenance epoch as a row under [`EPOCH_HEADERS`].
-pub fn epoch_row(r: &EpochReport) -> Vec<String> {
+fn epoch_row(r: &EpochReport) -> Vec<String> {
     vec![
         r.epoch.to_string(),
         r.awake.to_string(),
@@ -469,5 +476,45 @@ mod tests {
             clusters: 3,
         };
         assert!(!r.ok());
+    }
+
+    #[test]
+    fn maintenance_radius_past_two_is_not_ok() {
+        let epoch = |max_radius| EpochReport {
+            epoch: 0,
+            awake: 10,
+            rounds: 5,
+            clusters: 3,
+            re_elections: 0,
+            retained: 0,
+            coverage_violations: 1,
+            report: ClusteringReport {
+                unassigned: 0,
+                clusters: 3,
+                max_radius,
+                max_clusters_per_unit_ball: 2,
+                min_center_separation: 1.0,
+            },
+            resolver: ResolverKind::Naive,
+        };
+        let summary = MaintenanceSummary {
+            epochs: 2,
+            total_rounds: 10,
+            total_re_elections: 0,
+            total_violations: 2,
+            mean_center_lifetime: 2.0,
+            max_center_lifetime: 2,
+        };
+        let mut r = blank();
+        r.outcome = WorkloadOutcome::Maintenance {
+            epochs: vec![epoch(1.06), epoch(2.0)],
+            summary,
+        };
+        assert!(r.ok(), "radius 2 is within the hard bound");
+        r.outcome = WorkloadOutcome::Maintenance {
+            epochs: vec![epoch(1.06), epoch(2.5)],
+            summary,
+        };
+        assert!(!r.ok(), "an epoch radius of 2.5 fails the run");
     }
 }

@@ -20,7 +20,6 @@
 
 use crate::report::{Report, WorkloadOutcome};
 use crate::spec::{DeployLayer, DynamicsSpec, ScenarioSpec, SpecError, Workload};
-use crate::{scale, Scale};
 use dcluster_core::check::{check_clustering, ClusteringReport};
 use dcluster_core::clustering::clustering;
 use dcluster_core::global_broadcast::global_broadcast;
@@ -122,12 +121,6 @@ impl Runner {
     /// The spec being executed.
     pub fn spec(&self) -> &ScenarioSpec {
         &self.spec
-    }
-
-    /// The scale tier in force: the spec's pinned tier, else
-    /// `DCLUSTER_SCALE`.
-    pub fn scale(&self) -> Scale {
-        self.spec.scale.unwrap_or_else(scale)
     }
 
     /// Realizes the deployment: layers over one shared RNG, then the
@@ -240,15 +233,23 @@ impl Runner {
 
     /// Rejects spec values the selectors and dynamics models cannot run
     /// with, before any protocol work: `params` `kappa`, `rho` or `sns_k`
-    /// below 1, `params` that leave every selector schedule empty, and a
-    /// `dynamics group` line with more groups than the `n` deployed nodes.
-    fn check_values(&self, n: usize) -> Result<(), SpecError> {
+    /// below 1, `params` that leave every selector schedule empty, a
+    /// `dynamics group` line with more groups than the `n` deployed nodes,
+    /// a `dynamics churn` probability outside `[0, 1]`, and `epochs 0` on
+    /// a maintenance run.
+    fn check_values(&self, n: usize, workload: &Workload) -> Result<(), SpecError> {
         let p = &self.spec.params;
         let zero = [("kappa", p.kappa), ("rho", p.rho), ("sns_k", p.sns_k)]
             .into_iter()
             .find(|&(_, v)| v == 0);
         let groups = self.spec.dynamics.iter().find_map(|d| match *d {
             DynamicsSpec::Group { groups, .. } if groups > n => Some(groups),
+            _ => None,
+        });
+        let churn = self.spec.dynamics.iter().find_map(|d| match *d {
+            DynamicsSpec::Churn { sleep, wake } => [("sleep", sleep), ("wake", wake)]
+                .into_iter()
+                .find(|(_, v)| !(0.0..=1.0).contains(v)),
             _ => None,
         });
         let msg = if let Some((key, _)) = zero {
@@ -260,6 +261,10 @@ impl Runner {
             )
         } else if let Some(groups) = groups {
             format!("dynamics group: groups={groups} exceeds the {n} deployed nodes")
+        } else if let Some((key, v)) = churn {
+            format!("dynamics churn: {key} must lie in [0, 1], got {v}")
+        } else if matches!(workload, Workload::Maintenance) && self.spec.epochs == 0 {
+            "epochs: a maintenance run needs at least 1 epoch, got 0".into()
         } else {
             return Ok(());
         };
@@ -295,7 +300,9 @@ impl Runner {
 
     /// Instantiates the spec's mobility/churn models over `net`'s bounding
     /// box ([`DynamicsSpec::HetPower`] is deploy-time and is skipped).
-    /// Sub-seeds: mobility `seed ^ 1`, churn `seed ^ 2`.
+    /// Sub-seeds: mobility `seed ^ 1`, churn `seed ^ 2`. [`Runner::run`]
+    /// rejects a churn probability outside `[0, 1]` before calling this;
+    /// called directly on such a spec, `Churn::new` panics.
     pub fn models(&self, net: &Network) -> Vec<Box<dyn DynamicsModel>> {
         let bounds = bounding_box(net);
         let n = net.len();
@@ -330,17 +337,9 @@ impl Runner {
         models
     }
 
-    /// The maintenance epoch count in force: the spec's `epochs` line, or
-    /// the scale tier's standard count when it says `0` ("tier-sized").
+    /// The maintenance epoch count: the spec's `epochs` line.
     pub fn epochs(&self) -> u64 {
-        if self.spec.epochs > 0 {
-            return self.spec.epochs;
-        }
-        match self.scale() {
-            Scale::Ci => 3,
-            Scale::Quick => 5,
-            Scale::Full => 8,
-        }
+        self.spec.epochs
     }
 
     /// Runs the spec's own workload (`workload` line), defaulting to
@@ -376,7 +375,7 @@ impl Runner {
     ///
     /// As [`Runner::run`], minus the deployment errors.
     pub fn run_on(&self, net: Network, workload: &Workload) -> Result<Report, SpecError> {
-        self.check_values(net.len())?;
+        self.check_values(net.len(), workload)?;
         let kind = self.resolver_for(&net)?;
         let params = self.spec.params;
         let mut seeds = SeedSeq::new(params.seed);
@@ -764,19 +763,6 @@ mod tests {
             runner.run_on(net, &Workload::Clustering).unwrap(),
             runner.run(&Workload::Clustering).unwrap(),
             "caller-supplied deployment must be indistinguishable"
-        );
-    }
-
-    #[test]
-    fn epochs_zero_means_tier_sized() {
-        let base = ScenarioSpec::uniform("tier", 3, 20, 2.0).epochs(0);
-        for (tier, want) in [(Scale::Ci, 3), (Scale::Quick, 5), (Scale::Full, 8)] {
-            assert_eq!(Runner::new(base.clone().scale(tier)).epochs(), want);
-        }
-        assert_eq!(
-            Runner::new(base.epochs(7)).epochs(),
-            7,
-            "explicit epoch counts pass through untouched"
         );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`ScenarioSpec`] is a complete, typed description of a workload:
 //! deployment layers, dynamics models, protocol parameters, resolver
-//! backend, seed, epochs and scale tier. Specs live in `scenarios/*.scn`
+//! backend, seed and epochs. Specs live in `scenarios/*.scn`
 //! files using a deterministic line-based text format — hand-rolled (no
 //! serde), designed so that [`ScenarioSpec::parse`] and
 //! [`ScenarioSpec::to_text`] round-trip exactly:
@@ -13,12 +13,11 @@
 //! One directive per line; blank lines and `#` comments are ignored.
 //!
 //! ```text
-//! # a maintenance scenario under mobility + churn + mixed radios
-//! scenario waypoint-churn
+//! # scenarios/dynamics_maintenance.scn: maintenance under mobility,
+//! # churn and mixed radios
+//! scenario dynamics-maintenance
 //! seed 857536
 //! epochs 5
-//! scale quick
-//! resolver aggregated
 //! workload maintenance
 //! deploy degree n=150 delta=8
 //! dynamics waypoint speed=0.25 frac=0.2
@@ -30,14 +29,12 @@
 //! deployment RNG seeded from `seed` — `clumped` hotspots over a `uniform`
 //! background reproduce the paper's dense-area worry cases exactly. The
 //! optional `params` line overrides [`ProtocolParams::practical`] field by
-//! field; `max_id`/`id_seed` control the ID space the way
-//! `NetworkBuilder::max_id`/`seed` do.
+//! field; `resolver naive|aggregated` pins the backend; `max_id`/`id_seed`
+//! control the ID space the way `NetworkBuilder::max_id`/`seed` do.
 
 use dcluster_core::ProtocolParams;
 use dcluster_sim::ResolverKind;
 use std::fmt::Write as _;
-
-use crate::Scale;
 
 /// Error from [`ScenarioSpec::parse`] / [`ScenarioSpec::load`]: the line it
 /// happened on (1-based; 0 = file-level) and what went wrong.
@@ -150,10 +147,10 @@ pub struct DeploySpec {
 /// One dynamics model of a scenario, mirroring `dcluster-dynamics`
 /// (mobility / churn) and the deploy-time heterogeneous power profile.
 ///
-/// Sub-seeds are derived from the spec seed exactly the way the historical
-/// drivers did: mobility models get `seed ^ 1`, churn `seed ^ 2`, the
-/// power profile `seed ^ 3` — so specs reproduce the committed
-/// `BENCH_dynamics.json` numbers bit for bit.
+/// Sub-seeds are derived from the spec seed: mobility models get
+/// `seed ^ 1`, churn `seed ^ 2`, the power profile `seed ^ 3`. So a spec
+/// alone pins a whole maintenance run, bit for bit
+/// (`scenarios/dynamics_maintenance.scn` records the EXPERIMENTS.md one).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynamicsSpec {
     /// Random waypoint mobility over a `frac` mobile subset.
@@ -244,14 +241,9 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Deployment master seed (also the root of dynamics sub-seeds).
     pub seed: u64,
-    /// Epochs for the maintenance workload (ignored by the others).
-    /// `0` means "tier-sized": the Runner substitutes the scale tier's
-    /// standard epoch count (ci 3, quick 5, full 8).
+    /// Epochs for the maintenance workload, which needs at least one
+    /// (ignored by the others).
     pub epochs: u64,
-    /// Pinned scale tier, consulted through `Runner::scale` (tier-sized
-    /// maintenance epochs, binaries' sweep sizing); `None` defers to
-    /// `DCLUSTER_SCALE`.
-    pub scale: Option<Scale>,
     /// Pinned resolver backend; only a CLI `--resolver` outranks it, and
     /// `None` means the default (see `Runner::resolver_for`).
     pub resolver: Option<ResolverKind>,
@@ -278,7 +270,6 @@ impl ScenarioSpec {
             name: name.into(),
             seed,
             epochs: 1,
-            scale: None,
             resolver: None,
             workload: None,
             max_id: None,
@@ -346,12 +337,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Pins the scale tier.
-    pub fn scale(mut self, s: Scale) -> Self {
-        self.scale = Some(s);
-        self
-    }
-
     /// Replaces the protocol parameters.
     pub fn params(mut self, p: ProtocolParams) -> Self {
         self.params = p;
@@ -398,9 +383,6 @@ impl ScenarioSpec {
         let _ = writeln!(out, "scenario {}", self.name);
         let _ = writeln!(out, "seed {}", self.seed);
         let _ = writeln!(out, "epochs {}", self.epochs);
-        if let Some(s) = self.scale {
-            let _ = writeln!(out, "scale {s}");
-        }
         if let Some(r) = self.resolver {
             let _ = writeln!(out, "resolver {r}");
         }
@@ -463,9 +445,6 @@ impl ScenarioSpec {
                 }
                 "seed" => spec.seed = parse_u64(rest).map_err(|m| err(lineno, m))?,
                 "epochs" => spec.epochs = parse_u64(rest).map_err(|m| err(lineno, m))?,
-                "scale" => {
-                    spec.scale = Some(rest.parse::<Scale>().map_err(|m| err(lineno, m))?);
-                }
                 "resolver" => {
                     spec.resolver = Some(rest.parse::<ResolverKind>().map_err(|m| err(lineno, m))?);
                 }
@@ -870,7 +849,6 @@ mod tests {
             })
             .dynamics(DynamicsSpec::HetPower { spread: 0.3 })
             .epochs(5)
-            .scale(Scale::Quick)
             .resolver(ResolverKind::Aggregated)
             .workload(Workload::Maintenance)
             .max_id(10_000)
@@ -1005,6 +983,13 @@ mod tests {
         assert_eq!(e.line, 2);
         let e = ScenarioSpec::parse("deploy uniform n=10 side=2\nworkload frisbee\n").unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn scale_is_an_unknown_directive() {
+        let e = ScenarioSpec::parse("deploy uniform n=10 side=2\nscale quick\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("unknown directive 'scale'"), "{e}");
     }
 
     #[test]

@@ -59,7 +59,8 @@ fn golden_ci_specs_produce_byte_identical_reports() {
 fn ci_maintenance_spec_is_resolver_invariant() {
     // Protocol outcomes must not depend on the resolver backend: pinning
     // each backend over the committed maintenance spec yields identical
-    // epoch structure (only the recorded backend tag differs).
+    // epochs, each epoch's clustering-quality report included (only the
+    // recorded backend tag differs).
     let path = scenarios_dir().join("ci_maintenance.scn");
     let run = |kind| {
         let runner = Runner::from_file(&path)
@@ -83,6 +84,7 @@ fn ci_maintenance_spec_is_resolver_invariant() {
                         e.re_elections,
                         e.retained,
                         e.coverage_violations,
+                        e.report,
                     )
                 })
                 .collect::<Vec<_>>(),

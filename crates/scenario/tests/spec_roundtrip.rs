@@ -4,7 +4,7 @@
 //! shortest-representation `Display`).
 
 use dcluster_core::ProtocolParams;
-use dcluster_scenario::{DeployLayer, DynamicsSpec, Scale, ScenarioSpec, Workload};
+use dcluster_scenario::{DeployLayer, DynamicsSpec, ScenarioSpec, Workload};
 use dcluster_sim::ResolverKind;
 use proptest::prelude::*;
 
@@ -113,7 +113,6 @@ proptest! {
         dyn_a in 0u64..=u64::MAX,
         dyn_b in 0u64..=u64::MAX,
         workload_kind in 0usize..8,
-        scale_kind in 0usize..4,
         resolver_kind in 0usize..3,
         epochs in 0u64..50,
         max_id in 0u64..100_000,
@@ -139,9 +138,6 @@ proptest! {
         }
         if workload_kind < 6 {
             spec = spec.workload(workload_from(workload_kind, dyn_a));
-        }
-        if scale_kind < 3 {
-            spec = spec.scale([Scale::Ci, Scale::Quick, Scale::Full][scale_kind]);
         }
         if resolver_kind < ResolverKind::ALL.len() {
             spec = spec.resolver(ResolverKind::ALL[resolver_kind]);
