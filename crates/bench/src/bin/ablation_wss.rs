@@ -34,7 +34,7 @@ fn ssf_variant(runner: &Runner, net: &Network, params: &ProtocolParams) -> (usiz
     let mut heard: Vec<Vec<(u64, usize)>> = vec![Vec::new(); net.len()];
     unit.run(
         &mut engine,
-        |v| Msg::Hello {
+        &|v| Msg::Hello {
             id: net.id(v),
             cluster: 0,
         },
@@ -49,7 +49,7 @@ fn ssf_variant(runner: &Runner, net: &Network, params: &ProtocolParams) -> (usiz
         let mut keep = Vec::new();
         'c: for &w in &uv {
             for &(r, u) in &heard[v] {
-                if u != w && unit.sched.contains(r, net.id(w), 0) {
+                if u != w && unit.sched().contains(r, net.id(w), 0) {
                     continue 'c;
                 }
             }

@@ -30,8 +30,8 @@
 #![warn(missing_docs)]
 
 pub use dcluster_scenario::{
-    connected_deployment, format_table, full_scale, print_table, scale, write_csv, DeployLayer,
-    Report, Runner, Scale, ScenarioSpec, Workload, WorkloadOutcome,
+    connected_deployment, format_table, print_table, write_csv, DeployLayer, Report, Runner, Scale,
+    ScenarioSpec, Workload, WorkloadOutcome,
 };
 
 /// Prints a harness-level error and exits with status 1 — for CLI/env
@@ -41,6 +41,18 @@ pub fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
         eprintln!("error: {e}");
         std::process::exit(1);
     })
+}
+
+/// The size tier of the built-in sweeps, from `DCLUSTER_SCALE`
+/// ([`dcluster_scenario::scale`]). An unknown value exits 1 naming
+/// `ci|quick|full`, so a typo never runs (and records) another tier.
+pub fn scale() -> Scale {
+    or_exit(dcluster_scenario::scale())
+}
+
+/// True iff [`scale`] is the paper-scale tier.
+pub fn full_scale() -> bool {
+    scale() == Scale::Full
 }
 
 /// The `--resolver=KIND` / `--resolver KIND` CLI flag: the backend

@@ -3,6 +3,8 @@
 //! and `--resolver` naming one or given no value. So do spec values the
 //! protocols or dynamics models cannot run with. A spec's `resolver` line
 //! picks the backend unless `--resolver` overrides it; nothing else does.
+//! An unknown `DCLUSTER_SCALE` tier exits 1 too, before any file is
+//! written.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -97,6 +99,29 @@ fn out_of_range_spec_values_exit_cleanly() {
 #[test]
 fn retired_backend_on_the_flag_or_in_the_environment_exits_cleanly() {
     assert_clean_exit(&thm1(&["--resolver", "parallel"]), "aggregated");
+}
+
+#[test]
+fn unknown_scale_tier_exits_cleanly_and_writes_nothing() {
+    for (bin, value) in [
+        (env!("CARGO_BIN_EXE_scale_resolvers"), "huge"),
+        (env!("CARGO_BIN_EXE_thm1_clustering"), "fulll"),
+    ] {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("scale_{value}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temporary directory is writable");
+        let out = Command::new(bin)
+            .current_dir(&dir)
+            .env("DCLUSTER_SCALE", value)
+            .env("DCLUSTER_RESULTS_DIR", &dir)
+            .output()
+            .expect("the binary runs");
+        assert_clean_exit(&out, "ci|quick|full");
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .expect("temporary directory is readable")
+            .collect();
+        assert!(written.is_empty(), "{bin}: wrote {written:?}");
+    }
 }
 
 #[test]

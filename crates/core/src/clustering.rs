@@ -126,7 +126,7 @@ pub fn clustering(
                 let mut adopt: Vec<(usize, u64)> = Vec::new();
                 unit.run(
                     engine,
-                    |v| Msg::ClusterOf {
+                    &|v| Msg::ClusterOf {
                         id: net.id(v),
                         cluster: snapshot[v].unwrap_or(0),
                     },

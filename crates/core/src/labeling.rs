@@ -98,7 +98,7 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
         let mut add: Vec<(usize, u32)> = Vec::new();
         unit.run(
             engine,
-            |v| {
+            &|v| {
                 if sends_ref.contains(&v) {
                     Msg::Subtree {
                         id: net.id(v),
@@ -168,7 +168,7 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
             let mut assign: Vec<(usize, u32, u32)> = Vec::new();
             unit.run(
                 engine,
-                |v| {
+                &|v| {
                     if let Some(rp) = range_ref[v] {
                         if let Some(cs) = children_ref.get(&(v, u_idx)) {
                             if let Some(&c) = cs.get(j) {

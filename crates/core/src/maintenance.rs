@@ -135,8 +135,8 @@ impl MaintenanceDriver {
         self.resolver_stats
     }
 
-    /// Engine counters (rounds/tx/rx) accumulated over every epoch run so
-    /// far — the maintenance analogue of [`Engine::stats`].
+    /// Engine counters (rounds/tx/rx/replayed) accumulated over every
+    /// epoch run so far — the maintenance analogue of [`Engine::stats`].
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
     }
@@ -169,6 +169,7 @@ impl MaintenanceDriver {
         self.engine_stats.rounds += es.rounds;
         self.engine_stats.transmissions += es.transmissions;
         self.engine_stats.receptions += es.receptions;
+        self.engine_stats.replayed += es.replayed;
         let report = check_clustering_on(net, &cl.cluster_of, awake);
 
         // Lifetime / re-election accounting over center-node IDs.

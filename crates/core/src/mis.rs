@@ -93,7 +93,7 @@ fn exchange_states(
 ) -> Vec<Vec<(usize, Msg)>> {
     let n = engine.network().len();
     let mut inbox: Vec<Vec<(usize, Msg)>> = vec![Vec::new(); n];
-    unit.run(engine, |v| msg_of[v], &mut |recv, _lr, sender, m| {
+    unit.run(engine, &|v| msg_of[v], &mut |recv, _lr, sender, m| {
         if adj
             .get(&recv)
             .is_some_and(|l| l.binary_search(&sender).is_ok())

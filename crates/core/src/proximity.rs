@@ -109,7 +109,7 @@ pub fn build_proximity_graph(
         let net = engine.network();
         unit.run(
             engine,
-            |v| Msg::Hello {
+            &|v| Msg::Hello {
                 id: net.id(v),
                 cluster: cluster_view[v],
             },
@@ -140,7 +140,7 @@ pub fn build_proximity_graph(
         let mut keep: Vec<usize> = Vec::new();
         'cand: for &w in &uv {
             for &(r, u) in &heard[v] {
-                if u != w && unit.sched.contains(r, net.id(w), cluster_view[w]) {
+                if u != w && unit.sched().contains(r, net.id(w), cluster_view[w]) {
                     continue 'cand; // w transmitted while v heard u ⇒ not close
                 }
             }
@@ -160,7 +160,7 @@ pub fn build_proximity_graph(
         let heard_confirm = &mut confirmed;
         unit.run(
             engine,
-            |v| {
+            &|v| {
                 let to = candidates_ref[v].get(j).map_or(0, |&u| net.id(u));
                 Msg::Confirm {
                     from: net.id(v),

@@ -10,6 +10,13 @@
 //! fresh payloads while preserving the interference pattern: each member's
 //! transmit pattern is determined by its ID and its cluster *at snapshot
 //! time* (a value the node remembers locally).
+//!
+//! The simulator uses the same fact. A unit draws a [`ReplayKey`] at
+//! snapshot time and runs under it ([`Engine::run_keyed`]), so when the
+//! engine last ran this unit it replays that run's recorded transmitters
+//! and receptions instead of polling the members and resolving each round
+//! again. The schedule and the snapshot are private, so a key always names
+//! one pattern.
 
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
@@ -17,7 +24,7 @@ use dcluster_selectors::ssf::RandomSsf;
 use dcluster_selectors::wcss::{RandomWcss, WcssRound};
 use dcluster_selectors::wss::RandomWss;
 use dcluster_selectors::{ClusterSchedule, HashRound, Schedule};
-use dcluster_sim::engine::{Engine, RoundBehavior};
+use dcluster_sim::engine::{Engine, ReplayKey, RoundBehavior};
 use dcluster_sim::network::Network;
 use dcluster_sim::rng::hash64;
 
@@ -127,10 +134,12 @@ pub struct Member {
 /// A replayable (schedule, participants) pair. See module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayUnit {
-    /// The schedule.
-    pub sched: SchedHandle,
-    /// Participant snapshot.
-    pub members: Vec<Member>,
+    /// Drawn at snapshot time; names this schedule and snapshot to the
+    /// engine's replay memo.
+    key: ReplayKey,
+    sched: SchedHandle,
+    /// Participant snapshot, as listed.
+    members: Vec<Member>,
 }
 
 /// Provenance record of one (re-)execution of a [`ReplayUnit`]: which
@@ -140,7 +149,9 @@ pub struct ReplayUnit {
 /// backend makes any violation attributable when auditing a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitTrace {
-    /// The backend that resolved every round of this execution.
+    /// The engine's backend: it resolved every round of this execution,
+    /// or, when the engine replayed a recorded execution (which resolves
+    /// nothing), the rounds of that recording.
     pub resolver: dcluster_sim::ResolverKind,
     /// Global engine round at which the execution started.
     pub start_round: u64,
@@ -153,23 +164,34 @@ pub struct UnitTrace {
 /// Delivery callback: `(receiver, local_round, sender, message)`.
 pub type OnRx<'a> = &'a mut dyn FnMut(usize, u64, usize, &Msg);
 
-struct UnitBehavior<'a, P: Fn(usize) -> Msg> {
+struct UnitBehavior<'a> {
     sched: &'a SchedHandle,
     /// The snapshot as listed: `transmit` reads it.
     members: &'a [Member],
-    /// One member per node, ascending by node: `transmitters` walks it.
+    /// One member per node, ascending by node (of a node listed twice, its
+    /// last snapshot): `transmitters` walks it.
     by_node: Vec<Member>,
     start: u64,
-    payload: P,
+    payload: &'a dyn Fn(usize) -> Msg,
     on_rx: OnRx<'a>,
 }
 
-impl<'a, P: Fn(usize) -> Msg> UnitBehavior<'a, P> {
-    fn new(unit: &'a ReplayUnit, start: u64, payload: P, on_rx: OnRx<'a>) -> Self {
+impl<'a> UnitBehavior<'a> {
+    fn new(
+        unit: &'a ReplayUnit,
+        start: u64,
+        payload: &'a dyn Fn(usize) -> Msg,
+        on_rx: OnRx<'a>,
+    ) -> Self {
+        // Reversed, a stable sort puts a node's last snapshot first among
+        // its entries, and dedup keeps the first.
+        let mut by_node: Vec<Member> = unit.members.iter().rev().copied().collect();
+        by_node.sort_by_key(|m| m.node);
+        by_node.dedup_by_key(|m| m.node);
         Self {
             sched: &unit.sched,
             members: &unit.members,
-            by_node: unit.members_by_node(),
+            by_node,
             start,
             payload,
             on_rx,
@@ -177,7 +199,7 @@ impl<'a, P: Fn(usize) -> Msg> UnitBehavior<'a, P> {
     }
 }
 
-impl<P: Fn(usize) -> Msg> RoundBehavior<Msg> for UnitBehavior<'_, P> {
+impl RoundBehavior<Msg> for UnitBehavior<'_> {
     /// The reference decision: `v`'s last snapshot, tested against the
     /// schedule.
     fn transmit(&mut self, _net: &Network, v: usize, round: u64) -> Option<Msg> {
@@ -211,6 +233,15 @@ impl<P: Fn(usize) -> Msg> RoundBehavior<Msg> for UnitBehavior<'_, P> {
 }
 
 impl ReplayUnit {
+    /// A unit over `members`, under a fresh key.
+    fn new(sched: SchedHandle, members: Vec<Member>) -> Self {
+        Self {
+            key: ReplayKey::fresh(),
+            sched,
+            members,
+        }
+    }
+
     /// Creates a unit from node indices, snapshotting `(id, cluster)` from
     /// the network and the supplied cluster view (0 = none).
     pub fn snapshot(
@@ -227,7 +258,12 @@ impl ReplayUnit {
                 cluster: cluster_of[v],
             })
             .collect();
-        Self { sched, members }
+        Self::new(sched, members)
+    }
+
+    /// The schedule.
+    pub fn sched(&self) -> &SchedHandle {
+        &self.sched
     }
 
     /// Executes (or re-executes) the unit: every member transmits its
@@ -239,15 +275,20 @@ impl ReplayUnit {
     /// lists its transmitters ([`RoundBehavior::transmitters`]) by testing
     /// only the members, in ascending node order, against one per-round
     /// view of the schedule: `O(members)` work instead of a poll of all n
-    /// nodes, with the same transmitters in the same order.
-    pub fn run<P>(&self, engine: &mut Engine<'_>, payload: P, on_rx: OnRx<'_>) -> UnitTrace
-    where
-        P: Fn(usize) -> Msg,
-    {
+    /// nodes, with the same transmitters in the same order. When the
+    /// engine's last keyed run was this unit's, it replays that run's
+    /// rounds instead ([`Engine::run_keyed`]); `on_rx` sees the same
+    /// deliveries either way.
+    pub fn run(
+        &self,
+        engine: &mut Engine<'_>,
+        payload: &dyn Fn(usize) -> Msg,
+        on_rx: OnRx<'_>,
+    ) -> UnitTrace {
         let start_round = engine.round();
         let receptions_before = engine.stats().receptions;
         let mut b = UnitBehavior::new(self, start_round, payload, on_rx);
-        engine.run(&mut b, self.sched.len());
+        engine.run_keyed(self.key, &mut b, self.sched.len(), payload);
         UnitTrace {
             resolver: engine.resolver_kind(),
             start_round,
@@ -259,18 +300,6 @@ impl ReplayUnit {
     /// Node indices of the members.
     pub fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.members.iter().map(|m| m.node)
-    }
-
-    /// One member per node, ascending by node; of a node listed twice,
-    /// its last snapshot. (Outside the payload-generic [`UnitBehavior`],
-    /// so the sort is compiled once.)
-    fn members_by_node(&self) -> Vec<Member> {
-        // Reversed, a stable sort puts a node's last snapshot first among
-        // its entries, and dedup keeps the first.
-        let mut by_node: Vec<Member> = self.members.iter().rev().copied().collect();
-        by_node.sort_by_key(|m| m.node);
-        by_node.dedup_by_key(|m| m.node);
-        by_node
     }
 }
 
@@ -301,9 +330,13 @@ pub fn fresh_sns(params: &ProtocolParams, seeds: &mut SeedSeq, n_univ: u64) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcluster_sim::deploy;
+    use dcluster_obs::{Event, PhaseSummary, Tracer};
+    use dcluster_sim::engine::FnBehavior;
     use dcluster_sim::rng::Rng64;
+    use dcluster_sim::{deploy, EngineStats, ResolverKind};
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Takes the trait's default `transmitters`: the all-node poll of the
     /// wrapped behavior's `transmit`.
@@ -316,6 +349,112 @@ mod tests {
         fn receive(&mut self, net: &Network, v: usize, round: u64, sender: usize, msg: &Msg) {
             self.0.receive(net, v, round, sender, msg)
         }
+    }
+
+    fn sched_of(kind: u8, seed: u64, k: usize, l: usize, len: u64) -> SchedHandle {
+        match kind {
+            0 => SchedHandle::Ssf(RandomSsf::with_len(seed, k, len)),
+            1 => SchedHandle::Wss(RandomWss::with_len(seed, k, len)),
+            _ => SchedHandle::Wcss(RandomWcss::with_len(seed, k, l, len)),
+        }
+    }
+
+    /// Every traced event, in order.
+    #[derive(Debug, Default)]
+    struct Events(Vec<Event>);
+
+    impl Tracer for Events {
+        fn on_event(&mut self, ev: &Event) {
+            self.0.push(ev.clone());
+        }
+    }
+
+    /// An engine over `net` with an event recorder attached.
+    fn traced(net: &Network, kind: ResolverKind) -> (Engine<'_>, Rc<RefCell<Events>>) {
+        let mut engine = Engine::with_resolver_kind(net, kind);
+        let events = dcluster_obs::shared(Events::default());
+        engine.set_tracer(events.clone());
+        (engine, events)
+    }
+
+    /// What one run of a unit shows from outside.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        /// `(receiver, local round, sender, message)` as `on_rx` saw them.
+        deliveries: Vec<(usize, u64, usize, Msg)>,
+        trace: UnitTrace,
+        /// The engine's counters over the run, `replayed` left at 0.
+        stats: EngineStats,
+        /// The run's phase span.
+        phase: Option<PhaseSummary>,
+        /// Every event the run traced.
+        events: Vec<Event>,
+    }
+
+    const PHASES: [&str; 4] = ["run0", "run1", "run2", "run3"];
+
+    /// Runs `unit` as the `tag`-th run, in a phase span of its own, with a
+    /// payload that depends on `tag`. Returns what it showed and how many
+    /// of its rounds the engine replayed.
+    fn run_seen(
+        engine: &mut Engine<'_>,
+        events: &Rc<RefCell<Events>>,
+        unit: &ReplayUnit,
+        tag: usize,
+    ) -> (Seen, u64) {
+        let before = engine.stats();
+        let first = events.borrow().0.len();
+        let net = engine.network();
+        let mut deliveries = Vec::new();
+        engine.begin_phase(PHASES[tag]);
+        let trace = unit.run(
+            engine,
+            &|v| Msg::Hello {
+                id: net.id(v),
+                cluster: tag as u64,
+            },
+            &mut |r, lr, s, m| deliveries.push((r, lr, s, *m)),
+        );
+        engine.end_phase();
+        let after = engine.stats();
+        let seen = Seen {
+            deliveries,
+            trace,
+            stats: EngineStats {
+                rounds: after.rounds - before.rounds,
+                transmissions: after.transmissions - before.transmissions,
+                receptions: after.receptions - before.receptions,
+                replayed: 0,
+            },
+            phase: engine
+                .phase_table()
+                .summaries()
+                .iter()
+                .find(|p| p.phase == PHASES[tag])
+                .cloned(),
+            events: events.borrow().0[first..].to_vec(),
+        };
+        (seen, after.replayed - before.replayed)
+    }
+
+    /// The `tag`-th run of `unit` as an engine that never ran it shows it:
+    /// a fresh engine, brought to the same round by silent rounds.
+    fn fresh_seen(
+        net: &Network,
+        kind: ResolverKind,
+        start: u64,
+        unit: &ReplayUnit,
+        tag: usize,
+    ) -> Seen {
+        let (mut engine, events) = traced(net, kind);
+        let mut silent = FnBehavior {
+            tx: |_: &Network, _: usize, _: u64| None::<Msg>,
+            rx: |_: &Network, _: usize, _: u64, _: usize, _: &Msg| {},
+        };
+        engine.run(&mut silent, start);
+        let (seen, replayed) = run_seen(&mut engine, &events, unit, tag);
+        assert_eq!(replayed, 0, "a fresh engine has nothing to replay");
+        seen
     }
 
     proptest! {
@@ -352,16 +491,11 @@ mod tests {
             });
             rng.shuffle(&mut members);
             let len = 96;
-            let sched = match kind {
-                0 => SchedHandle::Ssf(RandomSsf::with_len(seed, k, len)),
-                1 => SchedHandle::Wss(RandomWss::with_len(seed, k, len)),
-                _ => SchedHandle::Wcss(RandomWcss::with_len(seed, k, l, len)),
-            };
-            let unit = ReplayUnit { sched, members };
+            let unit = ReplayUnit::new(sched_of(kind, seed, k, l, len), members);
             let start = rng.range_u64(10_000);
             let payload = |v: usize| Msg::Hello { id: 7 * v as u64, cluster: v as u64 };
             let mut ignore = |_: usize, _: u64, _: usize, _: &Msg| {};
-            let mut b = UnitBehavior::new(&unit, start, payload, &mut ignore);
+            let mut b = UnitBehavior::new(&unit, start, &payload, &mut ignore);
             for lr in 0..len {
                 let (mut nodes, mut msgs) = (Vec::new(), Vec::new());
                 b.transmitters(&net, start + lr, &mut nodes, &mut msgs);
@@ -371,6 +505,52 @@ mod tests {
                 prop_assert_eq!(&msgs, &polled_msgs, "messages of local round {}", lr);
             }
         }
+
+        /// A unit run three times on one engine records once and replays
+        /// twice, and each run shows exactly what a fresh engine shows:
+        /// deliveries with the run's own messages, `UnitTrace`, engine
+        /// counters, phase span and traced events (field rounds' `cache`
+        /// included). Ssf, wss and wcss units; uniform and heterogeneous
+        /// power; both backends.
+        #[test]
+        fn replayed_runs_equal_fresh_runs(
+            seed in 0u64..1_000_000,
+            n in 2usize..60,
+            kind in 0u8..3,
+            k in 1usize..4,
+            l in 1usize..4,
+            het in 0u8..2,
+        ) {
+            let mut rng = Rng64::new(seed);
+            let side = (n as f64 / 10.0).sqrt().max(0.5);
+            let mut builder = Network::builder(deploy::uniform_square(n, side, &mut rng));
+            if het == 1 {
+                let base = dcluster_sim::SinrParams::default().power;
+                builder = builder.powers(deploy::power_profile(n, base, 0.3, seed));
+            }
+            let net = builder.build().expect("nonempty deployment");
+            let mut nodes: Vec<usize> = (0..n).filter(|_| rng.chance(0.7)).collect();
+            if nodes.is_empty() {
+                nodes.push(0);
+            }
+            rng.shuffle(&mut nodes);
+            let cluster_of: Vec<u64> = (0..n).map(|_| rng.range_u64(3)).collect();
+            let len = 64;
+            let unit = ReplayUnit::snapshot(&net, sched_of(kind, seed, k, l, len), &nodes, &cluster_of);
+            for backend in ResolverKind::ALL {
+                let (mut engine, events) = traced(&net, backend);
+                for tag in 0..3 {
+                    let start = engine.round();
+                    let (seen, replayed) = run_seen(&mut engine, &events, &unit, tag);
+                    prop_assert_eq!(replayed, if tag == 0 { 0 } else { len }, "run {}", tag);
+                    prop_assert_eq!(&seen, &fresh_seen(&net, backend, start, &unit, tag), "run {} ({})", tag, backend);
+                }
+                prop_assert_eq!(
+                    engine.resolver_stats().rounds + engine.stats().replayed,
+                    engine.stats().rounds
+                );
+            }
+        }
     }
 
     fn small_net() -> Network {
@@ -378,6 +558,13 @@ mod tests {
         Network::builder(deploy::uniform_square(30, 2.0, &mut rng))
             .build()
             .unwrap()
+    }
+
+    fn all_nodes_unit(net: &Network, seed: u64) -> ReplayUnit {
+        let params = ProtocolParams::practical();
+        let wss = fresh_wss(&params, &mut SeedSeq::new(seed), net.max_id());
+        let nodes: Vec<usize> = (0..net.len()).collect();
+        ReplayUnit::snapshot(net, SchedHandle::Wss(wss), &nodes, &vec![0; net.len()])
     }
 
     #[test]
@@ -394,16 +581,12 @@ mod tests {
     #[test]
     fn replay_reproduces_identical_receptions() {
         let net = small_net();
-        let params = ProtocolParams::practical();
-        let mut seeds = SeedSeq::new(3);
-        let wss = fresh_wss(&params, &mut seeds, net.max_id());
-        let nodes: Vec<usize> = (0..net.len()).collect();
-        let unit = ReplayUnit::snapshot(&net, SchedHandle::Wss(wss), &nodes, &vec![0; net.len()]);
+        let unit = all_nodes_unit(&net, 3);
         let mut engine = Engine::new(&net);
         let mut first: Vec<(usize, u64, usize)> = Vec::new();
         unit.run(
             &mut engine,
-            |v| Msg::Hello {
+            &|v| Msg::Hello {
                 id: net.id(v),
                 cluster: 0,
             },
@@ -412,7 +595,7 @@ mod tests {
         let mut second: Vec<(usize, u64, usize)> = Vec::new();
         unit.run(
             &mut engine,
-            |v| Msg::ClusterOf {
+            &|v| Msg::ClusterOf {
                 id: net.id(v),
                 cluster: 7,
             },
@@ -428,6 +611,67 @@ mod tests {
         );
     }
 
+    /// Units A, B, A, A on one engine: the slot holds one recording, so
+    /// B's run replaces A's and A records again before it replays.
+    #[test]
+    fn interleaved_units_replace_the_slot() {
+        let net = small_net();
+        let (a, b) = (all_nodes_unit(&net, 11), all_nodes_unit(&net, 12));
+        let kind = ResolverKind::default();
+        let (mut engine, events) = traced(&net, kind);
+        for (tag, (unit, replays)) in [(&a, false), (&b, false), (&a, false), (&a, true)]
+            .into_iter()
+            .enumerate()
+        {
+            let start = engine.round();
+            let (seen, replayed) = run_seen(&mut engine, &events, unit, tag);
+            let len = unit.sched().len();
+            assert_eq!(replayed, if replays { len } else { 0 }, "run {tag}");
+            assert_eq!(seen, fresh_seen(&net, kind, start, unit, tag), "run {tag}");
+        }
+    }
+
+    /// A second engine, over a rebuilt copy of the network, does not see
+    /// the first engine's recording: its first run of the unit resolves
+    /// every round, with the same deliveries.
+    #[test]
+    fn an_engine_over_a_rebuilt_network_never_replays() {
+        let net = small_net();
+        let unit = all_nodes_unit(&net, 13);
+        let rebuilt = Network::builder(net.points().to_vec())
+            .ids(net.ids().to_vec())
+            .max_id(net.max_id())
+            .build()
+            .unwrap();
+        assert_ne!(net.stamp(), rebuilt.stamp());
+        let (mut engine, events) = traced(&net, ResolverKind::default());
+        let (first, _) = run_seen(&mut engine, &events, &unit, 0);
+        let (mut other, other_events) = traced(&rebuilt, ResolverKind::default());
+        let (seen, replayed) = run_seen(&mut other, &other_events, &unit, 0);
+        assert_eq!(replayed, 0);
+        assert_eq!(other.resolver_stats().rounds, unit.sched().len());
+        assert_eq!(seen, first);
+    }
+
+    /// Reusing a unit's key after changing its member set breaks the
+    /// contract of `Engine::run_keyed`; debug builds catch it on the first
+    /// replayed round whose transmitters differ.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a replay key reused for another pattern")]
+    fn a_key_reused_for_other_members_is_caught() {
+        let net = small_net();
+        let mut unit = all_nodes_unit(&net, 14);
+        let mut engine = Engine::new(&net);
+        let hello = |v: usize| Msg::Hello {
+            id: net.id(v),
+            cluster: 0,
+        };
+        unit.run(&mut engine, &hello, &mut |_, _, _, _| {});
+        unit.members.truncate(1);
+        unit.run(&mut engine, &hello, &mut |_, _, _, _| {});
+    }
+
     #[test]
     fn non_members_never_transmit() {
         let net = small_net();
@@ -441,7 +685,7 @@ mod tests {
         let mut senders: Vec<usize> = Vec::new();
         unit.run(
             &mut engine,
-            |v| Msg::Hello {
+            &|v| Msg::Hello {
                 id: net.id(v),
                 cluster: 0,
             },
@@ -456,17 +700,13 @@ mod tests {
     #[test]
     fn unit_trace_records_backend_and_extent() {
         let net = small_net();
-        let params = ProtocolParams::practical();
-        let mut seeds = SeedSeq::new(6);
-        let wss = fresh_wss(&params, &mut seeds, net.max_id());
-        let nodes: Vec<usize> = (0..net.len()).collect();
-        let unit = ReplayUnit::snapshot(&net, SchedHandle::Wss(wss), &nodes, &vec![0; net.len()]);
-        for kind in dcluster_sim::ResolverKind::ALL {
-            let mut engine = dcluster_sim::Engine::with_resolver_kind(&net, kind);
+        let unit = all_nodes_unit(&net, 6);
+        for kind in ResolverKind::ALL {
+            let mut engine = Engine::with_resolver_kind(&net, kind);
             let mut count = 0u64;
             let trace = unit.run(
                 &mut engine,
-                |v| Msg::Hello {
+                &|v| Msg::Hello {
                     id: net.id(v),
                     cluster: 0,
                 },

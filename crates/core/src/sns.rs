@@ -51,7 +51,7 @@ pub fn run_sns(
     let ssf = fresh_sns(params, seeds, net.max_id());
     let unit = ReplayUnit::snapshot(net, SchedHandle::Ssf(ssf), members, &vec![0; net.len()]);
     let mut receptions = Vec::new();
-    unit.run(engine, payload, &mut |recv, _lr, sender, msg| {
+    unit.run(engine, &payload, &mut |recv, _lr, sender, msg| {
         receptions.push((recv, sender, *msg));
     });
     SnsRun { unit, receptions }

@@ -135,7 +135,7 @@ pub fn sparsification(
             }
             p.unit.run(
                 engine,
-                |v| match announce[v] {
+                &|v| match announce[v] {
                     Some(pid) => Msg::Parent {
                         child: net.id(v),
                         parent: pid,

@@ -89,20 +89,19 @@ impl std::str::FromStr for Scale {
     }
 }
 
-/// Scale knob for experiment sizes: `DCLUSTER_SCALE=ci|quick|full`
-/// (default quick; unknown values fall back to quick).
-pub fn scale() -> Scale {
+/// Scale knob for experiment sizes: `DCLUSTER_SCALE=ci|quick|full`,
+/// parsed by [`Scale::from_str`](std::str::FromStr) (case-insensitive);
+/// unset means quick. Any other value, or one that is not unicode, is an
+/// error naming the variable and the three tiers.
+pub fn scale() -> Result<Scale, String> {
     // lint:allow(D4, reason = "documented override: DCLUSTER_SCALE")
-    match std::env::var("DCLUSTER_SCALE").as_deref() {
-        Ok("ci") => Scale::Ci,
-        Ok("full") => Scale::Full,
-        _ => Scale::Quick,
+    match std::env::var("DCLUSTER_SCALE") {
+        Err(std::env::VarError::NotPresent) => Ok(Scale::Quick),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            Err("DCLUSTER_SCALE: not unicode (expected ci|quick|full)".into())
+        }
+        Ok(v) => v.parse().map_err(|e| format!("DCLUSTER_SCALE: {e}")),
     }
-}
-
-/// True iff running at the paper-scale tier (legacy helper).
-pub fn full_scale() -> bool {
-    scale() == Scale::Full
 }
 
 #[cfg(test)]
@@ -121,6 +120,9 @@ mod tests {
             assert_eq!(s.name().parse::<Scale>().unwrap(), s);
             assert_eq!(format!("{s}"), s.name());
         }
-        assert!("huge".parse::<Scale>().is_err());
+        assert_eq!("CI".parse::<Scale>(), Ok(Scale::Ci));
+        assert_eq!("Full".parse::<Scale>(), Ok(Scale::Full));
+        let err = "huge".parse::<Scale>().unwrap_err();
+        assert!(err.contains("ci|quick|full"), "{err}");
     }
 }

@@ -104,6 +104,10 @@ pub struct Report {
     pub receptions: u64,
     /// Resolver work counters (maintenance: accumulated over epochs).
     pub resolver_stats: ResolverStats,
+    /// Rounds the engines replayed from their memo instead of resolving
+    /// them (`EngineStats::replayed`; maintenance: summed over epochs).
+    /// With `resolver_stats.rounds` it adds up to `rounds`.
+    pub replayed: u64,
     /// Per-phase cost summary (always populated — the engine aggregates
     /// phase spans whether or not a tracer is attached, so traced and
     /// untraced runs render byte-identical reports).
@@ -121,6 +125,7 @@ impl Report {
         self.transmissions = s.transmissions;
         self.receptions = s.receptions;
         self.resolver_stats = engine.resolver_stats();
+        self.replayed = s.replayed;
         self.phases = engine.phase_table().summaries().to_vec();
     }
 
@@ -276,6 +281,7 @@ impl Report {
             "resolver work",
             &[
                 "rounds",
+                "replayed",
                 "candidates",
                 "short-circuited",
                 "exact sums",
@@ -285,6 +291,7 @@ impl Report {
             ],
             &[vec![
                 rs.rounds.to_string(),
+                self.replayed.to_string(),
                 rs.candidates.to_string(),
                 rs.short_circuited.to_string(),
                 rs.exact_sums.to_string(),
@@ -316,6 +323,7 @@ impl Report {
             "rx",
             "ok",
             "rs_rounds",
+            "replayed",
             "rs_candidates",
             "rs_short_circuited",
             "rs_exact_sums",
@@ -336,6 +344,7 @@ impl Report {
             self.receptions.to_string(),
             self.ok().to_string(),
             rs.rounds.to_string(),
+            self.replayed.to_string(),
             rs.candidates.to_string(),
             rs.short_circuited.to_string(),
             rs.exact_sums.to_string(),
@@ -427,6 +436,7 @@ mod tests {
             transmissions: 4,
             receptions: 3,
             resolver_stats: Default::default(),
+            replayed: 0,
             phases: Vec::new(),
             outcome: WorkloadOutcome::Empty,
         }

@@ -418,6 +418,7 @@ impl Runner {
             transmissions: 0,
             receptions: 0,
             resolver_stats: Default::default(),
+            replayed: 0,
             phases: Vec::new(),
             outcome: WorkloadOutcome::Empty,
         };
@@ -495,6 +496,7 @@ impl Runner {
                 header.transmissions = es.transmissions;
                 header.receptions = es.receptions;
                 header.resolver_stats = driver.resolver_stats();
+                header.replayed = es.replayed;
                 header.phases = driver.phase_table().summaries().to_vec();
                 header.outcome = WorkloadOutcome::Maintenance {
                     epochs: reports,

@@ -96,6 +96,38 @@ fn ci_maintenance_spec_is_resolver_invariant() {
     assert_eq!(naive, agg, "backends must agree epoch by epoch");
 }
 
+/// Deterministic work counters of the two CI specs, pinned so that CI gates
+/// on counts rather than wall clock: the rounds each backend resolved and
+/// the rounds the engines replayed from their memo. A change that stops
+/// the memo from hitting moves both. The two add up to the run's rounds.
+#[test]
+fn ci_specs_pin_resolved_and_replayed_rounds() {
+    use dcluster_sim::ResolverKind::{Aggregated, Naive};
+    let pinned = [
+        ("ci_clustering.scn", Naive, 100_997, 593_438),
+        ("ci_clustering.scn", Aggregated, 100_997, 593_438),
+        ("ci_maintenance.scn", Naive, 287_590, 1_678_306),
+        ("ci_maintenance.scn", Aggregated, 287_590, 1_678_306),
+    ];
+    for (name, kind, resolved, replayed) in pinned {
+        let report = Runner::from_file(scenarios_dir().join(name))
+            .expect("committed spec")
+            .with_resolver_override(Some(kind))
+            .run_default()
+            .expect("committed spec runs");
+        assert_eq!(
+            report.resolver_stats.rounds + report.replayed,
+            report.rounds,
+            "{name} ({kind}): every round is resolved or replayed"
+        );
+        assert_eq!(
+            (report.resolver_stats.rounds, report.replayed),
+            (resolved, replayed),
+            "{name} ({kind}): (resolved, replayed) rounds"
+        );
+    }
+}
+
 #[test]
 fn empty_deployment_scn_text_errors_instead_of_panicking() {
     // Regression: a syntactically valid spec whose deployment realizes to

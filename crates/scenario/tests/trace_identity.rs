@@ -13,7 +13,8 @@
 
 use dcluster_scenario::Runner;
 use std::fs;
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 
 fn committed_scenarios() -> Vec<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
@@ -38,6 +39,76 @@ fn committed_scenarios() -> Vec<PathBuf> {
         assert!(!paths.is_empty(), "the ci_*.scn smoke specs are committed");
     }
     paths
+}
+
+/// Longest line prefix a mismatch message quotes.
+const QUOTE: usize = 200;
+
+/// Compares two trace files byte for byte, one line at a time through
+/// buffered readers (a trace can run to hundreds of MB). Returns the line
+/// count, or the first difference: its 1-based line number and both lines
+/// (truncated), or which file ends first.
+fn compare_traces(a: &Path, b: &Path) -> Result<u64, String> {
+    let open = |p: &Path| {
+        fs::File::open(p)
+            .map(BufReader::new)
+            .map_err(|e| format!("{}: {e}", p.display()))
+    };
+    let (mut ra, mut rb) = (open(a)?, open(b)?);
+    let (mut la, mut lb) = (Vec::new(), Vec::new());
+    let quote = |l: &[u8]| String::from_utf8_lossy(&l[..l.len().min(QUOTE)]).into_owned();
+    let mut line = 0u64;
+    loop {
+        line += 1;
+        la.clear();
+        lb.clear();
+        let na = ra.read_until(b'\n', &mut la).map_err(|e| e.to_string())?;
+        let nb = rb.read_until(b'\n', &mut lb).map_err(|e| e.to_string())?;
+        match (na, nb) {
+            (0, 0) => return Ok(line - 1),
+            (0, _) => return Err(format!("line {line}: A ended, B has {:?}", quote(&lb))),
+            (_, 0) => return Err(format!("line {line}: B ended, A has {:?}", quote(&la))),
+            _ if la != lb => {
+                return Err(format!(
+                    "line {line} differs:\n  A: {:?}\n  B: {:?}",
+                    quote(&la),
+                    quote(&lb)
+                ))
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn trace_comparison_names_the_first_difference() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let write = |tag: &str, text: &str| {
+        let p = dir.join(format!("trace_compare_{pid}_{tag}.jsonl"));
+        fs::write(&p, text).expect("temporary file is writable");
+        p
+    };
+    let base = write("base", "a\nb\nc\n");
+    let same = write("same", "a\nb\nc\n");
+    let other = write("other", "a\nB\nc\n");
+    let longer = write("longer", "a\nb\nc\nd\n");
+    let unterminated = write("unterminated", "a\nb\nc");
+    assert_eq!(compare_traces(&base, &same), Ok(3));
+    let err = compare_traces(&base, &other).unwrap_err();
+    assert!(
+        err.starts_with("line 2 differs") && err.contains("\"B\\n\""),
+        "{err}"
+    );
+    let err = compare_traces(&base, &longer).unwrap_err();
+    assert!(err.starts_with("line 4: A ended"), "{err}");
+    let err = compare_traces(&longer, &base).unwrap_err();
+    assert!(err.starts_with("line 4: B ended"), "{err}");
+    let err = compare_traces(&base, &unterminated).unwrap_err();
+    assert!(err.starts_with("line 3 differs"), "{err}");
+    for p in [base, same, other, longer, unterminated] {
+        let _ = fs::remove_file(p);
+    }
 }
 
 #[test]
@@ -78,13 +149,10 @@ fn tracing_is_invisible_and_traces_rerun_byte_identical() {
             .expect("traced rerun succeeds");
         assert_eq!(traced, traced_again, "{name}: traced reruns differ");
 
-        let bytes_a = fs::read(&trace_a).expect("first trace written");
-        let bytes_b = fs::read(&trace_b).expect("second trace written");
-        assert!(!bytes_a.is_empty(), "{name}: trace must not be empty");
-        assert_eq!(
-            bytes_a, bytes_b,
-            "{name}: trace reruns are not byte-identical"
-        );
+        match compare_traces(&trace_a, &trace_b) {
+            Ok(lines) => assert!(lines > 0, "{name}: trace must not be empty"),
+            Err(e) => panic!("{name}: trace reruns are not byte-identical: {e}"),
+        }
 
         let _ = fs::remove_file(&trace_a);
         let _ = fs::remove_file(&trace_b);

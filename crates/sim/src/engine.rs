@@ -21,10 +21,25 @@
 //! per-node decision, held to the discipline above, and tests compare the
 //! two. The order matters as much as the set: every resolver sums signals
 //! in transmitter order, so a reordered list can change receptions.
+//!
+//! **The replay memo.** The paper's protocols re-execute one schedule by
+//! one frozen participant set many times (Algorithm 1's confirmation
+//! replays, Algorithm 2's notification, Lemma 11's tree communication).
+//! [`Engine::run_keyed`] runs such a re-execution under a [`ReplayKey`]
+//! that names its transmit pattern. The engine keeps one memo slot: on a
+//! miss it runs the rounds as [`Engine::run`] does and records each
+//! active round's transmitters, receptions and resolver cache operation,
+//! replacing whatever the slot held; on a hit (same key, same round count)
+//! it replays the recording without polling the behavior or calling the
+//! resolver. A replay equals a fresh run by construction: the engine's
+//! network never changes, and each backend is a deterministic function of
+//! (network, transmitter list). Only the resolver's work counters see the
+//! difference; [`EngineStats::replayed`] counts the rounds it skipped.
 
 use crate::network::Network;
 use crate::radio::{Reception, ResolverKind, ResolverStats, SinrResolver};
-use dcluster_obs::{Event, PhaseTable, SharedTracer};
+use dcluster_obs::{CacheOp, Event, PhaseTable, SharedTracer};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A synchronous per-node protocol executed by the [`Engine`].
 ///
@@ -73,6 +88,98 @@ pub struct EngineStats {
     pub transmissions: u64,
     /// Total successful receptions.
     pub receptions: u64,
+    /// Rounds served from the replay memo ([`Engine::run_keyed`]): counted
+    /// in `rounds`, but neither polled nor resolved. The resolver's own
+    /// `rounds` counter plus this one equals `rounds`.
+    pub replayed: u64,
+}
+
+/// Names one transmit pattern for [`Engine::run_keyed`]: every run under
+/// the key must list the same transmitters in every local round. Keys
+/// come from a process-global counter, so a key observed once is never
+/// issued again; only a copy of it compares equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayKey(u64);
+
+static REPLAY_KEYS: AtomicU64 = AtomicU64::new(1);
+
+impl ReplayKey {
+    /// A key no earlier call returned.
+    pub fn fresh() -> Self {
+        Self(REPLAY_KEYS.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// The engine's one memo slot: the recording of the last keyed run that
+/// missed. `bytes` is a stream of LEB128 varints, one record per round
+/// that had transmitters or a cache operation: the number of unrecorded
+/// (silent) rounds before it, `|T| << 1 | f` (`f` = 1 when the resolver
+/// built a field, [`CacheOp::Rebuilt`]), the transmitters as differences
+/// from their predecessor, the reception count, and per reception
+/// `d·|T| + slot`, where `d` is the receiver's difference from its
+/// predecessor (so a round with one transmitter stores no slot). Rounds
+/// after the last record are silent.
+#[derive(Debug, Default)]
+struct Memo {
+    key: Option<ReplayKey>,
+    rounds: u64,
+    bytes: Vec<u8>,
+}
+
+fn put(bytes: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        bytes.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    bytes.push(v as u8);
+}
+
+fn get(bytes: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Appends one recorded round to a [`Memo`] stream. Returns false when
+/// the stream cannot hold the round: receptions out of receiver order
+/// (against the [`SinrResolver`] contract) or a patched field (which no
+/// resolver produces).
+fn record(
+    bytes: &mut Vec<u8>,
+    gap: u64,
+    tx: &[usize],
+    receptions: &[Reception],
+    op: Option<CacheOp>,
+) -> bool {
+    let field = match op {
+        None => 0,
+        Some(CacheOp::Rebuilt) => 1,
+        Some(CacheOp::Patched { .. }) => return false,
+    };
+    put(bytes, gap);
+    put(bytes, (tx.len() as u64) << 1 | field);
+    let mut prev = 0usize;
+    for &v in tx {
+        put(bytes, v.wrapping_sub(prev) as u64);
+        prev = v;
+    }
+    put(bytes, receptions.len() as u64);
+    prev = 0;
+    for r in receptions {
+        if r.receiver < prev {
+            return false;
+        }
+        put(bytes, ((r.receiver - prev) * tx.len() + r.slot) as u64);
+        prev = r.receiver;
+    }
+    true
 }
 
 /// Statistics of the most recently executed round.
@@ -97,8 +204,9 @@ pub struct RoundStats {
 /// choice affects wall clock only — never protocol outcomes.
 ///
 /// A round allocates nothing once the buffers have grown: the engine
-/// keeps its transmitter and reception vectors, and [`Engine::run`] and
-/// [`Engine::run_until`] keep one message vector across their rounds.
+/// keeps its transmitter and reception vectors and its memo slot, and
+/// [`Engine::run`], [`Engine::run_keyed`] and [`Engine::run_until`] keep
+/// one message vector across their rounds.
 #[derive(Debug)]
 pub struct Engine<'n> {
     net: &'n Network,
@@ -118,6 +226,8 @@ pub struct Engine<'n> {
     /// Open [`Engine::begin_phase`] frames:
     /// `(phase, start_round, start_tx, start_rx)`.
     phase_stack: Vec<(&'static str, u64, u64, u64)>,
+    /// The recording [`Engine::run_keyed`] replays.
+    memo: Memo,
 }
 
 impl<'n> Engine<'n> {
@@ -145,6 +255,7 @@ impl<'n> Engine<'n> {
             tracer: None,
             phases: PhaseTable::new(),
             phase_stack: Vec::new(),
+            memo: Memo::default(),
         }
     }
 
@@ -261,6 +372,118 @@ impl<'n> Engine<'n> {
         &self.receptions
     }
 
+    /// Runs `rounds` rounds of `behavior` under `key` (see the module
+    /// docs). On a hit — the memo slot holds `key` with the same round
+    /// count — the recorded rounds are replayed: the messages come from
+    /// `payload` (one per listed transmitter, in order), and deliveries,
+    /// `end_round`, the stats, the phase accounting and the traced round
+    /// events are those of a fresh run. On a miss the rounds run as
+    /// [`Engine::run`] runs them, `payload` is not called, and their
+    /// recording replaces the slot's.
+    ///
+    /// The caller owes that every run under `key` lists the same
+    /// transmitters in each local round, and that `payload(v)` is the
+    /// message the behavior lists for transmitter `v`. Debug builds poll
+    /// the behavior on every replayed round and assert that it lists the
+    /// recorded transmitters.
+    pub fn run_keyed<M, B>(
+        &mut self,
+        key: ReplayKey,
+        behavior: &mut B,
+        rounds: u64,
+        payload: &dyn Fn(usize) -> M,
+    ) where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let mut msgs = Vec::new();
+        // Taken out (the slot reads empty) until the run completes.
+        let mut memo = std::mem::take(&mut self.memo);
+        if memo.key == Some(key) && memo.rounds == rounds {
+            self.replay(&memo.bytes, behavior, rounds, payload, &mut msgs);
+        } else {
+            memo.bytes.clear();
+            let (mut gap, mut recorded) = (0, true);
+            for _ in 0..rounds {
+                self.step_with(behavior, &mut msgs);
+                let op = self.resolver.last_cache_op();
+                if self.tx_nodes.is_empty() && op.is_none() {
+                    gap += 1;
+                } else if recorded {
+                    recorded = record(&mut memo.bytes, gap, &self.tx_nodes, &self.receptions, op);
+                    gap = 0;
+                }
+            }
+            (memo.key, memo.rounds) = (recorded.then_some(key), rounds);
+        }
+        self.memo = memo;
+    }
+
+    /// Replays a [`Memo`] stream of `rounds` rounds (see
+    /// [`Engine::run_keyed`]).
+    fn replay<M, B>(
+        &mut self,
+        bytes: &[u8],
+        behavior: &mut B,
+        rounds: u64,
+        payload: &dyn Fn(usize) -> M,
+        msgs: &mut Vec<M>,
+    ) where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let mut pos = 0;
+        let mut next = if bytes.is_empty() {
+            u64::MAX
+        } else {
+            get(bytes, &mut pos)
+        };
+        for local in 0..rounds {
+            self.tx_nodes.clear();
+            self.receptions.clear();
+            msgs.clear();
+            let mut cache = None;
+            if local == next {
+                let head = get(bytes, &mut pos);
+                cache = (head & 1 == 1).then_some(CacheOp::Rebuilt);
+                let mut v = 0usize;
+                for _ in 0..head >> 1 {
+                    v = v.wrapping_add(get(bytes, &mut pos) as usize);
+                    self.tx_nodes.push(v);
+                    msgs.push(payload(v));
+                }
+                let t = self.tx_nodes.len().max(1);
+                let mut receiver = 0usize;
+                for _ in 0..get(bytes, &mut pos) {
+                    let x = get(bytes, &mut pos) as usize;
+                    receiver += x / t;
+                    let slot = x % t;
+                    self.receptions.push(Reception {
+                        receiver,
+                        sender: self.tx_nodes[slot],
+                        slot,
+                    });
+                }
+                next = if pos < bytes.len() {
+                    local + 1 + get(bytes, &mut pos)
+                } else {
+                    u64::MAX
+                };
+            }
+            #[cfg(debug_assertions)]
+            {
+                let (mut nodes, mut polled) = (Vec::new(), Vec::new());
+                behavior.transmitters(self.net, self.round, &mut nodes, &mut polled);
+                assert_eq!(
+                    nodes, self.tx_nodes,
+                    "round {}: the behavior lists other transmitters than the \
+                     replayed recording (a replay key reused for another pattern)",
+                    self.round
+                );
+            }
+            self.finish_round(behavior, msgs, cache);
+            self.stats.replayed += 1;
+        }
+    }
+
     /// Executes a single round, collecting its messages in `msgs` (cleared
     /// first; a buffer the caller reuses across rounds).
     fn step_with<M, B>(&mut self, behavior: &mut B, msgs: &mut Vec<M>)
@@ -288,6 +511,17 @@ impl<'n> Engine<'n> {
         );
         self.resolver
             .resolve_into(self.net, &self.tx_nodes, &mut self.receptions);
+        self.finish_round(behavior, msgs, self.resolver.last_cache_op());
+    }
+
+    /// Completes the current round from the transmitters and receptions in
+    /// the engine's buffers: deliveries, `end_round`, stats and the traced
+    /// round event. Shared by executed and replayed rounds.
+    fn finish_round<M, B>(&mut self, behavior: &mut B, msgs: &[M], cache: Option<CacheOp>)
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let round = self.round;
         for r in &self.receptions {
             behavior.receive(self.net, r.receiver, round, r.sender, &msgs[r.slot]);
         }
@@ -306,7 +540,7 @@ impl<'n> Engine<'n> {
                 round,
                 tx,
                 rx,
-                cache: self.resolver.last_cache_op(),
+                cache,
             });
         }
         self.round += 1;
@@ -528,5 +762,72 @@ mod tests {
         };
         let used = engine.run_until(&mut b, 100, |_| true);
         assert_eq!(used, 0);
+    }
+
+    /// Node v transmits `10·round + v` in the rounds where `round + v` is
+    /// a multiple of 3 (rounds counted from the run's start).
+    fn keyed_run(engine: &mut Engine<'_>, key: ReplayKey) -> Vec<(usize, u64, usize, u64)> {
+        let start = engine.round();
+        let pattern = |v: usize, round: u64| (round - start + v as u64).is_multiple_of(3);
+        let mut heard = Vec::new();
+        let mut b = FnBehavior {
+            tx: |_: &Network, v: usize, r: u64| pattern(v, r).then_some(10 * r + v as u64),
+            rx: |_: &Network, v: usize, r: u64, s: usize, m: &u64| {
+                heard.push((v, r - start, s, *m))
+            },
+        };
+        engine.run_keyed(key, &mut b, 6, &|v| 10 * start + v as u64);
+        heard
+    }
+
+    #[test]
+    fn a_keyed_run_replays_its_recording() {
+        let net = line(4, 0.5);
+        let mut engine = Engine::new(&net);
+        let key = ReplayKey::fresh();
+        let first = keyed_run(&mut engine, key);
+        assert!(!first.is_empty());
+        assert_eq!(engine.stats().replayed, 0, "a miss records");
+        let second = keyed_run(&mut engine, key);
+        assert_eq!(engine.stats().replayed, 6, "a hit replays every round");
+        assert_eq!(engine.resolver_stats().rounds, 6);
+        let strip = |h: &[(usize, u64, usize, u64)]| -> Vec<_> {
+            h.iter().map(|&(v, lr, s, _)| (v, lr, s)).collect()
+        };
+        assert_eq!(strip(&first), strip(&second));
+        assert!(
+            second.iter().all(|&(_, _, s, m)| m == 60 + s as u64),
+            "replayed messages come from the payload: {second:?}"
+        );
+        keyed_run(&mut engine, ReplayKey::fresh());
+        assert_eq!(engine.stats().replayed, 6, "another key misses");
+    }
+
+    /// A resolver that breaks the order [`SinrResolver`] promises.
+    #[derive(Debug)]
+    struct Reversed(crate::radio::NaiveResolver);
+
+    impl SinrResolver for Reversed {
+        fn kind(&self) -> ResolverKind {
+            self.0.kind()
+        }
+        fn resolve_into(&mut self, net: &Network, tx: &[usize], out: &mut Vec<Reception>) {
+            self.0.resolve_into(net, tx, out);
+            out.reverse();
+        }
+        fn stats(&self) -> ResolverStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn receptions_out_of_receiver_order_are_never_replayed() {
+        let net = line(4, 0.5);
+        let mut engine = Engine::with_resolver(&net, Box::new(Reversed(Default::default())));
+        let key = ReplayKey::fresh();
+        let first = keyed_run(&mut engine, key);
+        assert_eq!(keyed_run(&mut engine, key).len(), first.len());
+        assert_eq!(engine.stats().replayed, 0);
+        assert_eq!(engine.resolver_stats().rounds, 12);
     }
 }

@@ -13,7 +13,9 @@
 //!   small rounds and builds a cell-aggregated interference field
 //!   ([`field`]) for each large one;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
-//!   protocols over a [`Network`];
+//!   protocols over a [`Network`], with a one-slot memo that replays a
+//!   keyed re-execution ([`Engine::run_keyed`]) instead of resolving it
+//!   again;
 //! * deployment generators for the paper's motivating scenarios
 //!   ([`deploy`]);
 //! * a deterministic [`rng`] (SplitMix64) so that every simulation is
@@ -66,7 +68,7 @@ pub mod rng;
 pub use dcluster_obs::{
     CacheOp, Event as ObsEvent, PhaseSummary, PhaseTable, SharedTracer, Tracer,
 };
-pub use engine::{Engine, EngineStats, RoundBehavior, RoundStats};
+pub use engine::{Engine, EngineStats, ReplayKey, RoundBehavior, RoundStats};
 pub use field::{FieldStats, InterferenceField};
 pub use graph::Graph;
 pub use grid::{Grid, TwoNearest};
