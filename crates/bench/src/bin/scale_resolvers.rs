@@ -35,7 +35,7 @@
 //! one deployment instead of the size ladder.
 //!
 //! Every row also counts the signals the field summed in its decisions
-//! (`field_terms`: ring sums plus exact fallbacks; 0 for the oracle and
+//! (`field_terms`: ring sums plus `|T|` per fallback; 0 for the oracle and
 //! for rounds the aggregated backend resolves exactly), a deterministic
 //! measure of the field's work beside its wall clock.
 //!

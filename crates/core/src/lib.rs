@@ -73,5 +73,5 @@ pub use local_broadcast::{local_broadcast, LocalBroadcastOutcome};
 pub use maintenance::{EpochReport, MaintenanceDriver, MaintenanceSummary};
 pub use msg::Msg;
 pub use params::ProtocolParams;
-pub use run::{SeedSeq, UnitTrace};
+pub use run::SeedSeq;
 pub use stack::Stack;

@@ -142,25 +142,6 @@ pub struct ReplayUnit {
     members: Vec<Member>,
 }
 
-/// Provenance record of one (re-)execution of a [`ReplayUnit`]: which
-/// resolver backend produced the trace, and its extent. Replays are only
-/// guaranteed identical when the reception sets are — which holds across
-/// backends by the resolver equivalence contract, but recording the
-/// backend makes any violation attributable when auditing a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitTrace {
-    /// The engine's backend: it resolved every round of this execution,
-    /// or, when the engine replayed a recorded execution (which resolves
-    /// nothing), the rounds of that recording.
-    pub resolver: dcluster_sim::ResolverKind,
-    /// Global engine round at which the execution started.
-    pub start_round: u64,
-    /// Rounds executed (= the schedule length).
-    pub rounds: u64,
-    /// Successful receptions delivered to `on_rx`.
-    pub receptions: u64,
-}
-
 /// Delivery callback: `(receiver, local_round, sender, message)`.
 pub type OnRx<'a> = &'a mut dyn FnMut(usize, u64, usize, &Msg);
 
@@ -268,8 +249,7 @@ impl ReplayUnit {
 
     /// Executes (or re-executes) the unit: every member transmits its
     /// pattern with the message given by `payload`; every reception is
-    /// reported to `on_rx`. Costs `sched.len()` rounds. Returns the
-    /// [`UnitTrace`] recording which resolver backend produced the trace.
+    /// reported to `on_rx`. Costs `sched.len()` rounds.
     ///
     /// A node listed twice transmits by its last snapshot. Each round
     /// lists its transmitters ([`RoundBehavior::transmitters`]) by testing
@@ -279,22 +259,9 @@ impl ReplayUnit {
     /// engine's last keyed run was this unit's, it replays that run's
     /// rounds instead ([`Engine::run_keyed`]); `on_rx` sees the same
     /// deliveries either way.
-    pub fn run(
-        &self,
-        engine: &mut Engine<'_>,
-        payload: &dyn Fn(usize) -> Msg,
-        on_rx: OnRx<'_>,
-    ) -> UnitTrace {
-        let start_round = engine.round();
-        let receptions_before = engine.stats().receptions;
-        let mut b = UnitBehavior::new(self, start_round, payload, on_rx);
+    pub fn run(&self, engine: &mut Engine<'_>, payload: &dyn Fn(usize) -> Msg, on_rx: OnRx<'_>) {
+        let mut b = UnitBehavior::new(self, engine.round(), payload, on_rx);
         engine.run_keyed(self.key, &mut b, self.sched.len(), payload);
-        UnitTrace {
-            resolver: engine.resolver_kind(),
-            start_round,
-            rounds: self.sched.len(),
-            receptions: engine.stats().receptions - receptions_before,
-        }
     }
 
     /// Node indices of the members.
@@ -382,7 +349,6 @@ mod tests {
     struct Seen {
         /// `(receiver, local round, sender, message)` as `on_rx` saw them.
         deliveries: Vec<(usize, u64, usize, Msg)>,
-        trace: UnitTrace,
         /// The engine's counters over the run, `replayed` left at 0.
         stats: EngineStats,
         /// The run's phase span.
@@ -407,7 +373,7 @@ mod tests {
         let net = engine.network();
         let mut deliveries = Vec::new();
         engine.begin_phase(PHASES[tag]);
-        let trace = unit.run(
+        unit.run(
             engine,
             &|v| Msg::Hello {
                 id: net.id(v),
@@ -419,7 +385,6 @@ mod tests {
         let after = engine.stats();
         let seen = Seen {
             deliveries,
-            trace,
             stats: EngineStats {
                 rounds: after.rounds - before.rounds,
                 transmissions: after.transmissions - before.transmissions,
@@ -508,10 +473,10 @@ mod tests {
 
         /// A unit run three times on one engine records once and replays
         /// twice, and each run shows exactly what a fresh engine shows:
-        /// deliveries with the run's own messages, `UnitTrace`, engine
-        /// counters, phase span and traced events (field rounds' `cache`
-        /// included). Ssf, wss and wcss units; uniform and heterogeneous
-        /// power; both backends.
+        /// deliveries with the run's own messages, engine counters, phase
+        /// span and traced events (field rounds' `cache` included). `on_rx`
+        /// sees one delivery per reception the engine counts. Ssf, wss and
+        /// wcss units; uniform and heterogeneous power; both backends.
         #[test]
         fn replayed_runs_equal_fresh_runs(
             seed in 0u64..1_000_000,
@@ -543,6 +508,7 @@ mod tests {
                     let start = engine.round();
                     let (seen, replayed) = run_seen(&mut engine, &events, &unit, tag);
                     prop_assert_eq!(replayed, if tag == 0 { 0 } else { len }, "run {}", tag);
+                    prop_assert_eq!(seen.deliveries.len() as u64, seen.stats.receptions, "run {}", tag);
                     prop_assert_eq!(&seen, &fresh_seen(&net, backend, start, &unit, tag), "run {} ({})", tag, backend);
                 }
                 prop_assert_eq!(
@@ -695,28 +661,6 @@ mod tests {
             senders.iter().all(|&s| s == 0),
             "only the member may be heard"
         );
-    }
-
-    #[test]
-    fn unit_trace_records_backend_and_extent() {
-        let net = small_net();
-        let unit = all_nodes_unit(&net, 6);
-        for kind in ResolverKind::ALL {
-            let mut engine = Engine::with_resolver_kind(&net, kind);
-            let mut count = 0u64;
-            let trace = unit.run(
-                &mut engine,
-                &|v| Msg::Hello {
-                    id: net.id(v),
-                    cluster: 0,
-                },
-                &mut |_, _, _, _| count += 1,
-            );
-            assert_eq!(trace.resolver, kind);
-            assert_eq!(trace.start_round, 0);
-            assert_eq!(trace.rounds, unit.sched.len());
-            assert_eq!(trace.receptions, count, "trace counts what on_rx saw");
-        }
     }
 
     #[test]

@@ -182,17 +182,6 @@ fn record(
     true
 }
 
-/// Statistics of the most recently executed round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Round number that was executed.
-    pub round: u64,
-    /// Transmitters in that round.
-    pub transmissions: u64,
-    /// Successful receptions in that round.
-    pub receptions: u64,
-}
-
 /// Drives [`RoundBehavior`]s over a network, maintaining a global round
 /// counter across sequential protocol stages (deterministic protocols are
 /// time-multiplexed by round number, so the counter must persist).
@@ -213,7 +202,6 @@ pub struct Engine<'n> {
     resolver: Box<dyn SinrResolver>,
     round: u64,
     stats: EngineStats,
-    last_round: RoundStats,
     tx_nodes: Vec<usize>,
     /// The latest round's receptions (reused across rounds).
     receptions: Vec<Reception>,
@@ -249,7 +237,6 @@ impl<'n> Engine<'n> {
             resolver,
             round: 0,
             stats: EngineStats::default(),
-            last_round: RoundStats::default(),
             tx_nodes: Vec::new(),
             receptions: Vec::new(),
             tracer: None,
@@ -334,12 +321,6 @@ impl<'n> Engine<'n> {
     /// pass.
     pub fn audit_resolver(&self) -> Result<(), String> {
         self.resolver.audit(self.net)
-    }
-
-    /// Statistics of the most recently executed round (zeroed before the
-    /// first [`Engine::step`]).
-    pub fn last_round_stats(&self) -> RoundStats {
-        self.last_round
     }
 
     /// Current global round number (next round to execute).
@@ -530,11 +511,6 @@ impl<'n> Engine<'n> {
         self.stats.rounds += 1;
         self.stats.transmissions += tx;
         self.stats.receptions += rx;
-        self.last_round = RoundStats {
-            round,
-            transmissions: tx,
-            receptions: rx,
-        };
         if let Some(t) = &self.tracer {
             t.borrow_mut().on_event(&Event::Round {
                 round,
@@ -657,18 +633,21 @@ mod tests {
             };
             engine.run(&mut b, 2);
             assert_eq!(engine.resolver_stats().rounds, 2);
-            let lr = engine.last_round_stats();
-            assert_eq!(lr.round, 1);
-            assert_eq!(lr.transmissions, 1);
-            assert_eq!(lr.receptions, 1, "node 1 hears node 0 ({kind})");
+            let want = EngineStats {
+                rounds: 2,
+                transmissions: 2,
+                receptions: 2,
+                replayed: 0,
+            };
+            assert_eq!(engine.stats(), want, "node 1 hears node 0 ({kind})");
         }
     }
 
     #[test]
     fn stats_accumulate_across_sequential_behaviors() {
         // The engine outlives individual behaviors: a protocol stack runs
-        // stage after stage on one engine, and EngineStats / RoundStats /
-        // the phase table must all account across that whole sequence.
+        // stage after stage on one engine, and EngineStats and the phase
+        // table must both account across that whole sequence.
         let net = line(2, 0.5);
         let mut engine = Engine::new(&net);
         #[derive(Debug)]
@@ -697,17 +676,13 @@ mod tests {
         engine.run(&mut silence, 2);
         engine.end_phase();
 
-        // Cumulative stats span both behaviors.
+        // Cumulative stats span both behaviors: the silent rounds add
+        // rounds only.
         let s = engine.stats();
         assert_eq!(s.rounds, 5);
         assert_eq!(s.transmissions, 3);
         assert_eq!(s.receptions, 3);
         assert_eq!(engine.round(), 5);
-        // Last-round stats describe the final (silent) round only.
-        let lr = engine.last_round_stats();
-        assert_eq!(lr.round, 4);
-        assert_eq!(lr.transmissions, 0);
-        assert_eq!(lr.receptions, 0);
         // The phase table kept the two stages apart, in first-seen order.
         let phases = engine.phase_table().summaries();
         assert_eq!(phases.len(), 2);

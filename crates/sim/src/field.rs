@@ -34,8 +34,9 @@
 //!    *reject*; since `I ≤ I_near + residual`, passing the test at
 //!    `I_near + residual` is a definitive *accept*. Only when the true
 //!    threshold lies strictly inside the residual interval does the field
-//!    fall back to the exact far sum — and then the decision is the full
-//!    sum's decision by construction. Either way the outcome equals the
+//!    fall back to the oracle's own test: every transmitter's signal, the
+//!    sender's included, summed in slot order, and Eq. (1) checked by the
+//!    same function the oracle calls. Either way the outcome equals the
 //!    naive resolver's on every receiver.
 //!
 //! The expected per-receiver cost is `O(occupied cells near u)` for the
@@ -49,23 +50,24 @@
 //! ones).
 //!
 //! **Floating-point caveat.** The argument above is exact in real
-//! arithmetic. In `f64`, summing the same terms in a different order can
-//! change the last ulp, so an instance whose SINR equals the threshold
-//! *to within summation rounding* could in principle be decided
-//! differently here (ring/cell order) than by the naive oracle
-//! (transmitter order). Such ties have measure zero in the deployments the
-//! suites generate, and every summation order used here is itself
-//! deterministic (rings, then insertion order within a cell, then caller
-//! order in the fallback), so runs are always byte-identical; the
-//! fixed-seed equivalence suites and the `scale_resolvers` CI gate pin the
-//! instances on which agreement is actually enforced. The aggregated
-//! resolver consults the field only above `radio::EXACT_MAX_TX`
-//! transmitters; smaller rounds run the oracle's own routine and carry no
-//! such caveat.
+//! arithmetic. A fallback decides exactly as the oracle does, bit for bit:
+//! the same signals ([`Network::signal_from`]), the same sum order and the
+//! same comparison. The ring reject, the tail accept and the exhausted
+//! test use field arithmetic instead: cell sums in ring order, then
+//! insertion order within a cell. In `f64` a different summation order
+//! can change the last ulp, so a listener whose SINR equals β *to within
+//! summation rounding* can still be decided differently there than by the
+//! oracle (as can the resolver's second-strongest short-circuit). Every
+//! order is deterministic, so runs stay byte-identical, and the fixed-seed
+//! equivalence suites and the `scale_resolvers` CI gate pin the instances
+//! on which agreement is enforced. The aggregated resolver consults the
+//! field only above `radio::EXACT_MAX_TX` transmitters; smaller rounds run
+//! the oracle's own routine and carry no such caveat.
 
 use crate::grid::Grid;
+use crate::network::Network;
 use crate::point::Point;
-use crate::SinrParams;
+use crate::radio::decodes;
 
 /// Counters describing how an [`InterferenceField`] resolved its queries
 /// (diagnostics for the resolver statistics).
@@ -76,29 +78,26 @@ pub struct FieldStats {
     /// Queries that consumed every transmitter during expansion (exact by
     /// exhaustion; includes tiny rounds where everything is nearby).
     pub exhausted: u64,
-    /// Queries that fell back to the exact far-field sum.
+    /// Queries that fell back to the oracle's full sum.
     pub exact_fallbacks: u64,
-    /// Signals the queries summed: ring-sum terms plus exact-fallback
-    /// terms.
+    /// Signals the queries summed: ring-sum terms, plus `|T|` per
+    /// fallback.
     pub field_terms: u64,
 }
 
 /// A per-round interference summary over the transmitter set. See the
 /// module docs for the exactness argument.
 ///
-/// Under **heterogeneous power** the cell sums use each transmitter's own
-/// power (`powers` is threaded through [`InterferenceField::build`] and
-/// [`InterferenceField::decide`]), and the far-field residual bound uses a
-/// per-field **power cap** (the largest transmitter power) in place
-/// of the uniform `P` — still a valid upper bound, so decisions stay
-/// exact. With uniform power every formula is bit-identical to the classic
-/// path.
+/// Every signal the field sums is [`Network::signal_from`] at the
+/// transmitter's distance, each transmitter at its own power. Under
+/// **heterogeneous power** the far-field residual bound uses a per-field
+/// **power cap** (the largest transmitter power) in place of the uniform
+/// `P`, which is still a valid upper bound, so decisions stay exact.
 #[derive(Debug)]
 pub struct InterferenceField {
     grid: Grid,
-    /// Transmitter indices in caller order — the exact fallback iterates
-    /// this (not the grid's cells) so its summation order, and with it
-    /// every last-ulp rounding decision, is the oracle's transmitter order.
+    /// Transmitter indices in slot order, which the fallback sums in, as
+    /// the oracle does.
     tx: Vec<u32>,
     /// The last ring the expansion scans before the exact fallback: the
     /// first `k ≥ 1` whose `(2k+1)²` block has at least four times as
@@ -116,27 +115,24 @@ pub struct InterferenceField {
 }
 
 impl InterferenceField {
-    /// Builds the field for one round: a subset grid over `transmitters`
-    /// (cell side = transmission range), its block counts and the
-    /// per-ring weights under path-loss exponent `alpha`. `powers` is the
-    /// full per-node power array (uniform deployments pass
-    /// `network.powers()`, which is all `params.power`).
-    pub fn build(
-        points: &[Point],
-        powers: &[f64],
-        transmitters: &[usize],
-        cell: f64,
-        alpha: f64,
-    ) -> Self {
-        let grid = Grid::build_subset(points, transmitters, cell);
+    /// Builds the field for one round of `net`: a subset grid over
+    /// `transmitters` (cell side = the model's transmission range), its
+    /// block counts and the per-ring weights.
+    pub fn build(net: &Network, transmitters: &[usize]) -> Self {
+        let p = net.params();
+        let cell = p.range();
+        let grid = Grid::build_subset(net.points(), transmitters, cell);
         let occupied = grid.occupied_cells() as i64;
         let mut k_cap = 1i64;
         while (2 * k_cap + 1) * (2 * k_cap + 1) < 4 * occupied && k_cap < (1 << 20) {
             k_cap += 1;
         }
-        let power_cap = transmitters.iter().map(|&t| powers[t]).fold(0.0, f64::max);
+        let power_cap = transmitters
+            .iter()
+            .map(|&t| net.power_of(t))
+            .fold(0.0, f64::max);
         let weights = (0..=k_cap + 1)
-            .map(|g| power_cap / (g as f64 * cell).max(1e-12).powf(alpha))
+            .map(|g| power_cap / (g as f64 * cell).max(1e-12).powf(p.alpha))
             .collect();
         Self {
             counts: CountTable::build(&grid),
@@ -148,33 +144,26 @@ impl InterferenceField {
         }
     }
 
-    /// The transmitter-subset grid (shared with nearest-sender queries).
+    /// The transmitter-subset grid (shared with the candidate scan).
     pub fn grid(&self) -> &Grid {
         &self.grid
     }
 
-    /// Decides whether a candidate reception survives the full SINR test:
-    /// returns `s1 ≥ β·(noise + I)` where `I` is the total interference at
-    /// `u` over all transmitters except `sender` (whose signal `s1` at `u`
-    /// the caller already knows), and counts how it was decided in
-    /// `stats`. Exact — see module docs.
-    #[allow(clippy::too_many_arguments)]
+    /// Decides whether a listener at `u` decodes `sender`, whose signal
+    /// `s1` at `u` the caller already knows: whether `s1 ≥ β·(noise + I)`,
+    /// with `I` the interference of every other transmitter. Counts how it
+    /// was decided in `stats`. Exact — see module docs.
     pub fn decide(
         &mut self,
-        points: &[Point],
-        powers: &[f64],
-        params: &SinrParams,
+        net: &Network,
         u: Point,
         sender: usize,
         s1: f64,
         stats: &mut FieldStats,
     ) -> bool {
+        let p = net.params();
         let key = self.grid.key_of(u);
         let (ucx, ucy) = key;
-        // Per-transmitter signal `P_w / d^α` — bit-identical to
-        // `params.signal` when `powers[w]` is the model power.
-        let alpha = params.alpha;
-        let sig = |w: usize, d: f64| powers[w] / d.max(1e-12).powf(alpha);
         // Interferers = all transmitters but the sender.
         let interferers = self.tx.len() - 1;
         let mut i_near = 0.0f64; // exact, cell-grouped partial sums
@@ -189,12 +178,12 @@ impl InterferenceField {
                     if w == sender {
                         continue;
                     }
-                    i_near += sig(w, points[w].dist(u));
+                    i_near += net.signal_from(w, net.pos(w).dist(u));
                     near_count += 1;
                 }
             }
             // Reject: the true interference is at least `i_near`.
-            if s1 < params.beta * (params.noise + i_near) {
+            if s1 < p.beta * (p.noise + i_near) {
                 stats.residual_decided += 1;
                 stats.field_terms += near_count as u64;
                 return false;
@@ -203,45 +192,33 @@ impl InterferenceField {
             if near_count == interferers {
                 stats.exhausted += 1;
                 stats.field_terms += near_count as u64;
-                return s1 >= params.beta * (params.noise + i_near);
+                return s1 >= p.beta * (p.noise + i_near);
             }
             // Accept: even the residual upper bound cannot push the
             // interference past the threshold.
             if k >= 1 {
                 if k >= tails_end {
-                    let sender_key = self.grid.key_of(points[sender]);
+                    let sender_key = self.grid.key_of(net.pos(sender));
                     tails_end = self.fill_tails(key, sender_key, k, near_count, interferers) + 1;
                 }
-                if s1 >= params.beta * (params.noise + i_near + self.tails[k as usize]) {
+                if s1 >= p.beta * (p.noise + i_near + self.tails[k as usize]) {
                     stats.residual_decided += 1;
                     stats.field_terms += near_count as u64;
                     return true;
                 }
             }
         }
-        // Exact fallback: add the far field transmitter by transmitter, in
-        // caller order (not cell order — iteration order decides last-ulp
-        // rounding, and it must not depend on the grid's layout).
-        // Transmitters inside the scanned block are already in `i_near`.
-        // Cell keys are clamped to ±2⁶¹, so the differences cannot
-        // overflow.
+        // Exact fallback: the oracle's own test. Every transmitter's
+        // signal, the sender's included, summed in slot order.
         stats.exact_fallbacks += 1;
-        let mut terms = near_count as u64;
-        let mut i_total = i_near;
-        for &w in &self.tx {
-            let w = w as usize;
-            if w == sender {
-                continue;
-            }
-            let (cx, cy) = self.grid.key_of(points[w]);
-            if (cx - ucx).abs() <= self.k_cap && (cy - ucy).abs() <= self.k_cap {
-                continue; // already in i_near
-            }
-            i_total += sig(w, points[w].dist(u));
-            terms += 1;
-        }
-        stats.field_terms += terms;
-        s1 >= params.beta * (params.noise + i_total)
+        stats.field_terms += (near_count + self.tx.len()) as u64;
+        let total: f64 = self
+            .tx
+            .iter()
+            .map(|&w| w as usize)
+            .map(|w| net.signal_from(w, net.pos(w).dist(u)))
+            .sum();
+        decodes(p, s1, total)
     }
 
     /// Fills `tails[k..=m]` for a listener in cell `key` whose scan has
@@ -366,6 +343,7 @@ fn ring_cells(cx: i64, cy: i64, k: i64) -> impl Iterator<Item = (i64, i64)> {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+    use crate::SinrParams;
 
     #[test]
     fn ring_cells_tile_the_block_exactly_once() {
@@ -383,17 +361,29 @@ mod tests {
         assert_eq!(seen.len(), 7 * 7, "rings 0..=3 must tile the 7x7 block");
     }
 
-    fn uniform_powers(n: usize, params: &SinrParams) -> Vec<f64> {
-        vec![params.power; n]
+    fn net_of(pts: Vec<Point>, powers: Vec<f64>) -> Network {
+        Network::builder(pts).powers(powers).build().unwrap()
     }
 
-    fn field_of(
-        pts: &[Point],
-        powers: &[f64],
-        tx: &[usize],
-        params: &SinrParams,
-    ) -> InterferenceField {
-        InterferenceField::build(pts, powers, tx, params.range(), params.alpha)
+    /// Holds `decide` to Eq. (1) summed fresh, for every transmitter at
+    /// every listener of the round.
+    fn assert_decide_matches_full_sum(net: &Network, tx: &[usize], trial: usize) {
+        let p = net.params();
+        let mut field = InterferenceField::build(net, tx);
+        let mut stats = FieldStats::default();
+        for u in (0..net.len()).filter(|u| !tx.contains(u)) {
+            for &v in tx {
+                let s1 = net.signal_between(v, u);
+                let full: f64 = tx
+                    .iter()
+                    .filter(|&&w| w != v)
+                    .map(|&w| net.signal_between(w, u))
+                    .sum();
+                let want = s1 >= p.beta * (p.noise + full);
+                let got = field.decide(net, net.pos(u), v, s1, &mut stats);
+                assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
+            }
+        }
     }
 
     #[test]
@@ -410,25 +400,8 @@ mod tests {
             if tx.is_empty() {
                 continue;
             }
-            let powers = uniform_powers(n, &params);
-            let mut field = field_of(&pts, &powers, &tx, &params);
-            let mut stats = FieldStats::default();
-            for u in 0..n {
-                if tx.contains(&u) {
-                    continue;
-                }
-                for &v in &tx {
-                    let s1 = params.signal(pts[v].dist(pts[u]));
-                    let full: f64 = tx
-                        .iter()
-                        .filter(|&&w| w != v)
-                        .map(|&w| params.signal(pts[w].dist(pts[u])))
-                        .sum();
-                    let want = s1 >= params.beta * (params.noise + full);
-                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1, &mut stats);
-                    assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
-                }
-            }
+            let net = net_of(pts, vec![params.power; n]);
+            assert_decide_matches_full_sum(&net, &tx, trial);
         }
     }
 
@@ -448,25 +421,7 @@ mod tests {
             if tx.is_empty() {
                 continue;
             }
-            let sig = |w: usize, d: f64| powers[w] / d.max(1e-12).powf(params.alpha);
-            let mut field = field_of(&pts, &powers, &tx, &params);
-            let mut stats = FieldStats::default();
-            for u in 0..n {
-                if tx.contains(&u) {
-                    continue;
-                }
-                for &v in &tx {
-                    let s1 = sig(v, pts[v].dist(pts[u]));
-                    let full: f64 = tx
-                        .iter()
-                        .filter(|&&w| w != v)
-                        .map(|&w| sig(w, pts[w].dist(pts[u])))
-                        .sum();
-                    let want = s1 >= params.beta * (params.noise + full);
-                    let got = field.decide(&pts, &powers, &params, pts[u], v, s1, &mut stats);
-                    assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
-                }
-            }
+            assert_decide_matches_full_sum(&net_of(pts, powers), &tx, trial);
         }
     }
 
@@ -477,24 +432,23 @@ mod tests {
     /// the grid has no table.
     fn assert_tails_bound_the_far_field(
         field: &mut InterferenceField,
-        pts: &[Point],
-        powers: &[f64],
+        net: &Network,
         tx: &[usize],
-        alpha: f64,
         u: Point,
         sender: usize,
     ) {
         let lumped_only = field.counts.is_none();
         let grid = field.grid();
         let cell = grid.cell_size();
+        let alpha = net.params().alpha;
         let key = grid.key_of(u);
         let ring_of = |w: usize| {
-            let (cx, cy) = grid.key_of(pts[w]);
+            let (cx, cy) = grid.key_of(net.pos(w));
             (cx - key.0).abs().max((cy - key.1).abs())
         };
         let rings: Vec<i64> = tx.iter().map(|&w| ring_of(w)).collect();
-        let sender_key = grid.key_of(pts[sender]);
-        let power_cap = tx.iter().map(|&w| powers[w]).fold(0.0, f64::max);
+        let sender_key = grid.key_of(net.pos(sender));
+        let power_cap = tx.iter().map(|&w| net.power_of(w)).fold(0.0, f64::max);
         let interferers = tx.len() - 1;
         let near = |k: i64| {
             tx.iter()
@@ -516,7 +470,7 @@ mod tests {
                 .iter()
                 .zip(&rings)
                 .filter(|&(&w, &r)| w != sender && r > k)
-                .map(|(&w, _)| powers[w] / pts[w].dist(u).max(1e-12).powf(alpha))
+                .map(|(&w, _)| net.signal_from(w, net.pos(w).dist(u)))
                 .sum();
             let far = (interferers - near_count) as f64;
             let lumped = far * (power_cap / (k as f64 * cell).max(1e-12).powf(alpha));
@@ -586,7 +540,7 @@ mod tests {
                     ));
                 }
             }
-            let powers: Vec<f64> = (0..n)
+            let mut powers: Vec<f64> = (0..n)
                 .map(|_| match shape {
                     2 => params.power * (1.0 + 7.0 * rng.next_f64()),
                     _ => params.power,
@@ -595,18 +549,17 @@ mod tests {
             let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.3)).collect();
             // The same round past the table cap: two far-off listeners
             // stretch the box to ~10¹⁴ cells.
-            let mut wide = pts.clone();
-            wide.extend([Point::new(-1e7, -1e7), Point::new(1e7, 1e7)]);
-            for (pts, tabulated) in [(&pts, true), (&wide, false)] {
-                let mut field = field_of(pts, &powers, &tx, &params);
+            let narrow = net_of(pts.clone(), powers.clone());
+            pts.extend([Point::new(-1e7, -1e7), Point::new(1e7, 1e7)]);
+            powers.extend([params.power; 2]);
+            let wide = net_of(pts, powers);
+            for (net, tabulated) in [(&narrow, true), (&wide, false)] {
+                let mut field = InterferenceField::build(net, &tx);
                 assert_eq!(field.counts.is_some(), tabulated, "trial {trial}");
                 for _ in 0..40 {
                     let u = edge_listener(side, &mut rng);
                     let sender = tx[rng.range_usize(tx.len())];
-                    let alpha = params.alpha;
-                    assert_tails_bound_the_far_field(
-                        &mut field, pts, &powers, &tx, alpha, u, sender,
-                    );
+                    assert_tails_bound_the_far_field(&mut field, net, &tx, u, sender);
                 }
             }
         }
@@ -615,17 +568,16 @@ mod tests {
     #[test]
     fn stats_count_every_query() {
         let params = SinrParams::default();
-        let pts = vec![
+        let uniform = |pts: Vec<Point>| net_of(pts, vec![params.power; 3]);
+        let net = uniform(vec![
             Point::new(0.0, 0.0),
             Point::new(0.2, 0.0),
             Point::new(9.0, 9.0),
-        ];
-        let tx = vec![0, 2];
-        let powers = uniform_powers(3, &params);
-        let mut field = field_of(&pts, &powers, &tx, &params);
-        let s1 = params.signal(pts[0].dist(pts[1]));
+        ]);
+        let mut field = InterferenceField::build(&net, &[0, 2]);
+        let s1 = net.signal_between(0, 1);
         let mut st = FieldStats::default();
-        let _ = field.decide(&pts, &powers, &params, pts[1], 0, s1, &mut st);
+        let _ = field.decide(&net, net.pos(1), 0, s1, &mut st);
         assert_eq!(
             st.residual_decided + st.exhausted + st.exact_fallbacks,
             1,
@@ -635,23 +587,26 @@ mod tests {
         // cell to the left with signal 2.2 (β·noise = 2), one interferer
         // five cells to the right sending 2/5³. Two occupied cells put the
         // ring cap at 1, and ring 1's residual (the interferer counted at
-        // ring 2: 0.25) cannot accept, so the exact far sum decides.
+        // ring 2: 0.25) cannot accept, so the oracle's full sum decides.
         let d = (params.power / 2.2).powf(1.0 / params.alpha);
-        let pts = vec![
+        let net = uniform(vec![
             Point::new(0.5 - d, 0.5),
             Point::new(5.5, 0.5),
             Point::new(0.5, 0.5),
-        ];
-        let mut field = field_of(&pts, &powers, &[0, 1], &params);
+        ]);
+        let mut field = InterferenceField::build(&net, &[0, 1]);
         assert_eq!(field.k_cap, 1);
-        let s1 = params.signal(pts[0].dist(pts[2]));
+        let s1 = net.signal_between(0, 2);
         let mut st = FieldStats::default();
-        assert!(field.decide(&pts, &powers, &params, pts[2], 0, s1, &mut st));
+        assert!(field.decide(&net, net.pos(2), 0, s1, &mut st));
         let want = FieldStats {
             exact_fallbacks: 1,
-            field_terms: 1,
+            field_terms: 2,
             ..FieldStats::default()
         };
-        assert_eq!(st, want, "one fallback summing the one far interferer");
+        assert_eq!(
+            st, want,
+            "one fallback: no ring terms, then both transmitters summed"
+        );
     }
 }

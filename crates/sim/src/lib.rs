@@ -68,10 +68,10 @@ pub mod rng;
 pub use dcluster_obs::{
     CacheOp, Event as ObsEvent, PhaseSummary, PhaseTable, SharedTracer, Tracer,
 };
-pub use engine::{Engine, EngineStats, ReplayKey, RoundBehavior, RoundStats};
+pub use engine::{Engine, EngineStats, ReplayKey, RoundBehavior};
 pub use field::{FieldStats, InterferenceField};
 pub use graph::Graph;
-pub use grid::{Grid, TwoNearest};
+pub use grid::Grid;
 pub use network::{Network, NetworkBuilder, NetworkError};
 pub use point::Point;
 pub use radio::{

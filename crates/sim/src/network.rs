@@ -242,8 +242,9 @@ impl Network {
     }
 
     /// True iff every node transmits at the model power `params.power`
-    /// (the paper's uniform-power setting). Resolvers use this to keep the
-    /// nearest-transmitter fast path.
+    /// (the paper's uniform-power setting). It describes the deployment
+    /// only: no resolver branches on it, since every path computes signals
+    /// through [`Network::signal_from`]. perfbench's profile reads it.
     #[inline]
     pub fn has_uniform_power(&self) -> bool {
         self.uniform_power

@@ -40,20 +40,22 @@
 //!   Survivors are decided by exact cell-grouped partial sums, ring by ring
 //!   around the receiver, plus a residual bound for everything farther
 //!   that weights each farther ring's transmitter count by that ring's
-//!   distance; the rare inconclusive case falls back to the exact
-//!   far-field sum (see [`crate::field`] for the full argument).
+//!   distance; the rare inconclusive case falls back to the oracle's own
+//!   sum and test (see [`crate::field`] for the full argument).
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
-//! ([`Network::powers`](crate::Network::powers)); signals are then
-//! `P_w / d^α` via [`Network::signal_from`](crate::Network::signal_from).
-//! The field path keeps its exactness: any decodable transmitter must
-//! satisfy `P_w/d^α ≥ β·noise`, i.e. lie within
+//! ([`Network::powers`](crate::Network::powers)). Every path computes a
+//! signal as `P_w / d^α` through
+//! [`Network::signal_from`](crate::Network::signal_from). Any decodable
+//! transmitter satisfies `P_w/d^α ≥ β·noise`, i.e. lies within
 //! [`Network::max_range`](crate::Network::max_range) of the receiver, so
-//! the candidate search stays a bounded disk query — but the decodable
-//! transmitter is the *strongest-signal* one, which under heterogeneous
-//! power need not be the nearest, so the candidate is found by a
-//! strongest-two scan instead of the nearest-two distance query (the
-//! uniform-power fast path is untouched).
+//! the field path's candidate search is one disk query. Because β > 1,
+//! only the strongest signal can be decoded, and under heterogeneous power
+//! it need not come from the nearest transmitter. So the search scans the
+//! disk for the strongest and second-strongest signals. Under uniform
+//! power the strongest signal is the nearest transmitter's; where the top
+//! two signals tie, the short-circuit rejects the listener whichever of
+//! the two the scan picked.
 //!
 //! Equivalence with the oracle is enforced by property tests on random,
 //! clumped and grid-boundary deployments
@@ -62,6 +64,7 @@
 use crate::field::{FieldStats, InterferenceField};
 use crate::grid::Grid;
 use crate::network::Network;
+use crate::SinrParams;
 use dcluster_obs::CacheOp;
 use std::fmt;
 use std::str::FromStr;
@@ -148,10 +151,10 @@ pub struct ResolverStats {
     pub exact_sums: u64,
     /// Field rounds: candidates decided by cell sums + residual bound.
     pub residual_decided: u64,
-    /// Field rounds: candidates that needed the exact far-field fallback.
+    /// Field rounds: candidates that fell back to the oracle's full sum.
     pub exact_fallbacks: u64,
     /// Field rounds: signals summed to decide candidates — the cell sums
-    /// of the rings scanned plus the terms of exact fallbacks.
+    /// of the rings scanned plus `|T|` per fallback.
     pub field_terms: u64,
 }
 
@@ -213,19 +216,20 @@ pub trait SinrResolver: fmt::Debug {
     }
 }
 
-/// Candidate sender at receiver position `u`: the strongest and
+/// Candidate sender of the field path at listener `u`: the strongest and
 /// second-strongest received signals over the transmitters stored in
-/// `grid`, scanning the disk of radius `r` (the network's
-/// [`max_range`](Network::max_range), which contains every decodable
-/// transmitter). Returns `(sender, s1, s2)` with `s2 = 0.0` when a single
-/// candidate is in range. Ties keep the first-scanned transmitter — the
-/// scan order is deterministic, and tied top signals can never be decoded
-/// anyway (`β > 1`).
-fn two_strongest_within(net: &Network, grid: &Grid, u: crate::Point, r: f64) -> CandidateSignals {
+/// `grid`, scanning the disk of radius [`Network::max_range`], which
+/// contains every decodable transmitter. Returns `(sender, s1, s2)` with
+/// `s2 = 0.0` when a single transmitter is in range, or `None` when none
+/// is. Ties keep the first-scanned transmitter: the scan order is
+/// deterministic, and tied top signals can never be decoded anyway
+/// (`β > 1`).
+fn candidate_signals(net: &Network, grid: &Grid, u: usize) -> Option<(usize, f64, f64)> {
+    let at = net.pos(u);
     let mut best: Option<(usize, f64)> = None;
     let mut second = 0.0f64;
-    for w in grid.within(net.points(), u, r) {
-        let s = net.signal_from(w, net.pos(w).dist(u));
+    for w in grid.within(net.points(), at, net.max_range()) {
+        let s = net.signal_from(w, net.pos(w).dist(at));
         match best {
             None => best = Some((w, s)),
             Some((_, bs)) if s > bs => {
@@ -238,26 +242,12 @@ fn two_strongest_within(net: &Network, grid: &Grid, u: crate::Point, r: f64) -> 
     best.map(|(w, s1)| (w, s1, second))
 }
 
-/// `(sender, strongest signal, second-strongest signal)` or `None` when no
-/// transmitter is in range.
-type CandidateSignals = Option<(usize, f64, f64)>;
-
-/// Candidate search of the field path: nearest-two distance query under
-/// uniform power, strongest-two signal scan under heterogeneous power.
-fn candidate_signals(net: &Network, tx_grid: &Grid, u: usize) -> CandidateSignals {
-    let r = net.max_range();
-    if net.has_uniform_power() {
-        let p = net.params();
-        let tn = tx_grid.two_nearest_within(net.points(), net.pos(u), r)?;
-        let s2 = if tn.d2.is_finite() {
-            p.signal(tn.d2)
-        } else {
-            0.0
-        };
-        Some((tn.nearest, p.signal(tn.d1), s2))
-    } else {
-        two_strongest_within(net, tx_grid, net.pos(u), r)
-    }
+/// Eq. (1) as the oracle evaluates it: whether a transmitter received at
+/// signal `s` is decoded when `total` is the summed signal of every
+/// transmitter, its own included. The exact routine and the field's
+/// fallback both decide through it.
+pub(crate) fn decodes(p: &SinrParams, s: f64, total: f64) -> bool {
+    s >= p.beta * (p.noise + (total - s))
 }
 
 /// Marks `transmitters` in the reusable `is_tx`/`slot_of` scratch vectors.
@@ -433,7 +423,7 @@ fn resolve_exact(
         let mut decoded: Option<(usize, usize)> = None;
         for (slot, &v) in transmitters.iter().enumerate() {
             let s = signal(slot, u);
-            if s >= p.beta * (p.noise + (total - s)) {
+            if decodes(p, s, total) {
                 debug_assert!(decoded.is_none(), "beta > 1 forbids two decodable senders");
                 decoded = Some((v, slot));
             }
@@ -535,8 +525,7 @@ impl AggregatedResolver {
         let n = net.len();
         let p = net.params();
         mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let mut field =
-            InterferenceField::build(net.points(), net.powers(), transmitters, p.range(), p.alpha);
+        let mut field = InterferenceField::build(net, transmitters);
         let mut fs = FieldStats::default();
         for u in 0..n {
             if self.is_tx[u] {
@@ -551,7 +540,7 @@ impl AggregatedResolver {
                 self.stats.short_circuited += 1;
                 continue;
             }
-            if field.decide(net.points(), net.powers(), p, net.pos(u), v, s1, &mut fs) {
+            if field.decide(net, net.pos(u), v, s1, &mut fs) {
                 out.push(Reception {
                     receiver: u,
                     sender: v,
@@ -648,7 +637,6 @@ mod tests {
     use super::*;
     use crate::point::Point;
     use crate::rng::Rng64;
-    use crate::SinrParams;
 
     fn net_of(points: Vec<Point>) -> Network {
         Network::builder(points).build().unwrap()
@@ -790,6 +778,57 @@ mod tests {
             2,
             "the sweep must cross the threshold: SINR = β·(1 ± a few ulps)"
         );
+    }
+
+    #[test]
+    fn field_rounds_match_naive_bit_for_bit_at_the_threshold() {
+        // The field-path twin of the test above: a listener at the origin,
+        // 4 interferers at radius 2.5 and 8 at radius 8 to 10.6, so that
+        // |T| = 13 > EXACT_MAX_TX. A sender slides ulp by ulp across the
+        // distance at which its SINR is exactly β, in six directions. Only
+        // the far interferers lie outside the ring cap, and their residual
+        // bound is too loose to accept at the threshold, so the field falls
+        // back to the oracle's own test and must decide exactly like it.
+        let p = SinrParams::default();
+        let polar = |r: f64, a: f64| Point::new(r * a.cos(), r * a.sin());
+        let near = (0..4).map(|i| polar(2.5, 0.7 + 1.57 * i as f64));
+        let far = (0..8).map(|i| polar(8.0 + 0.37 * i as f64, 0.3 + 0.785 * i as f64));
+        let interferers: Vec<Point> = near.chain(far).collect();
+        let interference: f64 = interferers
+            .iter()
+            .map(|w| p.signal(w.dist(Point::ORIGIN)))
+            .sum();
+        let d_star = (p.power / (p.beta * (p.noise + interference))).powf(1.0 / p.alpha);
+        let tx: Vec<usize> = (1..=interferers.len() + 1).collect();
+        assert!(tx.len() > EXACT_MAX_TX, "field rounds");
+        let mut agg = AggregatedResolver::new();
+        let mut field = Vec::new();
+        for direction in 0..6 {
+            let angle = 0.4 + std::f64::consts::FRAC_PI_3 * direction as f64;
+            let mut d = d_star;
+            for _ in 0..64 {
+                d = d.next_down();
+            }
+            let mut outcomes = std::collections::BTreeSet::new();
+            for step in 0..128 {
+                let mut pts = vec![Point::ORIGIN, polar(d, angle)];
+                pts.extend(interferers.iter().copied());
+                let net = net_of(pts);
+                let naive = NaiveResolver::new().resolve(&net, &tx);
+                let at = format!("direction {direction}, step {step}: d = {d:e}");
+                assert_eq!(agg.resolve(&net, &tx), naive, "dispatched, {at}");
+                agg.resolve_field_into(&net, &tx, &mut field);
+                assert_eq!(field, naive, "field, {at}");
+                outcomes.insert(naive.len());
+                d = d.next_up();
+            }
+            assert_eq!(
+                outcomes.len(),
+                2,
+                "direction {direction}: the sweep must cross the threshold"
+            );
+        }
+        assert!(agg.stats().exact_fallbacks > 0, "the fallback decided");
     }
 
     /// `n` nodes spread uniformly over a `side × side` square.

@@ -1,8 +1,9 @@
 //! The aggregated backend must return **exactly** the naive oracle's
 //! receptions — the equivalence promised in `radio.rs`'s module docs.
 //! Rounds with `|T| ≤ EXACT_MAX_TX` run the oracle's own routine; above
-//! it the field's cell sums are exact partial sums and its residual bound
-//! is only used when conclusive, so the decisions coincide with the full
+//! it the field's cell sums are exact partial sums, its residual bound is
+//! only used when conclusive, and an inconclusive listener falls back to
+//! the oracle's own sum and test, so the decisions coincide with the full
 //! Eq. (1) sum. Each instance is checked through the backend as
 //! dispatched and through its field path forced at any `|T|`.
 //! Property-tested over random, clumped and grid-boundary deployments,
@@ -12,8 +13,11 @@
 
 use dcluster_sim::radio::EXACT_MAX_TX;
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{AggregatedResolver, Network, Point, Reception, ResolverKind, SinrParams};
+use dcluster_sim::{
+    AggregatedResolver, Network, Point, Reception, ResolverKind, SinrParams, SinrResolver,
+};
 use proptest::prelude::*;
+use std::f64::consts::TAU;
 
 /// Canonical ordering so resolver outputs compare as sets.
 fn sorted(mut receptions: Vec<Reception>) -> Vec<Reception> {
@@ -231,4 +235,57 @@ fn backends_equal_naive_when_the_cell_box_is_past_the_cap() {
     let naive = ResolverKind::Naive.build().resolve(&net, &tx);
     assert!(!naive.is_empty(), "the clusters must decode something");
     assert_equivalent(&net, &tx, "spilled box").unwrap();
+}
+
+/// Random near-ties: a listener at the origin, 9 to 22 interferers at
+/// random distances from 1.1 up to a random reach, and a sender slid ulp
+/// by ulp across the distance at which its SINR is exactly β. A field
+/// decision that falls back runs the oracle's own sum and test, so every
+/// such round must equal the oracle bit for bit. Ring rejects and accepts
+/// use the field's own summation order and may still differ at these
+/// ties, so only fallback rounds are held to the oracle here.
+#[test]
+fn field_fallbacks_equal_naive_at_random_near_ties() {
+    let p = SinrParams::default();
+    let polar = |r: f64, a: f64| Point::new(r * a.cos(), r * a.sin());
+    let mut rng = Rng64::new(20_261_018);
+    let mut field = AggregatedResolver::new();
+    let (mut fallbacks, mut decoded) = (0, 0);
+    for config in 0..250 {
+        let k = 9 + rng.range_usize(14);
+        let reach = rng.range_f64(1.5, 12.0);
+        let interferers: Vec<Point> = (0..k)
+            .map(|_| polar(rng.range_f64(1.1, reach), rng.range_f64(0.0, TAU)))
+            .collect();
+        let interference: f64 = interferers
+            .iter()
+            .map(|w| p.signal(w.dist(Point::ORIGIN)))
+            .sum();
+        let d_star = (p.power / (p.beta * (p.noise + interference))).powf(1.0 / p.alpha);
+        let angle = rng.range_f64(0.0, TAU);
+        let tx: Vec<usize> = (1..=k + 1).collect();
+        let mut d = d_star;
+        for _ in 0..6 {
+            d = d.next_down();
+        }
+        for step in 0..12 {
+            let mut pts = vec![Point::ORIGIN, polar(d, angle)];
+            pts.extend(interferers.iter().copied());
+            let net = Network::builder(pts).build().expect("nonempty");
+            let before = field.stats().exact_fallbacks;
+            let mut got = Vec::new();
+            field.resolve_field_into(&net, &tx, &mut got);
+            if field.stats().exact_fallbacks > before {
+                let naive = ResolverKind::Naive.build().resolve(&net, &tx);
+                assert_eq!(got, naive, "config {config}, step {step}: d = {d:e}");
+                fallbacks += 1;
+                decoded += naive.len();
+            }
+            d = d.next_up();
+        }
+    }
+    assert!(
+        decoded > 0 && decoded < fallbacks,
+        "fallback rounds on both sides of the threshold: {decoded} of {fallbacks} decode"
+    );
 }
