@@ -2,36 +2,57 @@
 //!
 //! One JSON object per line, hand-rolled (no serde). Line 1 is the
 //! header carrying [`TRACE_SCHEMA`] plus the run's identity
-//! ([`TraceMeta`]); every following line is one [`Event`]. Nothing in a
-//! trace depends on wall-clock time or iteration order, so two runs of
-//! the same scenario produce **byte-identical** files — `xtask
-//! tracediff` relies on this to name the first divergent round instead
-//! of just failing a byte compare.
+//! ([`TraceMeta`]); every following line is one [`Event`] or one run of
+//! silent rounds. Nothing in a trace depends on wall-clock time or
+//! iteration order, so two runs of the same scenario produce
+//! **byte-identical** files — `xtask tracediff` relies on this to name the
+//! first divergent round instead of just failing a byte compare.
 //!
-//! ## Schema (`dcluster-trace/1`)
+//! ## Schema (`dcluster-trace/2`)
 //!
 //! ```text
-//! {"schema":"dcluster-trace/1","scenario":…,"workload":…,"n":…,"resolver":…,"seed":…}
+//! {"schema":"dcluster-trace/2","scenario":…,"workload":…,"n":…,"resolver":…,"seed":…}
 //! {"ev":"phase_start","phase":"clustering","round":0}
 //! {"ev":"round","round":3,"tx":17,"rx":4,"cache":"rebuild"}
 //! {"ev":"round","round":4,"tx":6,"rx":5}             // no field built
+//! {"ev":"silent","from":5,"to":8}                    // rounds 5..=8: no transmitter
 //! {"ev":"phase_end","phase":"clustering","round":9,"rounds":9,"tx":120,"rx":41}
 //! {"ev":"epoch","epoch":0,"rounds":88,"re_elections":2,"violations":0}
 //! ```
 //!
+//! A silent round is exactly `Event::Round { tx: 0, rx: 0, cache: None }`.
+//! The sink holds at most one open run of them, `from..=to`: a silent
+//! round numbered `to + 1` extends it, and any other event (an active
+//! round, a phase or epoch event, a silent round that does not follow on,
+//! as when each maintenance epoch's fresh engine restarts at round 0)
+//! writes it first. [`JsonlSink::finish`] writes the open run, and so does
+//! dropping the sink, so a run cut short by a panic still ends at its last
+//! round. Runs are maximal, so the trace stays a function of the event
+//! stream.
+//!
 //! A round whose field was patched from an earlier round's would end
 //! `"cache":"patch","ins":…,"rem":…}`; no resolver in the workspace writes
 //! that form.
+//!
+//! ## Schema `dcluster-trace/1`
+//!
+//! The previous schema wrote each silent round as its own
+//! `{"ev":"round","round":r,"tx":0,"rx":0}` line; every other line, and the
+//! header apart from its schema name, is the same in both. `xtask
+//! tracediff` reads both, so a v1 and a v2 trace of the same run diff
+//! identical.
 
 use crate::{CacheOp, Event, Tracer};
-use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
 /// The trace schema version written into every header line. Bump on any
 /// change to line shapes or field meanings.
-pub const TRACE_SCHEMA: &str = "dcluster-trace/1";
+pub const TRACE_SCHEMA: &str = "dcluster-trace/2";
+
+/// Capacity of the sink's file buffer.
+const BUF_BYTES: usize = 64 * 1024;
 
 /// Run identity recorded in the trace header.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -48,46 +69,76 @@ pub struct TraceMeta {
     pub seed: u64,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `v` in decimal.
+fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out
+    buf.extend_from_slice(&digits[at..]);
 }
 
-/// Renders the header line for a trace (no trailing newline).
-pub fn header_line(meta: &TraceMeta) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"scenario\":\"{}\",\"workload\":\"{}\",\"n\":{},\"resolver\":\"{}\",\"seed\":{}}}",
-        escape(TRACE_SCHEMA),
-        escape(&meta.scenario),
-        escape(&meta.workload),
-        meta.n,
-        escape(&meta.resolver),
-        meta.seed
-    )
+/// Appends `s` as a quoted JSON string, with minimal escaping (quotes,
+/// backslashes, control chars).
+fn push_str(buf: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    buf.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => buf.extend_from_slice(b"\\\""),
+            b'\\' => buf.extend_from_slice(b"\\\\"),
+            b'\n' => buf.extend_from_slice(b"\\n"),
+            b'\r' => buf.extend_from_slice(b"\\r"),
+            b'\t' => buf.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                buf.extend_from_slice(b"\\u00");
+                buf.push(HEX[usize::from(b >> 4)]);
+                buf.push(HEX[usize::from(b & 0xf)]);
+            }
+            b => buf.push(b),
+        }
+    }
+    buf.push(b'"');
 }
 
-/// Renders one event as its JSONL line (no trailing newline).
-pub fn event_line(ev: &Event) -> String {
-    match ev {
+/// Appends the header line for a trace (no trailing newline).
+fn push_header(buf: &mut Vec<u8>, meta: &TraceMeta) {
+    buf.extend_from_slice(b"{\"schema\":");
+    push_str(buf, TRACE_SCHEMA);
+    buf.extend_from_slice(b",\"scenario\":");
+    push_str(buf, &meta.scenario);
+    buf.extend_from_slice(b",\"workload\":");
+    push_str(buf, &meta.workload);
+    buf.extend_from_slice(b",\"n\":");
+    push_u64(buf, meta.n as u64);
+    buf.extend_from_slice(b",\"resolver\":");
+    push_str(buf, &meta.resolver);
+    buf.extend_from_slice(b",\"seed\":");
+    push_u64(buf, meta.seed);
+    buf.push(b'}');
+}
+
+/// Appends `,"key":v`.
+fn push_field(buf: &mut Vec<u8>, key: &[u8], v: u64) {
+    buf.extend_from_slice(b",\"");
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(b"\":");
+    push_u64(buf, v);
+}
+
+/// Appends one event as its JSONL line (no trailing newline).
+fn push_event(buf: &mut Vec<u8>, ev: &Event) {
+    match *ev {
         Event::PhaseStart { phase, round } => {
-            format!(
-                "{{\"ev\":\"phase_start\",\"phase\":\"{}\",\"round\":{round}}}",
-                escape(phase)
-            )
+            buf.extend_from_slice(b"{\"ev\":\"phase_start\",\"phase\":");
+            push_str(buf, phase);
+            push_field(buf, b"round", round);
         }
         Event::PhaseEnd {
             phase,
@@ -95,39 +146,60 @@ pub fn event_line(ev: &Event) -> String {
             rounds,
             tx,
             rx,
-        } => format!(
-            "{{\"ev\":\"phase_end\",\"phase\":\"{}\",\"round\":{round},\"rounds\":{rounds},\"tx\":{tx},\"rx\":{rx}}}",
-            escape(phase)
-        ),
+        } => {
+            buf.extend_from_slice(b"{\"ev\":\"phase_end\",\"phase\":");
+            push_str(buf, phase);
+            push_field(buf, b"round", round);
+            push_field(buf, b"rounds", rounds);
+            push_field(buf, b"tx", tx);
+            push_field(buf, b"rx", rx);
+        }
         Event::Round {
             round,
             tx,
             rx,
             cache,
         } => {
-            let mut line = format!("{{\"ev\":\"round\",\"round\":{round},\"tx\":{tx},\"rx\":{rx}");
+            buf.extend_from_slice(b"{\"ev\":\"round\",\"round\":");
+            push_u64(buf, round);
+            push_field(buf, b"tx", tx);
+            push_field(buf, b"rx", rx);
             match cache {
                 None => {}
-                Some(CacheOp::Rebuilt) => line.push_str(",\"cache\":\"rebuild\""),
+                Some(CacheOp::Rebuilt) => buf.extend_from_slice(b",\"cache\":\"rebuild\""),
                 Some(CacheOp::Patched { inserts, removals }) => {
-                    let _ = write!(line, ",\"cache\":\"patch\",\"ins\":{inserts},\"rem\":{removals}");
+                    buf.extend_from_slice(b",\"cache\":\"patch\"");
+                    push_field(buf, b"ins", inserts as u64);
+                    push_field(buf, b"rem", removals as u64);
                 }
             }
-            line.push('}');
-            line
         }
         Event::Epoch {
             epoch,
             rounds,
             re_elections,
             violations,
-        } => format!(
-            "{{\"ev\":\"epoch\",\"epoch\":{epoch},\"rounds\":{rounds},\"re_elections\":{re_elections},\"violations\":{violations}}}"
-        ),
+        } => {
+            buf.extend_from_slice(b"{\"ev\":\"epoch\",\"epoch\":");
+            push_u64(buf, epoch);
+            push_field(buf, b"rounds", rounds);
+            push_field(buf, b"re_elections", re_elections);
+            push_field(buf, b"violations", violations);
+        }
     }
+    buf.push(b'}');
 }
 
-/// A buffered JSONL file sink.
+/// Appends the line for the silent rounds `from..=to` (no trailing
+/// newline).
+fn push_silent(buf: &mut Vec<u8>, from: u64, to: u64) {
+    buf.extend_from_slice(b"{\"ev\":\"silent\",\"from\":");
+    push_u64(buf, from);
+    push_field(buf, b"to", to);
+    buf.push(b'}');
+}
+
+/// A buffered JSONL file sink writing schema [`TRACE_SCHEMA`].
 ///
 /// Creation writes the header eagerly, so an unwritable path fails at
 /// [`JsonlSink::create`] — callers surface that as a diagnostic naming
@@ -136,53 +208,92 @@ pub fn event_line(ev: &Event) -> String {
 #[derive(Debug)]
 pub struct JsonlSink {
     out: io::BufWriter<fs::File>,
+    /// The line being rendered, reused for every line.
+    line: Vec<u8>,
+    /// The open run of silent rounds, `from..=to`.
+    run: Option<(u64, u64)>,
     error: Option<io::Error>,
-    events: u64,
 }
 
 impl JsonlSink {
     /// Creates (truncating) the trace file and writes the header line.
     pub fn create(path: &Path, meta: &TraceMeta) -> io::Result<Self> {
         let file = fs::File::create(path)?;
-        let mut out = io::BufWriter::new(file);
-        out.write_all(header_line(meta).as_bytes())?;
-        out.write_all(b"\n")?;
+        let mut out = io::BufWriter::with_capacity(BUF_BYTES, file);
+        let mut line = Vec::with_capacity(128);
+        push_header(&mut line, meta);
+        line.push(b'\n');
+        out.write_all(&line)?;
         Ok(Self {
             out,
+            line,
+            run: None,
             error: None,
-            events: 0,
         })
     }
 
-    /// Events written so far (header excluded).
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
-    /// Flushes the sink and surfaces the first I/O error hit while
-    /// streaming events, if any.
+    /// Writes the open run of silent rounds, then flushes the sink and
+    /// surfaces the first I/O error hit while streaming events, if any.
     pub fn finish(&mut self) -> io::Result<()> {
+        self.close_run();
         if let Some(e) = self.error.take() {
             return Err(e);
         }
         self.out.flush()
     }
+
+    /// Writes the open run of silent rounds, if any.
+    fn close_run(&mut self) {
+        if let Some((from, to)) = self.run.take() {
+            self.line.clear();
+            push_silent(&mut self.line, from, to);
+            self.write_line();
+        }
+    }
+
+    /// Writes the rendered line and a newline, latching the first error.
+    fn write_line(&mut self) {
+        if self.error.is_some() {
+            return;
+        }
+        self.line.push(b'\n');
+        if let Err(e) = self.out.write_all(&self.line) {
+            self.error = Some(e);
+        }
+    }
 }
 
 impl Tracer for JsonlSink {
     fn on_event(&mut self, ev: &Event) {
-        if self.error.is_some() {
+        if let Event::Round {
+            round,
+            tx: 0,
+            rx: 0,
+            cache: None,
+        } = *ev
+        {
+            match &mut self.run {
+                Some((_, to)) if to.checked_add(1) == Some(round) => *to = round,
+                _ => {
+                    self.close_run();
+                    self.run = Some((round, round));
+                }
+            }
             return;
         }
-        let line = event_line(ev);
-        let res = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"));
-        match res {
-            Ok(()) => self.events += 1,
-            Err(e) => self.error = Some(e),
-        }
+        self.close_run();
+        self.line.clear();
+        push_event(&mut self.line, ev);
+        self.write_line();
+    }
+}
+
+impl Drop for JsonlSink {
+    /// Writes the open run (best effort; the `BufWriter` then flushes), so
+    /// a trace whose run ended without [`JsonlSink::finish`] still covers
+    /// its last round.
+    fn drop(&mut self) {
+        self.close_run();
     }
 }
 
@@ -200,12 +311,61 @@ mod tests {
         }
     }
 
+    fn rendered(push: impl FnOnce(&mut Vec<u8>)) -> String {
+        let mut buf = Vec::new();
+        push(&mut buf);
+        String::from_utf8(buf).expect("trace lines are UTF-8")
+    }
+
+    fn event_line(ev: &Event) -> String {
+        rendered(|buf| push_event(buf, ev))
+    }
+
+    fn round(round: u64, tx: u64, rx: u64) -> Event {
+        Event::Round {
+            round,
+            tx,
+            rx,
+            cache: None,
+        }
+    }
+
+    /// A trace file path unique to one test.
+    fn temp_trace(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("dcluster_obs_{tag}_{}.jsonl", std::process::id()))
+    }
+
+    /// The event lines (header dropped) a sink writes for `evs`, ended by
+    /// `finish` or, with `finish == false`, by dropping the sink.
+    fn sink_lines(tag: &str, evs: &[Event], finish: bool) -> Vec<String> {
+        let path = temp_trace(tag);
+        let mut sink = JsonlSink::create(&path, &meta()).unwrap();
+        for ev in evs {
+            sink.on_event(ev);
+        }
+        if finish {
+            sink.finish().unwrap();
+        }
+        drop(sink);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let mut lines = text.lines().map(String::from);
+        let header = lines.next().expect("the header is written");
+        assert_eq!(header, rendered(|buf| push_header(buf, &meta())));
+        lines.collect()
+    }
+
+    fn silent(from: u64, to: u64) -> String {
+        rendered(|buf| push_silent(buf, from, to))
+    }
+
     #[test]
     fn header_carries_schema_and_identity() {
-        let h = header_line(&meta());
-        assert!(h.starts_with("{\"schema\":\"dcluster-trace/1\""), "{h}");
-        assert!(h.contains("\"scenario\":\"t\""));
-        assert!(h.contains("\"seed\":9"));
+        let h = rendered(|buf| push_header(buf, &meta()));
+        assert_eq!(
+            h,
+            "{\"schema\":\"dcluster-trace/2\",\"scenario\":\"t\",\"workload\":\"clustering\",\"n\":40,\"resolver\":\"grid\",\"seed\":9}"
+        );
     }
 
     #[test]
@@ -232,38 +392,150 @@ mod tests {
             "{\"ev\":\"round\",\"round\":4,\"tx\":16,\"rx\":5,\"cache\":\"rebuild\"}"
         );
         assert_eq!(
+            event_line(&round(u64::MAX, 0, 10)),
+            "{\"ev\":\"round\",\"round\":18446744073709551615,\"tx\":0,\"rx\":10}"
+        );
+        assert_eq!(
             event_line(&Event::PhaseStart {
                 phase: "mis",
                 round: 0
             }),
             "{\"ev\":\"phase_start\",\"phase\":\"mis\",\"round\":0}"
         );
+        assert_eq!(
+            event_line(&Event::PhaseEnd {
+                phase: "mis",
+                round: 9,
+                rounds: 9,
+                tx: 120,
+                rx: 41
+            }),
+            "{\"ev\":\"phase_end\",\"phase\":\"mis\",\"round\":9,\"rounds\":9,\"tx\":120,\"rx\":41}"
+        );
+        assert_eq!(
+            event_line(&Event::Epoch {
+                epoch: 0,
+                rounds: 88,
+                re_elections: 2,
+                violations: 0
+            }),
+            "{\"ev\":\"epoch\",\"epoch\":0,\"rounds\":88,\"re_elections\":2,\"violations\":0}"
+        );
+        assert_eq!(silent(5, 8), "{\"ev\":\"silent\",\"from\":5,\"to\":8}");
     }
 
     #[test]
     fn escaping_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(
+            rendered(|buf| push_str(buf, "a\"b\\c\nd")),
+            "\"a\\\"b\\\\c\\nd\""
+        );
+        assert_eq!(
+            rendered(|buf| push_str(buf, "\u{1}\u{1f}")),
+            "\"\\u0001\\u001f\""
+        );
+        assert_eq!(rendered(|buf| push_str(buf, "né")), "\"né\"");
+    }
+
+    #[test]
+    fn silent_runs_end_at_every_other_event() {
+        let phase_start = Event::PhaseStart {
+            phase: "mis",
+            round: 3,
+        };
+        let phase_end = Event::PhaseEnd {
+            phase: "mis",
+            round: 6,
+            rounds: 3,
+            tx: 1,
+            rx: 0,
+        };
+        let epoch = Event::Epoch {
+            epoch: 0,
+            rounds: 9,
+            re_elections: 0,
+            violations: 0,
+        };
+        let rebuilt_silent = Event::Round {
+            round: 9,
+            tx: 0,
+            rx: 0,
+            cache: Some(CacheOp::Rebuilt),
+        };
+        let evs = [
+            round(0, 0, 0),
+            round(1, 0, 0),
+            round(2, 2, 1),
+            round(3, 0, 0),
+            phase_start.clone(),
+            round(4, 0, 0),
+            round(5, 1, 0),
+            phase_end.clone(),
+            round(7, 0, 0),
+            round(8, 0, 0),
+            epoch.clone(),
+            // A fresh engine restarts the round counter.
+            round(0, 0, 0),
+            round(1, 0, 0),
+            round(0, 0, 0),
+            round(2, 0, 0),
+            round(3, 0, 0),
+            // A field built in a silent round keeps its own line.
+            rebuilt_silent.clone(),
+            round(10, 0, 0),
+        ];
+        let want = vec![
+            silent(0, 1),
+            event_line(&round(2, 2, 1)),
+            silent(3, 3),
+            event_line(&phase_start),
+            silent(4, 4),
+            event_line(&round(5, 1, 0)),
+            event_line(&phase_end),
+            silent(7, 8),
+            event_line(&epoch),
+            silent(0, 1),
+            silent(0, 0),
+            silent(2, 3),
+            event_line(&rebuilt_silent),
+            silent(10, 10),
+        ];
+        assert_eq!(sink_lines("runs_finish", &evs, true), want);
+        assert_eq!(
+            sink_lines("runs_drop", &evs, false),
+            want,
+            "dropping the sink writes the trailing run too"
+        );
+    }
+
+    #[test]
+    fn a_silent_run_at_the_last_round_number_stays_one_line() {
+        let evs = [
+            round(u64::MAX - 1, 0, 0),
+            round(u64::MAX, 0, 0),
+            round(0, 0, 0),
+        ];
+        assert_eq!(
+            sink_lines("runs_max", &evs, true),
+            vec![silent(u64::MAX - 1, u64::MAX), silent(0, 0)]
+        );
     }
 
     #[test]
     fn sink_writes_reread_byte_identically() {
-        let path = std::env::temp_dir().join("dcluster_obs_sink_test.jsonl");
+        let path = temp_trace("rerun");
         let evs = [
             Event::PhaseStart {
                 phase: "clustering",
                 round: 0,
             },
-            Event::Round {
-                round: 0,
-                tx: 3,
-                rx: 1,
-                cache: None,
-            },
+            round(0, 3, 1),
+            round(1, 0, 0),
+            round(2, 0, 0),
             Event::PhaseEnd {
                 phase: "clustering",
-                round: 1,
-                rounds: 1,
+                round: 3,
+                rounds: 3,
                 tx: 3,
                 rx: 1,
             },
@@ -273,14 +545,13 @@ mod tests {
             for ev in &evs {
                 sink.on_event(ev);
             }
-            assert_eq!(sink.events_written(), 3);
             sink.finish().unwrap();
             std::fs::read(&path).unwrap()
         };
         let a = write_once();
         let b = write_once();
         assert_eq!(a, b, "reruns must be byte-identical");
-        assert_eq!(a.iter().filter(|&&c| c == b'\n').count(), 4);
+        assert_eq!(a.iter().filter(|&&c| c == b'\n').count(), 5);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -6,6 +6,18 @@
 //! [`PhaseTable`] the scenario `Report` renders, and a versioned JSONL
 //! sink ([`JsonlSink`]) behind the bench binaries' `--trace` flag.
 //!
+//! ## Traces
+//!
+//! The sink writes schema `dcluster-trace/2` ([`TRACE_SCHEMA`]): a header
+//! line, then one line per event, except that each maximal run of
+//! consecutive silent rounds (`Event::Round` with no transmitter, no
+//! reception and no field built) becomes one
+//! `{"ev":"silent","from":a,"to":b}` line. Most rounds of the paper's
+//! protocols are silent (85 % of Figure 1's), so this keeps traces small;
+//! the `Event` stream itself still carries one `Round` per round. Schema
+//! `dcluster-trace/1` wrote a `round` line per silent round and is
+//! otherwise the same; `xtask tracediff` reads both (see [`jsonl`]).
+//!
 //! ## Determinism contract
 //!
 //! Everything this crate records is a pure function of the simulation:

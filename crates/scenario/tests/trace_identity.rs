@@ -3,7 +3,9 @@
 //! single byte (tracing is observation, never participation), and
 //! rerunning the same traced spec must reproduce the JSONL trace
 //! byte-for-byte — the same two contracts the `scenario_smoke` CI gate
-//! enforces.
+//! enforces. The trace must also be complete: the rounds it covers and
+//! the transmissions and receptions its `round` lines carry add up to
+//! the Report's totals.
 //!
 //! Debug builds sweep the CI-sized specs (the million-round broadcast
 //! scenarios take minutes each unoptimized — same scoping as
@@ -80,6 +82,55 @@ fn compare_traces(a: &Path, b: &Path) -> Result<u64, String> {
     }
 }
 
+/// The value of `"key":<digits>` in a trace line. Trace lines are
+/// canonical (no whitespace, integers in plain decimal), so a search for
+/// the key reads them.
+fn field(line: &str, key: &str) -> Option<u64> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next()?;
+    digits.parse().ok()
+}
+
+/// What a trace covers, as `[rounds, transmissions, receptions]`: one
+/// round per `round` line plus `to - from + 1` per `silent` line, and the
+/// `tx` and `rx` sums over `round` lines.
+fn trace_totals(path: &Path) -> Result<[u64; 3], String> {
+    let file = fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut totals = [0u64; 3];
+    for (i, line) in BufReader::new(file).lines().enumerate().skip(1) {
+        let line = line.map_err(|e| e.to_string())?;
+        let bad = || format!("line {}: unreadable {line:?}", i + 1);
+        if line.starts_with("{\"ev\":\"round\",") {
+            totals[0] += 1;
+            totals[1] += field(&line, "tx").ok_or_else(bad)?;
+            totals[2] += field(&line, "rx").ok_or_else(bad)?;
+        } else if line.starts_with("{\"ev\":\"silent\",") {
+            let (from, to) = field(&line, "from")
+                .zip(field(&line, "to"))
+                .ok_or_else(bad)?;
+            totals[0] += to.checked_sub(from).ok_or_else(bad)? + 1;
+        }
+    }
+    Ok(totals)
+}
+
+#[test]
+fn trace_totals_count_rounds_and_round_lines() {
+    let path = std::env::temp_dir().join(format!("trace_totals_{}.jsonl", std::process::id()));
+    let text = "{\"schema\":\"dcluster-trace/2\",\"scenario\":\"t\",\"n\":3}\n\
+        {\"ev\":\"phase_start\",\"phase\":\"mis\",\"round\":0}\n\
+        {\"ev\":\"silent\",\"from\":0,\"to\":4}\n\
+        {\"ev\":\"round\",\"round\":5,\"tx\":12,\"rx\":30,\"cache\":\"rebuild\"}\n\
+        {\"ev\":\"round\",\"round\":6,\"tx\":1,\"rx\":2}\n\
+        {\"ev\":\"phase_end\",\"phase\":\"mis\",\"round\":7,\"rounds\":7,\"tx\":13,\"rx\":32}\n\
+        {\"ev\":\"silent\",\"from\":0,\"to\":0}\n";
+    fs::write(&path, text).expect("temporary file is writable");
+    assert_eq!(trace_totals(&path), Ok([8, 13, 32]));
+    fs::write(&path, text.replace("\"to\":4", "\"to\":x")).expect("temporary file is writable");
+    assert!(trace_totals(&path).unwrap_err().starts_with("line 3"));
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn trace_comparison_names_the_first_difference() {
     let dir = std::env::temp_dir();
@@ -140,6 +191,11 @@ fn tracing_is_invisible_and_traces_rerun_byte_identical() {
         assert!(
             !traced.phases.is_empty(),
             "{name}: every scenario run records phase spans"
+        );
+        assert_eq!(
+            trace_totals(&trace_a),
+            Ok([traced.rounds, traced.transmissions, traced.receptions]),
+            "{name}: the trace's rounds, tx and rx must add up to the Report's"
         );
 
         let traced_again = runner

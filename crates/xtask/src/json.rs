@@ -1,6 +1,7 @@
 //! Minimal JSON support for the lint's `--format json` output: a string
 //! quoter for emission and a strict recursive-descent parser used by the
-//! round-trip tests (and by any tooling that wants to consume the output
+//! round-trip tests and by `tracediff` to read the round a divergent
+//! trace line names (and by any tooling that wants to consume the output
 //! without a JSON dependency).
 
 /// A parsed JSON value. Object keys keep their source order.
@@ -83,11 +84,17 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack; trace lines and
+/// lint output nest one or two deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace, and arrays
+/// and objects nested more than 128 deep, are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let chars: Vec<char> = text.chars().collect();
     let mut pos = 0;
-    let v = parse_value(&chars, &mut pos)?;
+    let v = parse_value(&chars, &mut pos, 0)?;
     skip_ws(&chars, &mut pos);
     if pos != chars.len() {
         return Err(format!("trailing content at offset {pos}"));
@@ -110,8 +117,15 @@ fn expect(c: &[char], pos: &mut usize, want: char) -> Result<(), String> {
     }
 }
 
-fn parse_value(c: &[char], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(c: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(c, pos);
+    if matches!(c.get(*pos), Some('{' | '[')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
+        ));
+    }
     match c.get(*pos) {
         Some('{') => {
             *pos += 1;
@@ -126,7 +140,7 @@ fn parse_value(c: &[char], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(c, pos)?;
                 skip_ws(c, pos);
                 expect(c, pos, ':')?;
-                members.push((key, parse_value(c, pos)?));
+                members.push((key, parse_value(c, pos, depth + 1)?));
                 skip_ws(c, pos);
                 match c.get(*pos) {
                     Some(',') => *pos += 1,
@@ -147,7 +161,7 @@ fn parse_value(c: &[char], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(c, pos)?);
+                items.push(parse_value(c, pos, depth + 1)?);
                 skip_ws(c, pos);
                 match c.get(*pos) {
                     Some(',') => *pos += 1,
@@ -258,5 +272,20 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_without_bound() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let err = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("offset {MAX_DEPTH}")), "{err}");
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than"), "{open}: {err}");
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! [--policy FILE]` — see the crate docs and README "Static analysis".
 //!
 //! `cargo run -p xtask -- tracediff A.jsonl B.jsonl` — diff two
-//! observability traces, naming the first divergent round/event.
+//! observability traces (schema `dcluster-trace/1` or `/2` on either
+//! side), naming the first divergent round/event and its line in each.
 //!
 //! Exit status: 0 clean/identical, 1 diagnostics or divergence found,
 //! 2 usage or I/O error.
@@ -11,6 +12,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use xtask::tracediff::DiffOutcome;
 
 const USAGE: &str = "usage: cargo run -p xtask -- lint [--format human|json] [--root DIR] [--policy FILE]\n       cargo run -p xtask -- tracediff <A.jsonl> <B.jsonl>";
 
@@ -52,12 +54,22 @@ fn run_tracediff(args: &[String]) -> ExitCode {
         }
     };
     match xtask::tracediff::diff_traces(&ta, &tb) {
-        xtask::tracediff::DiffOutcome::Identical { lines } => {
-            println!("tracediff: identical ({lines} line(s))");
+        DiffOutcome::Identical {
+            lines: [la, lb],
+            rounds,
+        } => {
+            println!("tracediff: identical ({rounds} round(s); {la} line(s) in A, {lb} in B)");
             ExitCode::SUCCESS
         }
-        xtask::tracediff::DiffOutcome::Divergent { line, detail } => {
-            println!("tracediff: first divergence at line {line}: {detail}");
+        DiffOutcome::Divergent {
+            lines: [la, lb],
+            round,
+            detail,
+        } => {
+            let at_round = round.map_or(String::new(), |r| format!(", round {r}"));
+            println!(
+                "tracediff: first divergence at line {la} of A, line {lb} of B{at_round}: {detail}"
+            );
             ExitCode::from(1)
         }
     }

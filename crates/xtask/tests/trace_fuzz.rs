@@ -1,4 +1,4 @@
-//! Byte-mutation fuzzing of the trace reader. Sample `dcluster-trace/1`
+//! Byte-mutation fuzzing of the trace reader. Sample `dcluster-trace/2`
 //! lines, one of each shape the JSONL sink writes, with bytes replaced,
 //! inserted and deleted, must make `json::parse` return `Ok` or `Err` and
 //! `tracediff::diff_traces` return an outcome, never panic. The generator
@@ -9,11 +9,12 @@ use xtask::json;
 use xtask::tracediff::{diff_traces, DiffOutcome};
 
 /// One line of each shape in a maintenance run's trace.
-const SAMPLE: [&str; 6] = [
-    r#"{"schema":"dcluster-trace/1","scenario":"ci-maintenance","workload":"maintenance","n":60,"resolver":"aggregated","seed":857536}"#,
+const SAMPLE: [&str; 7] = [
+    r#"{"schema":"dcluster-trace/2","scenario":"ci-maintenance","workload":"maintenance","n":60,"resolver":"aggregated","seed":857536}"#,
     r#"{"ev":"phase_start","phase":"clustering","round":0}"#,
     r#"{"ev":"round","round":0,"tx":12,"rx":14,"cache":"rebuild"}"#,
     r#"{"ev":"round","round":2,"tx":5,"rx":14}"#,
+    r#"{"ev":"silent","from":3,"to":1403}"#,
     r#"{"ev":"phase_end","phase":"proximity","round":1404,"rounds":1404,"tx":15132,"rx":24162}"#,
     r#"{"ev":"epoch","epoch":0,"rounds":448918,"re_elections":0,"violations":3}"#,
 ];
@@ -62,12 +63,26 @@ fn mutate(bytes: &mut Vec<u8>, gen: &mut Gen) {
     }
 }
 
+/// `line` with a v1 header's schema read as v2: the two schemas share
+/// every header field.
+fn as_v2(line: &str) -> std::borrow::Cow<'_, str> {
+    match line.strip_prefix(r#"{"schema":"dcluster-trace/1","#) {
+        Some(rest) => format!(r#"{{"schema":"dcluster-trace/2",{rest}"#).into(),
+        None => line.into(),
+    }
+}
+
 #[test]
 fn mutated_trace_lines_never_panic_the_reader() {
     let original = SAMPLE.join("\n") + "\n";
     for line in SAMPLE {
         assert!(json::parse(line).is_ok(), "a sample line parses: {line}");
     }
+    let as_v1 = original.replacen("dcluster-trace/2", "dcluster-trace/1", 1);
+    assert!(matches!(
+        diff_traces(&original, &as_v1),
+        DiffOutcome::Identical { .. }
+    ));
     let mut gen = Gen(0x7ace_f022);
     let (mut parsed, mut rejected) = (0usize, 0usize);
     for _ in 0..MUTATIONS {
@@ -95,8 +110,9 @@ fn mutated_trace_lines_never_panic_the_reader() {
             rejected += 1;
         }
         // A diff reports `Identical` exactly when the two texts have the
-        // same lines (a mutation may add a `\r` that line splitting drops).
-        let same = original.lines().eq(mutated.lines());
+        // same lines (a mutation may add a `\r` that line splitting drops),
+        // up to the schema version the header names.
+        let same = original.lines().map(as_v2).eq(mutated.lines().map(as_v2));
         for (side, outcome) in [("forward", &forward), ("backward", &backward)] {
             assert_eq!(
                 matches!(outcome, DiffOutcome::Identical { .. }),
@@ -111,4 +127,32 @@ fn mutated_trace_lines_never_panic_the_reader() {
         parsed > 0 && rejected > 0,
         "{parsed} parsed, {rejected} rejected"
     );
+}
+
+#[test]
+fn tracediff_cli_reports_a_deeply_nested_line() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let write = |tag: &str, line: &str| {
+        let path = dir.join(format!("trace_fuzz_{pid}_{tag}.jsonl"));
+        std::fs::write(&path, format!("{}\n{line}\n", SAMPLE[0]))
+            .expect("temporary file is writable");
+        path
+    };
+    let a = write("a", SAMPLE[1]);
+    let b = write("b", &"[".repeat(200_000));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .arg("tracediff")
+        .args([&a, &b])
+        .output()
+        .expect("xtask runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.starts_with("tracediff: first divergence at line 2 of A, line 2 of B, round 0:"),
+        "{stdout}"
+    );
+    for path in [a, b] {
+        let _ = std::fs::remove_file(path);
+    }
 }
