@@ -5,6 +5,7 @@
 //! at test time for every committed spec.
 
 use dcluster_scenario::{Runner, ScenarioSpec, Workload, WorkloadOutcome};
+use dcluster_sim::ResolverStats;
 use std::path::PathBuf;
 
 fn scenarios_dir() -> PathBuf {
@@ -97,19 +98,54 @@ fn ci_maintenance_spec_is_resolver_invariant() {
 }
 
 /// Deterministic work counters of the two CI specs, pinned so that CI gates
-/// on counts rather than wall clock: the rounds each backend resolved and
-/// the rounds the engines replayed from their memo. A change that stops
-/// the memo from hitting moves both. The two add up to the run's rounds.
+/// on counts rather than wall clock: the rounds the engines replayed from
+/// their memo and every counter of each backend's `ResolverStats`. A
+/// change that stops the memo from hitting moves the round counts; one
+/// that changes a resolver decision, or how it was reached, moves the
+/// rest. Both specs take field rounds (`|T| > EXACT_MAX_TX`), so the
+/// aggregated rows pin the field's work too. Resolved and replayed rounds
+/// add up to the run's rounds.
 #[test]
 fn ci_specs_pin_resolved_and_replayed_rounds() {
     use dcluster_sim::ResolverKind::{Aggregated, Naive};
+    let stats = |rounds, candidates, short_circuited, exact_sums, residual, fallbacks, terms| {
+        ResolverStats {
+            rounds,
+            candidates,
+            short_circuited,
+            exact_sums,
+            residual_decided: residual,
+            exact_fallbacks: fallbacks,
+            field_terms: terms,
+        }
+    };
     let pinned = [
-        ("ci_clustering.scn", Naive, 100_997, 593_438),
-        ("ci_clustering.scn", Aggregated, 100_997, 593_438),
-        ("ci_maintenance.scn", Naive, 287_590, 1_678_306),
-        ("ci_maintenance.scn", Aggregated, 287_590, 1_678_306),
+        (
+            "ci_clustering.scn",
+            Naive,
+            593_438,
+            stats(100_997, 415_610, 0, 1_332_720, 0, 0, 0),
+        ),
+        (
+            "ci_clustering.scn",
+            Aggregated,
+            593_438,
+            stats(100_997, 425_458, 5_449, 1_313_978, 12_060, 0, 84_660),
+        ),
+        (
+            "ci_maintenance.scn",
+            Naive,
+            1_678_306,
+            stats(287_590, 1_230_379, 0, 6_432_365, 0, 0, 0),
+        ),
+        (
+            "ci_maintenance.scn",
+            Aggregated,
+            1_678_306,
+            stats(287_590, 1_266_321, 20_040, 6_366_744, 37_355, 201, 205_931),
+        ),
     ];
-    for (name, kind, resolved, replayed) in pinned {
+    for (name, kind, replayed, resolver_stats) in pinned {
         let report = Runner::from_file(scenarios_dir().join(name))
             .expect("committed spec")
             .with_resolver_override(Some(kind))
@@ -121,9 +157,12 @@ fn ci_specs_pin_resolved_and_replayed_rounds() {
             "{name} ({kind}): every round is resolved or replayed"
         );
         assert_eq!(
-            (report.resolver_stats.rounds, report.replayed),
-            (resolved, replayed),
-            "{name} ({kind}): (resolved, replayed) rounds"
+            report.replayed, replayed,
+            "{name} ({kind}): replayed rounds"
+        );
+        assert_eq!(
+            report.resolver_stats, resolver_stats,
+            "{name} ({kind}): resolver work"
         );
     }
 }

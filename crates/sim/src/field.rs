@@ -1,9 +1,10 @@
 //! Per-round cell-aggregated interference field.
 //!
-//! Built once per round from the transmitter set, [`InterferenceField`]
-//! lets a SINR resolver decide `signal ≥ β·(noise + interference)` for a
-//! receiver **without touching every transmitter**, while returning exactly
-//! the decision the full sum would give. Three ingredients, all exact:
+//! Rebuilt in place from the transmitter set of every round it serves, the
+//! interference field lets a SINR resolver decide
+//! `signal ≥ β·(noise + interference)` for a receiver **without touching
+//! every transmitter**, while returning exactly the decision the full sum
+//! would give. Three ingredients, all exact:
 //!
 //! 1. **Cell-grouped partial sums.** The interference at a receiver `u` is
 //!    `I(u) = Σ_C Σ_{w ∈ C} signal(d(w, u))`, grouped by grid cell `C`.
@@ -20,8 +21,8 @@
 //!    (= the uniform `P` in the paper's setting). With `count_j`
 //!    interferers in ring `j`, the far field beyond ring `k` lies in
 //!    `[0, Σ_{j>k} count_j · w_j]`. The field keeps a summed-area table of
-//!    transmitter counts over the grid's cell table, which covers the box
-//!    of all points, so each `count_j` is four table reads. The expansion
+//!    transmitter counts over the network grid's table box, which covers
+//!    every node, so each `count_j` is four table reads. The expansion
 //!    stops at a ring cap `k_cap` (past it one exact `O(|T|)` sum is
 //!    cheaper than scanning the block), so rings past `k_cap + 1` are
 //!    counted as ring `k_cap + 2`. A grid without a table (a cell box past
@@ -39,22 +40,37 @@
 //!    same function the oracle calls. Either way the outcome equals the
 //!    naive resolver's on every receiver.
 //!
-//! The expected per-receiver cost is `O(occupied cells near u)` for the
-//! ring sums plus one pass over at most `k_cap + 1` ring counts, which
-//! yields the residual of every ring the decision may reach. Weighting
-//! each ring by its own distance lets an accept land at the first ring
-//! whose neighbours leave room under the threshold, instead of waiting
-//! until `k·cell` is large enough to cover every far transmitter at once.
-//! The exact fallback costs `O(|T|)` but fires only on near-threshold
+//! **Layout.** The round's transmitters sit in one array sorted by cell,
+//! x-major like the network grid's table and in slot order within a cell;
+//! each entry carries the node index, the position and the power, so a
+//! signal reads nothing else. Start offsets per cell of the network
+//! grid's table box index the array; when that grid has no table, the
+//! occupied cells' keys in ascending order do. The buffers persist across
+//! rounds and only their contents are rebuilt, so a round allocates
+//! nothing once they have grown. A listener's candidate scan reads each
+//! column of its query box as one contiguous run of the array, and a
+//! decision's ring walk maps cells to offsets by index arithmetic and
+//! skips the cells outside the box, which hold no transmitter.
+//!
+//! **Cost.** A decision costs one visit per cell of the rings it scans
+//! (an empty cell is two offset reads) plus one pass over at most
+//! `k_cap + 1` ring counts, which yields the residual of every ring the
+//! decision may reach. Weighting each ring by its own distance lets an
+//! accept land at the first ring whose neighbours leave room under the
+//! threshold, instead of waiting until `k·cell` is large enough to cover
+//! every far transmitter at once. That pass depends on the listener's
+//! cell alone whenever the sender lies within ring 1, so the resolver
+//! visits listeners cell by cell and the field makes it once per cell. The
+//! exact fallback costs `O(|T|)` but fires only on near-threshold
 //! receivers (measure-zero in random deployments, rare in structured
 //! ones).
 //!
 //! **Floating-point caveat.** The argument above is exact in real
 //! arithmetic. A fallback decides exactly as the oracle does, bit for bit:
-//! the same signals ([`Network::signal_from`]), the same sum order and the
-//! same comparison. The ring reject, the tail accept and the exhausted
-//! test use field arithmetic instead: cell sums in ring order, then
-//! insertion order within a cell. In `f64` a different summation order
+//! the same signals ([`Network::signal_from`]'s expression), the same sum
+//! order and the same comparison. The ring reject, the tail accept and the
+//! exhausted test use field arithmetic instead: cell sums in ring order,
+//! then slot order within a cell. In `f64` a different summation order
 //! can change the last ulp, so a listener whose SINR equals β *to within
 //! summation rounding* can still be decided differently there than by the
 //! oracle (as can the resolver's second-strongest short-circuit). Every
@@ -68,11 +84,12 @@ use crate::grid::Grid;
 use crate::network::Network;
 use crate::point::Point;
 use crate::radio::decodes;
+use crate::{received_signal, SinrParams};
 
 /// Counters describing how an [`InterferenceField`] resolved its queries
 /// (diagnostics for the resolver statistics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FieldStats {
+pub(crate) struct FieldStats {
     /// Queries decided by the ring expansion + residual bound alone.
     pub residual_decided: u64,
     /// Queries that consumed every transmitter during expansion (exact by
@@ -85,103 +102,186 @@ pub struct FieldStats {
     pub field_terms: u64,
 }
 
+/// One transmitter of the round, with what its signal needs inline.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tx {
+    pos: Point,
+    power: f64,
+    node: u32,
+}
+
+impl Tx {
+    /// Its signal at `u`: [`Network::signal_from`] at their distance, bit
+    /// for bit.
+    #[inline]
+    fn signal_at(&self, u: Point, alpha: f64) -> f64 {
+        received_signal(self.power, self.pos.dist(u), alpha)
+    }
+}
+
+/// The strongest signal a listener receives and the strongest of the
+/// rest, over the transmitters within [`Network::max_range`] of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    /// The strongest signal's transmitter (node index) and its position.
+    pub node: u32,
+    pos: Point,
+    /// The strongest signal.
+    pub s1: f64,
+    /// The second-strongest signal, `0.0` when a single transmitter is in
+    /// range.
+    pub s2: f64,
+}
+
 /// A per-round interference summary over the transmitter set. See the
 /// module docs for the exactness argument.
 ///
-/// Every signal the field sums is [`Network::signal_from`] at the
-/// transmitter's distance, each transmitter at its own power. Under
+/// Every signal the field sums is [`Network::signal_from`]'s expression at
+/// the transmitter's distance, each transmitter at its own power. Under
 /// **heterogeneous power** the far-field residual bound uses a per-field
 /// **power cap** (the largest transmitter power) in place of the uniform
 /// `P`, which is still a valid upper bound, so decisions stay exact.
-#[derive(Debug)]
-pub struct InterferenceField {
-    grid: Grid,
-    /// Transmitter indices in slot order, which the fallback sums in, as
-    /// the oracle does.
-    tx: Vec<u32>,
+#[derive(Debug, Default)]
+pub(crate) struct InterferenceField {
+    /// Cell side (the network grid's, i.e. the model's transmission
+    /// range) and path-loss exponent of the round's network.
+    cell: f64,
+    alpha: f64,
+    /// The round's transmitters in slot order, which the fallback sums
+    /// in, as the oracle does.
+    slots: Vec<Tx>,
+    /// The same transmitters sorted by cell, with where each cell's lie.
+    cells: Cells,
     /// The last ring the expansion scans before the exact fallback: the
     /// first `k ≥ 1` whose `(2k+1)²` block has at least four times as
-    /// many cells as the grid has occupied ones, past which scanning the
+    /// many cells as the round has occupied ones, past which scanning the
     /// block stops paying for itself against one `O(|T|)` sum.
     k_cap: i64,
     /// `weights[g] = P̂/(g·cell)^α` for `g ≤ k_cap + 1`: the most any
     /// transmitter of ring `g + 1` sends a listener.
     weights: Vec<f64>,
-    /// Transmitter counts per block, `None` when the grid has no table.
-    counts: Option<CountTable>,
-    /// Scratch of [`InterferenceField::decide`]: `tails[k]` bounds the
+    /// Scratch of [`InterferenceField::fill_tails`]: `tails[k]` bounds the
     /// interference from the interferers outside ring `k`.
     tails: Vec<f64>,
+    /// The tails of listener cell `cell_key`, filled by the first of its
+    /// decisions that may share them, valid for the rings below
+    /// `cell_tails_end`; `None` until then in each round.
+    cell_key: Option<(i64, i64)>,
+    cell_tails: Vec<f64>,
+    cell_tails_end: i64,
 }
 
 impl InterferenceField {
-    /// Builds the field for one round of `net`: a subset grid over
-    /// `transmitters` (cell side = the model's transmission range), its
-    /// block counts and the per-ring weights.
-    pub fn build(net: &Network, transmitters: &[usize]) -> Self {
-        let p = net.params();
-        let cell = p.range();
-        let grid = Grid::build_subset(net.points(), transmitters, cell);
-        let occupied = grid.occupied_cells() as i64;
+    /// Rebuilds the field in place for one round of `net`: the
+    /// transmitters sorted by cell (cell side = the model's transmission
+    /// range), their block counts and the per-ring weights.
+    pub(crate) fn rebuild(&mut self, net: &Network, transmitters: &[usize]) {
+        let grid = net.grid();
+        self.cell = grid.cell_size();
+        self.alpha = net.params().alpha;
+        self.slots.clear();
+        self.slots.extend(transmitters.iter().map(|&t| Tx {
+            pos: net.pos(t),
+            power: net.power_of(t),
+            node: t as u32,
+        }));
+        let occupied = self.cells.rebuild(grid, &self.slots) as i64;
         let mut k_cap = 1i64;
         while (2 * k_cap + 1) * (2 * k_cap + 1) < 4 * occupied && k_cap < (1 << 20) {
             k_cap += 1;
         }
-        let power_cap = transmitters
-            .iter()
-            .map(|&t| net.power_of(t))
-            .fold(0.0, f64::max);
-        let weights = (0..=k_cap + 1)
-            .map(|g| power_cap / (g as f64 * cell).max(1e-12).powf(p.alpha))
-            .collect();
-        Self {
-            counts: CountTable::build(&grid),
-            grid,
-            tx: transmitters.iter().map(|&t| t as u32).collect(),
-            k_cap,
-            weights,
-            tails: vec![0.0; k_cap as usize + 2],
-        }
+        self.k_cap = k_cap;
+        let power_cap = self.slots.iter().map(|t| t.power).fold(0.0, f64::max);
+        self.weights.clear();
+        self.weights.extend(
+            (0..=k_cap + 1).map(|g| received_signal(power_cap, g as f64 * self.cell, self.alpha)),
+        );
+        self.tails.resize(k_cap as usize + 2, 0.0);
+        self.cell_key = None;
     }
 
-    /// The transmitter-subset grid (shared with the candidate scan).
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    /// Decides whether a listener at `u` decodes `sender`, whose signal
-    /// `s1` at `u` the caller already knows: whether `s1 ≥ β·(noise + I)`,
-    /// with `I` the interference of every other transmitter. Counts how it
-    /// was decided in `stats`. Exact — see module docs.
-    pub fn decide(
-        &mut self,
-        net: &Network,
-        u: Point,
-        sender: usize,
-        s1: f64,
-        stats: &mut FieldStats,
-    ) -> bool {
-        let p = net.params();
-        let key = self.grid.key_of(u);
-        let (ucx, ucy) = key;
-        // Interferers = all transmitters but the sender.
-        let interferers = self.tx.len() - 1;
-        let mut i_near = 0.0f64; // exact, cell-grouped partial sums
-        let mut near_count = 0usize;
-        // `tails[k]` is filled for every ring `k < tails_end`.
-        let mut tails_end = 0i64;
-        for k in 0..=self.k_cap {
-            // Accumulate the exact cell sums of ring k.
-            for (cx, cy) in ring_cells(ucx, ucy, k) {
-                for &w in self.grid.cell_members((cx, cy)) {
-                    let w = w as usize;
-                    if w == sender {
-                        continue;
+    /// The strongest and second-strongest signals at a listener at `at`,
+    /// over the transmitters within distance `r` of it, or `None` when
+    /// none is. Cells come in [`Grid::within`]'s order (x outer, y inner)
+    /// and transmitters in slot order within a cell. Ties keep the
+    /// first-scanned transmitter: the scan order is deterministic, and
+    /// tied top signals can never be decoded anyway (`β > 1`).
+    pub(crate) fn strongest_two(&self, at: Point, r: f64) -> Option<Candidate> {
+        let r_sq = r * r;
+        let (lo_x, lo_y) = Grid::key(&Point::new(at.x - r, at.y - r), self.cell);
+        let (hi_x, hi_y) = Grid::key(&Point::new(at.x + r, at.y + r), self.cell);
+        let mut best: Option<(&Tx, f64)> = None;
+        let mut second = 0.0f64;
+        for cx in lo_x..=hi_x {
+            for w in self.cells.column(cx, lo_y, hi_y) {
+                if w.pos.dist_sq(at) > r_sq {
+                    continue;
+                }
+                let s = w.signal_at(at, self.alpha);
+                match best {
+                    None => best = Some((w, s)),
+                    Some((_, bs)) if s > bs => {
+                        second = bs;
+                        best = Some((w, s));
                     }
-                    i_near += net.signal_from(w, net.pos(w).dist(u));
-                    near_count += 1;
+                    Some(_) => second = second.max(s),
                 }
             }
+        }
+        best.map(|(w, s1)| Candidate {
+            node: w.node,
+            pos: w.pos,
+            s1,
+            s2: second,
+        })
+    }
+
+    /// Decides whether a listener at `u` decodes `sender` (received at
+    /// `sender.s1`): whether `s1 ≥ β·(noise + I)`, with `I` the
+    /// interference of every other transmitter. Counts how it was decided
+    /// in `stats`. Exact — see module docs.
+    ///
+    /// **Shared tails.** The first tails a decision needs are filled at
+    /// ring 1, and with a count table one fill covers every ring the
+    /// decision can reach. At that fill, `within(j)` (the interferers
+    /// within ring `j`) equals `block(key, j) − 1` for every `j ≥ 1`
+    /// whenever the sender lies within ring 1: the sender is in every
+    /// block from ring 1 on, and the ring-1 scan has found `block(key, 1)
+    /// − 1` interferers. The tails are then a function of the listener's
+    /// cell alone, so the field fills them once per cell and every such
+    /// decision in the cell reads them. Under uniform power the candidate
+    /// lies within one cell side of the listener, hence within ring 1 up
+    /// to the rounding of the distance test; the condition is checked per
+    /// decision all the same, and a decision whose sender lies farther
+    /// (heterogeneous power) fills its own. Debug builds refill the tails
+    /// of every sharing decision and assert that they equal the shared
+    /// ones bit for bit.
+    pub(crate) fn decide(
+        &mut self,
+        p: &SinrParams,
+        u: Point,
+        sender: &Candidate,
+        stats: &mut FieldStats,
+    ) -> bool {
+        let s1 = sender.s1;
+        let alpha = self.alpha;
+        let key = Grid::key(&u, self.cell);
+        // Interferers = all transmitters but the sender.
+        let interferers = self.slots.len() - 1;
+        let mut i_near = 0.0f64; // exact, cell-grouped partial sums
+        let mut near_count = 0usize;
+        // The tails this decision reads are filled for every ring
+        // `k < tails_end`; `shared` when they are its cell's.
+        let mut tails_end = 0i64;
+        let mut shared = false;
+        for k in 0..=self.k_cap {
+            // Accumulate the exact cell sums of ring k.
+            self.cells.for_each_on_ring(key, k, |w| {
+                if w.node != sender.node {
+                    i_near += w.signal_at(u, alpha);
+                    near_count += 1;
+                }
+            });
             // Reject: the true interference is at least `i_near`.
             if s1 < p.beta * (p.noise + i_near) {
                 stats.residual_decided += 1;
@@ -198,10 +298,20 @@ impl InterferenceField {
             // interference past the threshold.
             if k >= 1 {
                 if k >= tails_end {
-                    let sender_key = self.grid.key_of(net.pos(sender));
-                    tails_end = self.fill_tails(key, sender_key, k, near_count, interferers) + 1;
+                    let sender_key = Grid::key(&sender.pos, self.cell);
+                    shared = k == 1 && self.cells.area.is_some() && ring_of(sender_key, key) <= 1;
+                    tails_end = if shared {
+                        self.share_tails(key, sender_key, near_count, interferers)
+                    } else {
+                        self.fill_tails(key, sender_key, k, near_count, interferers) + 1
+                    };
                 }
-                if s1 >= p.beta * (p.noise + i_near + self.tails[k as usize]) {
+                let tail = if shared {
+                    self.cell_tails[k as usize]
+                } else {
+                    self.tails[k as usize]
+                };
+                if s1 >= p.beta * (p.noise + i_near + tail) {
                     stats.residual_decided += 1;
                     stats.field_terms += near_count as u64;
                     return true;
@@ -211,14 +321,39 @@ impl InterferenceField {
         // Exact fallback: the oracle's own test. Every transmitter's
         // signal, the sender's included, summed in slot order.
         stats.exact_fallbacks += 1;
-        stats.field_terms += (near_count + self.tx.len()) as u64;
-        let total: f64 = self
-            .tx
-            .iter()
-            .map(|&w| w as usize)
-            .map(|w| net.signal_from(w, net.pos(w).dist(u)))
-            .sum();
+        stats.field_terms += (near_count + self.slots.len()) as u64;
+        let total: f64 = self.slots.iter().map(|w| w.signal_at(u, alpha)).sum();
         decodes(p, s1, total)
+    }
+
+    /// The shared tails of listener cell `key` for a decision at ring 1
+    /// whose sender lies within ring 1 (see [`InterferenceField::decide`]):
+    /// filled by the cell's first such decision, then reused. Returns the
+    /// end of the rings they cover.
+    fn share_tails(
+        &mut self,
+        key: (i64, i64),
+        sender_key: (i64, i64),
+        near: usize,
+        interferers: usize,
+    ) -> i64 {
+        if self.cell_key != Some(key) {
+            self.cell_tails_end = self.fill_tails(key, sender_key, 1, near, interferers) + 1;
+            self.cell_tails.clone_from(&self.tails);
+            self.cell_key = Some(key);
+        } else if cfg!(debug_assertions) {
+            let end = self.fill_tails(key, sender_key, 1, near, interferers) + 1;
+            let rings = 1..end as usize;
+            debug_assert!(
+                end == self.cell_tails_end
+                    && self.tails[rings.clone()]
+                        .iter()
+                        .zip(&self.cell_tails[rings])
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "the shared tails of cell {key:?} differ from a fresh fill"
+            );
+        }
+        self.cell_tails_end
     }
 
     /// Fills `tails[k..=m]` for a listener in cell `key` whose scan has
@@ -236,18 +371,20 @@ impl InterferenceField {
         near: usize,
         interferers: usize,
     ) -> i64 {
-        let sender_ring = (sender_key.0 - key.0)
-            .abs()
-            .max((sender_key.1 - key.1).abs());
-        let table = self.counts.as_ref();
-        let m = table.map_or(k, |t| t.last_ring(key).min(self.k_cap + 1).max(k));
+        let sender_ring = ring_of(sender_key, key);
+        let cells = &self.cells;
+        let m = cells
+            .area
+            .map_or(k, |area| last_ring(area, key).min(self.k_cap + 1).max(k));
         // Interferers within ring j ≥ k.
-        let within = |j: i64| match table {
-            Some(t) if j > k => t.block(key, j) - usize::from(sender_ring <= j),
+        let within = |j: i64| match cells.area {
+            Some(area) if j > k => cells.block(area, key, j) - usize::from(sender_ring <= j),
             _ => near,
         };
         debug_assert!(
-            table.is_none_or(|t| t.block(key, k) - usize::from(sender_ring <= k) == near),
+            cells.area.is_none_or(|area| {
+                cells.block(area, key, k) - usize::from(sender_ring <= k) == near
+            }),
             "the ring scan and the count table disagree"
         );
         let mut inner = within(m);
@@ -264,53 +401,195 @@ impl InterferenceField {
     }
 }
 
-/// A summed-area table of transmitter counts over a grid's table box:
-/// the number of transmitters in any block of cells in four reads.
-#[derive(Debug)]
-struct CountTable {
-    /// Smallest x and y cell keys of the box.
-    origin: (i64, i64),
-    /// Box extent in cells along x and y.
-    width: usize,
-    height: usize,
-    /// `sums[x·(height + 1) + y]` counts the transmitters in the box cells
-    /// whose local coordinates are below `(x, y)`.
-    sums: Vec<u32>,
+/// Chebyshev distance between two cells: the ring of `a` around `b`.
+fn ring_of(a: (i64, i64), b: (i64, i64)) -> i64 {
+    (a.0 - b.0).abs().max((a.1 - b.1).abs())
 }
 
-impl CountTable {
-    /// The table over `grid`'s table box, `None` when it has none.
-    fn build(grid: &Grid) -> Option<Self> {
-        let (origin, width, height) = grid.table_box()?;
+/// A grid's table box as `(origin, width, height)`: its smallest x and y
+/// cell keys and its extent in cells ([`Grid`]'s `table_box`).
+type TableBox = ((i64, i64), usize, usize);
+
+/// The ring around cell `key` whose block first covers the whole box.
+fn last_ring(((ox, oy), width, height): TableBox, (cx, cy): (i64, i64)) -> i64 {
+    let (ex, ey) = (ox + width as i64 - 1, oy + height as i64 - 1);
+    (cx - ox).max(ex - cx).max(cy - oy).max(ey - cy)
+}
+
+/// The round's transmitters sorted by cell, and where each cell's lie.
+/// With a table box (the network grid's), cells are found by index
+/// arithmetic and a summed-area table counts the transmitters of any
+/// block; without one, occupied cells are found by key and no block is
+/// counted.
+#[derive(Debug, Default)]
+struct Cells {
+    /// The network grid's table box, `None` when it has no table.
+    area: Option<TableBox>,
+    /// The transmitters, x-major by cell, slot order within a cell.
+    by_cell: Vec<Tx>,
+    /// With a box: box cell `(x, y)` (box-local) holds
+    /// `by_cell[starts[s]..starts[s + 1]]`, `s = x·height + y`.
+    starts: Vec<u32>,
+    /// With a box: `sums[x·(height + 1) + y]` counts the transmitters in
+    /// the box cells whose local coordinates are below `(x, y)`.
+    sums: Vec<u32>,
+    /// Without a box: the occupied cells' keys in ascending order, each
+    /// with the index of its first transmitter in `by_cell`.
+    keys: Vec<((i64, i64), u32)>,
+}
+
+impl Cells {
+    /// Sorts `slots` (the round's transmitters in slot order) by their
+    /// cells of `grid`, whose table box covers every node, and returns the
+    /// number of occupied cells. With a box the sort is a stable counting
+    /// sort; without one, a sort of `(key, slot)` pairs.
+    fn rebuild(&mut self, grid: &Grid, slots: &[Tx]) -> usize {
+        let cell = grid.cell_size();
+        self.area = grid.table_box();
+        self.by_cell.clear();
+        let Some(((ox, oy), width, height)) = self.area else {
+            self.keys.clear();
+            self.keys.extend(
+                slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| (Grid::key(&t.pos, cell), i as u32)),
+            );
+            self.keys.sort_unstable();
+            self.by_cell
+                .extend(self.keys.iter().map(|&(_, i)| slots[i as usize]));
+            // Keep each cell's first entry, pointing at its first member.
+            let mut occupied = 0;
+            for i in 0..self.keys.len() {
+                let key = self.keys[i].0;
+                if occupied == 0 || self.keys[occupied - 1].0 != key {
+                    self.keys[occupied] = (key, i as u32);
+                    occupied += 1;
+                }
+            }
+            self.keys.truncate(occupied);
+            return occupied;
+        };
+        let slot_of = |t: &Tx| {
+            let (x, y) = Grid::key(&t.pos, cell);
+            (x - ox) as usize * height + (y - oy) as usize
+        };
+        // Counting sort: cell s's count lands in starts[s + 2], the prefix
+        // sums turn starts[s + 1] into its first position, and placing
+        // each member advances it to the next cell's.
+        self.starts.clear();
+        self.starts.resize(width * height + 2, 0);
+        for t in slots {
+            self.starts[slot_of(t) + 2] += 1;
+        }
+        let mut occupied = 0;
+        let mut total = 0;
+        for start in &mut self.starts[2..] {
+            occupied += usize::from(*start > 0);
+            total += *start;
+            *start = total;
+        }
+        self.by_cell.resize(slots.len(), Tx::default());
+        for t in slots {
+            let next = &mut self.starts[slot_of(t) + 1];
+            self.by_cell[*next as usize] = *t;
+            *next += 1;
+        }
+        self.starts.pop();
         let stride = height + 1;
-        let mut sums = vec![0u32; (width + 1) * stride];
-        let mut counts = grid.table_counts();
+        self.sums.clear();
+        self.sums.resize((width + 1) * stride, 0);
         for x in 0..width {
             let mut column = 0u32;
-            for (y, count) in counts.by_ref().take(height).enumerate() {
-                column += count as u32;
-                sums[(x + 1) * stride + y + 1] = sums[x * stride + y + 1] + column;
+            for y in 0..height {
+                let s = x * height + y;
+                column += self.starts[s + 1] - self.starts[s];
+                self.sums[(x + 1) * stride + y + 1] = self.sums[x * stride + y + 1] + column;
             }
         }
-        Some(Self {
-            origin,
-            width,
-            height,
-            sums,
-        })
+        occupied
     }
 
-    /// The ring around cell `key` whose block first covers the whole box.
-    fn last_ring(&self, (cx, cy): (i64, i64)) -> i64 {
-        let (ox, oy) = self.origin;
-        let (ex, ey) = (ox + self.width as i64 - 1, oy + self.height as i64 - 1);
-        (cx - ox).max(ex - cx).max(cy - oy).max(ey - cy)
+    /// The transmitters of cells `(cx, lo_y..=hi_y)`, in cell order: one
+    /// contiguous run of `by_cell`.
+    fn column(&self, cx: i64, lo_y: i64, hi_y: i64) -> &[Tx] {
+        let range = match self.area {
+            Some(((ox, oy), width, height)) => {
+                let x = cx - ox;
+                let (y0, y1) = ((lo_y - oy).max(0), (hi_y - oy).min(height as i64 - 1));
+                if !(0..width as i64).contains(&x) || y0 > y1 {
+                    return &[];
+                }
+                let base = x as usize * height;
+                self.starts[base + y0 as usize] as usize
+                    ..self.starts[base + y1 as usize + 1] as usize
+            }
+            None => {
+                let first_at = |key: (i64, i64)| {
+                    let i = self.keys.partition_point(|&(k, _)| k < key);
+                    self.keys
+                        .get(i)
+                        .map_or(self.by_cell.len(), |&(_, start)| start as usize)
+                };
+                first_at((cx, lo_y))..first_at((cx, hi_y + 1))
+            }
+        };
+        &self.by_cell[range]
     }
 
-    /// Transmitters within Chebyshev cell distance `j` of cell `key`.
-    /// Keys are clamped to ±2⁶¹ and `j` stays below 2²¹, so the offsets
-    /// cannot overflow.
-    fn block(&self, (cx, cy): (i64, i64), j: i64) -> usize {
+    /// Calls `visit` on every transmitter of the cells at Chebyshev
+    /// distance exactly `k` from cell `key`, in [`ring_cells`]' order and
+    /// slot order within a cell. With a box the cells outside it are
+    /// skipped (they hold no transmitter) and the rest are found by index
+    /// arithmetic.
+    fn for_each_on_ring(&self, key: (i64, i64), k: i64, mut visit: impl FnMut(&Tx)) {
+        let Some(((ox, oy), width, height)) = self.area else {
+            for (cx, cy) in ring_cells(key.0, key.1, k) {
+                self.column(cx, cy, cy).iter().for_each(&mut visit);
+            }
+            return;
+        };
+        let (w, h) = (width as i64, height as i64);
+        let mut cell = |x: i64, y: i64| {
+            let s = (x * h + y) as usize;
+            let members = self.starts[s] as usize..self.starts[s + 1] as usize;
+            self.by_cell[members].iter().for_each(&mut visit);
+        };
+        // Box-local coordinates of the ring's centre.
+        let (x, y) = (key.0 - ox, key.1 - oy);
+        if k == 0 {
+            if (0..w).contains(&x) && (0..h).contains(&y) {
+                cell(x, y);
+            }
+            return;
+        }
+        // Rows y − k and y + k interleaved by x, then columns x − k and
+        // x + k interleaved by y.
+        let (low, high) = ((0..h).contains(&(y - k)), (0..h).contains(&(y + k)));
+        for cx in (x - k).max(0)..=(x + k).min(w - 1) {
+            if low {
+                cell(cx, y - k);
+            }
+            if high {
+                cell(cx, y + k);
+            }
+        }
+        let (left, right) = ((0..w).contains(&(x - k)), (0..w).contains(&(x + k)));
+        for cy in (y - k + 1).max(0)..=(y + k - 1).min(h - 1) {
+            if left {
+                cell(x - k, cy);
+            }
+            if right {
+                cell(x + k, cy);
+            }
+        }
+    }
+
+    /// Transmitters within Chebyshev cell distance `j` of cell `key`,
+    /// read from the summed-area table over `area`, the box the cells were
+    /// sorted over. Keys are clamped to ±2⁶¹ and `j` stays below 2²¹, so
+    /// the offsets cannot overflow.
+    fn block(&self, ((ox, oy), width, height): TableBox, (cx, cy): (i64, i64), j: i64) -> usize {
         // Box-local half-open range of the block along one axis, clipped.
         let clip = |c: i64, o: i64, len: usize| {
             let len = len as i64;
@@ -319,16 +598,18 @@ impl CountTable {
                 (c + j + 1 - o).clamp(0, len) as usize,
             )
         };
-        let (x0, x1) = clip(cx, self.origin.0, self.width);
-        let (y0, y1) = clip(cy, self.origin.1, self.height);
-        let s = |x: usize, y: usize| self.sums[x * (self.height + 1) + y] as usize;
+        let (x0, x1) = clip(cx, ox, width);
+        let (y0, y1) = clip(cy, oy, height);
+        let s = |x: usize, y: usize| self.sums[x * (height + 1) + y] as usize;
         s(x1, y1) + s(x0, y0) - s(x0, y1) - s(x1, y0)
     }
 }
 
 /// Cell keys at Chebyshev distance exactly `k` from `(cx, cy)` (the single
-/// center cell for `k = 0`). Allocation-free: this runs inside every
-/// `decide` query.
+/// center cell for `k = 0`): the center, then rows `cy − k` and `cy + k`
+/// interleaved by x, then columns `cx − k` and `cx + k` interleaved by y.
+/// Allocation-free: the ring walk of a grid without a table runs it inside
+/// every decision.
 fn ring_cells(cx: i64, cy: i64, k: i64) -> impl Iterator<Item = (i64, i64)> {
     let center = (k == 0).then_some((cx, cy));
     let edges = (k > 0).then(|| {
@@ -343,7 +624,26 @@ fn ring_cells(cx: i64, cy: i64, k: i64) -> impl Iterator<Item = (i64, i64)> {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
-    use crate::SinrParams;
+
+    fn net_of(pts: Vec<Point>, powers: Vec<f64>) -> Network {
+        Network::builder(pts).powers(powers).build().unwrap()
+    }
+
+    fn built(net: &Network, tx: &[usize]) -> InterferenceField {
+        let mut field = InterferenceField::default();
+        field.rebuild(net, tx);
+        field
+    }
+
+    /// The decision candidate for `sender` at node `u`.
+    fn candidate(net: &Network, sender: usize, u: usize) -> Candidate {
+        Candidate {
+            node: sender as u32,
+            pos: net.pos(sender),
+            s1: net.signal_between(sender, u),
+            s2: 0.0,
+        }
+    }
 
     #[test]
     fn ring_cells_tile_the_block_exactly_once() {
@@ -351,36 +651,62 @@ mod tests {
         for k in 0..=3 {
             for c in ring_cells(5, -2, k) {
                 assert!(seen.insert(c), "cell {c:?} visited twice");
-                assert_eq!(
-                    (c.0 - 5).abs().max((c.1 + 2).abs()),
-                    k,
-                    "cell {c:?} not on ring {k}"
-                );
+                assert_eq!(ring_of(c, (5, -2)), k, "cell {c:?} not on ring {k}");
             }
         }
         assert_eq!(seen.len(), 7 * 7, "rings 0..=3 must tile the 7x7 block");
-    }
-
-    fn net_of(pts: Vec<Point>, powers: Vec<f64>) -> Network {
-        Network::builder(pts).powers(powers).build().unwrap()
+        // The ring walk over the flat layout visits the occupied cells of
+        // `ring_cells` in its order: one transmitter per cell of a 6 × 4
+        // box, so the members visited spell out the cells. Centres at the
+        // box's corners, on its edges, inside and outside it; the same
+        // layout past the table cap (two far-off silent nodes) walks by
+        // key instead.
+        let (w, h) = (6, 4);
+        let pts: Vec<Point> = (0..w * h)
+            .map(|i| Point::new((i / h) as f64 + 0.5, (i % h) as f64 + 0.5))
+            .collect();
+        let mut spread = pts.clone();
+        spread.extend([Point::new(-1e7, -1e7), Point::new(1e7, 1e7)]);
+        let tx: Vec<usize> = (0..w * h).collect();
+        for (pts, tabulated) in [(pts, true), (spread, false)] {
+            let n = pts.len();
+            let field = built(&net_of(pts, vec![2.0; n]), &tx);
+            assert_eq!(field.cells.area.is_some(), tabulated);
+            let centres = [(0, 0), (5, 3), (0, 3), (5, 0), (2, 0), (0, 2), (3, 1)];
+            for centre in centres.into_iter().chain([(-2, 1), (8, 5), (3, -4)]) {
+                for k in 0..=9 {
+                    let mut walked = Vec::new();
+                    field
+                        .cells
+                        .for_each_on_ring(centre, k, |t| walked.push(Grid::key(&t.pos, 1.0)));
+                    let want: Vec<(i64, i64)> = ring_cells(centre.0, centre.1, k)
+                        .filter(|&(x, y)| (0..w as i64).contains(&x) && (0..h as i64).contains(&y))
+                        .collect();
+                    assert_eq!(
+                        walked, want,
+                        "centre {centre:?}, ring {k}, table {tabulated}"
+                    );
+                }
+            }
+        }
     }
 
     /// Holds `decide` to Eq. (1) summed fresh, for every transmitter at
     /// every listener of the round.
     fn assert_decide_matches_full_sum(net: &Network, tx: &[usize], trial: usize) {
         let p = net.params();
-        let mut field = InterferenceField::build(net, tx);
+        let mut field = built(net, tx);
         let mut stats = FieldStats::default();
         for u in (0..net.len()).filter(|u| !tx.contains(u)) {
             for &v in tx {
-                let s1 = net.signal_between(v, u);
+                let c = candidate(net, v, u);
                 let full: f64 = tx
                     .iter()
                     .filter(|&&w| w != v)
                     .map(|&w| net.signal_between(w, u))
                     .sum();
-                let want = s1 >= p.beta * (p.noise + full);
-                let got = field.decide(net, net.pos(u), v, s1, &mut stats);
+                let want = c.s1 >= p.beta * (p.noise + full);
+                let got = field.decide(p, net.pos(u), &c, &mut stats);
                 assert_eq!(got, want, "trial {trial}: receiver {u}, sender {v}");
             }
         }
@@ -425,6 +751,83 @@ mod tests {
         }
     }
 
+    #[test]
+    fn one_listener_cell_mixes_shared_and_own_tails() {
+        // A 12 × 12 box of silent nodes (one per cell) and, around the
+        // listener cell (5, 5), transmitters at the model power: one in the
+        // cell, one in ring 1 and eight in ring 4. A transmitter at 1000×
+        // the power (range 10) sits in ring 3. Three listeners of cell
+        // (5, 5) decide in turn: the ring-0 sender (the cell's tails are
+        // filled and accept), the ring-3 sender (its own tails, since it
+        // lies beyond ring 1) and the ring-1 sender (the cell's tails
+        // again, and they accept). Each decision must match the full sum.
+        let p = SinrParams::default();
+        let mut pts: Vec<Point> = (0..144)
+            .map(|i| Point::new((i / 12) as f64 + 0.9, (i % 12) as f64 + 0.9))
+            .collect();
+        let mut powers = vec![p.power; 144];
+        let mut add = |at: Point, power: f64| {
+            pts.push(at);
+            powers.push(power);
+            pts.len() - 1
+        };
+        let near = add(Point::new(5.1, 5.5), p.power);
+        let ring1 = add(Point::new(6.05, 5.5), p.power);
+        let strong = add(Point::new(8.5, 5.5), 1000.0 * p.power);
+        let mut tx = vec![near, ring1, strong];
+        for (dx, dy) in [
+            (-4, -4),
+            (0, -4),
+            (4, -4),
+            (-4, 0),
+            (4, 0),
+            (-4, 4),
+            (0, 4),
+            (4, 4),
+        ] {
+            tx.push(add(Point::new(5.5 + dx as f64, 5.5 + dy as f64), p.power));
+        }
+        let decisions = [
+            (add(Point::new(5.2, 5.5), p.power), near, true),
+            (add(Point::new(5.5, 5.95), p.power), strong, false),
+            (add(Point::new(5.96, 5.5), p.power), ring1, true),
+        ];
+        let net = net_of(pts, powers);
+        assert!(
+            net.max_range() > 9.0,
+            "the strong sender reaches past ring 1"
+        );
+        let mut field = built(&net, &tx);
+        assert!(field.cells.area.is_some(), "a count table");
+        let mut stats = FieldStats::default();
+        let key = (5, 5);
+        for (step, (u, v, shared)) in decisions.into_iter().enumerate() {
+            assert_eq!(Grid::key(&net.pos(u), field.cell), key);
+            let c = candidate(&net, v, u);
+            let full: f64 = tx
+                .iter()
+                .filter(|&&w| w != v)
+                .map(|&w| net.signal_between(w, u))
+                .sum();
+            let want = c.s1 >= p.beta * (p.noise + full);
+            let before = stats;
+            let got = field.decide(&p, net.pos(u), &c, &mut stats);
+            assert_eq!(got, want, "step {step}: listener {u}, sender {v}");
+            assert_eq!(field.cell_key, Some(key), "step {step}: the cell's tails");
+            if shared {
+                // With a table an accept is a tail accept.
+                let accepted = got && stats.residual_decided > before.residual_decided;
+                assert!(accepted, "step {step}: the shared tails accept");
+            } else {
+                // Its own tails take the sender out of the blocks from
+                // ring 3 on only: one more interferer within ring 2 than
+                // the shared ones assume, so a lower tail at ring 1.
+                let (own, cell) = (field.tails[1], field.cell_tails[1]);
+                assert!(own < cell, "step {step}: own tail {own:e}, cell's {cell:e}");
+            }
+        }
+    }
+
     /// Checks the residual `decide` would use at every ring `k ≥ 1` for a
     /// listener at `u` decoding `sender`: at least the interference from
     /// the transmitters outside the `(2k+1)²` block, summed fresh; at most
@@ -437,17 +840,13 @@ mod tests {
         u: Point,
         sender: usize,
     ) {
-        let lumped_only = field.counts.is_none();
-        let grid = field.grid();
-        let cell = grid.cell_size();
+        let lumped_only = field.cells.area.is_none();
+        let cell = field.cell;
         let alpha = net.params().alpha;
-        let key = grid.key_of(u);
-        let ring_of = |w: usize| {
-            let (cx, cy) = grid.key_of(net.pos(w));
-            (cx - key.0).abs().max((cy - key.1).abs())
-        };
-        let rings: Vec<i64> = tx.iter().map(|&w| ring_of(w)).collect();
-        let sender_key = grid.key_of(net.pos(sender));
+        let key = Grid::key(&u, cell);
+        let ring_of_node = |w: usize| ring_of(Grid::key(&net.pos(w), cell), key);
+        let rings: Vec<i64> = tx.iter().map(|&w| ring_of_node(w)).collect();
+        let sender_key = Grid::key(&net.pos(sender), cell);
         let power_cap = tx.iter().map(|&w| net.power_of(w)).fold(0.0, f64::max);
         let interferers = tx.len() - 1;
         let near = |k: i64| {
@@ -554,8 +953,8 @@ mod tests {
             powers.extend([params.power; 2]);
             let wide = net_of(pts, powers);
             for (net, tabulated) in [(&narrow, true), (&wide, false)] {
-                let mut field = InterferenceField::build(net, &tx);
-                assert_eq!(field.counts.is_some(), tabulated, "trial {trial}");
+                let mut field = built(net, &tx);
+                assert_eq!(field.cells.area.is_some(), tabulated, "trial {trial}");
                 for _ in 0..40 {
                     let u = edge_listener(side, &mut rng);
                     let sender = tx[rng.range_usize(tx.len())];
@@ -574,10 +973,9 @@ mod tests {
             Point::new(0.2, 0.0),
             Point::new(9.0, 9.0),
         ]);
-        let mut field = InterferenceField::build(&net, &[0, 2]);
-        let s1 = net.signal_between(0, 1);
+        let mut field = built(&net, &[0, 2]);
         let mut st = FieldStats::default();
-        let _ = field.decide(&net, net.pos(1), 0, s1, &mut st);
+        let _ = field.decide(&params, net.pos(1), &candidate(&net, 0, 1), &mut st);
         assert_eq!(
             st.residual_decided + st.exhausted + st.exact_fallbacks,
             1,
@@ -594,11 +992,10 @@ mod tests {
             Point::new(5.5, 0.5),
             Point::new(0.5, 0.5),
         ]);
-        let mut field = InterferenceField::build(&net, &[0, 1]);
+        let mut field = built(&net, &[0, 1]);
         assert_eq!(field.k_cap, 1);
-        let s1 = net.signal_between(0, 2);
         let mut st = FieldStats::default();
-        assert!(field.decide(&net, net.pos(2), 0, s1, &mut st));
+        assert!(field.decide(&params, net.pos(2), &candidate(&net, 0, 2), &mut st));
         let want = FieldStats {
             exact_fallbacks: 1,
             field_terms: 2,

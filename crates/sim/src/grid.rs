@@ -1,9 +1,11 @@
 //! Uniform spatial grid.
 //!
-//! All geometric queries in the simulator (communication-graph construction,
-//! density estimation, the candidate search of the SINR resolver) go
-//! through this index. Cells have a fixed side length; a disk query of radius
-//! `r` touches `O((r/cell)²)` cells.
+//! The geometric queries of the simulator (communication-graph
+//! construction, density estimation) go through this index. Cells have a
+//! fixed side length; a disk query of radius `r` touches `O((r/cell)²)`
+//! cells. The SINR resolver sorts each field round's transmitters over
+//! the network grid's table box and visits that round's listeners cell
+//! by cell through the network grid's member lists.
 //!
 //! **Layout.** Member lists live in a flat table over the *cell box*: the
 //! bounding box, in cell coordinates, of the points the grid is built on.
@@ -71,20 +73,6 @@ impl Grid {
         grid
     }
 
-    /// Builds a grid over a *subset* of the points (e.g. this round's
-    /// transmitters); stored indices refer to the original slice. Member
-    /// lists hold the subset's order per cell. The table box is that of
-    /// all of `points`, so a query centred on any of them looks its cells
-    /// up in the table.
-    pub fn build_subset(points: &[Point], subset: &[usize], cell: f64) -> Self {
-        let mut grid = Self::empty_over(points, cell);
-        for &i in subset {
-            grid.members_for_insert(Self::key(&points[i], cell))
-                .push(i as u32);
-        }
-        grid
-    }
-
     /// An empty grid whose table covers the cell box of `points`, or no
     /// table when that box exceeds `max(4096, 4·points.len())` cells.
     fn empty_over(points: &[Point], cell: f64) -> Self {
@@ -122,8 +110,10 @@ impl Grid {
         }
     }
 
+    /// Cell key of `p` under a tiling of side `cell`, each coordinate
+    /// clamped to `±2⁶¹`.
     #[inline]
-    fn key(p: &Point, cell: f64) -> (i64, i64) {
+    pub(crate) fn key(p: &Point, cell: f64) -> (i64, i64) {
         let axis = |v: f64| ((v / cell).floor() as i64).clamp(-KEY_LIMIT, KEY_LIMIT);
         (axis(p.x), axis(p.y))
     }
@@ -215,11 +205,12 @@ impl Grid {
         (!self.table.is_empty()).then_some((self.origin, self.width as usize, self.height as usize))
     }
 
-    /// Member counts of the table box's cells, x-major: cell `(x, y)`
-    /// comes at `(x − origin.0)·height + (y − origin.1)`. Empty without a
-    /// table.
-    pub(crate) fn table_counts(&self) -> impl Iterator<Item = usize> + '_ {
-        self.table.iter().map(Vec::len)
+    /// The member lists of every cell, in key order: the table's x-major,
+    /// empty cells included, then the spill's (a grid has one or the
+    /// other, since its table box covers all its points).
+    pub(crate) fn cells(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let table = self.table.iter().map(Vec::as_slice);
+        table.chain(self.spill.values().map(Vec::as_slice))
     }
 }
 
@@ -253,19 +244,6 @@ mod tests {
                 assert_eq!(got, brute_within(&pts, c, r));
             }
         }
-    }
-
-    #[test]
-    fn subset_grid_only_sees_subset() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(0.1, 0.0),
-            Point::new(0.2, 0.0),
-        ];
-        let grid = Grid::build_subset(&pts, &[0, 2], 1.0);
-        let got: Vec<usize> = grid.within(&pts, Point::ORIGIN, 1.0).collect();
-        assert_eq!(got.len(), 2);
-        assert!(got.contains(&0) && got.contains(&2));
     }
 
     #[test]
@@ -318,7 +296,7 @@ mod tests {
         assert_eq!(grid.table.len(), 5000);
         assert!(grid.spill.is_empty());
         assert_eq!(grid.table_box(), Some(((0, 0), 5000, 1)));
-        assert!(grid.table_counts().all(|c| c == 1));
+        assert!(grid.cells().all(|members| members.len() == 1));
         // Spread 4× wider (5000·4 cells for n = 5000): still at the cap.
         let wide: Vec<Point> = (0..5000).map(|i| Point::new(4.0 * i as f64, 0.5)).collect();
         assert_eq!(Grid::build(&wide, 1.0).table.len(), 19997);
@@ -327,7 +305,7 @@ mod tests {
         let grid = Grid::build(&wider, 1.0);
         assert!(grid.table.is_empty());
         assert_eq!(grid.table_box(), None);
-        assert_eq!(grid.table_counts().count(), 0);
+        assert_eq!(grid.cells().count(), 5000, "every cell spilled");
         assert_eq!(grid.occupied_cells(), 5000);
         assert_eq!(grid.count_within(&wider, Point::new(10.0, 0.5), 5.0), 3);
     }

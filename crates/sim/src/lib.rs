@@ -10,8 +10,8 @@
 //! * the SINR reception model of the paper's Eq. (1) ([`radio`]): a
 //!   [`SinrResolver`] trait with two backends — the naive oracle, and the
 //!   default aggregated backend, which runs the oracle's exact routine on
-//!   small rounds and builds a cell-aggregated interference field
-//!   ([`field`]) for each large one;
+//!   small rounds and rebuilds a cell-aggregated interference field
+//!   ([`field`]) in place for each large one;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
 //!   protocols over a [`Network`], with a one-slot memo that replays a
 //!   keyed re-execution ([`Engine::run_keyed`]) instead of resolving it
@@ -69,7 +69,6 @@ pub use dcluster_obs::{
     CacheOp, Event as ObsEvent, PhaseSummary, PhaseTable, SharedTracer, Tracer,
 };
 pub use engine::{Engine, EngineStats, ReplayKey, RoundBehavior};
-pub use field::{FieldStats, InterferenceField};
 pub use graph::Graph;
 pub use grid::Grid;
 pub use network::{Network, NetworkBuilder, NetworkError};
@@ -149,9 +148,17 @@ impl SinrParams {
     /// Distance 0 (a node "hearing itself") is meaningless in the model; we
     /// clamp to a tiny positive distance to keep arithmetic finite.
     pub fn signal(&self, d: f64) -> f64 {
-        let d = d.max(1e-12);
-        self.power / d.powf(self.alpha)
+        received_signal(self.power, d, self.alpha)
     }
+}
+
+/// Received signal `P / d^α` of a transmitter of power `power` at distance
+/// `d`, the distance clamped to at least `10⁻¹²`. Every signal in the
+/// simulator is this one expression, so two paths that compute the same
+/// pair's signal agree bit for bit.
+#[inline]
+pub(crate) fn received_signal(power: f64, d: f64, alpha: f64) -> f64 {
+    power / d.max(1e-12).powf(alpha)
 }
 
 #[cfg(test)]

@@ -279,8 +279,7 @@ impl Network {
     /// transmits at the model power.
     #[inline]
     pub fn signal_from(&self, w: usize, d: f64) -> f64 {
-        let d = d.max(1e-12);
-        self.powers[w] / d.powf(self.params.alpha)
+        crate::received_signal(self.powers[w], d, self.params.alpha)
     }
 
     /// Received signal of transmitter `w` at node `u`:

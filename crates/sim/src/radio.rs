@@ -30,18 +30,22 @@
 //!   `powf`, and its values are the oracle's bit for bit. The cache holds
 //!   at most `max(2²⁰, EXACT_MAX_TX·n)` signals (the whole matrix up to
 //!   `n = 1024`) and is cleared whole when a round's missing columns do
-//!   not fit. Larger rounds build a cell-aggregated [`InterferenceField`]
-//!   over their transmitters. Two exact facts cut the work: (1) a
-//!   decodable transmitter lies within range (`signal(d) ≥ β·noise` is
-//!   necessary), so candidates come from a grid query; (2) the
-//!   second-strongest transmitter alone contributes its
-//!   signal as interference, so a receiver failing `s₁ ≥ β·(noise + s₂)`
-//!   is skipped without summing.
-//!   Survivors are decided by exact cell-grouped partial sums, ring by ring
-//!   around the receiver, plus a residual bound for everything farther
-//!   that weights each farther ring's transmitter count by that ring's
-//!   distance; the rare inconclusive case falls back to the oracle's own
-//!   sum and test (see [`crate::field`] for the full argument).
+//!   not fit. Larger rounds rebuild the backend's cell-aggregated
+//!   interference field in place: the round's transmitters in one array
+//!   sorted by cell, each entry carrying its position and power. Two
+//!   exact facts cut the work: (1) a decodable transmitter lies within
+//!   range (`signal(d) ≥ β·noise` is necessary), so a listener's
+//!   candidates are the transmitters of the few cells its range disk
+//!   touches, a contiguous run of that array per column; (2) the
+//!   second-strongest transmitter alone contributes its signal as
+//!   interference, so a receiver failing `s₁ ≥ β·(noise + s₂)` is skipped
+//!   without summing. Survivors are decided by exact cell-grouped partial
+//!   sums, ring by ring around the receiver, plus a residual bound for
+//!   everything farther that weights each farther ring's transmitter count
+//!   by that ring's distance; the rare inconclusive case falls back to the
+//!   oracle's own sum and test (see [`crate::field`] for the full
+//!   argument). Listeners are visited cell by cell, so the decisions of
+//!   one cell share its residual bounds.
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
 //! ([`Network::powers`](crate::Network::powers)). Every path computes a
@@ -62,7 +66,6 @@
 //! (`crates/sim/tests/radio_equivalence.rs`).
 
 use crate::field::{FieldStats, InterferenceField};
-use crate::grid::Grid;
 use crate::network::Network;
 use crate::SinrParams;
 use dcluster_obs::CacheOp;
@@ -216,32 +219,6 @@ pub trait SinrResolver: fmt::Debug {
     }
 }
 
-/// Candidate sender of the field path at listener `u`: the strongest and
-/// second-strongest received signals over the transmitters stored in
-/// `grid`, scanning the disk of radius [`Network::max_range`], which
-/// contains every decodable transmitter. Returns `(sender, s1, s2)` with
-/// `s2 = 0.0` when a single transmitter is in range, or `None` when none
-/// is. Ties keep the first-scanned transmitter: the scan order is
-/// deterministic, and tied top signals can never be decoded anyway
-/// (`β > 1`).
-fn candidate_signals(net: &Network, grid: &Grid, u: usize) -> Option<(usize, f64, f64)> {
-    let at = net.pos(u);
-    let mut best: Option<(usize, f64)> = None;
-    let mut second = 0.0f64;
-    for w in grid.within(net.points(), at, net.max_range()) {
-        let s = net.signal_from(w, net.pos(w).dist(at));
-        match best {
-            None => best = Some((w, s)),
-            Some((_, bs)) if s > bs => {
-                second = bs;
-                best = Some((w, s));
-            }
-            Some(_) => second = second.max(s),
-        }
-    }
-    best.map(|(w, s1)| (w, s1, second))
-}
-
 /// Eq. (1) as the oracle evaluates it: whether a transmitter received at
 /// signal `s` is decoded when `total` is the summed signal of every
 /// transmitter, its own included. The exact routine and the field's
@@ -272,20 +249,20 @@ fn mark_transmitters(
 /// oracle's exact routine instead of its interference field.
 ///
 /// Per round the exact routine costs `O(n·|T|)`, and the field path one
-/// grid query per listener plus an `O(|T|)` build. Both grow
-/// linearly in `n`, so the threshold is on `|T|` alone; the field's fixed
-/// costs move the crossover from about 5 at `n ≥ 10⁴` to past 16 at
-/// `n = 52`. The value minimises the worst per-round slowdown against the
-/// faster path over the fixed-`|T|` points of the `scale_resolvers` sweep
-/// at its quick tier (`n = 52 … 2·10⁴`), which prints that threshold: 8
-/// in two of three recorded runs and 6 in the third, where the two worst
-/// slowdowns were within about 5 % (EXPERIMENTS.md, "Resolver
-/// crossover"). The protocol workloads play no part in it.
-///
-/// That sweep timed the exact routine computing every signal afresh. The
-/// aggregated backend now reads them from its gain cache, which makes its
-/// exact rounds several times cheaper, so the value is conservative: the
-/// true crossover against the field path lies higher.
+/// candidate scan per listener plus an `O(|T|)` rebuild. Both grow
+/// linearly in `n`, so the threshold is on `|T|` alone. The value was
+/// chosen where the `scale_resolvers` sweep's quick tier
+/// (`n = 52 … 2·10⁴`), which prints the threshold minimising the worst
+/// per-round slowdown against the faster path over its fixed-`|T|`
+/// points, printed 8 in two of three recorded runs and 6 in the third.
+/// Every quick-tier run since the flat cell table has printed 2, and 1
+/// since field rounds use one cell-sorted transmitter array
+/// (EXPERIMENTS.md, "Resolver crossover"). The value stays 8 because that
+/// sweep times the exact routine computing every signal afresh, while
+/// the aggregated backend reads them from its gain cache, which makes its
+/// exact rounds several times cheaper: the sweep's threshold understates
+/// the crossover against the field path. The protocol workloads play no
+/// part in it.
 pub const EXACT_MAX_TX: usize = 8;
 
 /// Fewest received signals the gain cache may hold, whatever `n`: 2²⁰
@@ -483,11 +460,14 @@ impl SinrResolver for NaiveResolver {
 
 /// The fast backend (see the module docs): the oracle's exact routine over
 /// cached received signals on rounds with `|T| ≤` [`EXACT_MAX_TX`], a
-/// cell-aggregated [`InterferenceField`] built for each round above it.
-/// Scales to 10⁵-node deployments with thousands of transmitters per round.
+/// cell-aggregated interference field rebuilt in place for each round
+/// above it. Scales to 10⁵-node deployments with thousands of
+/// transmitters per round.
 #[derive(Debug, Default)]
 pub struct AggregatedResolver {
     is_tx: Vec<bool>,
+    /// A transmitter's slot in the round; in a field round, a listener's
+    /// entry holds the slot of the sender it decoded.
     slot_of: Vec<u32>,
     stats: ResolverStats,
     /// [`CacheOp::Rebuilt`] after a field round, `None` after an exact or
@@ -496,6 +476,9 @@ pub struct AggregatedResolver {
     /// The received signals of exact rounds' transmitters; field rounds
     /// leave it idle.
     gains: GainCache,
+    /// The interference field of the latest field round; its buffers
+    /// persist across rounds.
+    field: InterferenceField,
 }
 
 impl AggregatedResolver {
@@ -509,6 +492,11 @@ impl AggregatedResolver {
     /// Public so that `scale_resolvers` can time the field against the
     /// oracle at small `|T|` (the sweep that sets the constant) and the
     /// equivalence tests can hold the field to the oracle on small rounds.
+    ///
+    /// Listeners are visited cell by cell of the network grid, so that the
+    /// decisions of one cell share its residual bounds; each decoded
+    /// sender's slot is parked in its listener's `slot_of` entry and the
+    /// receptions are emitted in one ascending pass.
     pub fn resolve_field_into(
         &mut self,
         net: &Network,
@@ -522,29 +510,39 @@ impl AggregatedResolver {
             return;
         }
         self.last_op = Some(CacheOp::Rebuilt);
-        let n = net.len();
         let p = net.params();
-        mark_transmitters(n, transmitters, &mut self.is_tx, &mut self.slot_of);
-        let mut field = InterferenceField::build(net, transmitters);
+        let r = net.max_range();
+        mark_transmitters(net.len(), transmitters, &mut self.is_tx, &mut self.slot_of);
+        self.field.rebuild(net, transmitters);
         let mut fs = FieldStats::default();
-        for u in 0..n {
-            if self.is_tx[u] {
-                continue; // half-duplex: transmitters do not receive
+        for members in net.grid().cells() {
+            for &u in members {
+                let u = u as usize;
+                if self.is_tx[u] {
+                    continue; // half-duplex: transmitters do not receive
+                }
+                let at = net.pos(u);
+                let Some(c) = self.field.strongest_two(at, r) else {
+                    continue;
+                };
+                self.stats.candidates += 1;
+                // Short-circuit: interference ≥ the second-strongest signal.
+                if c.s1 < p.beta * (p.noise + c.s2) {
+                    self.stats.short_circuited += 1;
+                    continue;
+                }
+                if self.field.decide(p, at, &c, &mut fs) {
+                    self.slot_of[u] = self.slot_of[c.node as usize];
+                }
             }
-            let Some((v, s1, i_low)) = candidate_signals(net, field.grid(), u) else {
-                continue;
-            };
-            self.stats.candidates += 1;
-            // Short-circuit: interference ≥ the second-strongest signal.
-            if s1 < p.beta * (p.noise + i_low) {
-                self.stats.short_circuited += 1;
-                continue;
-            }
-            if field.decide(net, net.pos(u), v, s1, &mut fs) {
+        }
+        for (u, &slot) in self.slot_of.iter().enumerate() {
+            if slot != u32::MAX && !self.is_tx[u] {
+                let slot = slot as usize;
                 out.push(Reception {
                     receiver: u,
-                    sender: v,
-                    slot: self.slot_of[v] as usize,
+                    sender: transmitters[slot],
+                    slot,
                 });
             }
         }
