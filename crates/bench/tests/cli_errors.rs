@@ -4,16 +4,63 @@
 //! protocols or dynamics models cannot run with. A spec's `resolver` line
 //! picks the backend unless `--resolver` overrides it; nothing else does.
 //! An unknown `DCLUSTER_SCALE` tier exits 1 too, before any file is
-//! written.
+//! written. Every child runs under a deadline, so a run that hangs fails
+//! its test instead of stalling the suite.
 
+use std::fs::{self, File};
 use std::path::Path;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+/// The longest any child may run. Each finishes in well under a second
+/// on an idle machine; the margin absorbs a loaded one.
+const DEADLINE: Duration = Duration::from_secs(10);
+
+/// Runs `cmd` to completion, with its stdout and stderr captured in files
+/// (no pipe can fill up and stall it), and returns its output. A child
+/// still running after [`DEADLINE`] is killed and fails the test.
+fn run(cmd: &mut Command) -> Output {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let capture = |stream: &str| {
+        let path = dir.join(format!("cli_errors.{}.{run}.{stream}", std::process::id()));
+        let file = File::create(&path).expect("a capture file is writable");
+        (path, file)
+    };
+    let ((out_path, out), (err_path, err)) = (capture("stdout"), capture("stderr"));
+    let mut child = cmd
+        .stdout(out)
+        .stderr(err)
+        .spawn()
+        .expect("the binary runs");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("the child can be polled") {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{cmd:?} was still running after {DEADLINE:?}, killed");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let read = |path: &Path| {
+        let bytes = fs::read(path).expect("a capture file is readable");
+        let _ = fs::remove_file(path);
+        bytes
+    };
+    Output {
+        status,
+        stdout: read(&out_path),
+        stderr: read(&err_path),
+    }
+}
 
 fn thm1(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_thm1_clustering"))
-        .args(args)
-        .output()
-        .expect("the binary runs")
+    run(Command::new(env!("CARGO_BIN_EXE_thm1_clustering")).args(args))
 }
 
 fn assert_clean_exit(out: &Output, needle: &str) {
@@ -78,17 +125,19 @@ fn out_of_range_spec_values_exit_cleanly() {
             Some("deploy corridor: spine"),
         ),
         ("max_id 5\nid_seed 4", None),
+        // Ranges near 10¹⁰⁰: every grid and field query clips to the box.
+        ("dynamics het_power spread=1e300", None),
+        // The third line node lands at x = +∞.
+        ("deploy line n=3 spacing=1e308", Some("deploy section")),
     ];
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
     for (i, (lines, needle)) in rows.into_iter().enumerate() {
         let path = dir.join(format!("out_of_range_{i}.scn"));
         let spec = format!("scenario row{i}\nseed 3\ndeploy uniform n=20 side=2\n{lines}\n");
         std::fs::write(&path, spec).expect("temporary spec is writable");
-        let out = Command::new(env!("CARGO_BIN_EXE_thm1_clustering"))
+        let out = run(Command::new(env!("CARGO_BIN_EXE_thm1_clustering"))
             .args(["--scenario", path.to_str().expect("utf-8 path")])
-            .env("DCLUSTER_RESULTS_DIR", dir)
-            .output()
-            .expect("the binary runs");
+            .env("DCLUSTER_RESULTS_DIR", dir));
         match needle {
             Some(needle) => assert_clean_exit(&out, needle),
             None => assert!(out.status.success(), "{lines}: {out:?}"),
@@ -110,12 +159,10 @@ fn unknown_scale_tier_exits_cleanly_and_writes_nothing() {
         let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("scale_{value}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temporary directory is writable");
-        let out = Command::new(bin)
+        let out = run(Command::new(bin)
             .current_dir(&dir)
             .env("DCLUSTER_SCALE", value)
-            .env("DCLUSTER_RESULTS_DIR", &dir)
-            .output()
-            .expect("the binary runs");
+            .env("DCLUSTER_RESULTS_DIR", &dir));
         assert_clean_exit(&out, "ci|quick|full");
         let written: Vec<_> = std::fs::read_dir(&dir)
             .expect("temporary directory is readable")
@@ -137,7 +184,7 @@ fn smoke_resolver(args: &[&str], resolver_env: Option<&str>) -> String {
     if let Some(v) = resolver_env {
         cmd.env("DCLUSTER_RESOLVER", v);
     }
-    let out = cmd.output().expect("the binary runs");
+    let out = run(&mut cmd);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);

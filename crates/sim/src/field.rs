@@ -21,14 +21,11 @@
 //!    (= the uniform `P` in the paper's setting). With `count_j`
 //!    interferers in ring `j`, the far field beyond ring `k` lies in
 //!    `[0, Σ_{j>k} count_j · w_j]`. The field keeps a summed-area table of
-//!    transmitter counts over the network grid's table box, which covers
+//!    transmitter counts over the network grid's cell box, which covers
 //!    every node, so each `count_j` is four table reads. The expansion
 //!    stops at a ring cap `k_cap` (past it one exact `O(|T|)` sum is
 //!    cheaper than scanning the block), so rings past `k_cap + 1` are
-//!    counted as ring `k_cap + 2`. A grid without a table (a cell box past
-//!    its cap) knows no ring counts and puts every interferer beyond ring
-//!    `k` in ring `k + 1`: the bound is then `far · P̂/(k·cell)^α`, with
-//!    `far` the number of interferers outside the block.
+//!    counted as ring `k_cap + 2`.
 //! 3. **Monotone decisions.** The reception test accepts iff
 //!    `s1 ≥ β·(noise + I)` with `I = I_near + I_far`. Since
 //!    `I ≥ I_near`, failing the test already at `I_near` is a definitive
@@ -40,17 +37,17 @@
 //!    same function the oracle calls. Either way the outcome equals the
 //!    naive resolver's on every receiver.
 //!
-//! **Layout.** The round's transmitters sit in one array sorted by cell,
-//! x-major like the network grid's table and in slot order within a cell;
-//! each entry carries the node index, the position and the power, so a
-//! signal reads nothing else. Start offsets per cell of the network
-//! grid's table box index the array; when that grid has no table, the
-//! occupied cells' keys in ascending order do. The buffers persist across
+//! **Layout.** The round's transmitters sit in one array sorted over the
+//! network grid's cell box by the grid's own counting sort
+//! (`CellSorted`): x-major like the grid's members and in slot order
+//! within a cell. Each entry carries the node index, the position and the
+//! power, so a signal reads nothing else. The buffers persist across
 //! rounds and only their contents are rebuilt, so a round allocates
 //! nothing once they have grown. A listener's candidate scan reads each
-//! column of its query box as one contiguous run of the array, and a
-//! decision's ring walk maps cells to offsets by index arithmetic and
-//! skips the cells outside the box, which hold no transmitter.
+//! column of its query box, clipped to the box, as one contiguous run of
+//! the array, and a decision's ring walk reads its cells through the same
+//! column lookup, skipping those outside the box, which hold no
+//! transmitter.
 //!
 //! **Cost.** A decision costs one visit per cell of the rings it scans
 //! (an empty cell is two offset reads) plus one pass over at most
@@ -80,7 +77,7 @@
 //! field only above `radio::EXACT_MAX_TX` transmitters; smaller rounds run
 //! the oracle's own routine and carry no such caveat.
 
-use crate::grid::Grid;
+use crate::grid::{CellSorted, Grid};
 use crate::network::Network;
 use crate::point::Point;
 use crate::radio::decodes;
@@ -143,8 +140,9 @@ pub(crate) struct Candidate {
 /// `P`, which is still a valid upper bound, so decisions stay exact.
 #[derive(Debug, Default)]
 pub(crate) struct InterferenceField {
-    /// Cell side (the network grid's, i.e. the model's transmission
-    /// range) and path-loss exponent of the round's network.
+    /// Cell side (the network grid's: the model's transmission range,
+    /// doubled while the grid's box exceeds its cap) and path-loss
+    /// exponent of the round's network.
     cell: f64,
     alpha: f64,
     /// The round's transmitters in slot order, which the fallback sums
@@ -173,8 +171,8 @@ pub(crate) struct InterferenceField {
 
 impl InterferenceField {
     /// Rebuilds the field in place for one round of `net`: the
-    /// transmitters sorted by cell (cell side = the model's transmission
-    /// range), their block counts and the per-ring weights.
+    /// transmitters sorted over the network grid's cells, their block
+    /// counts and the per-ring weights.
     pub(crate) fn rebuild(&mut self, net: &Network, transmitters: &[usize]) {
         let grid = net.grid();
         self.cell = grid.cell_size();
@@ -202,18 +200,17 @@ impl InterferenceField {
 
     /// The strongest and second-strongest signals at a listener at `at`,
     /// over the transmitters within distance `r` of it, or `None` when
-    /// none is. Cells come in [`Grid::within`]'s order (x outer, y inner)
-    /// and transmitters in slot order within a cell. Ties keep the
-    /// first-scanned transmitter: the scan order is deterministic, and
-    /// tied top signals can never be decoded anyway (`β > 1`).
+    /// none is. Cells come in [`Grid::within`]'s order (x outer, y inner,
+    /// clipped to the box) and transmitters in slot order within a cell.
+    /// Ties keep the first-scanned transmitter: the scan order is
+    /// deterministic, and tied top signals can never be decoded anyway
+    /// (`β > 1`).
     pub(crate) fn strongest_two(&self, at: Point, r: f64) -> Option<Candidate> {
         let r_sq = r * r;
-        let (lo_x, lo_y) = Grid::key(&Point::new(at.x - r, at.y - r), self.cell);
-        let (hi_x, hi_y) = Grid::key(&Point::new(at.x + r, at.y + r), self.cell);
         let mut best: Option<(&Tx, f64)> = None;
         let mut second = 0.0f64;
-        for cx in lo_x..=hi_x {
-            for w in self.cells.column(cx, lo_y, hi_y) {
+        for run in self.cells.sorted.disk(at, r) {
+            for w in run {
                 if w.pos.dist_sq(at) > r_sq {
                     continue;
                 }
@@ -242,9 +239,8 @@ impl InterferenceField {
     /// in `stats`. Exact — see module docs.
     ///
     /// **Shared tails.** The first tails a decision needs are filled at
-    /// ring 1, and with a count table one fill covers every ring the
-    /// decision can reach. At that fill, `within(j)` (the interferers
-    /// within ring `j`) equals `block(key, j) − 1` for every `j ≥ 1`
+    /// ring 1, and one fill covers every ring the decision can reach. At
+    /// that fill, `within(j)` (the interferers within ring `j`) equals `block(key, j) − 1` for every `j ≥ 1`
     /// whenever the sender lies within ring 1: the sender is in every
     /// block from ring 1 on, and the ring-1 scan has found `block(key, 1)
     /// − 1` interferers. The tails are then a function of the listener's
@@ -265,7 +261,7 @@ impl InterferenceField {
     ) -> bool {
         let s1 = sender.s1;
         let alpha = self.alpha;
-        let key = Grid::key(&u, self.cell);
+        let key = self.cells.key(&u);
         // Interferers = all transmitters but the sender.
         let interferers = self.slots.len() - 1;
         let mut i_near = 0.0f64; // exact, cell-grouped partial sums
@@ -298,8 +294,8 @@ impl InterferenceField {
             // interference past the threshold.
             if k >= 1 {
                 if k >= tails_end {
-                    let sender_key = Grid::key(&sender.pos, self.cell);
-                    shared = k == 1 && self.cells.area.is_some() && ring_of(sender_key, key) <= 1;
+                    let sender_key = self.cells.key(&sender.pos);
+                    shared = k == 1 && ring_of(sender_key, key) <= 1;
                     tails_end = if shared {
                         self.share_tails(key, sender_key, near_count, interferers)
                     } else {
@@ -358,11 +354,11 @@ impl InterferenceField {
 
     /// Fills `tails[k..=m]` for a listener in cell `key` whose scan has
     /// found `near` interferers up to ring `k`, and returns `m`, the last
-    /// ring whose interferer count is known: from the count table up to
-    /// ring `k_cap + 1` (or the ring that covers the table box, if
-    /// nearer), only ring `k` itself without a table. Every interferer
-    /// beyond ring `m` counts as one of ring `m + 1`. The sums run from
-    /// ring `m` inwards, so each `tails[j]` adds non-negative terms only.
+    /// ring whose interferer count the count table gives: ring `k_cap + 1`,
+    /// or the ring that covers the cell box if nearer (and at least `k`).
+    /// Every interferer beyond ring `m` counts as one of ring `m + 1`. The
+    /// sums run from ring `m` inwards, so each `tails[j]` adds non-negative
+    /// terms only.
     fn fill_tails(
         &mut self,
         key: (i64, i64),
@@ -373,18 +369,11 @@ impl InterferenceField {
     ) -> i64 {
         let sender_ring = ring_of(sender_key, key);
         let cells = &self.cells;
-        let m = cells
-            .area
-            .map_or(k, |area| last_ring(area, key).min(self.k_cap + 1).max(k));
+        let m = cells.last_ring(key).min(self.k_cap + 1).max(k);
         // Interferers within ring j ≥ k.
-        let within = |j: i64| match cells.area {
-            Some(area) if j > k => cells.block(area, key, j) - usize::from(sender_ring <= j),
-            _ => near,
-        };
+        let within = |j: i64| cells.block(key, j) - usize::from(sender_ring <= j);
         debug_assert!(
-            cells.area.is_none_or(|area| {
-                cells.block(area, key, k) - usize::from(sender_ring <= k) == near
-            }),
+            within(k) == near,
             "the ring scan and the count table disagree"
         );
         let mut inner = within(m);
@@ -406,190 +395,72 @@ fn ring_of(a: (i64, i64), b: (i64, i64)) -> i64 {
     (a.0 - b.0).abs().max((a.1 - b.1).abs())
 }
 
-/// A grid's table box as `(origin, width, height)`: its smallest x and y
-/// cell keys and its extent in cells ([`Grid`]'s `table_box`).
-type TableBox = ((i64, i64), usize, usize);
-
-/// The ring around cell `key` whose block first covers the whole box.
-fn last_ring(((ox, oy), width, height): TableBox, (cx, cy): (i64, i64)) -> i64 {
-    let (ex, ey) = (ox + width as i64 - 1, oy + height as i64 - 1);
-    (cx - ox).max(ex - cx).max(cy - oy).max(ey - cy)
-}
-
-/// The round's transmitters sorted by cell, and where each cell's lie.
-/// With a table box (the network grid's), cells are found by index
-/// arithmetic and a summed-area table counts the transmitters of any
-/// block; without one, occupied cells are found by key and no block is
-/// counted.
+/// The round's transmitters sorted over the network grid's cell box, and
+/// a summed-area table that counts the transmitters of any block.
 #[derive(Debug, Default)]
 struct Cells {
-    /// The network grid's table box, `None` when it has no table.
-    area: Option<TableBox>,
     /// The transmitters, x-major by cell, slot order within a cell.
-    by_cell: Vec<Tx>,
-    /// With a box: box cell `(x, y)` (box-local) holds
-    /// `by_cell[starts[s]..starts[s + 1]]`, `s = x·height + y`.
-    starts: Vec<u32>,
-    /// With a box: `sums[x·(height + 1) + y]` counts the transmitters in
-    /// the box cells whose local coordinates are below `(x, y)`.
+    sorted: CellSorted<Tx>,
+    /// `sums[x·(height + 1) + y]` counts the transmitters in the box cells
+    /// whose box-local coordinates are below `(x, y)`.
     sums: Vec<u32>,
-    /// Without a box: the occupied cells' keys in ascending order, each
-    /// with the index of its first transmitter in `by_cell`.
-    keys: Vec<((i64, i64), u32)>,
 }
 
 impl Cells {
-    /// Sorts `slots` (the round's transmitters in slot order) by their
-    /// cells of `grid`, whose table box covers every node, and returns the
-    /// number of occupied cells. With a box the sort is a stable counting
-    /// sort; without one, a sort of `(key, slot)` pairs.
+    /// Sorts `slots` (the round's transmitters in slot order) over the
+    /// cells of `grid`, whose box covers every node, counts them per
+    /// block, and returns the number of occupied cells.
     fn rebuild(&mut self, grid: &Grid, slots: &[Tx]) -> usize {
-        let cell = grid.cell_size();
-        self.area = grid.table_box();
-        self.by_cell.clear();
-        let Some(((ox, oy), width, height)) = self.area else {
-            self.keys.clear();
-            self.keys.extend(
-                slots
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (Grid::key(&t.pos, cell), i as u32)),
-            );
-            self.keys.sort_unstable();
-            self.by_cell
-                .extend(self.keys.iter().map(|&(_, i)| slots[i as usize]));
-            // Keep each cell's first entry, pointing at its first member.
-            let mut occupied = 0;
-            for i in 0..self.keys.len() {
-                let key = self.keys[i].0;
-                if occupied == 0 || self.keys[occupied - 1].0 != key {
-                    self.keys[occupied] = (key, i as u32);
-                    occupied += 1;
-                }
-            }
-            self.keys.truncate(occupied);
-            return occupied;
-        };
-        let slot_of = |t: &Tx| {
-            let (x, y) = Grid::key(&t.pos, cell);
-            (x - ox) as usize * height + (y - oy) as usize
-        };
-        // Counting sort: cell s's count lands in starts[s + 2], the prefix
-        // sums turn starts[s + 1] into its first position, and placing
-        // each member advances it to the next cell's.
-        self.starts.clear();
-        self.starts.resize(width * height + 2, 0);
-        for t in slots {
-            self.starts[slot_of(t) + 2] += 1;
-        }
-        let mut occupied = 0;
-        let mut total = 0;
-        for start in &mut self.starts[2..] {
-            occupied += usize::from(*start > 0);
-            total += *start;
-            *start = total;
-        }
-        self.by_cell.resize(slots.len(), Tx::default());
-        for t in slots {
-            let next = &mut self.starts[slot_of(t) + 1];
-            self.by_cell[*next as usize] = *t;
-            *next += 1;
-        }
-        self.starts.pop();
+        let occupied = self
+            .sorted
+            .sort(grid.area(), slots.iter().copied(), |t| t.pos);
+        let (width, height) = (self.sorted.area().width, self.sorted.area().height);
         let stride = height + 1;
         self.sums.clear();
         self.sums.resize((width + 1) * stride, 0);
         for x in 0..width {
             let mut column = 0u32;
             for y in 0..height {
-                let s = x * height + y;
-                column += self.starts[s + 1] - self.starts[s];
+                column += self.sorted.cell(x * height + y).len() as u32;
                 self.sums[(x + 1) * stride + y + 1] = self.sums[x * stride + y + 1] + column;
             }
         }
         occupied
     }
 
-    /// The transmitters of cells `(cx, lo_y..=hi_y)`, in cell order: one
-    /// contiguous run of `by_cell`.
-    fn column(&self, cx: i64, lo_y: i64, hi_y: i64) -> &[Tx] {
-        let range = match self.area {
-            Some(((ox, oy), width, height)) => {
-                let x = cx - ox;
-                let (y0, y1) = ((lo_y - oy).max(0), (hi_y - oy).min(height as i64 - 1));
-                if !(0..width as i64).contains(&x) || y0 > y1 {
-                    return &[];
-                }
-                let base = x as usize * height;
-                self.starts[base + y0 as usize] as usize
-                    ..self.starts[base + y1 as usize + 1] as usize
-            }
-            None => {
-                let first_at = |key: (i64, i64)| {
-                    let i = self.keys.partition_point(|&(k, _)| k < key);
-                    self.keys
-                        .get(i)
-                        .map_or(self.by_cell.len(), |&(_, start)| start as usize)
-                };
-                first_at((cx, lo_y))..first_at((cx, hi_y + 1))
-            }
-        };
-        &self.by_cell[range]
+    /// Cell key of `p` in the box's tiling.
+    #[inline]
+    fn key(&self, p: &Point) -> (i64, i64) {
+        self.sorted.area().key(p)
     }
 
     /// Calls `visit` on every transmitter of the cells at Chebyshev
-    /// distance exactly `k` from cell `key`, in [`ring_cells`]' order and
-    /// slot order within a cell. With a box the cells outside it are
-    /// skipped (they hold no transmitter) and the rest are found by index
-    /// arithmetic.
-    fn for_each_on_ring(&self, key: (i64, i64), k: i64, mut visit: impl FnMut(&Tx)) {
-        let Some(((ox, oy), width, height)) = self.area else {
-            for (cx, cy) in ring_cells(key.0, key.1, k) {
-                self.column(cx, cy, cy).iter().for_each(&mut visit);
-            }
-            return;
-        };
-        let (w, h) = (width as i64, height as i64);
-        let mut cell = |x: i64, y: i64| {
-            let s = (x * h + y) as usize;
-            let members = self.starts[s] as usize..self.starts[s + 1] as usize;
-            self.by_cell[members].iter().for_each(&mut visit);
-        };
-        // Box-local coordinates of the ring's centre.
-        let (x, y) = (key.0 - ox, key.1 - oy);
+    /// distance exactly `k` from cell `(x, y)`: rows `y − k` and `y + k`
+    /// interleaved by x, then columns `x − k` and `x + k` interleaved by y
+    /// (the single cell itself for `k = 0`), in slot order within a cell.
+    /// The cells outside the box hold no transmitter and are skipped.
+    fn for_each_on_ring(&self, (x, y): (i64, i64), k: i64, mut visit: impl FnMut(&Tx)) {
+        let sorted = &self.sorted;
+        let mut cell = |cx: i64, cy: i64| sorted.column(cx, cy, cy).iter().for_each(&mut visit);
         if k == 0 {
-            if (0..w).contains(&x) && (0..h).contains(&y) {
-                cell(x, y);
-            }
-            return;
+            return cell(x, y);
         }
-        // Rows y − k and y + k interleaved by x, then columns x − k and
-        // x + k interleaved by y.
-        let (low, high) = ((0..h).contains(&(y - k)), (0..h).contains(&(y + k)));
-        for cx in (x - k).max(0)..=(x + k).min(w - 1) {
-            if low {
-                cell(cx, y - k);
-            }
-            if high {
-                cell(cx, y + k);
-            }
+        let ((ox, oy), (ex, ey)) = (sorted.area().origin, sorted.area().last());
+        for cx in (x - k).max(ox)..=(x + k).min(ex) {
+            cell(cx, y - k);
+            cell(cx, y + k);
         }
-        let (left, right) = ((0..w).contains(&(x - k)), (0..w).contains(&(x + k)));
-        for cy in (y - k + 1).max(0)..=(y + k - 1).min(h - 1) {
-            if left {
-                cell(x - k, cy);
-            }
-            if right {
-                cell(x + k, cy);
-            }
+        for cy in (y - k + 1).max(oy)..=(y + k - 1).min(ey) {
+            cell(x - k, cy);
+            cell(x + k, cy);
         }
     }
 
     /// Transmitters within Chebyshev cell distance `j` of cell `key`,
-    /// read from the summed-area table over `area`, the box the cells were
-    /// sorted over. Keys are clamped to ±2⁶¹ and `j` stays below 2²¹, so
-    /// the offsets cannot overflow.
-    fn block(&self, ((ox, oy), width, height): TableBox, (cx, cy): (i64, i64), j: i64) -> usize {
+    /// read from the summed-area table. Keys are clamped to ±2⁶¹ and `j`
+    /// stays below 2²¹, so the offsets cannot overflow.
+    fn block(&self, (cx, cy): (i64, i64), j: i64) -> usize {
+        let area = self.sorted.area();
         // Box-local half-open range of the block along one axis, clipped.
         let clip = |c: i64, o: i64, len: usize| {
             let len = len as i64;
@@ -598,26 +469,17 @@ impl Cells {
                 (c + j + 1 - o).clamp(0, len) as usize,
             )
         };
-        let (x0, x1) = clip(cx, ox, width);
-        let (y0, y1) = clip(cy, oy, height);
-        let s = |x: usize, y: usize| self.sums[x * (height + 1) + y] as usize;
+        let (x0, x1) = clip(cx, area.origin.0, area.width);
+        let (y0, y1) = clip(cy, area.origin.1, area.height);
+        let s = |x: usize, y: usize| self.sums[x * (area.height + 1) + y] as usize;
         s(x1, y1) + s(x0, y0) - s(x0, y1) - s(x1, y0)
     }
-}
 
-/// Cell keys at Chebyshev distance exactly `k` from `(cx, cy)` (the single
-/// center cell for `k = 0`): the center, then rows `cy − k` and `cy + k`
-/// interleaved by x, then columns `cx − k` and `cx + k` interleaved by y.
-/// Allocation-free: the ring walk of a grid without a table runs it inside
-/// every decision.
-fn ring_cells(cx: i64, cy: i64, k: i64) -> impl Iterator<Item = (i64, i64)> {
-    let center = (k == 0).then_some((cx, cy));
-    let edges = (k > 0).then(|| {
-        let top_bottom = (-k..=k).flat_map(move |dx| [(cx + dx, cy - k), (cx + dx, cy + k)]);
-        let sides = (-k + 1..k).flat_map(move |dy| [(cx - k, cy + dy), (cx + k, cy + dy)]);
-        top_bottom.chain(sides)
-    });
-    center.into_iter().chain(edges.into_iter().flatten())
+    /// The ring around cell `(cx, cy)` whose block first covers the box.
+    fn last_ring(&self, (cx, cy): (i64, i64)) -> i64 {
+        let ((ox, oy), (ex, ey)) = (self.sorted.area().origin, self.sorted.area().last());
+        (cx - ox).max(ex - cx).max(cy - oy).max(ey - cy)
+    }
 }
 
 #[cfg(test)]
@@ -645,6 +507,20 @@ mod tests {
         }
     }
 
+    /// Cell keys at Chebyshev distance exactly `k` from `(cx, cy)` (the
+    /// single center cell for `k = 0`): the center, then rows `cy − k` and
+    /// `cy + k` interleaved by x, then columns `cx − k` and `cx + k`
+    /// interleaved by y. The reference order of the ring walk.
+    fn ring_cells(cx: i64, cy: i64, k: i64) -> impl Iterator<Item = (i64, i64)> {
+        let center = (k == 0).then_some((cx, cy));
+        let edges = (k > 0).then(|| {
+            let top_bottom = (-k..=k).flat_map(move |dx| [(cx + dx, cy - k), (cx + dx, cy + k)]);
+            let sides = (-k + 1..k).flat_map(move |dy| [(cx - k, cy + dy), (cx + k, cy + dy)]);
+            top_bottom.chain(sides)
+        });
+        center.into_iter().chain(edges.into_iter().flatten())
+    }
+
     #[test]
     fn ring_cells_tile_the_block_exactly_once() {
         let mut seen = std::collections::HashSet::new();
@@ -655,12 +531,12 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 7 * 7, "rings 0..=3 must tile the 7x7 block");
-        // The ring walk over the flat layout visits the occupied cells of
-        // `ring_cells` in its order: one transmitter per cell of a 6 × 4
-        // box, so the members visited spell out the cells. Centres at the
-        // box's corners, on its edges, inside and outside it; the same
-        // layout past the table cap (two far-off silent nodes) walks by
-        // key instead.
+        // The ring walk visits the transmitters of `ring_cells` in its
+        // order, slot order within a cell: one transmitter per cell of a
+        // 6 × 4 box at cell side 1. Centres at the box's corners, on its
+        // edges, inside and outside it. The same layout plus two far-off
+        // silent nodes stretches the box past the cap, so its cells grow
+        // to side 2¹⁹ and hold all 24 transmitters in one cell.
         let (w, h) = (6, 4);
         let pts: Vec<Point> = (0..w * h)
             .map(|i| Point::new((i / h) as f64 + 0.5, (i % h) as f64 + 0.5))
@@ -668,24 +544,23 @@ mod tests {
         let mut spread = pts.clone();
         spread.extend([Point::new(-1e7, -1e7), Point::new(1e7, 1e7)]);
         let tx: Vec<usize> = (0..w * h).collect();
-        for (pts, tabulated) in [(pts, true), (spread, false)] {
+        for (pts, cell) in [(pts, 1.0), (spread, 524_288.0)] {
             let n = pts.len();
-            let field = built(&net_of(pts, vec![2.0; n]), &tx);
-            assert_eq!(field.cells.area.is_some(), tabulated);
+            let net = net_of(pts, vec![2.0; n]);
+            let field = built(&net, &tx);
+            assert_eq!(field.cell, cell);
+            let key = |v: usize| field.cells.key(&net.pos(v));
             let centres = [(0, 0), (5, 3), (0, 3), (5, 0), (2, 0), (0, 2), (3, 1)];
             for centre in centres.into_iter().chain([(-2, 1), (8, 5), (3, -4)]) {
                 for k in 0..=9 {
                     let mut walked = Vec::new();
                     field
                         .cells
-                        .for_each_on_ring(centre, k, |t| walked.push(Grid::key(&t.pos, 1.0)));
-                    let want: Vec<(i64, i64)> = ring_cells(centre.0, centre.1, k)
-                        .filter(|&(x, y)| (0..w as i64).contains(&x) && (0..h as i64).contains(&y))
+                        .for_each_on_ring(centre, k, |t| walked.push(t.node as usize));
+                    let want: Vec<usize> = ring_cells(centre.0, centre.1, k)
+                        .flat_map(|c| tx.iter().copied().filter(move |&v| key(v) == c))
                         .collect();
-                    assert_eq!(
-                        walked, want,
-                        "centre {centre:?}, ring {k}, table {tabulated}"
-                    );
+                    assert_eq!(walked, want, "centre {centre:?}, ring {k}, cell {cell}");
                 }
             }
         }
@@ -798,11 +673,11 @@ mod tests {
             "the strong sender reaches past ring 1"
         );
         let mut field = built(&net, &tx);
-        assert!(field.cells.area.is_some(), "a count table");
+        assert_eq!(field.cell, 1.0, "cells of the model range");
         let mut stats = FieldStats::default();
         let key = (5, 5);
         for (step, (u, v, shared)) in decisions.into_iter().enumerate() {
-            assert_eq!(Grid::key(&net.pos(u), field.cell), key);
+            assert_eq!(field.cells.key(&net.pos(u)), key);
             let c = candidate(&net, v, u);
             let full: f64 = tx
                 .iter()
@@ -815,7 +690,7 @@ mod tests {
             assert_eq!(got, want, "step {step}: listener {u}, sender {v}");
             assert_eq!(field.cell_key, Some(key), "step {step}: the cell's tails");
             if shared {
-                // With a table an accept is a tail accept.
+                // An accept is a tail accept.
                 let accepted = got && stats.residual_decided > before.residual_decided;
                 assert!(accepted, "step {step}: the shared tails accept");
             } else {
@@ -831,8 +706,7 @@ mod tests {
     /// Checks the residual `decide` would use at every ring `k ≥ 1` for a
     /// listener at `u` decoding `sender`: at least the interference from
     /// the transmitters outside the `(2k+1)²` block, summed fresh; at most
-    /// the lumped `far · P̂/(k·cell)^α`, and equal to it bit for bit when
-    /// the grid has no table.
+    /// the lumped `far · P̂/(k·cell)^α`.
     fn assert_tails_bound_the_far_field(
         field: &mut InterferenceField,
         net: &Network,
@@ -840,13 +714,12 @@ mod tests {
         u: Point,
         sender: usize,
     ) {
-        let lumped_only = field.cells.area.is_none();
         let cell = field.cell;
         let alpha = net.params().alpha;
-        let key = Grid::key(&u, cell);
-        let ring_of_node = |w: usize| ring_of(Grid::key(&net.pos(w), cell), key);
+        let key = field.cells.key(&u);
+        let ring_of_node = |w: usize| ring_of(field.cells.key(&net.pos(w)), key);
         let rings: Vec<i64> = tx.iter().map(|&w| ring_of_node(w)).collect();
-        let sender_key = Grid::key(&net.pos(sender), cell);
+        let sender_key = field.cells.key(&net.pos(sender));
         let power_cap = tx.iter().map(|&w| net.power_of(w)).fold(0.0, f64::max);
         let interferers = tx.len() - 1;
         let near = |k: i64| {
@@ -882,9 +755,6 @@ mod tests {
                 tail <= lumped,
                 "{at}: tail {tail:e} above the lumped {lumped:e}"
             );
-            if lumped_only {
-                assert_eq!(tail.to_bits(), lumped.to_bits(), "{at}: no table, no rings");
-            }
         }
     }
 
@@ -946,15 +816,15 @@ mod tests {
                 })
                 .collect();
             let tx: Vec<usize> = (0..n).filter(|_| rng.chance(0.3)).collect();
-            // The same round past the table cap: two far-off listeners
-            // stretch the box to ~10¹⁴ cells.
+            // The same round past the cap: two far-off listeners stretch
+            // the box to ~10¹⁴ cells at side 1, so the cells grow to 2¹⁹.
             let narrow = net_of(pts.clone(), powers.clone());
             pts.extend([Point::new(-1e7, -1e7), Point::new(1e7, 1e7)]);
             powers.extend([params.power; 2]);
             let wide = net_of(pts, powers);
-            for (net, tabulated) in [(&narrow, true), (&wide, false)] {
+            for (net, cell) in [(&narrow, 1.0), (&wide, 524_288.0)] {
                 let mut field = built(net, &tx);
-                assert_eq!(field.cells.area.is_some(), tabulated, "trial {trial}");
+                assert_eq!(field.cell, cell, "trial {trial}");
                 for _ in 0..40 {
                     let u = edge_listener(side, &mut rng);
                     let sender = tx[rng.range_usize(tx.len())];

@@ -144,12 +144,6 @@ pub fn close_pairs(
     out
 }
 
-/// True iff a cluster of `size` nodes is *dense* for density `gamma`
-/// (≥ Γ/2, paper §2).
-pub fn is_dense(size: usize, gamma: usize) -> bool {
-    2 * size >= gamma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

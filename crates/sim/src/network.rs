@@ -11,6 +11,9 @@
 //! [`Network::range_of`]. With uniform power (the paper's setting and the
 //! default) every formula reduces bit-for-bit to the classic
 //! `SinrParams::signal` path.
+//!
+//! Every position must be finite ([`NetworkError::NonFinitePosition`]):
+//! the network's [`Grid`] tiles a finite box of cells around its nodes.
 
 use crate::graph::Graph;
 use crate::grid::Grid;
@@ -60,6 +63,13 @@ pub enum NetworkError {
         /// The offending value.
         power: f64,
     },
+    /// A node position has a coordinate that is not finite.
+    NonFinitePosition {
+        /// Node index with the offending position.
+        node: usize,
+        /// The offending position.
+        position: Point,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -78,6 +88,9 @@ impl fmt::Display for NetworkError {
             }
             NetworkError::BadPower { node, power } => {
                 write!(f, "node {node} has non-positive power {power}")
+            }
+            NetworkError::NonFinitePosition { node, position } => {
+                write!(f, "node {node} has non-finite position {position}")
             }
         }
     }
@@ -177,7 +190,10 @@ impl Network {
         &self.params
     }
 
-    /// Spatial index over all nodes (cell size = transmission range).
+    /// Spatial index over all nodes. Its cell side is the transmission
+    /// range, doubled while the grid's cell box exceeds its cap of
+    /// `max(4096, 4·n)` cells (never for a deployment that fits in that
+    /// many range-sized cells).
     pub fn grid(&self) -> &Grid {
         &self.grid
     }
@@ -186,28 +202,6 @@ impl Network {
     /// `range·(1−ε)` (paper §1.1).
     pub fn comm_graph(&self) -> &Graph {
         &self.comm
-    }
-
-    /// Nodes within distance `r` of node `v` **excluding** `v` itself.
-    ///
-    /// Allocates a fresh vector; hot paths should use
-    /// [`Network::neighbors_within_into`] with a reused buffer instead.
-    pub fn neighbors_within(&self, v: usize, r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.neighbors_within_into(v, r, &mut out);
-        out
-    }
-
-    /// Collects the nodes within distance `r` of node `v` (excluding `v`)
-    /// into a caller-provided buffer, clearing it first — the
-    /// allocation-free form for per-node loops.
-    pub fn neighbors_within_into(&self, v: usize, r: f64, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.grid
-                .within(&self.points, self.points[v], r)
-                .filter(|&u| u != v),
-        );
     }
 
     /// Network density Γ: the largest number of nodes in a unit ball
@@ -358,12 +352,20 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if the deployment is empty, IDs are
-    /// duplicated/out of range, or lengths mismatch.
+    /// Returns [`NetworkError`] if the deployment is empty, a position is
+    /// not finite, IDs are duplicated/out of range, a power is not
+    /// positive and finite, or lengths mismatch.
     pub fn build(self) -> Result<Network, NetworkError> {
         let n = self.points.len();
         if n == 0 {
             return Err(NetworkError::Empty);
+        }
+        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+        if let Some(node) = self.points.iter().position(|p| !finite(p)) {
+            return Err(NetworkError::NonFinitePosition {
+                node,
+                position: self.points[node],
+            });
         }
         let max_id = self.max_id.unwrap_or_else(|| {
             self.ids
@@ -518,50 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_within_buffer_reuse_matches_allocating_form() {
-        let net = Network::builder(square(5, 0.3)).build().unwrap();
-        let mut buf = vec![999usize; 7]; // stale content must be cleared
-        for v in 0..net.len() {
-            net.neighbors_within_into(v, 0.5, &mut buf);
-            let mut a = buf.clone();
-            let mut b = net.neighbors_within(v, 0.5);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            assert!(!a.contains(&v), "self excluded");
-        }
-    }
-
-    #[test]
-    fn neighbors_within_into_clears_a_prepopulated_buffer_exactly() {
-        // The buffer-reuse path must fully replace stale caller content:
-        // start from a buffer longer than any result, holding
-        // plausible-looking node indices, and reuse it across shrinking
-        // radii — each call must leave exactly the fresh result, nothing
-        // appended, nothing left over.
-        let net = Network::builder(square(6, 0.3)).build().unwrap();
-        let mut buf: Vec<usize> = (0..net.len()).collect(); // stale but valid-looking
-        let cap_before = buf.capacity();
-        for &r in &[1.1, 0.65, 0.31, 0.05] {
-            for v in [0, net.len() / 2, net.len() - 1] {
-                net.neighbors_within_into(v, r, &mut buf);
-                assert_eq!(
-                    buf,
-                    net.neighbors_within(v, r),
-                    "reused buffer differs from the allocating form (v={v}, r={r})"
-                );
-                assert!(!buf.contains(&v), "self must stay excluded");
-            }
-        }
-        net.neighbors_within_into(0, 0.0, &mut buf);
-        assert!(buf.is_empty(), "radius 0 leaves no stale entries behind");
-        assert!(
-            buf.capacity() >= cap_before.min(net.len()),
-            "the whole point of the _into form is keeping the allocation"
-        );
-    }
-
-    #[test]
     fn uniform_power_network_reports_the_model_range() {
         let net = Network::builder(square(3, 0.5)).build().unwrap();
         assert!(net.has_uniform_power());
@@ -624,6 +582,29 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, NetworkError::DuplicateId(3));
+    }
+
+    #[test]
+    fn non_finite_positions_are_rejected() {
+        // `deploy line n=3 spacing=1e308` puts its third node at x = +∞.
+        let line = crate::deploy::line(3, 1e308);
+        assert_eq!(
+            Network::builder(line).build().unwrap_err(),
+            NetworkError::NonFinitePosition {
+                node: 2,
+                position: Point::new(f64::INFINITY, 0.0)
+            }
+        );
+        let nan = vec![Point::new(0.0, 0.0), Point::new(0.5, f64::NAN)];
+        let err = Network::builder(nan).build().unwrap_err();
+        assert!(matches!(
+            err,
+            NetworkError::NonFinitePosition { node: 1, .. }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "node 1 has non-finite position (0.5000, NaN)"
+        );
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Vector length.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
-    }
-
     /// Midpoint of the segment `self`–`other`.
     pub fn midpoint(self, other: Point) -> Point {
         Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)

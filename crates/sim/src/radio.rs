@@ -32,11 +32,12 @@
 //!   `n = 1024`) and is cleared whole when a round's missing columns do
 //!   not fit. Larger rounds rebuild the backend's cell-aggregated
 //!   interference field in place: the round's transmitters in one array
-//!   sorted by cell, each entry carrying its position and power. Two
-//!   exact facts cut the work: (1) a decodable transmitter lies within
-//!   range (`signal(d) ≥ β·noise` is necessary), so a listener's
-//!   candidates are the transmitters of the few cells its range disk
-//!   touches, a contiguous run of that array per column; (2) the
+//!   sorted over the network grid's cells by the grid's own counting
+//!   sort, each entry carrying its position and power. Two exact facts
+//!   cut the work: (1) a decodable transmitter lies within range
+//!   (`signal(d) ≥ β·noise` is necessary), so a listener's candidates are
+//!   the transmitters of the few cells its range disk touches, clipped to
+//!   the grid's box, a contiguous run of that array per column; (2) the
 //!   second-strongest transmitter alone contributes its signal as
 //!   interference, so a receiver failing `s₁ ≥ β·(noise + s₂)` is skipped
 //!   without summing. Survivors are decided by exact cell-grouped partial
@@ -44,8 +45,8 @@
 //!   everything farther that weights each farther ring's transmitter count
 //!   by that ring's distance; the rare inconclusive case falls back to the
 //!   oracle's own sum and test (see [`crate::field`] for the full
-//!   argument). Listeners are visited cell by cell, so the decisions of
-//!   one cell share its residual bounds.
+//!   argument). Listeners are visited in the grid's member order, cell by
+//!   cell, so the decisions of one cell share its residual bounds.
 //!
 //! **Heterogeneous power.** Nodes may transmit at per-node powers
 //! ([`Network::powers`](crate::Network::powers)). Every path computes a
@@ -515,25 +516,23 @@ impl AggregatedResolver {
         mark_transmitters(net.len(), transmitters, &mut self.is_tx, &mut self.slot_of);
         self.field.rebuild(net, transmitters);
         let mut fs = FieldStats::default();
-        for members in net.grid().cells() {
-            for &u in members {
-                let u = u as usize;
-                if self.is_tx[u] {
-                    continue; // half-duplex: transmitters do not receive
-                }
-                let at = net.pos(u);
-                let Some(c) = self.field.strongest_two(at, r) else {
-                    continue;
-                };
-                self.stats.candidates += 1;
-                // Short-circuit: interference ≥ the second-strongest signal.
-                if c.s1 < p.beta * (p.noise + c.s2) {
-                    self.stats.short_circuited += 1;
-                    continue;
-                }
-                if self.field.decide(p, at, &c, &mut fs) {
-                    self.slot_of[u] = self.slot_of[c.node as usize];
-                }
+        for &u in net.grid().by_cell() {
+            let u = u as usize;
+            if self.is_tx[u] {
+                continue; // half-duplex: transmitters do not receive
+            }
+            let at = net.pos(u);
+            let Some(c) = self.field.strongest_two(at, r) else {
+                continue;
+            };
+            self.stats.candidates += 1;
+            // Short-circuit: interference ≥ the second-strongest signal.
+            if c.s1 < p.beta * (p.noise + c.s2) {
+                self.stats.short_circuited += 1;
+                continue;
+            }
+            if self.field.decide(p, at, &c, &mut fs) {
+                self.slot_of[u] = self.slot_of[c.node as usize];
             }
         }
         for (u, &slot) in self.slot_of.iter().enumerate() {

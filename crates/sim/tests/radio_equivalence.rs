@@ -185,10 +185,11 @@ proptest! {
     }
 }
 
-/// Nodes at x = ±1e300: their cell keys sit at the clamp limit, where
-/// the field's ring offsets and key differences once overflowed `i64`
-/// (a panic in debug builds). Cross-side pairs are infinitely far apart,
-/// so each side is its own vertical line of nodes 0.2 apart.
+/// Nodes at x = ±1e300: at the model range their cell keys sit at the
+/// clamp limit, where the field's ring offsets and key differences once
+/// overflowed `i64` (a panic in debug builds), and the grid's cells grow
+/// to about 10²⁹⁷ so that its box fits. Cross-side pairs are infinitely
+/// far apart, so each side is its own vertical line of nodes 0.2 apart.
 #[test]
 fn backends_equal_naive_at_far_out_coordinates() {
     let pts: Vec<Point> = (0..40)
@@ -206,10 +207,11 @@ fn backends_equal_naive_at_far_out_coordinates() {
     assert_equivalent(&net, &tx, "far-out").unwrap();
 }
 
-/// A deployment whose cell box is far past the grid's table cap (50 nodes
-/// on a 10⁷ × 10⁷ square plus two dense clusters 10⁹ apart), so every
-/// cell lives in the grid's spill map: the field must still decide like
-/// the oracle.
+/// A deployment whose cell box at the model range is far past the grid's
+/// cap (50 nodes on a 10⁷ × 10⁷ square plus two dense clusters 10⁹
+/// apart), so the grid's cells grow to side 2²¹ and each cluster falls
+/// into the two cells on either side of y = 0: the field must still
+/// decide like the oracle.
 #[test]
 fn backends_equal_naive_when_the_cell_box_is_past_the_cap() {
     let mut rng = Rng64::new(2024);
