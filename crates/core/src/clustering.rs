@@ -124,13 +124,15 @@ pub fn clustering(
                 let snapshot = cluster_of.clone();
                 let parent_ref = &parent_of;
                 let mut adopt: Vec<(usize, u64)> = Vec::new();
-                unit.run(
+                // One call per pair: a child adopts only from its parent,
+                // which announces one cluster on every delivery.
+                unit.run_pairs(
                     engine,
                     &|v| Msg::ClusterOf {
                         id: net.id(v),
                         cluster: snapshot[v].unwrap_or(0),
                     },
-                    &mut |recv, _lr, sender, msg| {
+                    &mut |recv, sender, msg| {
                         if let Msg::ClusterOf { cluster, .. } = msg {
                             if *cluster != 0 && parent_ref[recv] == Some(sender) {
                                 adopt.push((recv, *cluster));

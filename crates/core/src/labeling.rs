@@ -96,7 +96,8 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
         let parent_ref = &parent;
         let sends_ref = &sends;
         let mut add: Vec<(usize, u32)> = Vec::new();
-        unit.run(
+        // One call per pair: `credited` counts each child once anyway.
+        unit.run_pairs(
             engine,
             &|v| {
                 if sends_ref.contains(&v) {
@@ -111,7 +112,7 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
                     }
                 }
             },
-            &mut |recv, _lr, sender, msg| {
+            &mut |recv, sender, msg| {
                 if let Msg::Subtree { size: s, .. } = msg {
                     if parent_ref[sender] == Some(recv) && credited.insert((recv, sender)) {
                         add.push((recv, *s));
@@ -166,7 +167,9 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
             let range_ref = &range;
             let children_ref = &children_in_unit;
             let mut assign: Vec<(usize, u32, u32)> = Vec::new();
-            unit.run(
+            // One call per pair: only a node's parent addresses it, with
+            // the same range on every delivery.
+            unit.run_pairs(
                 engine,
                 &|v| {
                     if let Some(rp) = range_ref[v] {
@@ -186,7 +189,7 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
                         cluster: 0,
                     }
                 },
-                &mut |recv, _lr, _s, msg| {
+                &mut |recv, _s, msg| {
                     if let Msg::Range { child, lo, hi } = msg {
                         if *child == net.id(recv) {
                             assign.push((recv, *lo, *hi));

@@ -84,7 +84,8 @@ pub fn local_mis(
 }
 
 /// One replay delivering each member's `msg` to (at least) its H-neighbors;
-/// returns per-node inbox of `(sender, Msg)` filtered to H-edges.
+/// returns per-node inbox of `(sender, Msg)` filtered to H-edges, one
+/// entry per sender in order of first delivery.
 fn exchange_states(
     engine: &mut Engine<'_>,
     unit: &ReplayUnit,
@@ -93,15 +94,14 @@ fn exchange_states(
 ) -> Vec<Vec<(usize, Msg)>> {
     let n = engine.network().len();
     let mut inbox: Vec<Vec<(usize, Msg)>> = vec![Vec::new(); n];
-    unit.run(engine, &|v| msg_of[v], &mut |recv, _lr, sender, m| {
+    // One call per pair, in first-delivery order: each sender's first
+    // delivery, which carries the state every later one repeats.
+    unit.run_pairs(engine, &|v| msg_of[v], &mut |recv, sender, m| {
         if adj
             .get(&recv)
             .is_some_and(|l| l.binary_search(&sender).is_ok())
         {
-            // Deduplicate repeated deliveries of the same sender.
-            if !inbox[recv].iter().any(|&(s, _)| s == sender) {
-                inbox[recv].push((sender, *m));
-            }
+            inbox[recv].push((sender, *m));
         }
     });
     inbox

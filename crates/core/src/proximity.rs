@@ -158,7 +158,8 @@ pub fn build_proximity_graph(
         let net = engine.network();
         let candidates_ref = &candidates;
         let heard_confirm = &mut confirmed;
-        unit.run(
+        // One call per pair: `confirmed` is read only through `contains`.
+        unit.run_pairs(
             engine,
             &|v| {
                 let to = candidates_ref[v].get(j).map_or(0, |&u| net.id(u));
@@ -167,7 +168,7 @@ pub fn build_proximity_graph(
                     to,
                 }
             },
-            &mut |recv, _lr, sender, msg| {
+            &mut |recv, sender, msg| {
                 if let Msg::Confirm { to, .. } = msg {
                     if is_member[recv] && *to == net.id(recv) {
                         heard_confirm[recv].push(sender);

@@ -11,12 +11,27 @@
 //! transmit pattern is determined by its ID and its cluster *at snapshot
 //! time* (a value the node remembers locally).
 //!
+//! A unit has two entry points:
+//!
+//! * [`ReplayUnit::run`] executes the schedule and hands every reception,
+//!   with its local round, to the caller. It serves callers that read the
+//!   round or every message: Algorithm 1's exchange phase and the Sparse
+//!   Network Schedule. Each execution resolves every round.
+//! * [`ReplayUnit::run_pairs`] serves callers that ask only which
+//!   (receiver, sender) pairs connected, with a payload that depends on
+//!   the sender alone: Algorithm 1's confirmations, the MIS simulation,
+//!   sparsification's parent notification, Lemma 11's labeling and the
+//!   clustering's adoption. It hands each distinct pair to the caller
+//!   once, in order of first delivery.
+//!
 //! The simulator uses the same fact. A unit draws a [`ReplayKey`] at
-//! snapshot time and runs under it ([`Engine::run_keyed`]), so when the
-//! engine last ran this unit it replays that run's recorded transmitters
-//! and receptions instead of polling the members and resolving each round
-//! again. The schedule and the snapshot are private, so a key always names
-//! one pattern.
+//! snapshot time. [`ReplayUnit::run`] records its execution under the key
+//! ([`Engine::run_recorded`]), and when the engine's last recording is
+//! this unit's, [`ReplayUnit::run_pairs`] replays its summary instead of
+//! polling the members and resolving each round again
+//! ([`Engine::run_pairs`]): the same pairs, rounds, counts and traced
+//! round events as a fresh execution. The schedule and the snapshot are
+//! private, so a key always names one pattern.
 
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
@@ -145,6 +160,9 @@ pub struct ReplayUnit {
 /// Delivery callback: `(receiver, local_round, sender, message)`.
 pub type OnRx<'a> = &'a mut dyn FnMut(usize, u64, usize, &Msg);
 
+/// Pair callback: `(receiver, sender, message)`.
+pub type OnPair<'a> = &'a mut dyn FnMut(usize, usize, &Msg);
+
 struct UnitBehavior<'a> {
     sched: &'a SchedHandle,
     /// The snapshot as listed: `transmit` reads it.
@@ -247,26 +265,41 @@ impl ReplayUnit {
         &self.sched
     }
 
-    /// Executes (or re-executes) the unit: every member transmits its
-    /// pattern with the message given by `payload`; every reception is
-    /// reported to `on_rx`. Costs `sched.len()` rounds.
+    /// Executes the unit: every member transmits its pattern with the
+    /// message given by `payload`; every reception is reported to `on_rx`.
+    /// Costs `sched.len()` rounds, each resolved, and records them for
+    /// [`ReplayUnit::run_pairs`].
     ///
     /// A node listed twice transmits by its last snapshot. Each round
     /// lists its transmitters ([`RoundBehavior::transmitters`]) by testing
     /// only the members, in ascending node order, against one per-round
     /// view of the schedule: `O(members)` work instead of a poll of all n
-    /// nodes, with the same transmitters in the same order. When the
-    /// engine's last keyed run was this unit's, it replays that run's
-    /// rounds instead ([`Engine::run_keyed`]); `on_rx` sees the same
-    /// deliveries either way.
+    /// nodes, with the same transmitters in the same order.
     pub fn run(&self, engine: &mut Engine<'_>, payload: &dyn Fn(usize) -> Msg, on_rx: OnRx<'_>) {
         let mut b = UnitBehavior::new(self, engine.round(), payload, on_rx);
-        engine.run_keyed(self.key, &mut b, self.sched.len(), payload);
+        engine.run_recorded(self.key, &mut b, self.sched.len());
     }
 
-    /// Node indices of the members.
-    pub fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().map(|m| m.node)
+    /// Re-executes the unit with the message `payload(v)` for every
+    /// member `v` — a function of the sender alone — and calls `on_pair`
+    /// exactly once for each distinct (receiver, sender) pair, in order of
+    /// first delivery. Costs `sched.len()` rounds, with the transmissions
+    /// and receptions of [`ReplayUnit::run`]. When the engine's last
+    /// recording is this unit's, it is replayed without resolving a round
+    /// ([`Engine::run_pairs`]); `on_pair` sees the same pairs either way.
+    pub fn run_pairs(
+        &self,
+        engine: &mut Engine<'_>,
+        payload: &dyn Fn(usize) -> Msg,
+        on_pair: OnPair<'_>,
+    ) {
+        #[cfg(test)]
+        if tests::EVERY_DELIVERY.get() {
+            return self.run(engine, payload, &mut |r, _, s, m| on_pair(r, s, m));
+        }
+        let mut ignore = |_: usize, _: u64, _: usize, _: &Msg| {};
+        let mut b = UnitBehavior::new(self, engine.round(), payload, &mut ignore);
+        engine.run_pairs(self.key, &mut b, self.sched.len(), payload, on_pair);
     }
 }
 
@@ -297,13 +330,25 @@ pub fn fresh_sns(params: &ProtocolParams, seeds: &mut SeedSeq, n_univ: u64) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clustering::clustering;
+    use crate::labeling::imperfect_labeling;
+    use crate::mis::{local_mis, MisStrategy};
+    use crate::proximity::build_proximity_graph;
+    use crate::sparsify::{full_sparsification, Link};
     use dcluster_obs::{Event, PhaseSummary, Tracer};
     use dcluster_sim::engine::FnBehavior;
     use dcluster_sim::rng::Rng64;
     use dcluster_sim::{deploy, EngineStats, ResolverKind};
     use proptest::prelude::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+    use std::collections::BTreeMap;
     use std::rc::Rc;
+
+    thread_local! {
+        /// While set, [`ReplayUnit::run_pairs`] on this thread hands every
+        /// delivery to `on_pair`, as [`ReplayUnit::run`] makes them.
+        pub(super) static EVERY_DELIVERY: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// Takes the trait's default `transmitters`: the all-node poll of the
     /// wrapped behavior's `transmit`.
@@ -347,8 +392,9 @@ mod tests {
     /// What one run of a unit shows from outside.
     #[derive(Debug, PartialEq)]
     struct Seen {
-        /// `(receiver, local round, sender, message)` as `on_rx` saw them.
-        deliveries: Vec<(usize, u64, usize, Msg)>,
+        /// `(receiver, sender, message)` for each distinct pair, in order
+        /// of first delivery.
+        pairs: Vec<(usize, usize, Msg)>,
         /// The engine's counters over the run, `replayed` left at 0.
         stats: EngineStats,
         /// The run's phase span.
@@ -357,40 +403,63 @@ mod tests {
         events: Vec<Event>,
     }
 
+    /// The entry point a test run takes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Via {
+        Run,
+        Pairs,
+    }
+
     const PHASES: [&str; 4] = ["run0", "run1", "run2", "run3"];
 
     /// Runs `unit` as the `tag`-th run, in a phase span of its own, with a
-    /// payload that depends on `tag`. Returns what it showed and how many
-    /// of its rounds the engine replayed.
+    /// payload that depends on `tag`. Through [`ReplayUnit::run`] the
+    /// pairs are the first delivery of each, and every reception the
+    /// engine counts must reach `on_rx`. Returns what the run showed and
+    /// how many of its rounds the engine replayed.
     fn run_seen(
         engine: &mut Engine<'_>,
         events: &Rc<RefCell<Events>>,
         unit: &ReplayUnit,
         tag: usize,
+        via: Via,
     ) -> (Seen, u64) {
         let before = engine.stats();
         let first = events.borrow().0.len();
         let net = engine.network();
-        let mut deliveries = Vec::new();
+        let payload = |v: usize| Msg::Hello {
+            id: net.id(v),
+            cluster: tag as u64,
+        };
+        let mut pairs: Vec<(usize, usize, Msg)> = Vec::new();
+        let mut deliveries = 0;
         engine.begin_phase(PHASES[tag]);
-        unit.run(
-            engine,
-            &|v| Msg::Hello {
-                id: net.id(v),
-                cluster: tag as u64,
-            },
-            &mut |r, lr, s, m| deliveries.push((r, lr, s, *m)),
-        );
+        match via {
+            Via::Run => unit.run(engine, &payload, &mut |r, _lr, s, m| {
+                deliveries += 1;
+                if !pairs.iter().any(|&(pr, ps, _)| (pr, ps) == (r, s)) {
+                    pairs.push((r, s, *m));
+                }
+            }),
+            Via::Pairs => unit.run_pairs(engine, &payload, &mut |r, s, m| pairs.push((r, s, *m))),
+        }
         engine.end_phase();
         let after = engine.stats();
+        let stats = EngineStats {
+            rounds: after.rounds - before.rounds,
+            transmissions: after.transmissions - before.transmissions,
+            receptions: after.receptions - before.receptions,
+            replayed: 0,
+        };
+        if via == Via::Run {
+            assert_eq!(
+                deliveries, stats.receptions,
+                "run {tag}: one delivery per reception"
+            );
+        }
         let seen = Seen {
-            deliveries,
-            stats: EngineStats {
-                rounds: after.rounds - before.rounds,
-                transmissions: after.transmissions - before.transmissions,
-                receptions: after.receptions - before.receptions,
-                replayed: 0,
-            },
+            pairs,
+            stats,
             phase: engine
                 .phase_table()
                 .summaries()
@@ -402,8 +471,9 @@ mod tests {
         (seen, after.replayed - before.replayed)
     }
 
-    /// The `tag`-th run of `unit` as an engine that never ran it shows it:
-    /// a fresh engine, brought to the same round by silent rounds.
+    /// The `tag`-th run of `unit` as an engine that never ran it shows it
+    /// through [`ReplayUnit::run`]: a fresh engine, brought to the same
+    /// round by silent rounds.
     fn fresh_seen(
         net: &Network,
         kind: ResolverKind,
@@ -417,9 +487,81 @@ mod tests {
             rx: |_: &Network, _: usize, _: u64, _: usize, _: &Msg| {},
         };
         engine.run(&mut silent, start);
-        let (seen, replayed) = run_seen(&mut engine, &events, unit, tag);
+        let (seen, replayed) = run_seen(&mut engine, &events, unit, tag, Via::Run);
         assert_eq!(replayed, 0, "a fresh engine has nothing to replay");
         seen
+    }
+
+    /// The outputs of every stage that runs its units through
+    /// [`ReplayUnit::run_pairs`].
+    #[derive(Debug, PartialEq)]
+    struct StageOutputs {
+        proximity: BTreeMap<usize, Vec<usize>>,
+        greedy_mis: Vec<bool>,
+        linial_mis: Vec<bool>,
+        levels: Vec<Vec<usize>>,
+        links: Vec<Link>,
+        label: Vec<u32>,
+        subtree_size: Vec<u32>,
+        cluster_of: Vec<Option<u64>>,
+        centers: Vec<usize>,
+        /// The engine's counters, `replayed` left at 0.
+        stats: EngineStats,
+        phases: Vec<PhaseSummary>,
+    }
+
+    /// Runs proximity (its confirmations), the MIS by both strategies,
+    /// full sparsification (its notifications), the labeling (both
+    /// passes) and the clustering (its adoptions, and the stages it nests)
+    /// on one engine over all of `net`. With `every_delivery` set each
+    /// `run_pairs` call takes every delivery instead of each pair once.
+    /// Returns the outputs and the rounds the engine replayed.
+    fn stage_outputs(
+        net: &Network,
+        kind: ResolverKind,
+        every_delivery: bool,
+    ) -> (StageOutputs, u64) {
+        EVERY_DELIVERY.set(every_delivery);
+        let params = ProtocolParams::practical();
+        let mut seeds = SeedSeq::new(params.seed);
+        let mut engine = Engine::with_resolver_kind(net, kind);
+        let (n, gamma) = (net.len(), net.density());
+        let all: Vec<usize> = (0..n).collect();
+        let p = build_proximity_graph(&mut engine, &params, &mut seeds, &all, &vec![0; n], false);
+        let mis = |engine: &mut Engine<'_>, strategy| {
+            local_mis(
+                engine,
+                &p.unit,
+                &all,
+                &p.adj,
+                params.kappa,
+                net.max_id(),
+                strategy,
+            )
+        };
+        let greedy_mis = mis(&mut engine, MisStrategy::GreedyById);
+        let linial_mis = mis(&mut engine, MisStrategy::LinialSweep);
+        let fs = full_sparsification(&mut engine, &params, &mut seeds, gamma, &all, &vec![3; n]);
+        let labeling = imperfect_labeling(&mut engine, &fs, params.kappa);
+        let c = clustering(&mut engine, &params, &mut seeds, &all, gamma);
+        EVERY_DELIVERY.set(false);
+        let outputs = StageOutputs {
+            proximity: p.adj,
+            greedy_mis,
+            linial_mis,
+            levels: fs.levels,
+            links: fs.links,
+            label: labeling.label,
+            subtree_size: labeling.subtree_size,
+            cluster_of: c.cluster_of,
+            centers: c.centers,
+            stats: EngineStats {
+                replayed: 0,
+                ..engine.stats()
+            },
+            phases: engine.phase_table().summaries().to_vec(),
+        };
+        (outputs, engine.stats().replayed)
     }
 
     proptest! {
@@ -471,12 +613,14 @@ mod tests {
             }
         }
 
-        /// A unit run three times on one engine records once and replays
-        /// twice, and each run shows exactly what a fresh engine shows:
-        /// deliveries with the run's own messages, engine counters, phase
-        /// span and traced events (field rounds' `cache` included). `on_rx`
-        /// sees one delivery per reception the engine counts. Ssf, wss and
-        /// wcss units; uniform and heterogeneous power; both backends.
+        /// A unit run four times on one engine, through `run_pairs`
+        /// (a miss, then a hit), `run` (which records again) and
+        /// `run_pairs` (a hit): each run shows exactly what a fresh
+        /// engine's `run` shows, its pairs being the first delivery of
+        /// each, with the run's own messages; and the engine counters,
+        /// phase span and traced events (field rounds' `cache` included)
+        /// are a fresh run's. Ssf, wss and wcss units; uniform and
+        /// heterogeneous power; both backends.
         #[test]
         fn replayed_runs_equal_fresh_runs(
             seed in 0u64..1_000_000,
@@ -502,19 +646,49 @@ mod tests {
             let cluster_of: Vec<u64> = (0..n).map(|_| rng.range_u64(3)).collect();
             let len = 64;
             let unit = ReplayUnit::snapshot(&net, sched_of(kind, seed, k, l, len), &nodes, &cluster_of);
+            let runs = [(Via::Pairs, 0), (Via::Pairs, len), (Via::Run, 0), (Via::Pairs, len)];
             for backend in ResolverKind::ALL {
                 let (mut engine, events) = traced(&net, backend);
-                for tag in 0..3 {
+                for (tag, (via, replays)) in runs.into_iter().enumerate() {
                     let start = engine.round();
-                    let (seen, replayed) = run_seen(&mut engine, &events, &unit, tag);
-                    prop_assert_eq!(replayed, if tag == 0 { 0 } else { len }, "run {}", tag);
-                    prop_assert_eq!(seen.deliveries.len() as u64, seen.stats.receptions, "run {}", tag);
+                    let (seen, replayed) = run_seen(&mut engine, &events, &unit, tag, via);
+                    prop_assert_eq!(replayed, replays, "run {}", tag);
                     prop_assert_eq!(&seen, &fresh_seen(&net, backend, start, &unit, tag), "run {} ({})", tag, backend);
                 }
                 prop_assert_eq!(
                     engine.resolver_stats().rounds + engine.stats().replayed,
                     engine.stats().rounds
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+        /// Every stage that takes each pair once through `run_pairs`
+        /// gives the outputs, counters and phase table it gives when it
+        /// takes every delivery through `run`: random dense deployments,
+        /// uniform and heterogeneous power, both backends.
+        #[test]
+        fn stages_give_equal_outputs_through_run_and_run_pairs(
+            seed in 0u64..1_000_000,
+            n in 8usize..32,
+            het in 0u8..2,
+        ) {
+            let mut rng = Rng64::new(seed);
+            let side = (n as f64 / 12.0).sqrt();
+            let mut builder = Network::builder(deploy::uniform_square(n, side, &mut rng));
+            if het == 1 {
+                let base = dcluster_sim::SinrParams::default().power;
+                builder = builder.powers(deploy::power_profile(n, base, 0.3, seed));
+            }
+            let net = builder.build().expect("nonempty deployment");
+            for backend in ResolverKind::ALL {
+                let (pairs, replayed) = stage_outputs(&net, backend, false);
+                let (every, none) = stage_outputs(&net, backend, true);
+                prop_assert!(replayed > 0 && none == 0, "{} replayed, {} through run", replayed, none);
+                prop_assert_eq!(&pairs, &every, "{}", backend);
             }
         }
     }
@@ -577,8 +751,9 @@ mod tests {
         );
     }
 
-    /// Units A, B, A, A on one engine: the slot holds one recording, so
-    /// B's run replaces A's and A records again before it replays.
+    /// Units A, B, A, A on one engine, each through `run_pairs`: the slot
+    /// holds one recording, so B's run replaces A's and A records again
+    /// before it replays.
     #[test]
     fn interleaved_units_replace_the_slot() {
         let net = small_net();
@@ -590,7 +765,7 @@ mod tests {
             .enumerate()
         {
             let start = engine.round();
-            let (seen, replayed) = run_seen(&mut engine, &events, unit, tag);
+            let (seen, replayed) = run_seen(&mut engine, &events, unit, tag, Via::Pairs);
             let len = unit.sched().len();
             assert_eq!(replayed, if replays { len } else { 0 }, "run {tag}");
             assert_eq!(seen, fresh_seen(&net, kind, start, unit, tag), "run {tag}");
@@ -598,8 +773,8 @@ mod tests {
     }
 
     /// A second engine, over a rebuilt copy of the network, does not see
-    /// the first engine's recording: its first run of the unit resolves
-    /// every round, with the same deliveries.
+    /// the first engine's recording: its first `run_pairs` of the unit
+    /// resolves every round, with the same pairs.
     #[test]
     fn an_engine_over_a_rebuilt_network_never_replays() {
         let net = small_net();
@@ -611,16 +786,16 @@ mod tests {
             .unwrap();
         assert_ne!(net.stamp(), rebuilt.stamp());
         let (mut engine, events) = traced(&net, ResolverKind::default());
-        let (first, _) = run_seen(&mut engine, &events, &unit, 0);
+        let (first, _) = run_seen(&mut engine, &events, &unit, 0, Via::Pairs);
         let (mut other, other_events) = traced(&rebuilt, ResolverKind::default());
-        let (seen, replayed) = run_seen(&mut other, &other_events, &unit, 0);
+        let (seen, replayed) = run_seen(&mut other, &other_events, &unit, 0, Via::Pairs);
         assert_eq!(replayed, 0);
         assert_eq!(other.resolver_stats().rounds, unit.sched().len());
         assert_eq!(seen, first);
     }
 
     /// Reusing a unit's key after changing its member set breaks the
-    /// contract of `Engine::run_keyed`; debug builds catch it on the first
+    /// contract of `Engine::run_pairs`; debug builds catch it on the first
     /// replayed round whose transmitters differ.
     #[cfg(debug_assertions)]
     #[test]
@@ -633,9 +808,9 @@ mod tests {
             id: net.id(v),
             cluster: 0,
         };
-        unit.run(&mut engine, &hello, &mut |_, _, _, _| {});
+        unit.run_pairs(&mut engine, &hello, &mut |_, _, _| {});
         unit.members.truncate(1);
-        unit.run(&mut engine, &hello, &mut |_, _, _, _| {});
+        unit.run_pairs(&mut engine, &hello, &mut |_, _, _| {});
     }
 
     #[test]

@@ -133,7 +133,9 @@ pub fn sparsification(
             for l in &new_links {
                 announce[l.child] = Some(net.id(l.parent));
             }
-            p.unit.run(
+            // The handler ignores every delivery, so one call per pair
+            // changes nothing; the replay keeps the rounds and counts.
+            p.unit.run_pairs(
                 engine,
                 &|v| match announce[v] {
                     Some(pid) => Msg::Parent {
@@ -145,7 +147,7 @@ pub fn sparsification(
                         cluster: cluster_of[v],
                     },
                 },
-                &mut |_recv, _lr, _s, _m| { /* parents learn children */ },
+                &mut |_recv, _s, _m| { /* parents learn children */ },
             );
         }
         units.push(p.unit);

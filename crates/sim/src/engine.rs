@@ -25,16 +25,18 @@
 //! **The replay memo.** The paper's protocols re-execute one schedule by
 //! one frozen participant set many times (Algorithm 1's confirmation
 //! replays, Algorithm 2's notification, Lemma 11's tree communication).
-//! [`Engine::run_keyed`] runs such a re-execution under a [`ReplayKey`]
-//! that names its transmit pattern. The engine keeps one memo slot: on a
-//! miss it runs the rounds as [`Engine::run`] does and records each
-//! active round's transmitters, receptions and resolver cache operation,
-//! replacing whatever the slot held; on a hit (same key, same round count)
-//! it replays the recording without polling the behavior or calling the
-//! resolver. A replay equals a fresh run by construction: the engine's
-//! network never changes, and each backend is a deterministic function of
-//! (network, transmitter list). Only the resolver's work counters see the
-//! difference; [`EngineStats::replayed`] counts the rounds it skipped.
+//! [`Engine::run_recorded`] runs a schedule under a [`ReplayKey`] that
+//! names its transmit pattern and records a summary of it in the engine's
+//! one memo slot, replacing whatever the slot held. [`Engine::run_pairs`]
+//! re-executes it for a caller that asks only which (receiver, sender)
+//! pairs connected: on a hit (same key, same round count) it replays the
+//! summary without polling the behavior, resolving a round or delivering
+//! a message; on a miss it runs and records. Either way the caller gets
+//! each distinct pair once, in order of first delivery. A replay equals a
+//! fresh run by construction: the engine's network never changes, and
+//! each backend is a deterministic function of (network, transmitter
+//! list). Only the resolver's work counters see the difference;
+//! [`EngineStats::replayed`] counts the rounds it skipped.
 
 use crate::network::Network;
 use crate::radio::{Reception, ResolverKind, ResolverStats, SinrResolver};
@@ -88,16 +90,17 @@ pub struct EngineStats {
     pub transmissions: u64,
     /// Total successful receptions.
     pub receptions: u64,
-    /// Rounds served from the replay memo ([`Engine::run_keyed`]): counted
+    /// Rounds served from the replay memo ([`Engine::run_pairs`]): counted
     /// in `rounds`, but neither polled nor resolved. The resolver's own
     /// `rounds` counter plus this one equals `rounds`.
     pub replayed: u64,
 }
 
-/// Names one transmit pattern for [`Engine::run_keyed`]: every run under
-/// the key must list the same transmitters in every local round. Keys
-/// come from a process-global counter, so a key observed once is never
-/// issued again; only a copy of it compares equal.
+/// Names one transmit pattern for [`Engine::run_recorded`] and
+/// [`Engine::run_pairs`]: every run under the key must list the same
+/// transmitters in every local round. Keys come from a process-global
+/// counter, so a key observed once is never issued again; only a copy of
+/// it compares equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayKey(u64);
 
@@ -110,76 +113,75 @@ impl ReplayKey {
     }
 }
 
-/// The engine's one memo slot: the recording of the last keyed run that
-/// missed. `bytes` is a stream of LEB128 varints, one record per round
-/// that had transmitters or a cache operation: the number of unrecorded
-/// (silent) rounds before it, `|T| << 1 | f` (`f` = 1 when the resolver
-/// built a field, [`CacheOp::Rebuilt`]), the transmitters as differences
-/// from their predecessor, the reception count, and per reception
-/// `d·|T| + slot`, where `d` is the receiver's difference from its
-/// predecessor (so a round with one transmitter stores no slot). Rounds
-/// after the last record are silent.
+/// One active round of a [`Memo`]: a round with transmitters or a
+/// resolver cache operation.
+#[derive(Debug, Clone, Copy)]
+struct Active {
+    /// Silent rounds between the previous active round (or the run's
+    /// start) and this one.
+    gap: u64,
+    /// Transmitters, |T|.
+    tx: u64,
+    /// Receptions.
+    rx: u64,
+    /// The resolver built a field ([`CacheOp::Rebuilt`]).
+    field: bool,
+}
+
+/// The engine's one memo slot: the summary of the last recorded run. Its
+/// rounds are the `active` records, each after its gap of silent rounds,
+/// then silent rounds up to `rounds`.
 #[derive(Debug, Default)]
 struct Memo {
+    /// `None` while the slot holds no replayable recording.
     key: Option<ReplayKey>,
     rounds: u64,
-    bytes: Vec<u8>,
+    active: Vec<Active>,
+    /// The run's distinct (receiver, sender) pairs.
+    pairs: PairSet,
+    /// Every active round's transmitters, in order: debug builds poll the
+    /// behavior on each replayed round and compare.
+    #[cfg(debug_assertions)]
+    nodes: Vec<usize>,
 }
 
-fn put(bytes: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        bytes.push(v as u8 | 0x80);
-        v >>= 7;
+impl Memo {
+    /// The recording round by round: `None` for a silent round.
+    fn walk(&self) -> impl Iterator<Item = Option<&Active>> + '_ {
+        self.active
+            .iter()
+            .flat_map(|a| std::iter::repeat_n(None, a.gap as usize).chain([Some(a)]))
+            .chain(std::iter::repeat(None))
+            .take(self.rounds as usize)
     }
-    bytes.push(v as u8);
 }
 
-fn get(bytes: &[u8], pos: &mut usize) -> u64 {
-    let (mut v, mut shift) = (0u64, 0);
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
+/// Distinct (receiver, sender) pairs in order of first insertion.
+#[derive(Debug, Default)]
+struct PairSet {
+    pairs: Vec<(usize, usize)>,
+    /// Per receiver, its senders in `pairs` (the lookup); empty for every
+    /// receiver outside `pairs`.
+    senders: Vec<Vec<usize>>,
+}
+
+impl PairSet {
+    /// Empties the set, for receivers below `n`.
+    fn clear(&mut self, n: usize) {
+        for &(receiver, _) in &self.pairs {
+            self.senders[receiver].clear();
         }
-        shift += 7;
+        self.senders.resize_with(n, Vec::new);
+        self.pairs.clear();
     }
-}
 
-/// Appends one recorded round to a [`Memo`] stream. Returns false when
-/// the stream cannot hold the round: receptions out of receiver order
-/// (against the [`SinrResolver`] contract) or a patched field (which no
-/// resolver produces).
-fn record(
-    bytes: &mut Vec<u8>,
-    gap: u64,
-    tx: &[usize],
-    receptions: &[Reception],
-    op: Option<CacheOp>,
-) -> bool {
-    let field = match op {
-        None => 0,
-        Some(CacheOp::Rebuilt) => 1,
-        Some(CacheOp::Patched { .. }) => return false,
-    };
-    put(bytes, gap);
-    put(bytes, (tx.len() as u64) << 1 | field);
-    let mut prev = 0usize;
-    for &v in tx {
-        put(bytes, v.wrapping_sub(prev) as u64);
-        prev = v;
-    }
-    put(bytes, receptions.len() as u64);
-    prev = 0;
-    for r in receptions {
-        if r.receiver < prev {
-            return false;
+    fn insert(&mut self, receiver: usize, sender: usize) {
+        let senders = &mut self.senders[receiver];
+        if !senders.contains(&sender) {
+            senders.push(sender);
+            self.pairs.push((receiver, sender));
         }
-        put(bytes, ((r.receiver - prev) * tx.len() + r.slot) as u64);
-        prev = r.receiver;
     }
-    true
 }
 
 /// Drives [`RoundBehavior`]s over a network, maintaining a global round
@@ -194,8 +196,8 @@ fn record(
 ///
 /// A round allocates nothing once the buffers have grown: the engine
 /// keeps its transmitter and reception vectors and its memo slot, and
-/// [`Engine::run`], [`Engine::run_keyed`] and [`Engine::run_until`] keep
-/// one message vector across their rounds.
+/// [`Engine::run`], [`Engine::run_recorded`], [`Engine::run_pairs`] and
+/// [`Engine::run_until`] keep one message vector across their rounds.
 #[derive(Debug)]
 pub struct Engine<'n> {
     net: &'n Network,
@@ -214,7 +216,7 @@ pub struct Engine<'n> {
     /// Open [`Engine::begin_phase`] frames:
     /// `(phase, start_round, start_tx, start_rx)`.
     phase_stack: Vec<(&'static str, u64, u64, u64)>,
-    /// The recording [`Engine::run_keyed`] replays.
+    /// The recording [`Engine::run_pairs`] replays.
     memo: Memo,
 }
 
@@ -353,115 +355,142 @@ impl<'n> Engine<'n> {
         &self.receptions
     }
 
-    /// Runs `rounds` rounds of `behavior` under `key` (see the module
-    /// docs). On a hit — the memo slot holds `key` with the same round
-    /// count — the recorded rounds are replayed: the messages come from
-    /// `payload` (one per listed transmitter, in order), and deliveries,
-    /// `end_round`, the stats, the phase accounting and the traced round
-    /// events are those of a fresh run. On a miss the rounds run as
-    /// [`Engine::run`] runs them, `payload` is not called, and their
-    /// recording replaces the slot's.
+    /// Runs `rounds` rounds of `behavior` as [`Engine::run`] does, and
+    /// records their summary under `key` in the memo slot (see the module
+    /// docs), replacing the slot's recording. It never replays: a later
+    /// [`Engine::run_pairs`] under `key` does.
     ///
     /// The caller owes that every run under `key` lists the same
-    /// transmitters in each local round, and that `payload(v)` is the
-    /// message the behavior lists for transmitter `v`. Debug builds poll
-    /// the behavior on every replayed round and assert that it lists the
-    /// recorded transmitters.
-    pub fn run_keyed<M, B>(
-        &mut self,
-        key: ReplayKey,
-        behavior: &mut B,
-        rounds: u64,
-        payload: &dyn Fn(usize) -> M,
-    ) where
+    /// transmitters in each local round.
+    pub fn run_recorded<M, B>(&mut self, key: ReplayKey, behavior: &mut B, rounds: u64)
+    where
         B: RoundBehavior<M> + ?Sized,
     {
         let mut msgs = Vec::new();
         // Taken out (the slot reads empty) until the run completes.
         let mut memo = std::mem::take(&mut self.memo);
-        if memo.key == Some(key) && memo.rounds == rounds {
-            self.replay(&memo.bytes, behavior, rounds, payload, &mut msgs);
-        } else {
-            memo.bytes.clear();
-            let (mut gap, mut recorded) = (0, true);
-            for _ in 0..rounds {
-                self.step_with(behavior, &mut msgs);
-                let op = self.resolver.last_cache_op();
-                if self.tx_nodes.is_empty() && op.is_none() {
-                    gap += 1;
-                } else if recorded {
-                    recorded = record(&mut memo.bytes, gap, &self.tx_nodes, &self.receptions, op);
-                    gap = 0;
-                }
+        memo.active.clear();
+        memo.pairs.clear(self.net.len());
+        #[cfg(debug_assertions)]
+        memo.nodes.clear();
+        let (mut gap, mut recorded) = (0, true);
+        for _ in 0..rounds {
+            self.step_with(behavior, &mut msgs);
+            for r in &self.receptions {
+                memo.pairs.insert(r.receiver, r.sender);
             }
-            (memo.key, memo.rounds) = (recorded.then_some(key), rounds);
+            let field = match self.resolver.last_cache_op() {
+                None if self.tx_nodes.is_empty() => {
+                    gap += 1;
+                    continue;
+                }
+                None => false,
+                Some(CacheOp::Rebuilt) => true,
+                // No resolver patches a field, and the flag cannot hold
+                // one: the run is left unrecorded.
+                Some(CacheOp::Patched { .. }) => {
+                    recorded = false;
+                    false
+                }
+            };
+            memo.active.push(Active {
+                gap,
+                tx: self.tx_nodes.len() as u64,
+                rx: self.receptions.len() as u64,
+                field,
+            });
+            #[cfg(debug_assertions)]
+            memo.nodes.extend_from_slice(&self.tx_nodes);
+            gap = 0;
         }
+        (memo.key, memo.rounds) = (recorded.then_some(key), rounds);
         self.memo = memo;
     }
 
-    /// Replays a [`Memo`] stream of `rounds` rounds (see
-    /// [`Engine::run_keyed`]).
-    fn replay<M, B>(
+    /// Runs `rounds` rounds of `behavior` under `key` (see the module
+    /// docs), then calls `on_pair(receiver, sender, &payload(sender))`
+    /// once for each distinct (receiver, sender) pair the rounds
+    /// delivered, in order of first delivery.
+    ///
+    /// On a hit (the memo slot holds `key` with the same round count) the
+    /// recorded summary is replayed: the stats, the phase accounting and
+    /// the traced round events are those of a fresh run, but the behavior
+    /// is neither polled nor told of receptions or round ends. On a miss
+    /// the rounds run as [`Engine::run_recorded`] runs them, `receive` and
+    /// `end_round` included.
+    ///
+    /// The caller owes that every run under `key` lists the same
+    /// transmitters in each local round, and that `payload(v)` is the
+    /// message the behavior lists for transmitter `v` in every round.
+    /// Debug builds poll the behavior on every replayed round and assert
+    /// that it lists the recorded transmitters.
+    pub fn run_pairs<M, B>(
         &mut self,
-        bytes: &[u8],
+        key: ReplayKey,
         behavior: &mut B,
         rounds: u64,
         payload: &dyn Fn(usize) -> M,
-        msgs: &mut Vec<M>,
+        on_pair: &mut dyn FnMut(usize, usize, &M),
     ) where
         B: RoundBehavior<M> + ?Sized,
     {
-        let mut pos = 0;
-        let mut next = if bytes.is_empty() {
-            u64::MAX
-        } else {
-            get(bytes, &mut pos)
-        };
-        for local in 0..rounds {
-            self.tx_nodes.clear();
-            self.receptions.clear();
-            msgs.clear();
-            let mut cache = None;
-            if local == next {
-                let head = get(bytes, &mut pos);
-                cache = (head & 1 == 1).then_some(CacheOp::Rebuilt);
-                let mut v = 0usize;
-                for _ in 0..head >> 1 {
-                    v = v.wrapping_add(get(bytes, &mut pos) as usize);
-                    self.tx_nodes.push(v);
-                    msgs.push(payload(v));
-                }
-                let t = self.tx_nodes.len().max(1);
-                let mut receiver = 0usize;
-                for _ in 0..get(bytes, &mut pos) {
-                    let x = get(bytes, &mut pos) as usize;
-                    receiver += x / t;
-                    let slot = x % t;
-                    self.receptions.push(Reception {
-                        receiver,
-                        sender: self.tx_nodes[slot],
-                        slot,
-                    });
-                }
-                next = if pos < bytes.len() {
-                    local + 1 + get(bytes, &mut pos)
-                } else {
-                    u64::MAX
-                };
-            }
+        if self.memo.key == Some(key) && self.memo.rounds == rounds {
             #[cfg(debug_assertions)]
-            {
-                let (mut nodes, mut polled) = (Vec::new(), Vec::new());
-                behavior.transmitters(self.net, self.round, &mut nodes, &mut polled);
-                assert_eq!(
-                    nodes, self.tx_nodes,
-                    "round {}: the behavior lists other transmitters than the \
-                     replayed recording (a replay key reused for another pattern)",
-                    self.round
-                );
+            self.check_replay(behavior);
+            self.replay();
+        } else {
+            self.run_recorded(key, behavior, rounds);
+        }
+        for &(receiver, sender) in &self.memo.pairs.pairs {
+            on_pair(receiver, sender, &payload(sender));
+        }
+    }
+
+    /// Replays the memo slot's recording: its traced round events, if a
+    /// tracer is attached, and its rounds and counts.
+    fn replay(&mut self) {
+        let memo = &self.memo;
+        if let Some(t) = &self.tracer {
+            let mut t = t.borrow_mut();
+            for (round, a) in (self.round..).zip(memo.walk()) {
+                t.on_event(&Event::Round {
+                    round,
+                    tx: a.map_or(0, |a| a.tx),
+                    rx: a.map_or(0, |a| a.rx),
+                    cache: a.and_then(|a| a.field.then_some(CacheOp::Rebuilt)),
+                });
             }
-            self.finish_round(behavior, msgs, cache);
-            self.stats.replayed += 1;
+        }
+        for a in &memo.active {
+            self.stats.transmissions += a.tx;
+            self.stats.receptions += a.rx;
+        }
+        self.round += memo.rounds;
+        self.stats.rounds += memo.rounds;
+        self.stats.replayed += memo.rounds;
+    }
+
+    /// Polls `behavior` for each round the memo slot's recording is about
+    /// to replay, and asserts that it lists the recorded transmitters.
+    #[cfg(debug_assertions)]
+    fn check_replay<M, B>(&self, behavior: &mut B)
+    where
+        B: RoundBehavior<M> + ?Sized,
+    {
+        let (mut nodes, mut msgs) = (Vec::new(), Vec::new());
+        let mut recorded = self.memo.nodes.as_slice();
+        for (round, a) in (self.round..).zip(self.memo.walk()) {
+            let tx = a.map_or(0, |a| a.tx as usize);
+            nodes.clear();
+            msgs.clear();
+            behavior.transmitters(self.net, round, &mut nodes, &mut msgs);
+            assert_eq!(
+                nodes,
+                recorded[..tx],
+                "round {round}: the behavior lists other transmitters than the \
+                 replayed recording (a replay key reused for another pattern)"
+            );
+            recorded = &recorded[tx..];
         }
     }
 
@@ -492,17 +521,6 @@ impl<'n> Engine<'n> {
         );
         self.resolver
             .resolve_into(self.net, &self.tx_nodes, &mut self.receptions);
-        self.finish_round(behavior, msgs, self.resolver.last_cache_op());
-    }
-
-    /// Completes the current round from the transmitters and receptions in
-    /// the engine's buffers: deliveries, `end_round`, stats and the traced
-    /// round event. Shared by executed and replayed rounds.
-    fn finish_round<M, B>(&mut self, behavior: &mut B, msgs: &[M], cache: Option<CacheOp>)
-    where
-        B: RoundBehavior<M> + ?Sized,
-    {
-        let round = self.round;
         for r in &self.receptions {
             behavior.receive(self.net, r.receiver, round, r.sender, &msgs[r.slot]);
         }
@@ -516,7 +534,7 @@ impl<'n> Engine<'n> {
                 round,
                 tx,
                 rx,
-                cache,
+                cache: self.resolver.last_cache_op(),
             });
         }
         self.round += 1;
@@ -570,6 +588,8 @@ where
 mod tests {
     use super::*;
     use crate::point::Point;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn line(n: usize, spacing: f64) -> Network {
         let pts: Vec<Point> = (0..n)
@@ -649,16 +669,7 @@ mod tests {
         // stage after stage on one engine, and EngineStats and the phase
         // table must both account across that whole sequence.
         let net = line(2, 0.5);
-        let mut engine = Engine::new(&net);
-        #[derive(Debug)]
-        struct Events(Vec<Event>);
-        impl dcluster_obs::Tracer for Events {
-            fn on_event(&mut self, ev: &Event) {
-                self.0.push(ev.clone());
-            }
-        }
-        let recorder = dcluster_obs::shared(Events(Vec::new()));
-        engine.set_tracer(recorder.clone());
+        let (mut engine, recorder) = traced(&net, ResolverKind::default().build());
 
         engine.begin_phase("chatter");
         let mut chatter = FnBehavior {
@@ -739,43 +750,133 @@ mod tests {
         assert_eq!(used, 0);
     }
 
-    /// Node v transmits `10·round + v` in the rounds where `round + v` is
-    /// a multiple of 3 (rounds counted from the run's start).
-    fn keyed_run(engine: &mut Engine<'_>, key: ReplayKey) -> Vec<(usize, u64, usize, u64)> {
-        let start = engine.round();
-        let pattern = |v: usize, round: u64| (round - start + v as u64).is_multiple_of(3);
-        let mut heard = Vec::new();
-        let mut b = FnBehavior {
-            tx: |_: &Network, v: usize, r: u64| pattern(v, r).then_some(10 * r + v as u64),
-            rx: |_: &Network, v: usize, r: u64, s: usize, m: &u64| {
-                heard.push((v, r - start, s, *m))
-            },
-        };
-        engine.run_keyed(key, &mut b, 6, &|v| 10 * start + v as u64);
-        heard
+    /// Every traced event, in order.
+    #[derive(Debug, Default)]
+    struct Recorded(Vec<Event>);
+
+    impl dcluster_obs::Tracer for Recorded {
+        fn on_event(&mut self, ev: &Event) {
+            self.0.push(ev.clone());
+        }
     }
 
+    /// An engine with an event recorder attached.
+    fn traced(
+        net: &Network,
+        resolver: Box<dyn SinrResolver>,
+    ) -> (Engine<'_>, Rc<RefCell<Recorded>>) {
+        let mut engine = Engine::with_resolver(net, resolver);
+        let events = dcluster_obs::shared(Recorded::default());
+        engine.set_tracer(events.clone());
+        (engine, events)
+    }
+
+    /// Node v transmits `10·start + v` in the rounds where `round − start
+    /// + v` is a multiple of 3; `heard` collects every delivery.
+    struct Every3 {
+        start: u64,
+        heard: Vec<(usize, usize, u64)>,
+    }
+
+    impl RoundBehavior<u64> for Every3 {
+        fn transmit(&mut self, _: &Network, v: usize, round: u64) -> Option<u64> {
+            (round - self.start + v as u64)
+                .is_multiple_of(3)
+                .then_some(10 * self.start + v as u64)
+        }
+        fn receive(&mut self, _: &Network, v: usize, _: u64, s: usize, m: &u64) {
+            self.heard.push((v, s, *m));
+        }
+    }
+
+    /// What one six-round run of [`Every3`] shows from outside.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        /// `(receiver, sender, message)`, one per distinct pair.
+        pairs: Vec<(usize, usize, u64)>,
+        /// The engine's counters over the run, `replayed` left at 0.
+        stats: EngineStats,
+        /// Every event the run traced.
+        events: Vec<Event>,
+    }
+
+    /// Runs [`Every3`] for six rounds through `run_pairs` under `key`, or
+    /// through `run` when `key` is `None` (its pairs are then the first
+    /// delivery of each). Returns what the run showed, how many
+    /// deliveries the behavior saw and how many rounds were replayed.
+    fn six_rounds(
+        engine: &mut Engine<'_>,
+        events: &RefCell<Recorded>,
+        key: Option<ReplayKey>,
+    ) -> (Seen, usize, u64) {
+        let (start, before, first) = (engine.round(), engine.stats(), events.borrow().0.len());
+        let mut b = Every3 {
+            start,
+            heard: Vec::new(),
+        };
+        let mut pairs: Vec<(usize, usize, u64)> = Vec::new();
+        if let Some(key) = key {
+            let payload = |v: usize| 10 * start + v as u64;
+            engine.run_pairs(key, &mut b, 6, &payload, &mut |r, s, m| {
+                pairs.push((r, s, *m))
+            });
+        } else {
+            engine.run(&mut b, 6);
+            for &(r, s, m) in &b.heard {
+                if !pairs.iter().any(|&(pr, ps, _)| (pr, ps) == (r, s)) {
+                    pairs.push((r, s, m));
+                }
+            }
+        }
+        let after = engine.stats();
+        let seen = Seen {
+            pairs,
+            stats: EngineStats {
+                rounds: after.rounds - before.rounds,
+                transmissions: after.transmissions - before.transmissions,
+                receptions: after.receptions - before.receptions,
+                replayed: 0,
+            },
+            events: events.borrow().0[first..].to_vec(),
+        };
+        (seen, b.heard.len(), after.replayed - before.replayed)
+    }
+
+    /// The six-round run from `start` as a fresh engine shows it, brought
+    /// to `start` by silent rounds.
+    fn fresh(net: &Network, resolver: Box<dyn SinrResolver>, start: u64) -> Seen {
+        let (mut engine, events) = traced(net, resolver);
+        let mut silent = FnBehavior {
+            tx: |_: &Network, _: usize, _: u64| None::<u64>,
+            rx: |_: &Network, _: usize, _: u64, _: usize, _: &u64| {},
+        };
+        engine.run(&mut silent, start);
+        six_rounds(&mut engine, &events, None).0
+    }
+
+    /// A miss records, and each later run under the key replays: every run
+    /// shows the pairs of a fresh run's first deliveries, with this run's
+    /// payload, and a fresh engine's counters and traced events.
     #[test]
     fn a_keyed_run_replays_its_recording() {
         let net = line(4, 0.5);
-        let mut engine = Engine::new(&net);
+        let kind = ResolverKind::default();
+        let (mut engine, events) = traced(&net, kind.build());
         let key = ReplayKey::fresh();
-        let first = keyed_run(&mut engine, key);
-        assert!(!first.is_empty());
-        assert_eq!(engine.stats().replayed, 0, "a miss records");
-        let second = keyed_run(&mut engine, key);
-        assert_eq!(engine.stats().replayed, 6, "a hit replays every round");
+        for (run, hit) in [(0, false), (1, true), (2, true)] {
+            let start = engine.round();
+            let (seen, heard, replayed) = six_rounds(&mut engine, &events, Some(key));
+            assert_eq!(replayed, if hit { 6 } else { 0 }, "run {run}");
+            assert_eq!(heard == 0, hit, "only a miss delivers (run {run})");
+            assert!(
+                !seen.pairs.is_empty() && 2 * seen.pairs.len() == seen.stats.receptions as usize,
+                "each pair arrives twice, and is handed over once (run {run})"
+            );
+            assert_eq!(seen, fresh(&net, kind.build(), start), "run {run}");
+        }
         assert_eq!(engine.resolver_stats().rounds, 6);
-        let strip = |h: &[(usize, u64, usize, u64)]| -> Vec<_> {
-            h.iter().map(|&(v, lr, s, _)| (v, lr, s)).collect()
-        };
-        assert_eq!(strip(&first), strip(&second));
-        assert!(
-            second.iter().all(|&(_, _, s, m)| m == 60 + s as u64),
-            "replayed messages come from the payload: {second:?}"
-        );
-        keyed_run(&mut engine, ReplayKey::fresh());
-        assert_eq!(engine.stats().replayed, 6, "another key misses");
+        six_rounds(&mut engine, &events, Some(ReplayKey::fresh()));
+        assert_eq!(engine.stats().replayed, 12, "another key misses");
     }
 
     /// A resolver that breaks the order [`SinrResolver`] promises.
@@ -795,14 +896,25 @@ mod tests {
         }
     }
 
+    /// The memo keeps pairs in the order they were delivered, whatever the
+    /// resolver's order, so a replay still equals a fresh run.
     #[test]
-    fn receptions_out_of_receiver_order_are_never_replayed() {
+    fn receptions_out_of_receiver_order_replay_in_delivery_order() {
         let net = line(4, 0.5);
-        let mut engine = Engine::with_resolver(&net, Box::new(Reversed(Default::default())));
+        let reversed = || Box::new(Reversed(Default::default()));
+        let (mut engine, events) = traced(&net, reversed());
         let key = ReplayKey::fresh();
-        let first = keyed_run(&mut engine, key);
-        assert_eq!(keyed_run(&mut engine, key).len(), first.len());
-        assert_eq!(engine.stats().replayed, 0);
-        assert_eq!(engine.resolver_stats().rounds, 12);
+        for _ in 0..2 {
+            let start = engine.round();
+            let (seen, _, _) = six_rounds(&mut engine, &events, Some(key));
+            let in_order = fresh(&net, ResolverKind::Naive.build(), start);
+            assert_ne!(
+                seen.pairs, in_order.pairs,
+                "delivery order, not receiver order"
+            );
+            assert_eq!(seen, fresh(&net, reversed(), start));
+        }
+        assert_eq!(engine.stats().replayed, 6);
+        assert_eq!(engine.resolver_stats().rounds, 6);
     }
 }

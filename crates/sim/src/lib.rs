@@ -14,7 +14,8 @@
 //!   ([`field`]) in place for each large one;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
 //!   protocols over a [`Network`], with a one-slot memo that replays a
-//!   keyed re-execution ([`Engine::run_keyed`]) instead of resolving it
+//!   recorded run's summary for a keyed re-execution that asks only which
+//!   pairs connected ([`Engine::run_pairs`]) instead of resolving it
 //!   again;
 //! * deployment generators for the paper's motivating scenarios
 //!   ([`deploy`]);

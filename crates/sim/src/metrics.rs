@@ -1,10 +1,9 @@
 //! Geometric quantities from §2 of the paper: the packing function
-//! `χ(r1, r2)`, the close-pair distance bound `d_{Γ,r}`, density of
-//! clustered/unclustered sets, and a reference implementation of the
-//! **close pair** predicate (Definition 1) used to validate the protocol
-//! stack.
+//! `χ(r1, r2)`, the close-pair distance bound `d_{Γ,r}`, the density of a
+//! clustered set, and a reference implementation of the **close pair**
+//! predicate (Definition 1) used to validate the protocol stack. The
+//! density of a network's whole node set is [`crate::Network::density`].
 
-use crate::grid::Grid;
 use crate::point::Point;
 
 /// Upper bound on `χ(r1, r2)`: the maximal number of points in a ball of
@@ -41,20 +40,6 @@ pub fn d_gamma_r(gamma: usize, r: f64) -> f64 {
         return 2.0 * r;
     }
     2.0 * r / (half.sqrt() - 1.0)
-}
-
-/// Density of an *unclustered* set: the largest number of points in any
-/// ball of radius `unit` **centered at a point of the set** (constant-factor
-/// proxy for the supremum over all centers; see [`crate::Network::density`]).
-pub fn density_unclustered(points: &[Point], unit: f64) -> usize {
-    if points.is_empty() {
-        return 0;
-    }
-    let grid = Grid::build(points, unit);
-    (0..points.len())
-        .map(|v| grid.count_within(points, points[v], unit))
-        .max()
-        .unwrap() // lint:allow(P1, reason = "empty subset is a caller bug, not runtime input")
 }
 
 /// Density of a *clustered* set: the largest cluster size (paper §2).
@@ -216,13 +201,6 @@ mod tests {
                 "min pair {min_pair} > d_gamma_r {d} for gamma {gamma}"
             );
         }
-    }
-
-    #[test]
-    fn density_unclustered_on_two_blobs() {
-        let mut pts: Vec<Point> = (0..7).map(|i| Point::new(0.01 * i as f64, 0.0)).collect();
-        pts.extend((0..4).map(|i| Point::new(100.0 + 0.01 * i as f64, 0.0)));
-        assert_eq!(density_unclustered(&pts, 1.0), 7);
     }
 
     #[test]
