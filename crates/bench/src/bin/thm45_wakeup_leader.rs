@@ -46,7 +46,10 @@ fn main() {
         let le = runner
             .run_on(net.clone(), &Workload::LeaderElection)
             .expect("sweep spec is valid");
-        let WorkloadOutcome::Leader { leader_id, probes } = le.outcome else {
+        let WorkloadOutcome::Leader {
+            leader_id, probes, ..
+        } = le.outcome
+        else {
             unreachable!("leader workload returns a leader outcome");
         };
 

@@ -20,6 +20,10 @@ use dcluster_sim::network::Network;
 pub struct LeaderOutcome {
     /// The elected leader's paper ID (the minimum center ID).
     pub leader_id: u64,
+    /// The minimum ID over the candidate set `S` the search runs on: the
+    /// clustering's centers, or node 0 when it returned none. A correct
+    /// election elects it.
+    pub min_center_id: u64,
     /// Rounds consumed end-to-end.
     pub rounds: u64,
     /// Binary-search probes executed.
@@ -55,6 +59,7 @@ pub fn leader_election(
     if candidates.is_empty() {
         candidates.push(0);
     }
+    let min_center_id = candidates.iter().map(|&v| net.id(v)).min().unwrap_or(0);
 
     // Reference window: one full-range SMSB fixes the silent-window length
     // all nodes will assume for empty probes (T(N, ∆) in the paper).
@@ -87,6 +92,7 @@ pub fn leader_election(
     engine.end_phase();
     LeaderOutcome {
         leader_id: lo,
+        min_center_id,
         rounds: engine.round() - start,
         probes,
     }
@@ -107,6 +113,7 @@ mod tests {
         let mut seeds = SeedSeq::new(params.seed);
         let mut engine = Engine::new(&net);
         let out = leader_election(&mut engine, &params, &mut seeds, net.density());
+        assert_eq!(out.leader_id, out.min_center_id);
         // The leader must be an existing node's ID.
         assert!(
             net.index_of(out.leader_id).is_some(),

@@ -24,14 +24,16 @@
 //!   clustering's adoption. It hands each distinct pair to the caller
 //!   once, in order of first delivery.
 //!
-//! The simulator uses the same fact. A unit draws a [`ReplayKey`] at
-//! snapshot time. [`ReplayUnit::run`] records its execution under the key
-//! ([`Engine::run_recorded`]), and when the engine's last recording is
-//! this unit's, [`ReplayUnit::run_pairs`] replays its summary instead of
-//! polling the members and resolving each round again
-//! ([`Engine::run_pairs`]): the same pairs, rounds, counts and traced
-//! round events as a fresh execution. The schedule and the snapshot are
-//! private, so a key always names one pattern.
+//! The simulator uses the same fact. A unit keeps the [`Recording`] of
+//! its last execution: [`ReplayUnit::run`] records into it
+//! ([`Engine::run_recorded`]), and when the engine that made it runs the
+//! unit again, whatever ran on it in between, [`ReplayUnit::run_pairs`]
+//! replays its summary instead of polling the members and resolving each
+//! round again ([`Engine::run_pairs`]): the same pairs, rounds, counts and
+//! traced round events as a fresh execution. Another engine's run records
+//! into it afresh. The schedule and the snapshot are private, so a
+//! recording always holds the unit's own pattern, and it is freed with the
+//! unit.
 
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
@@ -39,9 +41,10 @@ use dcluster_selectors::ssf::RandomSsf;
 use dcluster_selectors::wcss::{RandomWcss, WcssRound};
 use dcluster_selectors::wss::RandomWss;
 use dcluster_selectors::{ClusterSchedule, HashRound, Schedule};
-use dcluster_sim::engine::{Engine, ReplayKey, RoundBehavior};
+use dcluster_sim::engine::{Engine, Recording, RoundBehavior};
 use dcluster_sim::network::Network;
 use dcluster_sim::rng::hash64;
+use std::cell::RefCell;
 
 /// Deterministic seed sequence: invocation `i` of any selector across the
 /// whole protocol stack draws seed `hash(master, i)`. The invocation order
@@ -147,14 +150,14 @@ pub struct Member {
 }
 
 /// A replayable (schedule, participants) pair. See module docs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ReplayUnit {
-    /// Drawn at snapshot time; names this schedule and snapshot to the
-    /// engine's replay memo.
-    key: ReplayKey,
     sched: SchedHandle,
     /// Participant snapshot, as listed.
     members: Vec<Member>,
+    /// The last execution's summary, which [`ReplayUnit::run_pairs`]
+    /// replays on the engine that made it.
+    recording: RefCell<Recording>,
 }
 
 /// Delivery callback: `(receiver, local_round, sender, message)`.
@@ -232,12 +235,12 @@ impl RoundBehavior<Msg> for UnitBehavior<'_> {
 }
 
 impl ReplayUnit {
-    /// A unit over `members`, under a fresh key.
+    /// A unit over `members`, not yet recorded.
     fn new(sched: SchedHandle, members: Vec<Member>) -> Self {
         Self {
-            key: ReplayKey::fresh(),
             sched,
             members,
+            recording: RefCell::default(),
         }
     }
 
@@ -277,16 +280,17 @@ impl ReplayUnit {
     /// nodes, with the same transmitters in the same order.
     pub fn run(&self, engine: &mut Engine<'_>, payload: &dyn Fn(usize) -> Msg, on_rx: OnRx<'_>) {
         let mut b = UnitBehavior::new(self, engine.round(), payload, on_rx);
-        engine.run_recorded(self.key, &mut b, self.sched.len());
+        engine.run_recorded(&mut self.recording.borrow_mut(), &mut b, self.sched.len());
     }
 
     /// Re-executes the unit with the message `payload(v)` for every
     /// member `v` — a function of the sender alone — and calls `on_pair`
     /// exactly once for each distinct (receiver, sender) pair, in order of
     /// first delivery. Costs `sched.len()` rounds, with the transmissions
-    /// and receptions of [`ReplayUnit::run`]. When the engine's last
-    /// recording is this unit's, it is replayed without resolving a round
-    /// ([`Engine::run_pairs`]); `on_pair` sees the same pairs either way.
+    /// and receptions of [`ReplayUnit::run`]. When `engine` made the unit's
+    /// recording, it is replayed without resolving a round
+    /// ([`Engine::run_pairs`]); otherwise the unit runs and records.
+    /// `on_pair` sees the same pairs either way.
     pub fn run_pairs(
         &self,
         engine: &mut Engine<'_>,
@@ -299,7 +303,8 @@ impl ReplayUnit {
         }
         let mut ignore = |_: usize, _: u64, _: usize, _: &Msg| {};
         let mut b = UnitBehavior::new(self, engine.round(), payload, &mut ignore);
-        engine.run_pairs(self.key, &mut b, self.sched.len(), payload, on_pair);
+        let rec = &mut self.recording.borrow_mut();
+        engine.run_pairs(rec, &mut b, self.sched.len(), payload, on_pair);
     }
 }
 
@@ -473,7 +478,8 @@ mod tests {
 
     /// The `tag`-th run of `unit` as an engine that never ran it shows it
     /// through [`ReplayUnit::run`]: a fresh engine, brought to the same
-    /// round by silent rounds.
+    /// round by silent rounds. It runs a clone, so `unit` keeps its
+    /// recording.
     fn fresh_seen(
         net: &Network,
         kind: ResolverKind,
@@ -487,7 +493,7 @@ mod tests {
             rx: |_: &Network, _: usize, _: u64, _: usize, _: &Msg| {},
         };
         engine.run(&mut silent, start);
-        let (seen, replayed) = run_seen(&mut engine, &events, unit, tag, Via::Run);
+        let (seen, replayed) = run_seen(&mut engine, &events, &unit.clone(), tag, Via::Run);
         assert_eq!(replayed, 0, "a fresh engine has nothing to replay");
         seen
     }
@@ -751,16 +757,16 @@ mod tests {
         );
     }
 
-    /// Units A, B, A, A on one engine, each through `run_pairs`: the slot
-    /// holds one recording, so B's run replaces A's and A records again
-    /// before it replays.
+    /// Units A, B, A, B on one engine, each through `run_pairs`: each
+    /// unit keeps its own recording, so B's run leaves A's in place and
+    /// both replay on their second run.
     #[test]
-    fn interleaved_units_replace_the_slot() {
+    fn interleaved_units_keep_their_recordings() {
         let net = small_net();
         let (a, b) = (all_nodes_unit(&net, 11), all_nodes_unit(&net, 12));
         let kind = ResolverKind::default();
         let (mut engine, events) = traced(&net, kind);
-        for (tag, (unit, replays)) in [(&a, false), (&b, false), (&a, false), (&a, true)]
+        for (tag, (unit, replays)) in [(&a, false), (&b, false), (&a, true), (&b, true)]
             .into_iter()
             .enumerate()
         {
@@ -794,13 +800,13 @@ mod tests {
         assert_eq!(seen, first);
     }
 
-    /// Reusing a unit's key after changing its member set breaks the
-    /// contract of `Engine::run_pairs`; debug builds catch it on the first
-    /// replayed round whose transmitters differ.
+    /// Replaying a unit's recording after changing its member set breaks
+    /// the contract of `Engine::run_pairs`; debug builds catch it on the
+    /// first replayed round whose transmitters differ.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "a replay key reused for another pattern")]
-    fn a_key_reused_for_other_members_is_caught() {
+    #[should_panic(expected = "a recording reused for another pattern")]
+    fn a_recording_reused_for_other_members_is_caught() {
         let net = small_net();
         let mut unit = all_nodes_unit(&net, 14);
         let mut engine = Engine::new(&net);

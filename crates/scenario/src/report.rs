@@ -77,6 +77,9 @@ pub enum WorkloadOutcome {
         leader_id: u64,
         /// Binary-search probes used.
         probes: usize,
+        /// The minimum ID over the candidate set the search ran on (the
+        /// clustering's centers): the ID a correct election elects.
+        min_center_id: u64,
     },
 }
 
@@ -104,7 +107,7 @@ pub struct Report {
     pub receptions: u64,
     /// Resolver work counters (maintenance: accumulated over epochs).
     pub resolver_stats: ResolverStats,
-    /// Rounds the engines replayed from their memo instead of resolving
+    /// Rounds the engines replayed from recordings instead of resolving
     /// them (`EngineStats::replayed`; maintenance: summed over epochs).
     /// With `resolver_stats.rounds` it adds up to `rounds`.
     pub replayed: u64,
@@ -131,8 +134,8 @@ impl Report {
 
     /// True iff the workload's own success condition held (complete
     /// broadcast, full coverage, …). A maintenance run also needs every
-    /// epoch's cluster radius within 2. [`WorkloadOutcome::Empty`] is
-    /// false.
+    /// epoch's cluster radius within 2; a leader election, the minimum
+    /// center ID elected. [`WorkloadOutcome::Empty`] is false.
     pub fn ok(&self) -> bool {
         match &self.outcome {
             WorkloadOutcome::Empty => false,
@@ -147,7 +150,11 @@ impl Report {
                 .iter()
                 .all(|e| e.report.unassigned == 0 && e.report.max_radius <= MAX_EPOCH_RADIUS),
             WorkloadOutcome::Wakeup { all_awake, .. } => *all_awake,
-            WorkloadOutcome::Leader { .. } => true,
+            WorkloadOutcome::Leader {
+                leader_id,
+                min_center_id,
+                ..
+            } => leader_id == min_center_id,
         }
     }
 
@@ -266,7 +273,9 @@ impl Report {
                     "\nwake-up: all awake = {all_awake}, centers = {centers}\n"
                 ));
             }
-            WorkloadOutcome::Leader { leader_id, probes } => {
+            WorkloadOutcome::Leader {
+                leader_id, probes, ..
+            } => {
                 out.push_str(&format!(
                     "\nleader: id {leader_id} elected with {probes} probes\n"
                 ));
@@ -476,8 +485,15 @@ mod tests {
         r.outcome = WorkloadOutcome::Leader {
             leader_id: 9,
             probes: 4,
+            min_center_id: 9,
         };
         assert!(r.ok());
+        r.outcome = WorkloadOutcome::Leader {
+            leader_id: 9,
+            probes: 4,
+            min_center_id: 3,
+        };
+        assert!(!r.ok(), "a leader other than the minimum center ID");
         r.outcome = WorkloadOutcome::LocalBroadcast {
             complete: false,
             sweeps: 1,

@@ -539,6 +539,7 @@ impl Runner {
                 header.outcome = WorkloadOutcome::Leader {
                     leader_id: out.leader_id,
                     probes: out.probes,
+                    min_center_id: out.min_center_id,
                 };
             }
         }

@@ -97,14 +97,17 @@ fn ci_maintenance_spec_is_resolver_invariant() {
     assert_eq!(naive, agg, "backends must agree epoch by epoch");
 }
 
-/// Deterministic work counters of the two CI specs, pinned so that CI gates
-/// on counts rather than wall clock: the rounds the engines replayed from
-/// their memo and every counter of each backend's `ResolverStats`. A
-/// change that stops the memo from hitting moves the round counts; one
-/// that changes a resolver decision, or how it was reached, moves the
-/// rest. Both specs take field rounds (`|T| > EXACT_MAX_TX`), so the
-/// aggregated rows pin the field's work too. Resolved and replayed rounds
-/// add up to the run's rounds.
+/// Deterministic work counters of the two CI specs and of Figure 1's
+/// global broadcast, pinned so that CI gates on counts rather than wall
+/// clock: the rounds the engines replayed from recordings and every
+/// counter of each backend's `ResolverStats`. A change that stops a
+/// recording from hitting moves the round counts; one that changes a
+/// resolver decision, or how it was reached, moves the rest. Both CI specs
+/// take field rounds (`|T| > EXACT_MAX_TX`), so their aggregated rows pin
+/// the field's work too; Figure 1 takes none, so its two rows are equal.
+/// Its labeling replays the units that sparsification recorded, with
+/// other units run in between. Resolved and replayed rounds add up to the
+/// run's rounds.
 #[test]
 fn ci_specs_pin_resolved_and_replayed_rounds() {
     use dcluster_sim::ResolverKind::{Aggregated, Naive};
@@ -123,26 +126,38 @@ fn ci_specs_pin_resolved_and_replayed_rounds() {
         (
             "ci_clustering.scn",
             Naive,
-            593_438,
-            stats(100_997, 415_610, 0, 1_332_720, 0, 0, 0),
+            595_678,
+            stats(98_757, 389_552, 0, 1_262_014, 0, 0, 0),
         ),
         (
             "ci_clustering.scn",
             Aggregated,
-            593_438,
-            stats(100_997, 425_458, 5_449, 1_313_978, 12_060, 0, 84_660),
+            595_678,
+            stats(98_757, 396_022, 3_529, 1_249_646, 7_750, 0, 53_819),
         ),
         (
             "ci_maintenance.scn",
             Naive,
-            1_678_306,
-            stats(287_590, 1_230_379, 0, 6_432_365, 0, 0, 0),
+            1_685_560,
+            stats(280_336, 1_152_788, 0, 6_116_853, 0, 0, 0),
         ),
         (
             "ci_maintenance.scn",
             Aggregated,
-            1_678_306,
-            stats(287_590, 1_266_321, 20_040, 6_366_744, 37_355, 201, 205_931),
+            1_685_560,
+            stats(280_336, 1_173_293, 11_405, 6_079_132, 21_036, 144, 115_422),
+        ),
+        (
+            "fig1_phases.scn",
+            Naive,
+            1_166_075,
+            stats(166_111, 293_917, 0, 1_235_752, 0, 0, 0),
+        ),
+        (
+            "fig1_phases.scn",
+            Aggregated,
+            1_166_075,
+            stats(166_111, 293_917, 0, 1_235_752, 0, 0, 0),
         ),
     ];
     for (name, kind, replayed, resolver_stats) in pinned {

@@ -22,21 +22,25 @@
 //! two. The order matters as much as the set: every resolver sums signals
 //! in transmitter order, so a reordered list can change receptions.
 //!
-//! **The replay memo.** The paper's protocols re-execute one schedule by
-//! one frozen participant set many times (Algorithm 1's confirmation
-//! replays, Algorithm 2's notification, Lemma 11's tree communication).
-//! [`Engine::run_recorded`] runs a schedule under a [`ReplayKey`] that
-//! names its transmit pattern and records a summary of it in the engine's
-//! one memo slot, replacing whatever the slot held. [`Engine::run_pairs`]
-//! re-executes it for a caller that asks only which (receiver, sender)
-//! pairs connected: on a hit (same key, same round count) it replays the
-//! summary without polling the behavior, resolving a round or delivering
-//! a message; on a miss it runs and records. Either way the caller gets
-//! each distinct pair once, in order of first delivery. A replay equals a
-//! fresh run by construction: the engine's network never changes, and
-//! each backend is a deterministic function of (network, transmitter
-//! list). Only the resolver's work counters see the difference;
-//! [`EngineStats::replayed`] counts the rounds it skipped.
+//! **Recordings.** The paper's protocols re-execute one schedule by one
+//! frozen participant set many times (Algorithm 1's confirmation replays,
+//! Algorithm 2's notification, Lemma 11's tree communication, which runs
+//! every notification unit again bottom-up and then top-down).
+//! [`Engine::run_recorded`] runs such a schedule and writes a summary of it
+//! into a caller-owned [`Recording`], which names the engine that made it.
+//! [`Engine::run_pairs`] re-executes it for a caller that asks only which
+//! (receiver, sender) pairs connected: on a hit (the recording was made by
+//! this engine, over the same round count, and holds per-round records if
+//! the engine has a tracer) it replays the summary without polling the
+//! behavior, resolving a round or delivering a message; on a miss it runs
+//! and records. Whatever ran on the engine in between does
+//! not matter, so each caller keeps its recording as long as it keeps the
+//! pattern. Either way the caller gets each distinct pair once, in order
+//! of first delivery. A replay equals a fresh run by construction: the
+//! engine's network never changes, and each backend is a deterministic
+//! function of (network, transmitter list). Only the resolver's work
+//! counters see the difference; [`EngineStats::replayed`] counts the
+//! rounds it skipped.
 
 use crate::network::Network;
 use crate::radio::{Reception, ResolverKind, ResolverStats, SinrResolver};
@@ -90,30 +94,17 @@ pub struct EngineStats {
     pub transmissions: u64,
     /// Total successful receptions.
     pub receptions: u64,
-    /// Rounds served from the replay memo ([`Engine::run_pairs`]): counted
-    /// in `rounds`, but neither polled nor resolved. The resolver's own
-    /// `rounds` counter plus this one equals `rounds`.
+    /// Rounds replayed from a [`Recording`] ([`Engine::run_pairs`]):
+    /// counted in `rounds`, but neither polled nor resolved. The
+    /// resolver's own `rounds` counter plus this one equals `rounds`.
     pub replayed: u64,
 }
 
-/// Names one transmit pattern for [`Engine::run_recorded`] and
-/// [`Engine::run_pairs`]: every run under the key must list the same
-/// transmitters in every local round. Keys come from a process-global
-/// counter, so a key observed once is never issued again; only a copy of
-/// it compares equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayKey(u64);
+/// Engine ids: each engine draws one when it is built, and a
+/// [`Recording`] names the engine that made it.
+static ENGINE_IDS: AtomicU64 = AtomicU64::new(1);
 
-static REPLAY_KEYS: AtomicU64 = AtomicU64::new(1);
-
-impl ReplayKey {
-    /// A key no earlier call returned.
-    pub fn fresh() -> Self {
-        Self(REPLAY_KEYS.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-/// One active round of a [`Memo`]: a round with transmitters or a
+/// One active round of a [`Recording`]: a round with transmitters or a
 /// resolver cache operation.
 #[derive(Debug, Clone, Copy)]
 struct Active {
@@ -128,59 +119,46 @@ struct Active {
     field: bool,
 }
 
-/// The engine's one memo slot: the summary of the last recorded run. Its
-/// rounds are the `active` records, each after its gap of silent rounds,
-/// then silent rounds up to `rounds`.
-#[derive(Debug, Default)]
-struct Memo {
-    /// `None` while the slot holds no replayable recording.
-    key: Option<ReplayKey>,
+/// The summary of one run of a transmit pattern, made by
+/// [`Engine::run_recorded`] (or a miss of [`Engine::run_pairs`]) and
+/// replayed by [`Engine::run_pairs`] on the engine that made it (see the
+/// module docs). The caller owns it and keeps it with the pattern it
+/// recorded; a new recording starts from [`Recording::default`], which
+/// never replays.
+#[derive(Debug, Clone, Default)]
+pub struct Recording {
+    /// The id of the engine that made it; `None` while it holds no
+    /// replayable run.
+    engine: Option<u64>,
     rounds: u64,
+    transmissions: u64,
+    receptions: u64,
+    /// The run's distinct (receiver, sender) pairs, in order of first
+    /// delivery.
+    pairs: Vec<(u32, u32)>,
+    /// Whether `active` holds the run's active rounds. Only a traced
+    /// replay (its round events) and the debug replay check read them, so
+    /// they are kept only when the recording engine had a tracer or debug
+    /// assertions are on.
+    per_round: bool,
+    /// The active rounds, each after its gap of silent rounds; silent
+    /// rounds follow the last one up to `rounds`.
     active: Vec<Active>,
-    /// The run's distinct (receiver, sender) pairs.
-    pairs: PairSet,
     /// Every active round's transmitters, in order: debug builds poll the
     /// behavior on each replayed round and compare.
     #[cfg(debug_assertions)]
     nodes: Vec<usize>,
 }
 
-impl Memo {
-    /// The recording round by round: `None` for a silent round.
+impl Recording {
+    /// The recording round by round, `None` for a silent round (read
+    /// only when `per_round`).
     fn walk(&self) -> impl Iterator<Item = Option<&Active>> + '_ {
         self.active
             .iter()
             .flat_map(|a| std::iter::repeat_n(None, a.gap as usize).chain([Some(a)]))
             .chain(std::iter::repeat(None))
             .take(self.rounds as usize)
-    }
-}
-
-/// Distinct (receiver, sender) pairs in order of first insertion.
-#[derive(Debug, Default)]
-struct PairSet {
-    pairs: Vec<(usize, usize)>,
-    /// Per receiver, its senders in `pairs` (the lookup); empty for every
-    /// receiver outside `pairs`.
-    senders: Vec<Vec<usize>>,
-}
-
-impl PairSet {
-    /// Empties the set, for receivers below `n`.
-    fn clear(&mut self, n: usize) {
-        for &(receiver, _) in &self.pairs {
-            self.senders[receiver].clear();
-        }
-        self.senders.resize_with(n, Vec::new);
-        self.pairs.clear();
-    }
-
-    fn insert(&mut self, receiver: usize, sender: usize) {
-        let senders = &mut self.senders[receiver];
-        if !senders.contains(&sender) {
-            senders.push(sender);
-            self.pairs.push((receiver, sender));
-        }
     }
 }
 
@@ -195,7 +173,7 @@ impl PairSet {
 /// choice affects wall clock only — never protocol outcomes.
 ///
 /// A round allocates nothing once the buffers have grown: the engine
-/// keeps its transmitter and reception vectors and its memo slot, and
+/// keeps its transmitter and reception vectors and its pair lookup, and
 /// [`Engine::run`], [`Engine::run_recorded`], [`Engine::run_pairs`] and
 /// [`Engine::run_until`] keep one message vector across their rounds.
 #[derive(Debug)]
@@ -216,8 +194,12 @@ pub struct Engine<'n> {
     /// Open [`Engine::begin_phase`] frames:
     /// `(phase, start_round, start_tx, start_rx)`.
     phase_stack: Vec<(&'static str, u64, u64, u64)>,
-    /// The recording [`Engine::run_pairs`] replays.
-    memo: Memo,
+    /// Drawn when the engine is built; a [`Recording`] names it.
+    id: u64,
+    /// Per receiver, the senders the run being recorded has delivered to
+    /// it so far (the lookup behind [`Recording`]'s distinct pairs); empty
+    /// between runs.
+    senders: Vec<Vec<u32>>,
 }
 
 impl<'n> Engine<'n> {
@@ -244,7 +226,8 @@ impl<'n> Engine<'n> {
             tracer: None,
             phases: PhaseTable::new(),
             phase_stack: Vec::new(),
-            memo: Memo::default(),
+            id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
+            senders: Vec::new(),
         }
     }
 
@@ -356,31 +339,42 @@ impl<'n> Engine<'n> {
     }
 
     /// Runs `rounds` rounds of `behavior` as [`Engine::run`] does, and
-    /// records their summary under `key` in the memo slot (see the module
-    /// docs), replacing the slot's recording. It never replays: a later
-    /// [`Engine::run_pairs`] under `key` does.
+    /// records their summary in `rec` (see the module docs), replacing
+    /// what it held. It never replays: a later [`Engine::run_pairs`] with
+    /// `rec` does.
     ///
-    /// The caller owes that every run under `key` lists the same
+    /// The caller owes that every run with `rec` lists the same
     /// transmitters in each local round.
-    pub fn run_recorded<M, B>(&mut self, key: ReplayKey, behavior: &mut B, rounds: u64)
+    pub fn run_recorded<M, B>(&mut self, rec: &mut Recording, behavior: &mut B, rounds: u64)
     where
         B: RoundBehavior<M> + ?Sized,
     {
         let mut msgs = Vec::new();
-        // Taken out (the slot reads empty) until the run completes.
-        let mut memo = std::mem::take(&mut self.memo);
-        memo.active.clear();
-        memo.pairs.clear(self.net.len());
+        // Unreplayable until the run completes.
+        rec.engine = None;
+        (rec.rounds, rec.transmissions, rec.receptions) = (rounds, 0, 0);
+        rec.pairs.clear();
+        rec.per_round = cfg!(debug_assertions) || self.tracer.is_some();
+        rec.active.clear();
         #[cfg(debug_assertions)]
-        memo.nodes.clear();
+        rec.nodes.clear();
+        self.senders.resize_with(self.net.len(), Vec::new);
         let (mut gap, mut recorded) = (0, true);
         for _ in 0..rounds {
             self.step_with(behavior, &mut msgs);
             for r in &self.receptions {
-                memo.pairs.insert(r.receiver, r.sender);
+                let (receiver, sender) = (r.receiver as u32, r.sender as u32);
+                let senders = &mut self.senders[r.receiver];
+                if !senders.contains(&sender) {
+                    senders.push(sender);
+                    rec.pairs.push((receiver, sender));
+                }
             }
+            let (tx, rx) = (self.tx_nodes.len() as u64, self.receptions.len() as u64);
+            rec.transmissions += tx;
+            rec.receptions += rx;
             let field = match self.resolver.last_cache_op() {
-                None if self.tx_nodes.is_empty() => {
+                None if tx == 0 => {
                     gap += 1;
                     continue;
                 }
@@ -393,40 +387,40 @@ impl<'n> Engine<'n> {
                     false
                 }
             };
-            memo.active.push(Active {
-                gap,
-                tx: self.tx_nodes.len() as u64,
-                rx: self.receptions.len() as u64,
-                field,
-            });
-            #[cfg(debug_assertions)]
-            memo.nodes.extend_from_slice(&self.tx_nodes);
+            if rec.per_round {
+                rec.active.push(Active { gap, tx, rx, field });
+                #[cfg(debug_assertions)]
+                rec.nodes.extend_from_slice(&self.tx_nodes);
+            }
             gap = 0;
         }
-        (memo.key, memo.rounds) = (recorded.then_some(key), rounds);
-        self.memo = memo;
+        for &(receiver, _) in &rec.pairs {
+            self.senders[receiver as usize].clear();
+        }
+        rec.engine = recorded.then_some(self.id);
     }
 
-    /// Runs `rounds` rounds of `behavior` under `key` (see the module
+    /// Runs `rounds` rounds of `behavior` with `rec` (see the module
     /// docs), then calls `on_pair(receiver, sender, &payload(sender))`
     /// once for each distinct (receiver, sender) pair the rounds
     /// delivered, in order of first delivery.
     ///
-    /// On a hit (the memo slot holds `key` with the same round count) the
-    /// recorded summary is replayed: the stats, the phase accounting and
-    /// the traced round events are those of a fresh run, but the behavior
-    /// is neither polled nor told of receptions or round ends. On a miss
-    /// the rounds run as [`Engine::run_recorded`] runs them, `receive` and
-    /// `end_round` included.
+    /// On a hit (`rec` was made by this engine over `rounds` rounds, with
+    /// its per-round records if this engine has a tracer) the recording is
+    /// replayed: the stats, the phase accounting and the traced round
+    /// events are those of a fresh run, but the behavior is neither polled
+    /// nor told of receptions or round ends. On a miss the rounds run as
+    /// [`Engine::run_recorded`] runs them, `receive` and `end_round`
+    /// included, and `rec` records them.
     ///
-    /// The caller owes that every run under `key` lists the same
+    /// The caller owes that every run with `rec` lists the same
     /// transmitters in each local round, and that `payload(v)` is the
     /// message the behavior lists for transmitter `v` in every round.
     /// Debug builds poll the behavior on every replayed round and assert
     /// that it lists the recorded transmitters.
     pub fn run_pairs<M, B>(
         &mut self,
-        key: ReplayKey,
+        rec: &mut Recording,
         behavior: &mut B,
         rounds: u64,
         payload: &dyn Fn(usize) -> M,
@@ -434,25 +428,28 @@ impl<'n> Engine<'n> {
     ) where
         B: RoundBehavior<M> + ?Sized,
     {
-        if self.memo.key == Some(key) && self.memo.rounds == rounds {
+        if rec.engine == Some(self.id)
+            && rec.rounds == rounds
+            && (rec.per_round || self.tracer.is_none())
+        {
             #[cfg(debug_assertions)]
-            self.check_replay(behavior);
-            self.replay();
+            self.check_replay(rec, behavior);
+            self.replay(rec);
         } else {
-            self.run_recorded(key, behavior, rounds);
+            self.run_recorded(rec, behavior, rounds);
         }
-        for &(receiver, sender) in &self.memo.pairs.pairs {
-            on_pair(receiver, sender, &payload(sender));
+        for &(receiver, sender) in &rec.pairs {
+            let sender = sender as usize;
+            on_pair(receiver as usize, sender, &payload(sender));
         }
     }
 
-    /// Replays the memo slot's recording: its traced round events, if a
-    /// tracer is attached, and its rounds and counts.
-    fn replay(&mut self) {
-        let memo = &self.memo;
+    /// Replays `rec`: its traced round events, if a tracer is attached,
+    /// and its rounds and counts.
+    fn replay(&mut self, rec: &Recording) {
         if let Some(t) = &self.tracer {
             let mut t = t.borrow_mut();
-            for (round, a) in (self.round..).zip(memo.walk()) {
+            for (round, a) in (self.round..).zip(rec.walk()) {
                 t.on_event(&Event::Round {
                     round,
                     tx: a.map_or(0, |a| a.tx),
@@ -461,25 +458,23 @@ impl<'n> Engine<'n> {
                 });
             }
         }
-        for a in &memo.active {
-            self.stats.transmissions += a.tx;
-            self.stats.receptions += a.rx;
-        }
-        self.round += memo.rounds;
-        self.stats.rounds += memo.rounds;
-        self.stats.replayed += memo.rounds;
+        self.round += rec.rounds;
+        self.stats.rounds += rec.rounds;
+        self.stats.transmissions += rec.transmissions;
+        self.stats.receptions += rec.receptions;
+        self.stats.replayed += rec.rounds;
     }
 
-    /// Polls `behavior` for each round the memo slot's recording is about
-    /// to replay, and asserts that it lists the recorded transmitters.
+    /// Polls `behavior` for each round `rec` is about to replay, and
+    /// asserts that it lists the recorded transmitters.
     #[cfg(debug_assertions)]
-    fn check_replay<M, B>(&self, behavior: &mut B)
+    fn check_replay<M, B>(&self, rec: &Recording, behavior: &mut B)
     where
         B: RoundBehavior<M> + ?Sized,
     {
         let (mut nodes, mut msgs) = (Vec::new(), Vec::new());
-        let mut recorded = self.memo.nodes.as_slice();
-        for (round, a) in (self.round..).zip(self.memo.walk()) {
+        let mut recorded = rec.nodes.as_slice();
+        for (round, a) in (self.round..).zip(rec.walk()) {
             let tx = a.map_or(0, |a| a.tx as usize);
             nodes.clear();
             msgs.clear();
@@ -488,7 +483,7 @@ impl<'n> Engine<'n> {
                 nodes,
                 recorded[..tx],
                 "round {round}: the behavior lists other transmitters than the \
-                 replayed recording (a replay key reused for another pattern)"
+                 replayed recording (a recording reused for another pattern)"
             );
             recorded = &recorded[tx..];
         }
@@ -800,14 +795,14 @@ mod tests {
         events: Vec<Event>,
     }
 
-    /// Runs [`Every3`] for six rounds through `run_pairs` under `key`, or
-    /// through `run` when `key` is `None` (its pairs are then the first
+    /// Runs [`Every3`] for six rounds through `run_pairs` with `rec`, or
+    /// through `run` when `rec` is `None` (its pairs are then the first
     /// delivery of each). Returns what the run showed, how many
     /// deliveries the behavior saw and how many rounds were replayed.
     fn six_rounds(
         engine: &mut Engine<'_>,
         events: &RefCell<Recorded>,
-        key: Option<ReplayKey>,
+        rec: Option<&mut Recording>,
     ) -> (Seen, usize, u64) {
         let (start, before, first) = (engine.round(), engine.stats(), events.borrow().0.len());
         let mut b = Every3 {
@@ -815,9 +810,9 @@ mod tests {
             heard: Vec::new(),
         };
         let mut pairs: Vec<(usize, usize, u64)> = Vec::new();
-        if let Some(key) = key {
+        if let Some(rec) = rec {
             let payload = |v: usize| 10 * start + v as u64;
-            engine.run_pairs(key, &mut b, 6, &payload, &mut |r, s, m| {
+            engine.run_pairs(rec, &mut b, 6, &payload, &mut |r, s, m| {
                 pairs.push((r, s, *m))
             });
         } else {
@@ -854,18 +849,18 @@ mod tests {
         six_rounds(&mut engine, &events, None).0
     }
 
-    /// A miss records, and each later run under the key replays: every run
-    /// shows the pairs of a fresh run's first deliveries, with this run's
-    /// payload, and a fresh engine's counters and traced events.
+    /// A miss records, and each later run with the recording replays:
+    /// every run shows the pairs of a fresh run's first deliveries, with
+    /// this run's payload, and a fresh engine's counters and traced events.
     #[test]
     fn a_keyed_run_replays_its_recording() {
         let net = line(4, 0.5);
         let kind = ResolverKind::default();
         let (mut engine, events) = traced(&net, kind.build());
-        let key = ReplayKey::fresh();
+        let mut rec = Recording::default();
         for (run, hit) in [(0, false), (1, true), (2, true)] {
             let start = engine.round();
-            let (seen, heard, replayed) = six_rounds(&mut engine, &events, Some(key));
+            let (seen, heard, replayed) = six_rounds(&mut engine, &events, Some(&mut rec));
             assert_eq!(replayed, if hit { 6 } else { 0 }, "run {run}");
             assert_eq!(heard == 0, hit, "only a miss delivers (run {run})");
             assert!(
@@ -875,8 +870,54 @@ mod tests {
             assert_eq!(seen, fresh(&net, kind.build(), start), "run {run}");
         }
         assert_eq!(engine.resolver_stats().rounds, 6);
-        six_rounds(&mut engine, &events, Some(ReplayKey::fresh()));
-        assert_eq!(engine.stats().replayed, 12, "another key misses");
+        six_rounds(&mut engine, &events, Some(&mut Recording::default()));
+        assert_eq!(engine.stats().replayed, 12, "a new recording misses");
+    }
+
+    /// A recording made on an untraced engine, rerun once a tracer is
+    /// attached, traces what a fresh traced run traces. Debug builds keep
+    /// every recording's per-round records, so the rerun replays; release
+    /// builds keep them only for a traced engine, so it records again, and
+    /// the run after it replays.
+    #[test]
+    fn an_untraced_recording_rerun_with_a_tracer_traces_a_fresh_run() {
+        let net = line(4, 0.5);
+        let kind = ResolverKind::default();
+        let mut engine = Engine::with_resolver_kind(&net, kind);
+        let events = dcluster_obs::shared(Recorded::default());
+        let mut rec = Recording::default();
+        let (_, _, replayed) = six_rounds(&mut engine, &events, Some(&mut rec));
+        assert_eq!(replayed, 0);
+        assert!(events.borrow().0.is_empty(), "untraced");
+        engine.set_tracer(events.clone());
+        let rerun = if cfg!(debug_assertions) { 6 } else { 0 };
+        for want in [rerun, 6] {
+            let start = engine.round();
+            let (seen, _, replayed) = six_rounds(&mut engine, &events, Some(&mut rec));
+            assert_eq!(replayed, want);
+            assert!(!seen.events.is_empty());
+            assert_eq!(seen, fresh(&net, kind.build(), start));
+        }
+    }
+
+    /// A recording that another engine made again names that engine, so
+    /// its first engine misses: it runs the rounds and records them.
+    #[test]
+    fn a_recording_another_engine_remade_misses() {
+        let net = line(4, 0.5);
+        let kind = ResolverKind::default();
+        let (mut first, events) = traced(&net, kind.build());
+        let (mut second, second_events) = traced(&net, kind.build());
+        let mut rec = Recording::default();
+        six_rounds(&mut first, &events, Some(&mut rec));
+        let (_, _, replayed) = six_rounds(&mut second, &second_events, Some(&mut rec));
+        assert_eq!(replayed, 0, "made by the first engine");
+        for want in [0, 6] {
+            let start = first.round();
+            let (seen, _, replayed) = six_rounds(&mut first, &events, Some(&mut rec));
+            assert_eq!(replayed, want);
+            assert_eq!(seen, fresh(&net, kind.build(), start));
+        }
     }
 
     /// A resolver that breaks the order [`SinrResolver`] promises.
@@ -896,17 +937,17 @@ mod tests {
         }
     }
 
-    /// The memo keeps pairs in the order they were delivered, whatever the
-    /// resolver's order, so a replay still equals a fresh run.
+    /// A recording keeps pairs in the order they were delivered, whatever
+    /// the resolver's order, so a replay still equals a fresh run.
     #[test]
     fn receptions_out_of_receiver_order_replay_in_delivery_order() {
         let net = line(4, 0.5);
         let reversed = || Box::new(Reversed(Default::default()));
         let (mut engine, events) = traced(&net, reversed());
-        let key = ReplayKey::fresh();
+        let mut rec = Recording::default();
         for _ in 0..2 {
             let start = engine.round();
-            let (seen, _, _) = six_rounds(&mut engine, &events, Some(key));
+            let (seen, _, _) = six_rounds(&mut engine, &events, Some(&mut rec));
             let in_order = fresh(&net, ResolverKind::Naive.build(), start);
             assert_ne!(
                 seen.pairs, in_order.pairs,

@@ -13,10 +13,10 @@
 //!   small rounds and rebuilds a cell-aggregated interference field
 //!   ([`field`]) in place for each large one;
 //! * a synchronous round [`engine`] executing [`engine::RoundBehavior`]
-//!   protocols over a [`Network`], with a one-slot memo that replays a
-//!   recorded run's summary for a keyed re-execution that asks only which
-//!   pairs connected ([`Engine::run_pairs`]) instead of resolving it
-//!   again;
+//!   protocols over a [`Network`], which replays the summary of a run
+//!   that the caller keeps in a [`Recording`] for a re-execution that asks
+//!   only which pairs connected ([`Engine::run_pairs`]), on the engine
+//!   that recorded it, instead of resolving it again;
 //! * deployment generators for the paper's motivating scenarios
 //!   ([`deploy`]);
 //! * a deterministic [`rng`] (SplitMix64) so that every simulation is
@@ -69,7 +69,7 @@ pub mod rng;
 pub use dcluster_obs::{
     CacheOp, Event as ObsEvent, PhaseSummary, PhaseTable, SharedTracer, Tracer,
 };
-pub use engine::{Engine, EngineStats, ReplayKey, RoundBehavior};
+pub use engine::{Engine, EngineStats, Recording, RoundBehavior};
 pub use graph::Graph;
 pub use grid::Grid;
 pub use network::{Network, NetworkBuilder, NetworkError};
