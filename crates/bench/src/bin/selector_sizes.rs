@@ -2,17 +2,16 @@
 //! wss and wcss versus `k`, `l`, `N`, against the paper's bounds.
 
 use dcluster_bench::{print_table, write_csv};
-use dcluster_selectors::{theory, RsSsf};
+use dcluster_selectors::theory;
 
 fn main() {
     let n_univ = 1u64 << 20;
     let mut rows: Vec<Vec<String>> = Vec::new();
     for &k in &[2usize, 4, 8, 16] {
-        let rs = RsSsf::new(n_univ, k);
         rows.push(vec![
             k.to_string(),
             format!("{:.0}", theory::ssf_optimal(n_univ, k)),
-            format!("{}", rs.field_size() * rs.field_size()),
+            format!("{:.0}", theory::ssf_rs(n_univ, k)),
             format!("{:.0}", theory::wss(n_univ, k)),
             format!("{:.0}", theory::wcss(n_univ, k, 4)),
             format!("{:.0}", theory::wcss(n_univ, k, 8)),

@@ -14,9 +14,13 @@
 //! | `fig5_lowerbound_gadget` | Figures 5–6 + Lemma 13 |
 //! | `fig7_lowerbound_chain` | Figure 7 + Theorem 6 |
 //! | `thm1_clustering` | Theorem 1 scaling |
+//! | `thm23_scaling` | Theorems 2–3 normalized scaling |
 //! | `thm45_wakeup_leader` | Theorems 4–5 |
 //! | `selector_sizes` | Lemmas 2–3 selector sizes |
 //! | `ablation_wss` | why *witnessed* selection matters (Lemma 7) |
+//! | `energy_accounting` | transmissions as an energy proxy |
+//! | `ext_carrier_sense` | extension: does carrier sensing help global broadcast? |
+//! | `scale_resolvers` | SINR resolver backends' wall clock and agreement up to 10⁵ nodes |
 //! | `scenario_smoke` | determinism gate over committed `scenarios/*.scn` |
 //!
 //! Every network-driven binary builds its world through the **Scenario

@@ -127,6 +127,11 @@ fn out_of_range_spec_values_exit_cleanly() {
         ("max_id 5\nid_seed 4", None),
         // Ranges near 10¹⁰⁰: every grid and field query clips to the box.
         ("dynamics het_power spread=1e300", None),
+        // A power `base · (1 + spread · h)` overflows to +∞.
+        (
+            "dynamics het_power spread=1.7e308",
+            Some("dynamics het_power"),
+        ),
         // The third line node lands at x = +∞.
         ("deploy line n=3 spacing=1e308", Some("deploy section")),
     ];

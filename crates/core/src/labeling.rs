@@ -29,19 +29,6 @@ impl Labeling {
     pub fn max_label(&self) -> u32 {
         self.label.iter().copied().max().unwrap_or(0)
     }
-
-    /// Multiplicity of the most repeated (cluster, label) pair — the
-    /// imperfection constant `c` actually achieved (Lemma 11 promises
-    /// `O(1)`).
-    pub fn imperfection(&self, cluster_of: &[u64]) -> usize {
-        let mut counts: BTreeMap<(u64, u32), usize> = BTreeMap::new();
-        for (v, &l) in self.label.iter().enumerate() {
-            if l > 0 {
-                *counts.entry((cluster_of[v], l)).or_insert(0) += 1;
-            }
-        }
-        counts.values().copied().max().unwrap_or(0)
-    }
 }
 
 /// Computes the Lemma 11 labeling from a finished sparsification forest.
@@ -220,6 +207,19 @@ mod tests {
     use dcluster_sim::rng::Rng64;
     use dcluster_sim::{deploy, Network};
 
+    /// Multiplicity of the most repeated (cluster, label) pair — the
+    /// imperfection constant `c` actually achieved (Lemma 11 promises
+    /// `O(1)`).
+    fn imperfection(lab: &Labeling, cluster_of: &[u64]) -> usize {
+        let mut counts: BTreeMap<(u64, u32), usize> = BTreeMap::new();
+        for (v, &l) in lab.label.iter().enumerate() {
+            if l > 0 {
+                *counts.entry((cluster_of[v], l)).or_insert(0) += 1;
+            }
+        }
+        counts.values().copied().max().unwrap_or(0)
+    }
+
     fn label_blob(n: usize, seed: u64) -> (Network, Labeling, Vec<u64>) {
         let mut rng = Rng64::new(seed);
         let net = Network::builder(deploy::uniform_square(n, 1.4, &mut rng))
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn imperfection_is_constant() {
         let (_, lab, cluster_of) = label_blob(40, 10);
-        let c = lab.imperfection(&cluster_of);
+        let c = imperfection(&lab, &cluster_of);
         // One cluster splits into O(1) trees; each label occurs once per tree.
         assert!(c <= 10, "imperfection {c} not constant-ish");
     }

@@ -63,7 +63,6 @@ pub mod radius;
 pub mod run;
 pub mod sns;
 pub mod sparsify;
-pub mod stack;
 pub mod wakeup;
 
 pub use check::{audit_resolver_equivalence, ResolverDisagreement};
@@ -74,4 +73,3 @@ pub use maintenance::{EpochReport, MaintenanceDriver, MaintenanceSummary};
 pub use msg::Msg;
 pub use params::ProtocolParams;
 pub use run::SeedSeq;
-pub use stack::Stack;

@@ -159,4 +159,18 @@ mod tests {
         assert!(out.rounds > 0);
         assert!(out.sweeps >= 1);
     }
+
+    #[test]
+    fn steady_state_is_much_cheaper_than_setup() {
+        // Clustering and labeling are paid once; a further local broadcast
+        // pays only the label sweeps.
+        let (_, out) = run(35, 2.5, 401);
+        assert!(out.complete, "local broadcast incomplete");
+        let setup = out.rounds - out.sweep_rounds;
+        assert!(
+            out.sweep_rounds * 10 < setup,
+            "steady state ({}) should be ≫ cheaper than setup ({setup})",
+            out.sweep_rounds
+        );
+    }
 }

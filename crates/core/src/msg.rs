@@ -82,50 +82,9 @@ pub enum Msg {
     },
 }
 
-impl Msg {
-    /// The sender ID carried in the message (every variant carries one,
-    /// except `Range` which addresses a child).
-    pub fn sender_id(&self) -> Option<u64> {
-        match *self {
-            Msg::Hello { id, .. }
-            | Msg::Subtree { id, .. }
-            | Msg::Color { id, .. }
-            | Msg::Mis { id, .. }
-            | Msg::ClusterOf { id, .. }
-            | Msg::Payload { id, .. } => Some(id),
-            Msg::Confirm { from, .. } => Some(from),
-            Msg::Parent { child, .. } => Some(child),
-            Msg::Range { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sender_id_extraction() {
-        assert_eq!(Msg::Hello { id: 7, cluster: 1 }.sender_id(), Some(7));
-        assert_eq!(Msg::Confirm { from: 3, to: 9 }.sender_id(), Some(3));
-        assert_eq!(
-            Msg::Parent {
-                child: 4,
-                parent: 8
-            }
-            .sender_id(),
-            Some(4)
-        );
-        assert_eq!(
-            Msg::Range {
-                child: 2,
-                lo: 1,
-                hi: 5
-            }
-            .sender_id(),
-            None
-        );
-    }
 
     #[test]
     fn messages_are_small() {

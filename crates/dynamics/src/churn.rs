@@ -92,7 +92,6 @@ mod tests {
         for _ in 0..40 {
             w.step(&mut models);
             assert!(w.is_awake(0), "anchor must stay awake");
-            assert!(w.awake_count() >= 1);
         }
         assert!(
             w.stats().sleeps > 0 && w.stats().wakes > 0,

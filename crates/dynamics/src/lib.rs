@@ -59,7 +59,7 @@ pub use churn::Churn;
 pub use mobility::{GroupDrift, RandomWalk, RandomWaypoint};
 pub use world::{World, WorldStats, WorldUpdate};
 
-use dcluster_sim::{Network, Point};
+use dcluster_sim::{Network, NetworkError, Point};
 
 /// A composable generator of world updates, advanced once per epoch.
 ///
@@ -78,23 +78,27 @@ pub trait DynamicsModel {
 /// power drawn from [`dcluster_sim::deploy::power_profile`] — the standard
 /// heterogeneous-power variant of a scenario.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the profile produces an invalid power (it cannot for
-/// `base > 0`, `spread ≥ 0`).
-pub fn with_power_profile(net: &Network, spread: f64, seed: u64) -> Network {
+/// Returns the builder's [`NetworkError::BadPower`] when a drawn power is
+/// not positive and finite: under a negative `spread`, or one so large
+/// that a power overflows to infinity.
+pub fn with_power_profile(net: &Network, spread: f64, seed: u64) -> Result<Network, NetworkError> {
     let powers = dcluster_sim::deploy::power_profile(net.len(), net.params().power, spread, seed);
     build_like(net, net.points().to_vec(), powers)
 }
 
 /// A fresh build over `points` and `powers` with `net`'s ids, ID space
-/// and parameters. Panics on a bad power or a length other than `n`.
-fn build_like(net: &Network, points: Vec<Point>, powers: Vec<f64>) -> Network {
+/// and parameters.
+fn build_like(
+    net: &Network,
+    points: Vec<Point>,
+    powers: Vec<f64>,
+) -> Result<Network, NetworkError> {
     Network::builder(points)
         .ids(net.ids().to_vec())
         .max_id(net.max_id())
         .params(*net.params())
         .powers(powers)
         .build()
-        .expect("one positive, finite power per node of a valid network")
 }

@@ -105,19 +105,15 @@ impl World {
         (0..self.net.len()).filter(|&v| self.awake[v]).collect()
     }
 
-    /// Number of awake nodes.
-    pub fn awake_count(&self) -> usize {
-        self.awake.iter().filter(|&&a| a).count()
-    }
-
     /// Applies an update stream in order. Moves and power changes are
     /// written into copies of the position and power vectors; if any
     /// arrived, the network is rebuilt once over them.
     ///
     /// # Panics
     ///
-    /// Panics if a node index is out of range or a `SetPower` carries a
-    /// power that is not strictly positive and finite.
+    /// Panics if a node index is out of range, a `SetPower` carries a
+    /// power that is not strictly positive and finite, or a `Move` target
+    /// is not finite.
     pub fn apply(&mut self, updates: &[WorldUpdate]) {
         let mut points = self.net.points().to_vec();
         let mut powers = self.net.powers().to_vec();
@@ -151,7 +147,9 @@ impl World {
             }
         }
         if moved {
-            self.net = build_like(&self.net, points, powers);
+            self.net = build_like(&self.net, points, powers)
+                // lint:allow(P1, reason = "rebuilds a valid network with checked powers; a non-finite Move is the documented panic")
+                .expect("a valid network's ids with checked powers and finite positions");
         }
     }
 
@@ -177,6 +175,8 @@ impl World {
             self.net.points().to_vec(),
             self.net.powers().to_vec(),
         )
+        // lint:allow(P1, reason = "rebuilds the world's own, already valid network")
+        .expect("the world's network is valid")
     }
 
     /// Audits that the world's network equals a fresh build of its
@@ -266,7 +266,7 @@ mod tests {
         ]);
         assert_eq!(w.stats().sleeps, 1);
         assert_eq!(w.stats().wakes, 1);
-        assert_eq!(w.awake_count(), 5);
+        assert_eq!(w.awake_nodes().len(), 5);
         w.apply(&[WorldUpdate::Sleep { node: 4 }]);
         assert_eq!(w.awake_nodes(), vec![0, 1, 2, 3]);
         assert!(!w.is_awake(4));

@@ -62,7 +62,7 @@ proptest! {
             .build()
             .expect("nonempty");
         let spread = spread_tenths as f64 / 10.0;
-        let net = dcluster_dynamics::with_power_profile(&base, spread, seed ^ 5);
+        let net = dcluster_dynamics::with_power_profile(&base, spread, seed ^ 5).unwrap();
         let mut world = World::new(net);
         let bounds = (side, side);
         let moving: Box<dyn DynamicsModel> = match mobility {

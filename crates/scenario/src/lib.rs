@@ -11,10 +11,9 @@
 //!   protocol parameters, seed and epochs, with a hand-rolled
 //!   deterministic text format (`scenarios/*.scn`;
 //!   [`ScenarioSpec::parse`] / [`ScenarioSpec::to_text`] round-trip);
-//! * [`Runner`] — consumes a spec plus a [`Workload`] (clustering, stack +
-//!   local broadcast, global broadcast, maintenance epochs, wake-up,
-//!   leader election) and executes it through `Engine` /
-//!   `MaintenanceDriver`;
+//! * [`Runner`] — consumes a spec plus a [`Workload`] (clustering, local
+//!   broadcast, global broadcast, maintenance epochs, wake-up, leader
+//!   election) and executes it through `Engine` / `MaintenanceDriver`;
 //! * [`Report`] — the structured result (rounds, receptions, resolver
 //!   stats, cluster metrics, per-epoch maintenance counters), with the
 //!   markdown/CSV emitters ([`print_table`], [`write_csv`]) behind it.

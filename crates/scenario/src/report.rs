@@ -31,7 +31,8 @@ pub enum WorkloadOutcome {
         /// Quality report (§1.3 conditions).
         report: ClusteringReport,
     },
-    /// Stack + local broadcast (Algorithm 7).
+    /// Local broadcast (Algorithm 7): clustering and labeling once, then
+    /// one Sparse Network Schedule per label.
     LocalBroadcast {
         /// Every node heard by all comm-graph neighbors?
         complete: bool,

@@ -20,7 +20,7 @@
 
 use crate::report::{Report, WorkloadOutcome};
 use crate::spec::{DeployLayer, DynamicsSpec, ScenarioSpec, SpecError, Workload};
-use dcluster_core::check::{check_clustering, ClusteringReport};
+use dcluster_core::check::check_clustering;
 use dcluster_core::clustering::clustering;
 use dcluster_core::global_broadcast::global_broadcast;
 use dcluster_core::leader::leader_election;
@@ -133,7 +133,8 @@ impl Runner {
     /// deployment layers realize to zero points (e.g. every layer has
     /// `n=0`), a `deploy corridor` spine spacing is not positive, the ID
     /// settings are inconsistent with the node count, or a
-    /// `dynamics het_power` spread is negative.
+    /// `dynamics het_power` spread is negative or gives a node a power
+    /// that is not finite.
     pub fn build_network(&self) -> Result<Network, SpecError> {
         let layers = &self.spec.deploy.layers;
         if layers.is_empty() {
@@ -207,11 +208,14 @@ impl Runner {
                 line: 0,
                 msg: format!("dynamics het_power: spread must be ≥ 0, got {spread}"),
             }),
-            DynamicsSpec::HetPower { spread } => Ok(dcluster_dynamics::with_power_profile(
-                &net,
-                spread,
-                self.spec.seed ^ 3,
-            )),
+            DynamicsSpec::HetPower { spread } => {
+                dcluster_dynamics::with_power_profile(&net, spread, self.spec.seed ^ 3).map_err(
+                    |e| SpecError {
+                        line: 0,
+                        msg: format!("dynamics het_power: spread {spread:e}: {e}"),
+                    },
+                )
+            }
             _ => Ok(net),
         })
     }
@@ -553,12 +557,6 @@ impl Runner {
     }
 }
 
-/// Convenience for sub-protocol probes (the fig2/fig3/fig4 style
-/// binaries): the clustering-quality report of an explicit assignment.
-pub fn quality(net: &Network, cluster_of: &[Option<u64>]) -> ClusteringReport {
-    check_clustering(net, cluster_of)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,7 +647,7 @@ mod tests {
             .dynamics(DynamicsSpec::HetPower { spread: 0.3 });
         let got = Runner::new(spec).build_network().unwrap();
         let base = connected_deployment(40, 8, 0xD15C0).unwrap();
-        let want = dcluster_dynamics::with_power_profile(&base, 0.3, 0xD15C0 ^ 3);
+        let want = dcluster_dynamics::with_power_profile(&base, 0.3, 0xD15C0 ^ 3).unwrap();
         assert_eq!(got.powers(), want.powers());
         assert_eq!(got.points(), want.points());
     }

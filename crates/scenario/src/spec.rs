@@ -355,24 +355,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Total node count the deployment layers request (the `Corridor`
-    /// spine and `Degree` fallback may add more at build time).
-    pub fn requested_nodes(&self) -> usize {
-        self.deploy
-            .layers
-            .iter()
-            .map(|l| match *l {
-                DeployLayer::Uniform { n, .. }
-                | DeployLayer::Degree { n, .. }
-                | DeployLayer::Corridor { n, .. }
-                | DeployLayer::Line { n, .. }
-                | DeployLayer::Ring { n, .. } => n,
-                DeployLayer::Clumped { centers, per, .. } => centers * per,
-                DeployLayer::Grid { rows, cols, .. } => rows * cols,
-            })
-            .sum()
-    }
-
     // ---- text format ----------------------------------------------------
 
     /// Renders the canonical text form. Guaranteed inverse of
@@ -910,7 +892,10 @@ mod tests {
         let spec = ScenarioSpec::parse(text).unwrap();
         assert_eq!(spec.seed, 0xD15C0);
         assert_eq!(spec.name, "t");
-        assert_eq!(spec.requested_nodes(), 10);
+        assert_eq!(
+            spec.deploy.layers,
+            [DeployLayer::Uniform { n: 10, side: 2.0 }]
+        );
     }
 
     #[test]

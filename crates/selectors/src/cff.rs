@@ -120,12 +120,6 @@ impl CoverFreeFamily {
         }
         None
     }
-
-    /// The maximum number of neighbors `select_free` tolerates:
-    /// `⌊(q−1)/t⌋`.
-    pub fn degree_capacity(&self) -> usize {
-        ((self.q - 1) / self.t as u64) as usize
-    }
 }
 
 /// Iterated Linial reduction fixed point: the number of colors at which
@@ -144,7 +138,6 @@ mod tests {
         for &(m, d) in &[(100u64, 3usize), (10_000, 5), (1 << 30, 8)] {
             let c = CoverFreeFamily::for_colors(m, d);
             assert!(c.field_size() > (d as u64) * u64::from(c.t), "q > d·t");
-            assert!(c.degree_capacity() >= d);
         }
     }
 

@@ -28,14 +28,14 @@
 //! computed in O(1) by hashing, so no family is ever materialized — a
 //! `(N,k)`-wss of length 10⁶ occupies a few dozen bytes.
 //!
-//! [`verify`] provides property checkers (used heavily by proptest suites
-//! and by the experiment harness to validate scaled-down schedule lengths).
+//! [`verify`] provides property checkers, which the proptest suites use to
+//! validate both theory-length families and the scaled-down schedule
+//! lengths the experiment harness runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cff;
-pub mod greedy;
 pub mod primes;
 pub mod ssf;
 pub mod theory;
@@ -44,7 +44,6 @@ pub mod wcss;
 pub mod wss;
 
 pub use cff::CoverFreeFamily;
-pub use greedy::GreedySsf;
 pub use ssf::{RandomSsf, RsSsf};
 pub use wcss::{RandomWcss, WcssRound};
 pub use wss::RandomWss;

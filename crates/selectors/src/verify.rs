@@ -54,34 +54,34 @@ pub fn is_wcss_for(s: &RandomWcss, xs: &[u64], y: u64, phi: u64, conflicts: &[u6
     })
 }
 
-/// Statistical failure rate of the ssf property over random `k`-subsets of
-/// `[1, n_univ]` — used to calibrate scaled-down schedule lengths.
-pub fn ssf_failure_rate<S: Schedule + ?Sized>(
-    s: &S,
-    n_univ: u64,
-    k: usize,
-    trials: usize,
-    rng: &mut dcluster_sim::rng::Rng64,
-) -> f64 {
-    let mut failures = 0usize;
-    for _ in 0..trials {
-        let set: Vec<u64> = rng
-            .sample_distinct(n_univ, k)
-            .into_iter()
-            .map(|v| v + 1)
-            .collect();
-        if !is_ssf_for(s, &set) {
-            failures += 1;
-        }
-    }
-    failures as f64 / trials as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ssf::RandomSsf;
     use dcluster_sim::rng::Rng64;
+
+    /// Statistical failure rate of the ssf property over random
+    /// `k`-subsets of `[1, n_univ]`.
+    fn ssf_failure_rate<S: Schedule + ?Sized>(
+        s: &S,
+        n_univ: u64,
+        k: usize,
+        trials: usize,
+        rng: &mut Rng64,
+    ) -> f64 {
+        let mut failures = 0usize;
+        for _ in 0..trials {
+            let set: Vec<u64> = rng
+                .sample_distinct(n_univ, k)
+                .into_iter()
+                .map(|v| v + 1)
+                .collect();
+            if !is_ssf_for(s, &set) {
+                failures += 1;
+            }
+        }
+        failures as f64 / trials as f64
+    }
 
     #[test]
     fn selects_detects_unique_transmitter() {

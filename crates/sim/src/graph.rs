@@ -23,15 +23,6 @@ impl Graph {
         Self { adj }
     }
 
-    /// Builds a graph from an edge list.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Self::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
-    }
-
     /// Adds the undirected edge `{u, v}` (idempotent; self-loops ignored).
     pub fn add_edge(&mut self, u: usize, v: usize) {
         if u == v {
@@ -199,8 +190,16 @@ impl Graph {
 mod tests {
     use super::*;
 
+    fn from_edges(n: usize, edges: &[(usize, usize)]) -> Graph {
+        let mut g = Graph::new(n);
+        for &(u, v) in edges {
+            g.add_edge(u, v);
+        }
+        g
+    }
+
     fn path(n: usize) -> Graph {
-        Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
+        from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
     }
 
     #[test]
@@ -228,7 +227,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_reports_none_diameter() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        let g = from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!g.is_connected());
         assert_eq!(g.diameter(), None);
         assert_eq!(g.components().len(), 2);

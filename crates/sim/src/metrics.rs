@@ -1,8 +1,8 @@
-//! Geometric quantities from §2 of the paper: the packing function
-//! `χ(r1, r2)`, the close-pair distance bound `d_{Γ,r}`, the density of a
-//! clustered set, and a reference implementation of the **close pair**
-//! predicate (Definition 1) used to validate the protocol stack. The
-//! density of a network's whole node set is [`crate::Network::density`].
+//! Geometric quantities from §2 of the paper: a packing bound on
+//! `χ(r1, r2)`, the close-pair distance bound `d_{Γ,r}`, and a reference
+//! implementation of the **close pair** predicate (Definition 1) used to
+//! validate the protocol stack. The density of a network's node set is
+//! [`crate::Network::density`].
 
 use crate::point::Point;
 
@@ -16,14 +16,6 @@ pub fn chi_upper(r1: f64, r2: f64) -> usize {
     assert!(r1 > 0.0 && r2 > 0.0);
     let ratio = 1.0 + 2.0 * r1 / r2;
     (ratio * ratio).floor() as usize
-}
-
-/// Lower bound on `χ(r1, r2)` via a hexagonal packing estimate
-/// (`(π/√12) · (2r1/r2 + 1)² / π ≈ 0.23·(2r1/r2+1)²`, clamped to ≥ 1).
-pub fn chi_lower(r1: f64, r2: f64) -> usize {
-    assert!(r1 > 0.0 && r2 > 0.0);
-    let ratio = 2.0 * r1 / r2 + 1.0;
-    ((ratio * ratio) * 0.22).floor().max(1.0) as usize
 }
 
 /// The paper's `d_{Γ,r}`: the smallest `d` with `χ(r, d) ≥ Γ/2`. Since a
@@ -40,17 +32,6 @@ pub fn d_gamma_r(gamma: usize, r: f64) -> f64 {
         return 2.0 * r;
     }
     2.0 * r / (half.sqrt() - 1.0)
-}
-
-/// Density of a *clustered* set: the largest cluster size (paper §2).
-/// `cluster_of[i]` is the cluster of point `i`; `None` entries (nodes not in
-/// any cluster) are ignored.
-pub fn density_clustered(cluster_of: &[Option<u64>]) -> usize {
-    let mut counts = std::collections::BTreeMap::new();
-    for c in cluster_of.iter().flatten() {
-        *counts.entry(*c).or_insert(0usize) += 1;
-    }
-    counts.values().copied().max().unwrap_or(0)
 }
 
 /// A close pair per Definition 1, found by [`close_pairs`].
@@ -137,7 +118,7 @@ mod tests {
     #[test]
     fn chi_bounds_are_ordered_and_monotone() {
         for &(r1, r2) in &[(1.0, 1.0), (2.0, 0.5), (5.0, 0.8), (1.0, 0.1)] {
-            assert!(chi_lower(r1, r2) <= chi_upper(r1, r2));
+            assert!(chi_upper(r1, r2) >= 1, "a ball holds its own center");
         }
         assert!(chi_upper(2.0, 0.5) >= chi_upper(1.0, 0.5));
         assert!(chi_upper(1.0, 0.25) >= chi_upper(1.0, 0.5));
@@ -201,13 +182,6 @@ mod tests {
                 "min pair {min_pair} > d_gamma_r {d} for gamma {gamma}"
             );
         }
-    }
-
-    #[test]
-    fn density_clustered_counts_largest_cluster() {
-        let clusters = vec![Some(1), Some(1), Some(2), None, Some(1), Some(2)];
-        assert_eq!(density_clustered(&clusters), 3);
-        assert_eq!(density_clustered(&[]), 0);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl fmt::Display for NetworkError {
                 write!(f, "{points} points but {powers} powers")
             }
             NetworkError::BadPower { node, power } => {
-                write!(f, "node {node} has non-positive power {power}")
+                write!(f, "node {node} has power {power}, not positive and finite")
             }
             NetworkError::NonFinitePosition { node, position } => {
                 write!(f, "node {node} has non-finite position {position}")
@@ -257,15 +257,6 @@ impl Network {
     #[inline]
     pub fn max_range(&self) -> f64 {
         self.max_range
-    }
-
-    /// Communication radius of node `v`: `range_of(v)·(1−ε)`. A comm-graph
-    /// edge `{u, v}` requires `d(u, v) ≤ min(comm radius of u, of v)` — a
-    /// bidirectional link; under uniform power this is the paper's
-    /// distance-`(1−ε)` rule.
-    #[inline]
-    pub fn comm_radius_of(&self, v: usize) -> f64 {
-        self.ranges[v] * (1.0 - self.params.epsilon)
     }
 
     /// Received signal strength of transmitter `w` at distance `d`:
@@ -527,7 +518,6 @@ mod tests {
         for v in 0..net.len() {
             assert_eq!(net.power_of(v), net.params().power);
             assert!((net.range_of(v) - 1.0).abs() < 1e-12);
-            assert!((net.comm_radius_of(v) - 0.8).abs() < 1e-12);
             let d = 0.37;
             assert_eq!(net.signal_from(v, d), net.params().signal(d));
         }

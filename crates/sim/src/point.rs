@@ -42,11 +42,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Midpoint of the segment `self`–`other`.
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// True iff `self` lies in the closed ball `B(center, r)`.
     #[inline]
     pub fn in_ball(self, center: Point, r: f64) -> bool {
@@ -108,7 +103,6 @@ mod tests {
         assert_eq!(a + b, Point::new(4.0, 1.0));
         assert_eq!(b - a, Point::new(2.0, -3.0));
         assert_eq!(a * 2.0, Point::new(2.0, 4.0));
-        assert_eq!(a.midpoint(b), Point::new(2.0, 0.5));
     }
 
     #[test]

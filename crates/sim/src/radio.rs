@@ -592,12 +592,6 @@ impl SinrResolver for AggregatedResolver {
     }
 }
 
-/// Resolves one round with the naive oracle (shorthand for tests and
-/// auditing).
-pub fn resolve_naive(net: &Network, transmitters: &[usize]) -> Vec<Reception> {
-    NaiveResolver::new().resolve(net, transmitters)
-}
-
 /// Total received power (noise excluded) at every node for a transmitter
 /// set — the quantity a **carrier-sensing** radio would measure. This is a
 /// *model feature* the paper's pure setting forbids; it exists here for
@@ -615,20 +609,6 @@ pub fn sensed_power(net: &Network, transmitters: &[usize]) -> Vec<f64> {
         .collect()
 }
 
-/// Computes `SINR(v, u, T)` literally per Eq. (1) of the paper (diagnostic
-/// helper; `v` must be in `transmitters`).
-pub fn sinr(net: &Network, v: usize, u: usize, transmitters: &[usize]) -> f64 {
-    let p = net.params();
-    debug_assert!(transmitters.contains(&v));
-    let s = net.signal_between(v, u);
-    let interference: f64 = transmitters
-        .iter()
-        .filter(|&&w| w != v)
-        .map(|&w| net.signal_between(w, u))
-        .sum();
-    s / (p.noise + interference)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,6 +617,25 @@ mod tests {
 
     fn net_of(points: Vec<Point>) -> Network {
         Network::builder(points).build().unwrap()
+    }
+
+    /// Resolves one round with the naive oracle.
+    fn resolve_naive(net: &Network, transmitters: &[usize]) -> Vec<Reception> {
+        NaiveResolver::new().resolve(net, transmitters)
+    }
+
+    /// Computes `SINR(v, u, T)` literally per Eq. (1) of the paper (`v`
+    /// must be in `transmitters`).
+    fn sinr(net: &Network, v: usize, u: usize, transmitters: &[usize]) -> f64 {
+        let p = net.params();
+        debug_assert!(transmitters.contains(&v));
+        let s = net.signal_between(v, u);
+        let interference: f64 = transmitters
+            .iter()
+            .filter(|&&w| w != v)
+            .map(|&w| net.signal_between(w, u))
+            .sum();
+        s / (p.noise + interference)
     }
 
     /// One round's receptions from every resolution path: the oracle, the

@@ -53,14 +53,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Quotes `s` as a JSON string literal (with the mandatory escapes).
@@ -256,7 +248,7 @@ mod tests {
             v.get("b").and_then(|b| b.get("c")).and_then(Value::as_str),
             Some("x\"y")
         );
-        assert_eq!(v.get("d").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("d"), Some(&Value::Bool(true)));
         assert_eq!(v.get("e"), Some(&Value::Null));
     }
 

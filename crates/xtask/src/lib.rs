@@ -1,9 +1,14 @@
 //! Workspace-local developer tooling (`cargo run -p xtask -- <task>`).
 //!
-//! Tasks: `lint` — a dependency-free, source-level determinism &
-//! soundness pass over every `.rs` file in the workspace — and
-//! `tracediff` — a structural diff of two observability traces
-//! ([`tracediff`]) that names the first divergent round.
+//! Tasks:
+//!
+//! * `lint` — a dependency-free, source-level determinism & soundness
+//!   pass over every `.rs` file in the workspace;
+//! * `tracediff` — a structural diff of two observability traces
+//!   ([`tracediff`]) that names the first divergent round;
+//! * `unused` — a report of the `pub` items no non-test code names
+//!   ([`unused`]).
+//!
 //! Everything fast in this reproduction is gated on byte-identical
 //! equivalence between backends and across reruns, so the most dangerous
 //! regressions are the ones the type system happily accepts — an iterated
@@ -25,6 +30,7 @@ pub mod policy;
 pub mod rules;
 pub mod scan;
 pub mod tracediff;
+pub mod unused;
 pub mod walk;
 
 use std::path::Path;

@@ -5,6 +5,9 @@
 //! observability traces (schema `dcluster-trace/1` or `/2` on either
 //! side), naming the first divergent round/event and its line in each.
 //!
+//! `cargo run -p xtask -- unused` — list the `pub` items that no non-test
+//! code names (a report, not a gate: it exits 0 whatever it finds).
+//!
 //! Exit status: 0 clean/identical, 1 diagnostics or divergence found,
 //! 2 usage or I/O error.
 
@@ -14,7 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use xtask::tracediff::DiffOutcome;
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint [--format human|json] [--root DIR] [--policy FILE]\n       cargo run -p xtask -- tracediff <A.jsonl> <B.jsonl>";
+const USAGE: &str = "usage: cargo run -p xtask -- lint [--format human|json] [--root DIR] [--policy FILE]\n       cargo run -p xtask -- tracediff <A.jsonl> <B.jsonl>\n       cargo run -p xtask -- unused";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("xtask: {msg}");
@@ -75,12 +78,38 @@ fn run_tracediff(args: &[String]) -> ExitCode {
     }
 }
 
+fn run_unused(args: &[String]) -> ExitCode {
+    if !args.is_empty() {
+        return fail("unused takes no arguments");
+    }
+    let Some(root) = find_workspace_root() else {
+        return fail("cannot locate the workspace root (run from inside the workspace)");
+    };
+    match xtask::unused::find_unused(&root) {
+        Ok(items) => {
+            for item in &items {
+                println!("{item}");
+            }
+            eprintln!(
+                "unused: {} pub item(s) that no non-test code names (a name match: review before deleting)",
+                items.len()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("lint") => {}
         Some("tracediff") => return run_tracediff(&args[1..]),
+        Some("unused") => return run_unused(&args[1..]),
         Some(other) => return fail(&format!("unknown task `{other}`")),
         None => return fail("missing task"),
     }

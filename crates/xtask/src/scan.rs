@@ -34,7 +34,7 @@ pub fn scan_source(src: &str) -> Vec<Line> {
     lines
 }
 
-fn is_ident(c: char) -> bool {
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 

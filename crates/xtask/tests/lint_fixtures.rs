@@ -5,6 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use xtask::json::Value;
 
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -81,7 +82,7 @@ fn json_output_round_trips_and_exits_nonzero_on_findings() {
     ]);
     assert_eq!(code, Some(1), "diagnostics must exit 1");
     let v = xtask::json::parse(&stdout).expect("stdout is valid JSON");
-    assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(false));
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
     assert_eq!(
         v.get("count").and_then(|c| c.as_f64()),
         Some(EXPECTED.len() as f64)
@@ -110,7 +111,7 @@ fn clean_tree_exits_zero_in_both_formats() {
     let (code, stdout, _) = run_binary(&["lint", "--format", "json", "--root", root_arg]);
     assert_eq!(code, Some(0));
     let v = xtask::json::parse(&stdout).expect("valid JSON");
-    assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(true));
+    assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
     assert_eq!(v.get("count").and_then(|c| c.as_f64()), Some(0.0));
 }
 
