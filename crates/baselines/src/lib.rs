@@ -42,7 +42,7 @@ pub mod global;
 pub mod local;
 mod tracker;
 
-pub use tracker::{DeliveryTracker, FeedbackOracle};
+pub use tracker::DeliveryTracker;
 
 use std::collections::HashSet;
 

@@ -56,19 +56,6 @@ impl DeliveryTracker {
     }
 }
 
-/// The explicit *feedback* model feature of Table 1's \[19\]/\[4\] rows: at the
-/// end of each round a node may ask whether its local broadcast is done.
-/// This is exactly the capability the paper's pure model lacks.
-#[derive(Debug, Clone, Copy)]
-pub struct FeedbackOracle;
-
-impl FeedbackOracle {
-    /// Answers the feedback query for node `v`.
-    pub fn done(tracker: &DeliveryTracker, v: usize) -> bool {
-        tracker.node_done(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,6 @@
 use dcluster_bench::{
     print_table, resolver_flag, scenario_override, write_csv, Runner, ScenarioSpec,
 };
-use dcluster_core::mis::MisStrategy;
 use dcluster_core::sparsify::{
     sparsification, sparsification_u, subset_density, IndependentSetRule,
 };
@@ -44,14 +43,7 @@ fn main() {
             );
             (out.kept, out.links.len(), engine.stats().rounds)
         } else {
-            let out = sparsification_u(
-                &mut engine,
-                &params,
-                &mut seeds,
-                gamma,
-                &all,
-                MisStrategy::GreedyById,
-            );
+            let out = sparsification_u(&mut engine, &params, &mut seeds, gamma, &all);
             (out.last().to_vec(), out.links.len(), engine.stats().rounds)
         };
         let density_after = subset_density(&engine, &kept);

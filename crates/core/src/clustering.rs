@@ -15,12 +15,11 @@
 //! 1-clustering — keeping the radius constant at every step, which is what
 //! lets the cluster-aware selectors work with O(1) conflicts.
 
-use crate::mis::MisStrategy;
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
 use crate::radius::radius_reduction;
 use crate::run::SeedSeq;
-use crate::sparsify::{sparsification_u, subset_density, LevelsOutcome};
+use crate::sparsify::{log43, sparsification_u, subset_density, LevelsOutcome};
 use dcluster_sim::engine::Engine;
 
 /// A finished clustering (Theorem 1 output).
@@ -40,7 +39,7 @@ pub struct Clustering {
 impl Clustering {
     /// The cluster of `v`, falling back to `v`'s own ID for unassigned
     /// nodes — the canonical "every node belongs somewhere" view the
-    /// downstream protocols (stack, sparsification, label sweeps) share:
+    /// downstream protocols (sparsification, label sweeps) share:
     /// a node outside the clustered set behaves as its own singleton
     /// cluster.
     pub fn cluster_or_id(&self, net: &dcluster_sim::Network, v: usize) -> u64 {
@@ -65,10 +64,9 @@ pub fn clustering(
     let start_round = engine.round();
     let net = engine.network();
     let n = net.len();
-    let strategy = MisStrategy::GreedyById;
 
     // ---- Phase A: nested sparsification (Alg. 6 lines 1–7).
-    let k = ((gamma.max(2) as f64).ln() / (4.0f64 / 3.0).ln()).ceil() as usize;
+    let k = log43(gamma);
     let mut chain: Vec<(LevelsOutcome, usize)> = Vec::new(); // (outcome, Λ used)
     let mut x: Vec<usize> = a.to_vec();
     let mut lambda = gamma.max(1) as f64;
@@ -76,14 +74,7 @@ pub fn clustering(
         if x.len() <= 2 {
             break;
         }
-        let su = sparsification_u(
-            engine,
-            params,
-            seeds,
-            (lambda.ceil() as usize).max(1),
-            &x,
-            strategy,
-        );
+        let su = sparsification_u(engine, params, seeds, (lambda.ceil() as usize).max(1), &x);
         let progressed = su.last().len() < x.len();
         x = su.last().to_vec();
         chain.push((su, (lambda.ceil() as usize).max(1)));
@@ -161,7 +152,7 @@ pub fn clustering(
                 o
             };
             let rr_gamma = lambda_up.max(*step_gamma).max(2);
-            let rr = radius_reduction(engine, params, seeds, rr_gamma, &accum, &old, 2.0, strategy);
+            let rr = radius_reduction(engine, params, seeds, rr_gamma, &accum, &old, 2.0);
             let mut ok = true;
             for &v in &accum {
                 match rr.cluster_of[v] {

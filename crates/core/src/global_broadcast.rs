@@ -12,12 +12,11 @@
 
 use crate::check::missing_deliveries;
 use crate::labeling::imperfect_labeling;
-use crate::mis::MisStrategy;
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
 use crate::radius::radius_reduction;
 use crate::run::SeedSeq;
-use crate::sns::run_sns;
+use crate::sns::{label_sweep, run_sns};
 use crate::sparsify::full_sparsification;
 use dcluster_sim::engine::Engine;
 use std::collections::HashSet;
@@ -81,38 +80,29 @@ pub fn sms_broadcast(
         "SMSB requires pairwise source distance > 1 − ε"
     );
 
-    let mut awake = vec![false; n];
-    let mut cluster_of: Vec<Option<u64>> = vec![None; n];
-    let mut heard_by: Vec<HashSet<usize>> = vec![HashSet::new(); n]; // lint:allow(D1, reason = "delivery-witness sets; membership queries only")
+    let mut nodes = Nodes {
+        awake: vec![false; n],
+        cluster_of: vec![None; n],
+        heard_by: vec![HashSet::new(); n], // lint:allow(D1, reason = "delivery-witness sets; membership queries only")
+    };
     let mut phases: Vec<PhaseRecord> = Vec::new();
 
     // Phase 0 (Alg. 8 lines 1–2): sources transmit via SNS; receivers wake
     // and join the cluster of their awakener (= the source's ID).
     for &s in sources {
-        awake[s] = true;
-        cluster_of[s] = Some(net.id(s));
+        nodes.awake[s] = true;
+        nodes.cluster_of[s] = Some(net.id(s));
     }
-    let mut layer: Vec<usize> = {
-        let net = engine.network();
-        let run = run_sns(engine, params, seeds, sources, |v| Msg::Payload {
-            id: net.id(v),
-            cluster: net.id(v),
-            data,
-        });
-        let mut new_layer = Vec::new();
-        for (recv, sender, msg) in run.receptions {
-            heard_by[sender].insert(recv);
-            if let Msg::Payload { cluster, .. } = msg {
-                if !awake[recv] {
-                    awake[recv] = true;
-                    cluster_of[recv] = Some(cluster);
-                    new_layer.push(recv);
-                }
-            }
-        }
-        new_layer.sort_unstable();
-        new_layer
-    };
+    let run = run_sns(engine, params, seeds, sources, |v| Msg::Payload {
+        id: net.id(v),
+        cluster: net.id(v),
+        data,
+    });
+    let mut layer = Vec::new();
+    for (recv, sender, msg) in run.receptions {
+        nodes.hear(recv, sender, msg, &mut layer);
+    }
+    layer.sort_unstable();
 
     // Phases 1, 2, … (lines 3–6): loop while the previous phase woke nodes.
     // The paper runs ⌈D⌉ phases (D is known); we stop when a phase wakes
@@ -123,66 +113,40 @@ pub fn sms_broadcast(
         let phase_start = engine.round();
 
         // Stage 1: imperfect labeling of the 1-clustered layer.
-        let clusters: Vec<u64> = (0..n).map(|v| cluster_of[v].unwrap_or(0)).collect();
+        let clusters: Vec<u64> = (0..n).map(|v| nodes.cluster_of[v].unwrap_or(0)).collect();
         let fs = full_sparsification(engine, params, seeds, delta, &layer, &clusters);
-        let lab = imperfect_labeling(engine, &fs, params.kappa);
+        let lab = imperfect_labeling(engine, &fs);
         let stage1_end = engine.round();
 
         // Stage 2: local broadcast from the layer, label by label; sleepers
-        // wake and inherit clusters (2-clustering of the new layer).
-        let label_bound = if params.adaptive {
-            lab.max_label() as usize
-        } else {
-            delta.max(1)
+        // wake and inherit clusters (2-clustering of the new layer). Only
+        // layer nodes hold labels and only sleepers change cluster, so
+        // `clusters` stays every transmitter's cluster throughout.
+        let payload = |v| Msg::Payload {
+            id: net.id(v),
+            cluster: clusters[v],
+            data,
         };
-        let mut newly: Vec<usize> = Vec::new();
-        for l in 1..=label_bound as u32 {
-            let members: Vec<usize> = layer
-                .iter()
-                .copied()
-                .filter(|&v| lab.label[v] == l)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let net = engine.network();
-            let clusters_now: Vec<u64> = (0..n).map(|v| cluster_of[v].unwrap_or(0)).collect();
-            let run = run_sns(engine, params, seeds, &members, |v| Msg::Payload {
-                id: net.id(v),
-                cluster: clusters_now[v],
-                data,
-            });
-            for (recv, sender, msg) in run.receptions {
-                heard_by[sender].insert(recv);
-                if let Msg::Payload { cluster, .. } = msg {
-                    if !awake[recv] {
-                        awake[recv] = true;
-                        cluster_of[recv] = Some(cluster);
-                        newly.push(recv);
-                    }
-                }
-            }
-        }
+        let mut newly = Vec::new();
+        label_sweep(
+            engine,
+            params,
+            seeds,
+            &lab,
+            delta,
+            payload,
+            |recv, sender, msg| nodes.hear(recv, sender, msg, &mut newly),
+        );
         newly.sort_unstable();
-        newly.dedup();
         let stage2_end = engine.round();
 
         // Stage 3: the inherited clustering has radius ≤ 2; reduce to 1.
         if !newly.is_empty() {
-            let old: Vec<u64> = (0..n).map(|v| cluster_of[v].unwrap_or(0)).collect();
-            let rr = radius_reduction(
-                engine,
-                params,
-                seeds,
-                delta,
-                &newly,
-                &old,
-                2.0,
-                MisStrategy::GreedyById,
-            );
+            let old: Vec<u64> = (0..n).map(|v| nodes.cluster_of[v].unwrap_or(0)).collect();
+            let rr = radius_reduction(engine, params, seeds, delta, &newly, &old, 2.0);
             for &v in &newly {
                 if let Some(c) = rr.cluster_of[v] {
-                    cluster_of[v] = Some(c);
+                    nodes.cluster_of[v] = Some(c);
                 }
             }
         }
@@ -190,7 +154,7 @@ pub fn sms_broadcast(
         phases.push(PhaseRecord {
             phase: phase_no,
             newly_awake: newly.len(),
-            awake_total: awake.iter().filter(|&&a| a).count(),
+            awake_total: nodes.awake.iter().filter(|&&a| a).count(),
             rounds: engine.round() - phase_start,
             stage1_rounds: stage1_end - phase_start,
             stage2_rounds: stage2_end - stage1_end,
@@ -199,17 +163,43 @@ pub fn sms_broadcast(
         layer = newly;
     }
 
-    let delivered_all = awake.iter().all(|&a| a);
+    let delivered_all = nodes.awake.iter().all(|&a| a);
     let local_broadcast_ok =
-        delivered_all && missing_deliveries(engine.network(), &heard_by).is_empty();
+        delivered_all && missing_deliveries(engine.network(), &nodes.heard_by).is_empty();
     engine.end_phase();
     BroadcastOutcome {
         rounds: engine.round() - start,
         delivered_all,
         local_broadcast_ok,
-        awake,
-        cluster_of,
+        awake: nodes.awake,
+        cluster_of: nodes.cluster_of,
         phases,
+    }
+}
+
+/// What SMSB knows of every node.
+struct Nodes {
+    /// Woken so far.
+    awake: Vec<bool>,
+    /// Cluster joined on waking (`None` while asleep).
+    cluster_of: Vec<Option<u64>>,
+    /// `heard_by[v]` = the nodes that received `v`'s transmissions.
+    heard_by: Vec<HashSet<usize>>, // lint:allow(D1, reason = "delivery-witness sets; membership queries only")
+}
+
+impl Nodes {
+    /// Records a reception of phase 0 or of a stage 2 as a delivery; a
+    /// sleeping receiver wakes, joins the cluster its awakener announced
+    /// and is pushed onto `woken`.
+    fn hear(&mut self, recv: usize, sender: usize, msg: Msg, woken: &mut Vec<usize>) {
+        self.heard_by[sender].insert(recv);
+        if let Msg::Payload { cluster, .. } = msg {
+            if !self.awake[recv] {
+                self.awake[recv] = true;
+                self.cluster_of[recv] = Some(cluster);
+                woken.push(recv);
+            }
+        }
     }
 }
 

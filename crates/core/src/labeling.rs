@@ -32,35 +32,28 @@ impl Labeling {
 }
 
 /// Computes the Lemma 11 labeling from a finished sparsification forest.
-/// Costs `O(κ · Σ |S_u|) = O(Γ log N)` rounds (one bottom-up pass plus κ
-/// top-down sub-passes per unit).
-pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: usize) -> Labeling {
+/// Costs `O(κ · Σ |S_u|) = O(Γ log N)` rounds: one bottom-up pass, plus
+/// one top-down sub-pass per unit for each child a parent acquired there,
+/// at most κ, the proximity graph's degree cap.
+pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome) -> Labeling {
     engine.begin_phase("labeling");
     let net = engine.network();
     let n = net.len();
     let members = &out.levels[0];
     let parent = out.parent_array(n);
 
-    // Children of each parent within each unit, and the parent's full
-    // ordered child list (acquisition order: by unit, then by child ID) —
-    // the parent knows both from the `Parent` messages it received.
+    // Children of each parent within each unit, by child ID; the key
+    // order lists a parent's children in acquisition order (by unit, then
+    // by ID). The parent knows them from the `Parent` messages it received.
     let mut children_in_unit: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    let mut all_children: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new(); // parent → [(unit, child)]
     for l in &out.links {
         children_in_unit
             .entry((l.parent, l.unit))
             .or_default()
             .push(l.child);
-        all_children
-            .entry(l.parent)
-            .or_default()
-            .push((l.unit, l.child));
     }
     for list in children_in_unit.values_mut() {
         list.sort_unstable_by_key(|&c| net.id(c));
-    }
-    for list in all_children.values_mut() {
-        list.sort_unstable_by_key(|&(u, c)| (u, net.id(c)));
     }
 
     // ---- Bottom-up: subtree sizes. Children removed at unit u transmit
@@ -122,7 +115,7 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
 
     // ---- Top-down: ranges. Roots start with [1, size]; processing units
     // in reverse order, each parent hands consecutive chunks to the
-    // children it acquired at that unit (≤ κ of them ⇒ κ sub-replays).
+    // children it acquired at that unit, one child per sub-replay.
     let mut range: Vec<Option<(u32, u32)>> = vec![None; n];
     for &v in members {
         if parent[v].is_none() {
@@ -133,7 +126,8 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
     // own label and all earlier children's subtrees.
     let chunk_of = |p: usize, child: usize, range_p: (u32, u32)| -> (u32, u32) {
         let mut lo = range_p.0 + 1;
-        for &(_, c) in &all_children[&p] {
+        let acquired = children_in_unit.range((p, 0)..=(p, usize::MAX));
+        for &c in acquired.flat_map(|(_, cs)| cs) {
             if c == child {
                 return (lo, lo + size[c] - 1);
             }
@@ -149,7 +143,7 @@ pub fn imperfect_labeling(engine: &mut Engine<'_>, out: &LevelsOutcome, kappa: u
             .map(|(_, cs)| cs.len())
             .max()
             .unwrap_or(0);
-        for j in 0..max_fanout.min(kappa.max(max_fanout)) {
+        for j in 0..max_fanout {
             let net = engine.network();
             let range_ref = &range;
             let children_ref = &children_in_unit;
@@ -238,7 +232,7 @@ mod tests {
             &all,
             &cluster_of,
         );
-        let lab = imperfect_labeling(&mut engine, &out, params.kappa);
+        let lab = imperfect_labeling(&mut engine, &out);
         (net, lab, cluster_of)
     }
 

@@ -5,7 +5,7 @@
 //!
 //! | Paper item | Module |
 //! |---|---|
-//! | Sparse Network Schedule (Lemma 4) | [`sns`] |
+//! | Sparse Network Schedule (Lemma 4) and the label sweep of Algs. 7–8 | [`sns`] |
 //! | `ProximityGraphConstruction` (Alg. 1, Lemma 7) | [`proximity`] |
 //! | LOCAL MIS simulation (\[34\] stand-in) | [`mis`] |
 //! | `Sparsification`/`SparsificationU`/`FullSparsification` (Algs. 2–4) | [`sparsify`] |

@@ -4,10 +4,10 @@
 //! `O(∆ log N log* N)` rounds with no randomization, location, carrier
 //! sensing or feedback. Pipeline: (1) [`crate::clustering`] builds a
 //! 1-clustering; (2) [`crate::labeling`] assigns an imperfect labeling
-//! (each label O(1) times per cluster); (3) one Sparse Network Schedule per
-//! label value — the set of nodes holding any fixed label has constant
-//! density, so SNS delivers each of their messages to everything within
-//! `1 − ε` (Lemma 4).
+//! (each label O(1) times per cluster); (3) [`crate::sns::label_sweep`]:
+//! one Sparse Network Schedule per label value — the set of nodes holding
+//! any fixed label has constant density, so SNS delivers each of their
+//! messages to everything within `1 − ε` (Lemma 4).
 
 use crate::check::missing_deliveries;
 use crate::clustering::{clustering, Clustering};
@@ -15,7 +15,7 @@ use crate::labeling::{imperfect_labeling, Labeling};
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
 use crate::run::SeedSeq;
-use crate::sns::run_sns;
+use crate::sns::label_sweep;
 use crate::sparsify::full_sparsification;
 use dcluster_sim::engine::Engine;
 use std::collections::HashSet;
@@ -60,15 +60,13 @@ pub fn local_broadcast(
 
     // Step 2: imperfect labeling (Lemma 11).
     let fs = full_sparsification(engine, params, seeds, delta, &all, &cluster_of);
-    let lab = imperfect_labeling(engine, &fs, params.kappa);
+    let lab = imperfect_labeling(engine, &fs);
 
-    // Step 3: one SNS per label (Alg. 7 lines 3–4). Nodes know the bound ∆;
-    // in adaptive mode we stop at the largest label present (observer
-    // shortcut — sweeping silent labels costs rounds but changes nothing).
-    let label_bound = if params.adaptive {
-        lab.max_label() as usize
-    } else {
-        delta.max(1)
+    // Step 3: one SNS per label (Alg. 7 lines 3–4).
+    let payload = |v| Msg::Payload {
+        id: net.id(v),
+        cluster: cluster_of[v],
+        data: net.id(v),
     };
     let mut heard_by: Vec<HashSet<usize>> = vec![HashSet::new(); n]; // lint:allow(D1, reason = "delivery-witness sets; membership queries only")
     let mut sweeps = 0usize;
@@ -76,21 +74,17 @@ pub fn local_broadcast(
     let max_repair = if params.adaptive { 3 } else { 1 };
     for _repair in 0..max_repair {
         sweeps += 1;
-        for l in 1..=label_bound as u32 {
-            let members: Vec<usize> = (0..n).filter(|&v| lab.label[v] == l).collect();
-            if members.is_empty() {
-                continue;
-            }
-            let net = engine.network();
-            let run = run_sns(engine, params, seeds, &members, |v| Msg::Payload {
-                id: net.id(v),
-                cluster: cluster_of[v],
-                data: net.id(v),
-            });
-            for (recv, sender, _) in run.receptions {
+        label_sweep(
+            engine,
+            params,
+            seeds,
+            &lab,
+            delta,
+            payload,
+            |recv, sender, _| {
                 heard_by[sender].insert(recv);
-            }
-        }
+            },
+        );
         if missing_deliveries(engine.network(), &heard_by).is_empty() {
             break;
         }

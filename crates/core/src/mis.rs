@@ -16,7 +16,8 @@
 //! reduction through cover-free families down to `O(d²)` colors in
 //! `O(log* N)` replays, then a color-class sweep; and
 //! [`MisStrategy::GreedyById`] — iterated local-minima elimination
-//! (`O(log n)` replays in practice), the engineering default.
+//! (`O(log n)` replays in practice), the engineering default. The
+//! protocols run the default; [`local_mis`] takes either.
 
 use crate::msg::Msg;
 use crate::run::ReplayUnit;
@@ -59,7 +60,7 @@ pub fn local_minima(
 /// [`crate::run`]). Returns the characteristic vector.
 ///
 /// `degree_bound` must bound the degree of `adj` (the proximity graph's κ).
-/// `max_id` bounds the initial color space.
+/// The network's ID bound is the initial color space.
 ///
 /// # Panics
 ///
@@ -71,13 +72,12 @@ pub fn local_mis(
     members: &[usize],
     adj: &BTreeMap<usize, Vec<usize>>,
     degree_bound: usize,
-    max_id: u64,
     strategy: MisStrategy,
 ) -> Vec<bool> {
     engine.begin_phase("mis");
     let mis = match strategy {
         MisStrategy::GreedyById => greedy_mis(engine, unit, members, adj),
-        MisStrategy::LinialSweep => linial_mis(engine, unit, members, adj, degree_bound, max_id),
+        MisStrategy::LinialSweep => linial_mis(engine, unit, members, adj, degree_bound),
     };
     engine.end_phase();
     mis
@@ -113,9 +113,8 @@ fn greedy_mis(
     members: &[usize],
     adj: &BTreeMap<usize, Vec<usize>>,
 ) -> Vec<bool> {
-    let net = engine.network();
-    let n = net.len();
-    let ids: Vec<u64> = (0..n).map(|v| net.id(v)).collect();
+    let ids = engine.network().ids();
+    let n = ids.len();
     let mut in_mis = vec![false; n];
     let mut decided = vec![false; n];
     // Iteration bound: each pass decides at least the undecided min.
@@ -181,14 +180,13 @@ fn linial_mis(
     members: &[usize],
     adj: &BTreeMap<usize, Vec<usize>>,
     degree_bound: usize,
-    max_id: u64,
 ) -> Vec<bool> {
     let net = engine.network();
-    let n = net.len();
-    let ids: Vec<u64> = (0..n).map(|v| net.id(v)).collect();
+    let ids = net.ids();
+    let n = ids.len();
     // --- Color reduction: colors start as IDs, palette [0, m).
-    let mut color: Vec<u64> = ids.clone();
-    let mut m = max_id + 1;
+    let mut color: Vec<u64> = ids.to_vec();
+    let mut m = net.max_id() + 1;
     let target = linial_fixed_point(degree_bound);
     let mut guard = 0;
     while m > target {
@@ -337,7 +335,6 @@ mod tests {
             &members,
             &p.adj,
             params.kappa,
-            net.max_id(),
             MisStrategy::GreedyById,
         );
         check_mis(&p.adj, net.len(), &sel, &members);
@@ -363,7 +360,6 @@ mod tests {
             &members,
             &p.adj,
             params.kappa,
-            net.max_id(),
             MisStrategy::LinialSweep,
         );
         check_mis(&p.adj, net.len(), &sel, &members);
@@ -394,7 +390,6 @@ mod tests {
             &members,
             &adj,
             params.kappa,
-            net.max_id(),
             MisStrategy::GreedyById,
         );
         assert!(members.iter().all(|&v| sel[v]));

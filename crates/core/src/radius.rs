@@ -28,13 +28,10 @@ pub struct RadiusOutcome {
     pub cluster_of: Vec<Option<u64>>,
     /// The new cluster centers (node indices; cluster IDs are their IDs).
     pub centers: Vec<usize>,
-    /// Passes of the main loop actually executed.
-    pub iterations: usize,
 }
 
 /// Runs Algorithm 5 on the `r`-clustered set `x` (`old_cluster[v]` = the
 /// existing cluster of `v`; must be assigned for every member).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub fn radius_reduction(
     engine: &mut Engine<'_>,
     params: &ProtocolParams,
@@ -43,7 +40,6 @@ pub fn radius_reduction(
     x: &[usize],
     old_cluster: &[u64],
     r: f64,
-    strategy: MisStrategy,
 ) -> RadiusOutcome {
     let net = engine.network();
     let n = net.len();
@@ -52,13 +48,11 @@ pub fn radius_reduction(
     let mut newcluster: Vec<Option<u64>> = vec![None; n];
     let mut centers: Vec<usize> = Vec::new();
     let mut remaining: Vec<usize> = x.to_vec();
-    let mut iterations = 0;
 
     for _ in 0..cap {
         if remaining.is_empty() {
             break;
         }
-        iterations += 1;
         // (1) Sparsify the remaining nodes down to O(1) per old cluster.
         let fs = full_sparsification(engine, params, seeds, gamma, &remaining, old_cluster);
         let xk: Vec<usize> = fs.last().to_vec();
@@ -93,8 +87,7 @@ pub fn radius_reduction(
             &xk,
             &adj,
             params.mis_degree,
-            net.max_id(),
-            strategy,
+            MisStrategy::default(),
         );
         let d_nodes: Vec<usize> = xk.iter().copied().filter(|&v| d[v]).collect();
 
@@ -121,7 +114,6 @@ pub fn radius_reduction(
     RadiusOutcome {
         cluster_of: newcluster,
         centers,
-        iterations,
     }
 }
 
@@ -153,7 +145,6 @@ mod tests {
             &all,
             &old,
             3.0,
-            MisStrategy::GreedyById,
         );
         assert_eq!(
             out.cluster_of.iter().filter(|c| c.is_none()).count(),
@@ -192,7 +183,6 @@ mod tests {
             &all,
             &old,
             3.0,
-            MisStrategy::GreedyById,
         );
         for v in 0..net.len() {
             let c = out.cluster_of[v].expect("assigned");
@@ -213,16 +203,7 @@ mod tests {
         let params = ProtocolParams::practical();
         let mut seeds = SeedSeq::new(params.seed);
         let mut engine = Engine::new(&net);
-        let out = radius_reduction(
-            &mut engine,
-            &params,
-            &mut seeds,
-            1,
-            &[0],
-            &[1],
-            2.0,
-            MisStrategy::GreedyById,
-        );
+        let out = radius_reduction(&mut engine, &params, &mut seeds, 1, &[0], &[1], 2.0);
         assert_eq!(out.cluster_of[0], Some(net.id(0)));
         assert_eq!(out.centers, vec![0]);
     }

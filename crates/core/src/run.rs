@@ -535,20 +535,12 @@ mod tests {
         let all: Vec<usize> = (0..n).collect();
         let p = build_proximity_graph(&mut engine, &params, &mut seeds, &all, &vec![0; n], false);
         let mis = |engine: &mut Engine<'_>, strategy| {
-            local_mis(
-                engine,
-                &p.unit,
-                &all,
-                &p.adj,
-                params.kappa,
-                net.max_id(),
-                strategy,
-            )
+            local_mis(engine, &p.unit, &all, &p.adj, params.kappa, strategy)
         };
         let greedy_mis = mis(&mut engine, MisStrategy::GreedyById);
         let linial_mis = mis(&mut engine, MisStrategy::LinialSweep);
         let fs = full_sparsification(&mut engine, &params, &mut seeds, gamma, &all, &vec![3; n]);
-        let labeling = imperfect_labeling(&mut engine, &fs, params.kappa);
+        let labeling = imperfect_labeling(&mut engine, &fs);
         let c = clustering(&mut engine, &params, &mut seeds, &all, gamma);
         EVERY_DELIVERY.set(false);
         let outputs = StageOutputs {

@@ -5,7 +5,12 @@
 //! distance `1 − ε`: some round schedules the member alone within the
 //! interference-relevant ball `B(v, x)`, and Proposition 1 bounds the
 //! leftover far interference below the decoding margin.
+//!
+//! [`label_sweep`] runs one schedule per label value of an imperfect
+//! labeling: the local broadcast of Algorithm 7 and of each phase of
+//! Algorithm 8.
 
+use crate::labeling::Labeling;
 use crate::msg::Msg;
 use crate::params::ProtocolParams;
 use crate::run::{fresh_sns, ReplayUnit, SchedHandle, SeedSeq};
@@ -55,6 +60,43 @@ pub fn run_sns(
         receptions.push((recv, sender, *msg));
     });
     SnsRun { unit, receptions }
+}
+
+/// Algorithm 7's label sweep (lines 3–4): for each label value up to the
+/// bound, one Sparse Network Schedule run by the nodes holding that label,
+/// each transmitting `payload`; every reception `(receiver, sender,
+/// message)` goes to `on_reception`, by label, then in round order. The
+/// nodes holding a fixed label have constant density, so each schedule
+/// delivers their messages within `1 − ε` (Lemma 4). Nodes know the bound
+/// ∆ (`delta`); under `params.adaptive` the sweep stops at the largest
+/// label present (an observer shortcut: sweeping silent labels costs
+/// rounds but changes nothing).
+pub fn label_sweep(
+    engine: &mut Engine<'_>,
+    params: &ProtocolParams,
+    seeds: &mut SeedSeq,
+    labeling: &Labeling,
+    delta: usize,
+    payload: impl Fn(usize) -> Msg,
+    mut on_reception: impl FnMut(usize, usize, Msg),
+) {
+    let bound = if params.adaptive {
+        labeling.max_label()
+    } else {
+        delta.max(1) as u32
+    };
+    for l in 1..=bound {
+        let members: Vec<usize> = (0..labeling.label.len())
+            .filter(|&v| labeling.label[v] == l)
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        let run = run_sns(engine, params, seeds, &members, &payload);
+        for (recv, sender, msg) in run.receptions {
+            on_reception(recv, sender, msg);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -42,8 +42,6 @@ pub struct SparsifyOutcome {
     pub links: Vec<Link>,
     /// Replay units, one per executed iteration (referenced by links).
     pub units: Vec<ReplayUnit>,
-    /// Iterations actually executed.
-    pub iterations: usize,
 }
 
 /// Which independent-set rule Alg. 2 uses (paper §4.1).
@@ -51,8 +49,9 @@ pub struct SparsifyOutcome {
 pub enum IndependentSetRule {
     /// Local minima of `H` (clustered case).
     LocalMinima,
-    /// Simulated LOCAL MIS (unclustered case).
-    Mis(MisStrategy),
+    /// Simulated LOCAL MIS (unclustered case), by the default
+    /// [`MisStrategy`].
+    Mis,
 }
 
 /// Runs Alg. 2 on the nodes `x` with densities bounded by `gamma`.
@@ -78,27 +77,21 @@ pub fn sparsification(
 
     let max_iter = params.cap(gamma.max(1));
     let mut idle_streak = 0usize;
-    let mut iterations = 0usize;
 
     for _ in 0..max_iter {
         if active.len() < 2 {
             break;
         }
-        iterations += 1;
         let p = build_proximity_graph(engine, params, seeds, &active, cluster_of, clustered);
         let y: Vec<bool> = match rule {
-            IndependentSetRule::LocalMinima => {
-                let ids: Vec<u64> = (0..n).map(|v| net.id(v)).collect();
-                local_minima(&ids, &active, &p.adj)
-            }
-            IndependentSetRule::Mis(strategy) => local_mis(
+            IndependentSetRule::LocalMinima => local_minima(net.ids(), &active, &p.adj),
+            IndependentSetRule::Mis => local_mis(
                 engine,
                 &p.unit,
                 &active,
                 &p.adj,
                 params.kappa,
-                net.max_id(),
-                strategy,
+                MisStrategy::default(),
             ),
         };
         // NewChl: active nodes outside Y with a Y-neighbor; parent = min-ID
@@ -179,12 +172,7 @@ pub fn sparsification(
     kept.extend(parents_kept);
     kept.sort_unstable();
     kept.dedup();
-    SparsifyOutcome {
-        kept,
-        links,
-        units,
-        iterations,
-    }
+    SparsifyOutcome { kept, links, units }
 }
 
 /// Outcome of `SparsificationU` (Alg. 3) / `FullSparsification` (Alg. 4):
@@ -219,15 +207,53 @@ impl LevelsOutcome {
     }
 }
 
-fn merge(base: &mut LevelsOutcome, out: SparsifyOutcome) {
-    let offset = base.units.len();
-    base.units.extend(out.units);
-    base.links.extend(out.links.into_iter().map(|l| Link {
-        unit: l.unit + offset,
-        ..l
-    }));
-    base.steps.push(offset..base.units.len());
-    base.levels.push(out.kept);
+/// `⌈log_{4/3} Γ⌉`, with Γ taken as at least 2: how many ¾-shrinking
+/// density targets lead from `gamma` down to a constant (line 2 of
+/// Algorithms 4 and 6).
+pub(crate) fn log43(gamma: usize) -> usize {
+    ((gamma.max(2) as f64).ln() / (4.0f64 / 3.0).ln()).ceil() as usize
+}
+
+/// The loop Algorithms 3 and 4 share: up to `params.cap(passes)` calls of
+/// `pass` (one `Sparsification` each) on the last level, while it holds at
+/// least two nodes; under `params.adaptive` it also stops once a pass
+/// removed nobody or `sparse` holds for the new level.
+fn sparsify_levels<'n>(
+    engine: &mut Engine<'n>,
+    params: &ProtocolParams,
+    x: &[usize],
+    passes: usize,
+    mut pass: impl FnMut(&mut Engine<'n>, &[usize]) -> SparsifyOutcome,
+    sparse: impl Fn(&Engine<'n>, &[usize]) -> bool,
+) -> LevelsOutcome {
+    engine.begin_phase("sparsify");
+    let mut out = LevelsOutcome {
+        levels: vec![x.to_vec()],
+        units: Vec::new(),
+        links: Vec::new(),
+        steps: Vec::new(),
+    };
+    for _ in 0..params.cap(passes) {
+        let current = out.last();
+        if current.len() < 2 {
+            break;
+        }
+        let step = pass(engine, current);
+        let progressed = step.kept.len() < current.len();
+        let offset = out.units.len();
+        out.units.extend(step.units);
+        out.links.extend(step.links.into_iter().map(|l| Link {
+            unit: l.unit + offset,
+            ..l
+        }));
+        out.steps.push(offset..out.units.len());
+        out.levels.push(step.kept);
+        if params.adaptive && (!progressed || sparse(engine, out.last())) {
+            break;
+        }
+    }
+    engine.end_phase();
+    out
 }
 
 /// Alg. 3 — `SparsificationU`: unclustered sparsification repeated up to
@@ -239,43 +265,27 @@ pub fn sparsification_u(
     seeds: &mut SeedSeq,
     gamma: usize,
     x: &[usize],
-    strategy: MisStrategy,
 ) -> LevelsOutcome {
-    engine.begin_phase("sparsify");
     let eps = engine.network().params().epsilon;
-    let l_bound = params.cap(chi_upper(5.0, 1.0 - eps));
-    let mut out = LevelsOutcome {
-        levels: vec![x.to_vec()],
-        units: Vec::new(),
-        links: Vec::new(),
-        steps: Vec::new(),
-    };
-    let dummy_clusters = vec![1u64; engine.network().len()];
-    for _ in 0..l_bound {
-        let current = out.last().to_vec();
-        if current.len() < 2 {
-            break;
-        }
-        let step = sparsification(
-            engine,
-            params,
-            seeds,
-            gamma,
-            &current,
-            &dummy_clusters,
-            IndependentSetRule::Mis(strategy),
-        );
-        let progressed = step.kept.len() < current.len();
-        merge(&mut out, step);
-        if params.adaptive {
-            let density = subset_density(engine, out.last());
-            if 4 * density <= 3 * gamma || !progressed {
-                break;
-            }
-        }
-    }
-    engine.end_phase();
-    out
+    let one_cluster = vec![1u64; engine.network().len()];
+    sparsify_levels(
+        engine,
+        params,
+        x,
+        chi_upper(5.0, 1.0 - eps),
+        |engine, current| {
+            sparsification(
+                engine,
+                params,
+                seeds,
+                gamma,
+                current,
+                &one_cluster,
+                IndependentSetRule::Mis,
+            )
+        },
+        |engine, level| 4 * subset_density(engine, level) <= 3 * gamma,
+    )
 }
 
 /// Alg. 4 — `FullSparsification`: clustered sparsification with density
@@ -289,39 +299,27 @@ pub fn full_sparsification(
     a: &[usize],
     cluster_of: &[u64],
 ) -> LevelsOutcome {
-    engine.begin_phase("sparsify");
-    // k = log_{4/3} Γ  (paper line 2).
-    let k = ((gamma.max(2) as f64).ln() / (4.0f64 / 3.0).ln()).ceil() as usize;
-    let mut out = LevelsOutcome {
-        levels: vec![a.to_vec()],
-        units: Vec::new(),
-        links: Vec::new(),
-        steps: Vec::new(),
-    };
     let mut lambda = gamma as f64;
-    for _ in 0..params.cap(k) {
-        let current = out.last().to_vec();
-        if current.len() < 2 {
-            break;
-        }
-        let step = sparsification(
-            engine,
-            params,
-            seeds,
-            (lambda.ceil() as usize).max(1),
-            &current,
-            cluster_of,
-            IndependentSetRule::LocalMinima,
-        );
-        let progressed = step.kept.len() < current.len();
-        merge(&mut out, step);
-        lambda *= 0.75;
-        if params.adaptive && (!progressed || max_cluster_size(out.last(), cluster_of) <= 2) {
-            break;
-        }
-    }
-    engine.end_phase();
-    out
+    sparsify_levels(
+        engine,
+        params,
+        a,
+        log43(gamma),
+        |engine, current| {
+            let target = (lambda.ceil() as usize).max(1);
+            lambda *= 0.75;
+            sparsification(
+                engine,
+                params,
+                seeds,
+                target,
+                current,
+                cluster_of,
+                IndependentSetRule::LocalMinima,
+            )
+        },
+        |_, level| max_cluster_size(level, cluster_of) <= 2,
+    )
 }
 
 /// Measured unclustered density of a node subset (observer utility used by
@@ -409,14 +407,7 @@ mod tests {
         let mut engine = Engine::new(&net);
         let all: Vec<usize> = (0..net.len()).collect();
         let gamma = net.density();
-        let out = sparsification_u(
-            &mut engine,
-            &params,
-            &mut seeds,
-            gamma,
-            &all,
-            MisStrategy::GreedyById,
-        );
+        let out = sparsification_u(&mut engine, &params, &mut seeds, gamma, &all);
         let final_density = subset_density(&engine, out.last());
         assert!(
             4 * final_density <= 3 * gamma,

@@ -7,15 +7,15 @@
 //!
 //! * a [`World`] wraps a network plus per-node awake flags and applies
 //!   [`WorldUpdate`] streams: sleeps and wakes flip flags, and a stream
-//!   that moves a node or changes a power replaces the network with one
-//!   fresh build over the new positions and powers;
+//!   that moves a node replaces the network with one fresh build over the
+//!   new positions;
 //! * composable [`DynamicsModel`]s generate the updates: mobility
 //!   ([`mobility::RandomWaypoint`], [`mobility::RandomWalk`],
 //!   [`mobility::GroupDrift`]), churn ([`churn::Churn`] — deterministic
 //!   Poisson-like sleep/wake streams layered on the paper's wake-up
-//!   semantics), and heterogeneous power
-//!   ([`dcluster_sim::deploy::power_profile`] at deployment,
-//!   [`WorldUpdate::SetPower`] at run time);
+//!   semantics), and heterogeneous power, set once at deployment
+//!   ([`with_power_profile`], drawing from
+//!   [`dcluster_sim::deploy::power_profile`]);
 //! * everything is seeded and hash-driven: the same seeds replay the exact
 //!   same world history, byte for byte, which is what lets the scenario
 //!   gates hold maintenance runs to bit-identical reruns.

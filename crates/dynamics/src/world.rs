@@ -1,5 +1,5 @@
 //! The mutable world: a network plus awake flags. Updates that move a
-//! node or change a power replace the network with a fresh build.
+//! node replace the network with a fresh build.
 
 use crate::{build_like, DynamicsModel};
 use dcluster_sim::{Network, Point};
@@ -14,13 +14,6 @@ pub enum WorldUpdate {
         node: usize,
         /// New position.
         to: Point,
-    },
-    /// Node changes transmit power.
-    SetPower {
-        /// Node index.
-        node: usize,
-        /// New power (strictly positive, finite).
-        power: f64,
     },
     /// Node goes silent (crash or sleep): it stops participating in
     /// protocols but remains physically deployed — mirroring the wake-up
@@ -42,7 +35,9 @@ pub enum WorldUpdate {
 pub struct WorldStats {
     /// Applied `Move` updates.
     pub moves: u64,
-    /// Applied `SetPower` updates.
+    /// Always 0: no update changes a power (heterogeneous power is set
+    /// once, at deployment, by [`crate::with_power_profile`]). It stays
+    /// because `perfbench` reads it.
     pub power_changes: u64,
     /// Awake → asleep transitions.
     pub sleeps: u64,
@@ -51,8 +46,7 @@ pub struct WorldStats {
 }
 
 /// A network evolving under dynamics: positions, powers and awake flags.
-/// [`World::apply`] rebuilds the network whenever an update moves a node
-/// or changes a power.
+/// [`World::apply`] rebuilds the network whenever an update moves a node.
 #[derive(Debug, Clone)]
 pub struct World {
     net: Network,
@@ -73,8 +67,8 @@ impl World {
         }
     }
 
-    /// The current network, built over the positions and powers of every
-    /// applied update.
+    /// The current network, built over the positions of every applied
+    /// update.
     pub fn network(&self) -> &Network {
         &self.net
     }
@@ -105,18 +99,16 @@ impl World {
         (0..self.net.len()).filter(|&v| self.awake[v]).collect()
     }
 
-    /// Applies an update stream in order. Moves and power changes are
-    /// written into copies of the position and power vectors; if any
-    /// arrived, the network is rebuilt once over them.
+    /// Applies an update stream in order. Moves are written into a copy
+    /// of the position vector; if any arrived, the network is rebuilt once
+    /// over it and the network's current powers.
     ///
     /// # Panics
     ///
-    /// Panics if a node index is out of range, a `SetPower` carries a
-    /// power that is not strictly positive and finite, or a `Move` target
-    /// is not finite.
+    /// Panics if a node index is out of range or a `Move` target is not
+    /// finite.
     pub fn apply(&mut self, updates: &[WorldUpdate]) {
         let mut points = self.net.points().to_vec();
-        let mut powers = self.net.powers().to_vec();
         let mut moved = false;
         for &u in updates {
             match u {
@@ -124,15 +116,6 @@ impl World {
                     points[node] = to;
                     moved = true;
                     self.stats.moves += 1;
-                }
-                WorldUpdate::SetPower { node, power } => {
-                    assert!(
-                        power > 0.0 && power.is_finite(),
-                        "node {node} power must be positive, got {power}"
-                    );
-                    powers[node] = power;
-                    moved = true;
-                    self.stats.power_changes += 1;
                 }
                 WorldUpdate::Sleep { node } => {
                     if std::mem::replace(&mut self.awake[node], false) {
@@ -147,9 +130,9 @@ impl World {
             }
         }
         if moved {
-            self.net = build_like(&self.net, points, powers)
-                // lint:allow(P1, reason = "rebuilds a valid network with checked powers; a non-finite Move is the documented panic")
-                .expect("a valid network's ids with checked powers and finite positions");
+            self.net = build_like(&self.net, points, self.net.powers().to_vec())
+                // lint:allow(P1, reason = "rebuilds a valid network with its own powers; a non-finite Move is the documented panic")
+                .expect("a valid network's ids and powers with finite positions");
         }
     }
 
@@ -271,38 +254,6 @@ mod tests {
         assert_eq!(w.awake_nodes(), vec![0, 1, 2, 3]);
         assert!(!w.is_awake(4));
         assert_eq!(w.network().stamp(), stamp, "no move, no rebuild");
-    }
-
-    #[test]
-    fn set_power_keeps_audit_clean() {
-        let mut w = world(40, 4);
-        let base = w.network().params().power;
-        w.apply(&[
-            WorldUpdate::SetPower {
-                node: 3,
-                power: 4.0 * base,
-            },
-            WorldUpdate::SetPower {
-                node: 17,
-                power: 0.5 * base,
-            },
-        ]);
-        assert!(!w.network().has_uniform_power());
-        assert_eq!(w.stats().power_changes, 2);
-        let net = w.network();
-        assert_eq!(net.powers()[..4], [base, base, base, 4.0 * base]);
-        assert_eq!(net.powers()[16..18], [base, 0.5 * base]);
-        assert!(net.range_of(3) > net.range_of(0));
-        w.audit_incremental().expect("network == rebuild");
-    }
-
-    #[test]
-    #[should_panic(expected = "power must be positive")]
-    fn apply_rejects_a_non_positive_power() {
-        world(5, 6).apply(&[WorldUpdate::SetPower {
-            node: 1,
-            power: -1.0,
-        }]);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Property tests for the dynamics subsystem: on worlds evolved under
 //! mobility, churn and heterogeneous power, the aggregated SINR backend
 //! resolves every round exactly as the naive oracle does. The world
-//! rebuilds its network whenever an update moves a node or changes a
-//! power, so these are the networks a maintenance epoch runs on.
+//! rebuilds its network whenever an update moves a node, so these are the
+//! networks a maintenance epoch runs on.
 
 use dcluster_dynamics::{
     Churn, DynamicsModel, GroupDrift, RandomWalk, RandomWaypoint, World, WorldUpdate,
 };
 use dcluster_sim::rng::Rng64;
-use dcluster_sim::{deploy, Network, Point, Reception, ResolverKind};
+use dcluster_sim::{deploy, Network, Point, Reception, ResolverKind, SinrParams};
 use proptest::prelude::*;
 
 /// Deterministic transmitter sets over the awake nodes (ascending — the
@@ -78,7 +78,8 @@ proptest! {
         backends_agree(world.network(), &tx_sets(&world, 4, seed ^ 11))?;
     }
 
-    /// Raw update streams: moves, power changes, sleeps and wakes.
+    /// Raw update streams: moves, sleeps and wakes, on a network whose
+    /// nodes each draw a power from `[0.5, 2.5)` times the base power.
     #[test]
     fn raw_update_stream_backends_agree(
         seed in 0u64..10_000,
@@ -87,25 +88,26 @@ proptest! {
     ) {
         let mut rng = Rng64::new(seed ^ 0xABCD);
         let side = 3.0;
-        let net = Network::builder(deploy::uniform_square(n, side, &mut rng))
+        let points = deploy::uniform_square(n, side, &mut rng);
+        let base_power = SinrParams::default().power;
+        let powers = (0..n)
+            .map(|_| base_power * (0.5 + 2.0 * rng.next_f64()))
+            .collect();
+        let net = Network::builder(points)
+            .powers(powers)
             .build()
-            .expect("nonempty");
-        let base_power = net.params().power;
+            .expect("nonempty, positive powers");
         let mut world = World::new(net);
         for _ in 0..batches {
             let updates: Vec<WorldUpdate> = (0..8)
                 .map(|_| {
                     let node = rng.range_usize(n);
-                    match rng.range_usize(4) {
+                    match rng.range_usize(3) {
                         0 => WorldUpdate::Move {
                             node,
                             to: Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)),
                         },
-                        1 => WorldUpdate::SetPower {
-                            node,
-                            power: base_power * (0.5 + 2.0 * rng.next_f64()),
-                        },
-                        2 => WorldUpdate::Sleep { node },
+                        1 => WorldUpdate::Sleep { node },
                         _ => WorldUpdate::Wake { node },
                     }
                 })

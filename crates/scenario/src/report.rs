@@ -101,10 +101,9 @@ pub struct Report {
     pub resolver: ResolverKind,
     /// Simulated protocol rounds (maintenance: summed over epochs).
     pub rounds: u64,
-    /// Total transmissions (≈ energy; 0 for maintenance, whose engines
-    /// live inside the driver).
+    /// Total transmissions (≈ energy; maintenance: summed over epochs).
     pub transmissions: u64,
-    /// Total successful receptions (0 for maintenance).
+    /// Total successful receptions (maintenance: summed over epochs).
     pub receptions: u64,
     /// Resolver work counters (maintenance: accumulated over epochs).
     pub resolver_stats: ResolverStats,

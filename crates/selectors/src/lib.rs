@@ -115,21 +115,6 @@ pub trait ClusterSchedule {
     fn contains(&self, round: u64, id: u64, cluster: u64) -> bool;
 }
 
-/// Adapter viewing any [`Schedule`] as a [`ClusterSchedule`] that ignores
-/// cluster IDs (the paper's "unclustered sets are clustered with
-/// `cluster(v) = 1`" convention).
-#[derive(Debug, Clone, Copy)]
-pub struct IgnoreCluster<S>(pub S);
-
-impl<S: Schedule> ClusterSchedule for IgnoreCluster<S> {
-    fn len(&self) -> u64 {
-        self.0.len()
-    }
-    fn contains(&self, round: u64, id: u64, _cluster: u64) -> bool {
-        self.0.contains(round, id)
-    }
-}
-
 impl<S: Schedule + ?Sized> Schedule for &S {
     fn len(&self) -> u64 {
         (**self).len()
@@ -160,14 +145,6 @@ mod tests {
         fn contains(&self, _round: u64, _id: u64) -> bool {
             true
         }
-    }
-
-    #[test]
-    fn ignore_cluster_adapter_delegates() {
-        let s = IgnoreCluster(Everyone(5));
-        assert_eq!(ClusterSchedule::len(&s), 5);
-        assert!(s.contains(0, 7, 3));
-        assert!(!ClusterSchedule::is_empty(&s));
     }
 
     #[test]

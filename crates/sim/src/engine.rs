@@ -80,9 +80,6 @@ pub trait RoundBehavior<M> {
 
     /// Delivers a message received by `node` in `round` from `sender`.
     fn receive(&mut self, net: &Network, node: usize, round: u64, sender: usize, msg: &M);
-
-    /// Hook invoked once per round after all deliveries (optional).
-    fn end_round(&mut self, _net: &Network, _round: u64) {}
 }
 
 /// Cumulative execution statistics.
@@ -409,9 +406,9 @@ impl<'n> Engine<'n> {
     /// its per-round records if this engine has a tracer) the recording is
     /// replayed: the stats, the phase accounting and the traced round
     /// events are those of a fresh run, but the behavior is neither polled
-    /// nor told of receptions or round ends. On a miss the rounds run as
-    /// [`Engine::run_recorded`] runs them, `receive` and `end_round`
-    /// included, and `rec` records them.
+    /// nor told of receptions. On a miss the rounds run as
+    /// [`Engine::run_recorded`] runs them, `receive` included, and `rec`
+    /// records them.
     ///
     /// The caller owes that every run with `rec` lists the same
     /// transmitters in each local round, and that `payload(v)` is the
@@ -519,7 +516,6 @@ impl<'n> Engine<'n> {
         for r in &self.receptions {
             behavior.receive(self.net, r.receiver, round, r.sender, &msgs[r.slot]);
         }
-        behavior.end_round(self.net, round);
         let (tx, rx) = (self.tx_nodes.len() as u64, self.receptions.len() as u64);
         self.stats.rounds += 1;
         self.stats.transmissions += tx;

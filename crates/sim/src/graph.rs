@@ -74,22 +74,13 @@ impl Graph {
     /// BFS hop distances from `src` over the whole graph (`u32::MAX` =
     /// unreachable).
     pub fn bfs(&self, src: usize) -> Vec<u32> {
-        self.bfs_restricted(src, None)
-    }
-
-    /// BFS restricted to vertices where `mask[v]` is true (if provided);
-    /// `src` must be in the mask.
-    pub fn bfs_restricted(&self, src: usize, mask: Option<&[bool]>) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.len()];
-        if let Some(m) = mask {
-            debug_assert!(m[src], "BFS source outside mask");
-        }
         dist[src] = 0;
         let mut q = VecDeque::from([src]);
         while let Some(v) = q.pop_front() {
             for &u in &self.adj[v] {
                 let u = u as usize;
-                if dist[u] == u32::MAX && mask.is_none_or(|m| m[u]) {
+                if dist[u] == u32::MAX {
                     dist[u] = dist[v] + 1;
                     q.push_back(u);
                 }
@@ -104,26 +95,6 @@ impl Graph {
             return true;
         }
         self.bfs(0).iter().all(|&d| d != u32::MAX)
-    }
-
-    /// Connected components as vertex lists.
-    pub fn components(&self) -> Vec<Vec<usize>> {
-        let mut seen = vec![false; self.len()];
-        let mut out = Vec::new();
-        for s in 0..self.len() {
-            if seen[s] {
-                continue;
-            }
-            let d = self.bfs(s);
-            let comp: Vec<usize> = (0..self.len())
-                .filter(|&v| d[v] != u32::MAX && !seen[v])
-                .collect();
-            for &v in &comp {
-                seen[v] = true;
-            }
-            out.push(comp);
-        }
-        out
     }
 
     /// Exact diameter via all-pairs BFS. `None` if disconnected or empty.
@@ -230,7 +201,6 @@ mod tests {
         let g = from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!g.is_connected());
         assert_eq!(g.diameter(), None);
-        assert_eq!(g.components().len(), 2);
     }
 
     #[test]
@@ -244,16 +214,6 @@ mod tests {
         assert!(!g.is_mis(&not_max, None));
         let not_indep = [true, true, false, false];
         assert!(!g.is_independent(&not_indep));
-    }
-
-    #[test]
-    fn restricted_bfs_respects_mask() {
-        let g = path(5);
-        let mask = [true, true, false, true, true];
-        let d = g.bfs_restricted(0, Some(&mask));
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], u32::MAX);
-        assert_eq!(d[3], u32::MAX, "mask breaks the path");
     }
 
     #[test]

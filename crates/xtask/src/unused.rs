@@ -2,10 +2,13 @@
 //! non-test code names.
 //!
 //! An item is listed when its name occurs nowhere in the non-test code of
-//! [`ROOTS`] except at its own definition. Test code is every region the
-//! lexer marks as `#[cfg(test)]` ([`crate::scan`]) and every file under a
-//! `tests/` or `benches/` directory. Each line says whether tests name
-//! the item (a test oracle, or code only its tests reach) or nothing does.
+//! [`ROOTS`] except at its own definition. Names on a `use` statement
+//! (through its `;`) or on an `impl` header line do not count: importing,
+//! re-exporting or implementing an item does not use it. Test code is
+//! every region the lexer marks as `#[cfg(test)]` ([`crate::scan`]) and
+//! every file under a `tests/` or `benches/` directory. Each line says
+//! whether tests name the item (a test oracle, or code only its tests
+//! reach) or nothing does.
 //!
 //! The match is by name, so the report is a starting point, not a
 //! verdict: a name that some unrelated code also uses hides an item, and
@@ -59,6 +62,30 @@ fn idents(code: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
+/// True when `code` starts with the keyword `kw`.
+fn keyword(code: &str, kw: &str) -> bool {
+    code.strip_prefix(kw)
+        .is_some_and(|rest| !rest.starts_with(is_ident))
+}
+
+/// True when a code line opens a `use` statement, under any visibility.
+fn opens_use(code: &str) -> bool {
+    let code = code.trim_start();
+    let rest = match code.strip_prefix("pub") {
+        Some(vis) if vis.starts_with('(') => vis.split_once(')').map_or("", |(_, r)| r),
+        Some(vis) if vis.starts_with(char::is_whitespace) => vis,
+        _ => code,
+    };
+    keyword(rest.trim_start(), "use")
+}
+
+/// True when a code line starts an `impl` header.
+fn impl_header(code: &str) -> bool {
+    let code = code.trim_start();
+    let code = code.strip_prefix("unsafe ").unwrap_or(code).trim_start();
+    keyword(code, "impl")
+}
+
 /// The `(kind, name)` a code line defines as a plain `pub` item, looking
 /// past `const`/`async`/`unsafe`/`extern` qualifiers of a `fn`.
 fn pub_item(code: &str) -> Option<(&'static str, &str)> {
@@ -89,9 +116,15 @@ pub fn find_unused(root: &Path) -> Result<Vec<Unused>, String> {
             let test_tree = rel.split('/').any(|seg| matches!(seg, "tests" | "benches"));
             let src =
                 std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let mut in_use = false;
             for (i, line) in scan::scan_source(&src).iter().enumerate() {
                 let is_test = test_tree || line.in_test;
-                for word in idents(&line.code) {
+                in_use = in_use || opens_use(&line.code);
+                let names = !in_use && !impl_header(&line.code);
+                if in_use {
+                    in_use = !line.code.contains(';');
+                }
+                for word in idents(&line.code).filter(|_| names) {
                     if is_test {
                         in_tests.insert(word.to_string());
                     } else {
@@ -137,5 +170,19 @@ mod tests {
         assert_eq!(pub_item("pub mod scan;"), None);
         assert_eq!(pub_item("pub use scan::Line;"), None);
         assert_eq!(pub_item("    pub x: f64,"), None);
+    }
+
+    #[test]
+    fn use_statements_and_impl_headers_are_recognized() {
+        assert!(opens_use("use std::fmt;"));
+        assert!(opens_use("    pub use area::{"));
+        assert!(opens_use("pub(crate) use scan::Line;"));
+        assert!(opens_use("pub(in crate::a) use b::C;"));
+        assert!(!opens_use("let user = 1;"));
+        assert!(!opens_use("pub fn used() {"));
+        assert!(impl_header("impl Area for Square {"));
+        assert!(impl_header("    impl<T: Schedule> Wrapper<T> {"));
+        assert!(impl_header("unsafe impl Send for Raw {}"));
+        assert!(!impl_header("fn implied() {"));
     }
 }

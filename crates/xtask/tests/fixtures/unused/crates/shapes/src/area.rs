@@ -8,13 +8,13 @@ pub const fn doubled(x: u32) -> u32 {
     x * 2
 }
 
-/// Named in `Area`'s impl below: not listed.
+/// Built by `unit_area` below: not listed.
 pub struct Square {
     /// A field is not an item.
     pub side: f64,
 }
 
-/// Implemented below: not listed.
+/// Called by `unit_area` below: not listed.
 pub trait Area {
     /// Trait methods carry no `pub`.
     fn area(&self) -> f64;
@@ -30,4 +30,22 @@ impl Area for Square {
 pub enum Shape {
     /// A variant is not an item.
     Round,
+}
+
+/// Named only by the impl header below, which implements it without using
+/// it: listed.
+pub struct Dot;
+
+impl Area for Dot {
+    fn area(&self) -> f64 {
+        0.0
+    }
+}
+
+/// Named only by the crate root's re-export: listed.
+pub struct Exported;
+
+/// The unit square's area, through the trait.
+pub(crate) fn unit_area() -> f64 {
+    Area::area(&Square { side: 1.0 })
 }

@@ -2,6 +2,12 @@
 
 pub mod area;
 
+// A re-export names its items without using them, on every line.
+pub use area::{
+    Exported,
+    Square,
+};
+
 /// Called by the example: not listed.
 pub fn used_by_example() -> u32 {
     helper() + area::UNIT

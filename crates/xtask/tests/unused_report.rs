@@ -18,9 +18,11 @@ fn fixture_tree_yields_exactly_the_expected_items() {
         [
             "crates/shapes/src/area.rs:7: fn doubled (named nowhere else)",
             "crates/shapes/src/area.rs:30: enum Shape (named nowhere else)",
-            "crates/shapes/src/lib.rs:11: fn only_unit_tested (named only in tests)",
-            "crates/shapes/src/lib.rs:16: fn only_integration_tested (named only in tests)",
-            "crates/shapes/src/lib.rs:23: fn orphan (named nowhere else)",
+            "crates/shapes/src/area.rs:37: struct Dot (named nowhere else)",
+            "crates/shapes/src/area.rs:46: struct Exported (named nowhere else)",
+            "crates/shapes/src/lib.rs:17: fn only_unit_tested (named only in tests)",
+            "crates/shapes/src/lib.rs:22: fn only_integration_tested (named only in tests)",
+            "crates/shapes/src/lib.rs:29: fn orphan (named nowhere else)",
         ]
     );
 }

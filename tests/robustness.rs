@@ -107,6 +107,11 @@ fn theory_parameters_work_on_tiny_instances() {
         out.complete,
         "theory-length schedules must certainly succeed"
     );
+    // SMSB sweeps all Δ labels of every phase too (no adaptive bound).
+    let mut seeds = SeedSeq::new(params.seed);
+    let mut engine = Engine::new(&net);
+    let gb = global_broadcast(&mut engine, &params, &mut seeds, 0, net.density(), 7);
+    assert!(gb.delivered_all && gb.local_broadcast_ok);
 }
 
 #[test]
