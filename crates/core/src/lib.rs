@@ -69,7 +69,7 @@ pub use check::{audit_resolver_equivalence, ResolverDisagreement};
 pub use clustering::{clustering as run_clustering, Clustering};
 pub use global_broadcast::{global_broadcast, sms_broadcast, BroadcastOutcome};
 pub use local_broadcast::{local_broadcast, LocalBroadcastOutcome};
-pub use maintenance::{EpochReport, MaintenanceDriver, MaintenanceSummary};
+pub use maintenance::{EpochReport, MaintenanceDriver, MaintenanceSummary, NoAwakeNodes};
 pub use msg::Msg;
 pub use params::ProtocolParams;
 pub use run::SeedSeq;

@@ -84,6 +84,19 @@ pub struct MaintenanceSummary {
     pub max_center_lifetime: u64,
 }
 
+/// An epoch asked to re-cluster an empty awake set: there is no node to
+/// run the protocol on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoAwakeNodes;
+
+impl std::fmt::Display for NoAwakeNodes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("maintenance needs at least one awake node")
+    }
+}
+
+impl std::error::Error for NoAwakeNodes {}
+
 /// Per-epoch re-clustering driver (see module docs).
 #[derive(Debug, Clone)]
 pub struct MaintenanceDriver {
@@ -144,19 +157,22 @@ impl MaintenanceDriver {
     /// Runs one maintenance epoch: re-clusters the awake set over the
     /// epoch's network (rebuilt by the world after any move) with the
     /// given resolver backend and updates lifetimes/re-election
-    /// accounting. `awake` must be nonempty — under churn the schedules
-    /// guarantee an anchor node.
-    pub fn epoch(
+    /// accounting. Under churn the schedules guarantee an anchor node.
+    ///
+    /// # Errors
+    ///
+    /// [`NoAwakeNodes`] when `awake` is empty; the driver is left as it
+    /// was.
+    pub fn try_epoch(
         &mut self,
         net: &Network,
         resolver: ResolverKind,
         seeds: &mut SeedSeq,
         awake: &[usize],
-    ) -> EpochReport {
-        assert!(
-            !awake.is_empty(),
-            "maintenance needs at least one awake node"
-        );
+    ) -> Result<EpochReport, NoAwakeNodes> {
+        if awake.is_empty() {
+            return Err(NoAwakeNodes);
+        }
         let mut engine = Engine::with_resolver_kind(net, resolver);
         if let Some(tracer) = &self.tracer {
             engine.set_tracer(tracer.clone());
@@ -222,7 +238,7 @@ impl MaintenanceDriver {
                 violations: coverage_violations as u64,
             });
         }
-        EpochReport {
+        Ok(EpochReport {
             epoch,
             awake: awake.len(),
             rounds: cl.rounds,
@@ -232,7 +248,24 @@ impl MaintenanceDriver {
             coverage_violations,
             report,
             resolver,
-        }
+        })
+    }
+
+    /// [`MaintenanceDriver::try_epoch`] for callers whose awake set is
+    /// never empty: the workload benchmark's maintenance replica calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `awake` is empty.
+    pub fn epoch(
+        &mut self,
+        net: &Network,
+        resolver: ResolverKind,
+        seeds: &mut SeedSeq,
+        awake: &[usize],
+    ) -> EpochReport {
+        self.try_epoch(net, resolver, seeds, awake)
+            .unwrap_or_else(|e| panic!("{e}")) // lint:allow(P1, reason = "documented panic for callers with a nonempty awake set; Runner calls try_epoch")
     }
 
     /// Aggregate metrics so far. Streaks still alive contribute their
@@ -319,11 +352,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one awake node")]
     fn empty_awake_set_is_rejected() {
         let net = field(10, 5);
         let params = ProtocolParams::practical();
         let mut seeds = SeedSeq::new(params.seed);
-        MaintenanceDriver::new(params).epoch(&net, ResolverKind::Aggregated, &mut seeds, &[]);
+        let mut driver = MaintenanceDriver::new(params);
+        let err = driver
+            .try_epoch(&net, ResolverKind::Aggregated, &mut seeds, &[])
+            .unwrap_err();
+        assert_eq!(err, NoAwakeNodes);
+        assert_eq!(err.to_string(), "maintenance needs at least one awake node");
+        assert_eq!(
+            driver.summary().epochs,
+            0,
+            "a rejected epoch counts for nothing"
+        );
     }
 }

@@ -34,13 +34,6 @@ impl SnsRun {
     pub fn delivered_pairs(&self) -> std::collections::HashSet<(usize, usize)> {
         self.receptions.iter().map(|&(r, s, _)| (r, s)).collect()
     }
-
-    /// True iff `receiver` heard `sender` at least once.
-    pub fn heard(&self, receiver: usize, sender: usize) -> bool {
-        self.receptions
-            .iter()
-            .any(|&(r, s, _)| r == receiver && s == sender)
-    }
 }
 
 /// Executes one Sparse Network Schedule on `members`, each transmitting the
@@ -121,11 +114,12 @@ mod tests {
             id: net.id(v),
             cluster: 0,
         });
+        let heard = run.delivered_pairs();
         let g = net.comm_graph();
         for v in 0..net.len() {
             for &u in g.neighbors(v) {
                 assert!(
-                    run.heard(u as usize, v),
+                    heard.contains(&(u as usize, v)),
                     "comm neighbor {u} failed to hear {v} during SNS"
                 );
             }

@@ -364,8 +364,9 @@ impl Runner {
     ///
     /// Returns a [`SpecError`] naming the offending spec section when the
     /// deployment realizes to zero nodes, a protocol parameter or dynamics
-    /// model parameter is out of range, or a workload parameter is out of
-    /// range for the realized deployment.
+    /// model parameter is out of range, a workload parameter is out of
+    /// range for the realized deployment, or a maintenance epoch finds no
+    /// node awake.
     pub fn run(&self, workload: &Workload) -> Result<Report, SpecError> {
         self.run_on(self.build_network()?, workload)
     }
@@ -490,10 +491,16 @@ impl Runner {
                     driver.set_tracer(t.clone());
                 }
                 let mut reports = Vec::new();
-                for _ in 0..self.epochs() {
+                for epoch in 0..self.epochs() {
                     world.step(&mut models);
                     let awake = world.awake_nodes();
-                    reports.push(driver.epoch(world.network(), kind, &mut seeds, &awake));
+                    let report = driver
+                        .try_epoch(world.network(), kind, &mut seeds, &awake)
+                        .map_err(|e| SpecError {
+                            line: 0,
+                            msg: format!("workload maintenance, epoch {epoch}: {e}"),
+                        })?;
+                    reports.push(report);
                 }
                 let es = driver.engine_stats();
                 header.rounds = reports.iter().map(|r| r.rounds).sum();

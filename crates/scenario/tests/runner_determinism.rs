@@ -104,7 +104,9 @@ fn ci_maintenance_spec_is_resolver_invariant() {
 /// recording from hitting moves the round counts; one that changes a
 /// resolver decision, or how it was reached, moves the rest. Both CI specs
 /// take field rounds (`|T| > EXACT_MAX_TX`), so their aggregated rows pin
-/// the field's work too; Figure 1 takes none, so its two rows are equal.
+/// the field's work too. Figure 1 takes none, so its two rows differ only
+/// in `exact_sums`: the oracle sums at every listener, the aggregated
+/// backend only at the listeners within reach of a transmitter.
 /// Its labeling replays the units that sparsification recorded, with
 /// other units run in between. Resolved and replayed rounds add up to the
 /// run's rounds.
@@ -133,7 +135,7 @@ fn ci_specs_pin_resolved_and_replayed_rounds() {
             "ci_clustering.scn",
             Aggregated,
             595_678,
-            stats(98_757, 396_022, 3_529, 1_249_646, 7_750, 0, 53_819),
+            stats(98_757, 396_022, 3_529, 473_347, 7_750, 0, 53_819),
         ),
         (
             "ci_maintenance.scn",
@@ -145,7 +147,7 @@ fn ci_specs_pin_resolved_and_replayed_rounds() {
             "ci_maintenance.scn",
             Aggregated,
             1_685_560,
-            stats(280_336, 1_173_293, 11_405, 6_079_132, 21_036, 144, 115_422),
+            stats(280_336, 1_173_293, 11_405, 1_413_930, 21_036, 144, 115_422),
         ),
         (
             "fig1_phases.scn",
@@ -157,7 +159,7 @@ fn ci_specs_pin_resolved_and_replayed_rounds() {
             "fig1_phases.scn",
             Aggregated,
             1_166_075,
-            stats(166_111, 293_917, 0, 1_235_752, 0, 0, 0),
+            stats(166_111, 293_917, 0, 367_060, 0, 0, 0),
         ),
     ];
     for (name, kind, replayed, resolver_stats) in pinned {

@@ -1,11 +1,12 @@
 //! Uniform spatial grid.
 //!
 //! The geometric queries of the simulator (communication-graph
-//! construction, density estimation) go through this index. Cells have a
-//! fixed side length; a disk query of radius `r` touches `O((r/cell)²)`
-//! cells, and never more than the grid's cell box. The SINR resolver
-//! sorts each field round's transmitters over the network grid's cells
-//! and visits that round's listeners in the grid's member order.
+//! construction, density estimation, the resolver's reach lists) go
+//! through this index. Cells have a fixed side length; a disk query of
+//! radius `r` touches `O((r/cell)²)` cells, and never more than the
+//! grid's cell box. The SINR resolver sorts each field round's
+//! transmitters over the network grid's cells and visits that round's
+//! listeners in the grid's member order.
 //!
 //! **Layout.** A grid covers its *cell box*: the bounding box, in cell
 //! coordinates, of the points it is built on. Its members sit in one

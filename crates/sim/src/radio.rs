@@ -19,16 +19,25 @@
 //! * [`AggregatedResolver`] — the fast backend and the default. A round
 //!   with `|T| ≤` [`EXACT_MAX_TX`] runs the oracle's own per-listener
 //!   routine, so it equals the oracle by construction; the paper's
-//!   protocols spend almost all their rounds there. The routine's
-//!   received signals are read from a gain cache instead of recomputed:
-//!   a network's positions and powers never change after its build, so
-//!   each pair's `P_w / d(w,u)^α` is a constant, and the cache keeps one column
-//!   of them per node that has transmitted in an exact round, filled on
-//!   first use from the same [`Network::signal_between`] the oracle calls
-//!   and keyed on the network's [stamp](Network::stamp). An exact round
-//!   then costs `n·|T|` loads and adds rather than `2·n·|T|` `sqrt` +
-//!   `powf`, and its values are the oracle's bit for bit. The cache holds
-//!   at most `max(2²⁰, EXACT_MAX_TX·n)` signals (the whole matrix up to
+//!   protocols spend almost all their rounds there. It runs the routine
+//!   only at the listeners some transmitter can reach: a decode needs
+//!   the sender's signal alone to reach `β·noise` (interference is never
+//!   negative), so the decoder lies within the sender's range. A reach
+//!   index lists, per node, the nodes within its range times `1 + 10⁻⁹`
+//!   (`REACH_MARGIN`, whose docs prove the margin covers every decoder),
+//!   taken from the network grid on the node's first exact round; a round
+//!   visits the union of its transmitters' lists, transmitters removed,
+//!   in ascending order. The routine's received signals are read from a
+//!   gain cache instead of recomputed: a network's positions and powers
+//!   never change after its build, so each pair's `P_w / d(w,u)^α` is a
+//!   constant, and the cache keeps one column of them per node that has
+//!   transmitted in an exact round, filled on first use from the same
+//!   [`Network::signal_between`] the oracle calls. Both the index and the
+//!   cache are keyed on the network's [stamp](Network::stamp). An exact
+//!   round then costs `|T|` loads and adds per near listener rather than
+//!   `2·|T|` `sqrt` + `powf` at each of the `n` listeners, and its values
+//!   and decisions are the oracle's bit for bit. The cache holds at most
+//!   `max(2²⁰, EXACT_MAX_TX·n)` signals (the whole matrix up to
 //!   `n = 1024`) and is cleared whole when a round's missing columns do
 //!   not fit. Larger rounds rebuild the backend's cell-aggregated
 //!   interference field in place: the round's transmitters in one array
@@ -149,9 +158,11 @@ pub struct ResolverStats {
     /// Field rounds: candidates killed by the second-strongest
     /// short-circuit.
     pub short_circuited: u64,
-    /// Exact full-interference sums over all of `T`, one per listener of
-    /// an exact-routine round (every round of the naive oracle; rounds
-    /// with `|T| ≤` [`EXACT_MAX_TX`] of the aggregated backend).
+    /// Exact full-interference sums over all of `T`, one per listener the
+    /// exact routine visits: every non-transmitter in each round of the
+    /// naive oracle; in rounds with `|T| ≤` [`EXACT_MAX_TX`] of the
+    /// aggregated backend, only the near listeners, those on some
+    /// transmitter's reach list.
     pub exact_sums: u64,
     /// Field rounds: candidates decided by cell sums + residual bound.
     pub residual_decided: u64,
@@ -249,9 +260,15 @@ fn mark_transmitters(
 /// Largest transmitter count that [`AggregatedResolver`] resolves with the
 /// oracle's exact routine instead of its interference field.
 ///
-/// Per round the exact routine costs `O(n·|T|)`, and the field path one
-/// candidate scan per listener plus an `O(|T|)` rebuild. Both grow
-/// linearly in `n`, so the threshold is on `|T|` alone. The value was
+/// Per round the aggregated backend's exact routine costs `|T|` cached
+/// loads and adds per near listener, and there are at most `|T|` reach
+/// lists' worth of those, so a warm exact round does not grow with `n`;
+/// each transmitter's first exact round on a network adds `n` signals to
+/// the gain cache and a grid query for its reach list. The field path
+/// costs one candidate scan per listener, all `n` of them, plus an
+/// `O(|T|)` rebuild. The costs therefore no longer grow alike in `n`,
+/// and a threshold on `|T|` alone is a simplification that a rule
+/// estimating both costs per round would replace. The value was
 /// chosen where the `scale_resolvers` sweep's quick tier
 /// (`n = 52 … 2·10⁴`), which prints the threshold minimising the worst
 /// per-round slowdown against the faster path over its fixed-`|T|`
@@ -259,11 +276,11 @@ fn mark_transmitters(
 /// Every quick-tier run since the flat cell table has printed 2, and 1
 /// since field rounds use one cell-sorted transmitter array
 /// (EXPERIMENTS.md, "Resolver crossover"). The value stays 8 because that
-/// sweep times the exact routine computing every signal afresh, while
-/// the aggregated backend reads them from its gain cache, which makes its
-/// exact rounds several times cheaper: the sweep's threshold understates
-/// the crossover against the field path. The protocol workloads play no
-/// part in it.
+/// sweep times the exact routine computing every signal afresh at every
+/// listener, while the aggregated backend reads them from its gain cache
+/// at its near listeners only, which makes its exact rounds several times
+/// cheaper: the sweep's threshold understates the crossover against the
+/// field path. The protocol workloads play no part in it.
 pub const EXACT_MAX_TX: usize = 8;
 
 /// Fewest received signals the gain cache may hold, whatever `n`: 2²⁰
@@ -372,30 +389,215 @@ impl GainCache {
     }
 }
 
-/// The oracle's exact routine: Eq. (1) evaluated literally at every
-/// listener, each listener's total signal summed in transmitter order.
-/// [`NaiveResolver`] runs it every round and [`AggregatedResolver`] on
-/// rounds with `|T| ≤` [`EXACT_MAX_TX`], so those rounds agree bit for bit.
-/// `signal(slot, u)` is the received signal of `transmitters[slot]` at
-/// listener `u`, i.e. [`Network::signal_between`]: the oracle computes it,
-/// the aggregated backend reads it from its gain cache. Counts one exact
-/// sum per listener and one candidate per decoded receiver.
+/// Relative margin of a reach list's radius over its node's range: node
+/// `w`'s list holds every other node `u` with `d²(w, u) ≤ R²`, where
+/// `R = range_of(w)·(1 + REACH_MARGIN)` and both sides are rounded as
+/// [`Grid::within`](crate::Grid::within) rounds them.
+///
+/// **Every node that can decode `w` is on the list.** Write `t` for the
+/// rounded `β·noise`, `P` for `w`'s power, `q` for the rounded `P/t`,
+/// `X = (P/t)^{1/α}` for the exact range, `u = 2⁻⁵³` for the unit
+/// roundoff and `ε` for a bound on `powf`'s relative error. The argument
+/// needs `ε < 10⁻¹⁰`; glibc and musl document under one ulp, about
+/// `2.2·10⁻¹⁶`. It also needs `α > 2` finite, `β > 1`, `noise > 0`, and
+/// `t` and `q` normal. [`reach_radius`] checks those, and where one fails
+/// the radius is infinite and the list holds every node.
+///
+/// 1. A decode needs `s ≥ t`, where `s` is `w`'s signal at `u`. The
+///    oracle decodes when `s ≥ β·(noise + (total − s))`, and `total` is
+///    the slot-order sum of every transmitter's signal at `u`, `s` among
+///    them. Every term is non-negative and rounding is monotone, so the
+///    partial sum that adds `s` is at least `s` and no later one falls
+///    below it. Hence `total ≥ s`, `total − s ≥ 0`, and the right-hand
+///    side is at least `t`. Where `total − s` is NaN the test fails;
+///    where it is infinite, `s` must be infinite too.
+/// 2. A decoder lies within `X·(1 + ε + u)`. Here `s` is the rounded
+///    `P/g`, `g = powf(d′, α)`, `d′ = max(d, 10⁻¹²)` and `d` the rounded
+///    distance. Since `t` is normal, `s ≥ t` gives `P/g ≥ t·(1 − u)`. If
+///    `g` is normal, `d′^α ≤ g/(1 − ε) ≤ (P/t)/((1 − u)(1 − ε))`, and the
+///    `α`-th root, `α > 2`, gives the bound. If `g` is subnormal or zero,
+///    `d′^α` lies below the smallest normal up to `powf`'s error, so
+///    `d′^α < 2⁻¹⁰²²/(1 − ε) ≤ q/(1 − ε) ≤ (P/t)(1 + u)/(1 − ε)`, because
+///    `q` is normal: the same bound.
+/// 3. `range_of(w) ≥ X·(1 − ε − 5·10⁻¹⁴)`. It is `powf(q, a)` with
+///    `q ≥ (P/t)(1 − u)`, `a` the rounded `1/α`, `|a − 1/α| ≤ u/α` and
+///    `|ln q| < 745`. So it is at least
+///    `X·(1 − ε)(1 − u)·e^{−745·u/α}`.
+/// 4. Together, a decoder has `d ≤ d′ ≤ range_of(w)·(1 + 2ε + 10⁻¹³)`,
+///    below `range_of(w)·(1 + 3·10⁻¹⁰)`. Rounding `R`, `R²`, the squared
+///    distance and its square root costs a few more units of `u`, far
+///    inside the margin of `10⁻⁹`. For the same reason each coordinate of
+///    a decoder lies within `R` of `w`'s, so the cell keys of `within`'s
+///    walk, which are monotone in the coordinates, reach its cell.
+///
+/// A listener on no transmitter's list therefore decodes nothing, and the
+/// exact routine may skip it. A margin of 0, or a radius one ulp short of
+/// the range, drops decoders: `reach_lists_hold_every_decoder_at_the_range`
+/// places listeners at the range and just past it.
+const REACH_MARGIN: f64 = 1e-9;
+
+/// The radius of node `w`'s reach list: `range_of(w)·(1 + REACH_MARGIN)`
+/// where the argument of [`REACH_MARGIN`] holds, and infinite, so that
+/// the list holds every node, where it does not.
+fn reach_radius(net: &Network, w: usize) -> f64 {
+    let p = net.params();
+    let t = p.beta * p.noise;
+    let modelled = p.alpha > 2.0
+        && p.alpha.is_finite()
+        && p.beta > 1.0
+        && p.noise > 0.0
+        && t.is_normal()
+        && (net.power_of(w) / t).is_normal();
+    if modelled {
+        net.range_of(w) * (1.0 + REACH_MARGIN)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The reach index of the exact routine, keyed on the network's build
+/// [stamp](Network::stamp): for each node that has transmitted in an
+/// exact round on that network since the index was last cleared, the
+/// other nodes within its [`reach_radius`], in ascending order. A list is
+/// taken from the network grid on its node's first exact round; any node
+/// that can decode the node is on it ([`REACH_MARGIN`]).
+#[derive(Debug, Default)]
+struct ReachIndex {
+    /// Network stamp the lists were built against (0 = nothing built;
+    /// real stamps start at 1).
+    stamp: u64,
+    /// Each node's list; `None` until built.
+    lists: Vec<Option<Box<[u32]>>>,
+    /// Entries over all lists.
+    entries: usize,
+    /// One bit per node, all clear between rounds: the union of a
+    /// round's lists.
+    bits: Vec<u64>,
+    /// The listeners of the latest round.
+    near: Vec<usize>,
+}
+
+impl ReachIndex {
+    /// Drops every list and keys the index to `net`.
+    fn clear(&mut self, net: &Network) {
+        self.stamp = net.stamp();
+        self.lists.clear();
+        self.lists.resize(net.len(), None);
+        self.entries = 0;
+        self.bits.clear();
+        self.bits.resize(net.len().div_ceil(64), 0);
+    }
+
+    /// Node `w`'s list, from the network grid.
+    fn build(net: &Network, w: usize) -> Box<[u32]> {
+        let near = net
+            .grid()
+            .within(net.points(), net.pos(w), reach_radius(net, w));
+        let mut list: Vec<u32> = near.filter(|&u| u != w).map(|u| u as u32).collect();
+        list.sort_unstable();
+        list.into_boxed_slice()
+    }
+
+    /// The listeners of a round: every node on some transmitter's list
+    /// that does not transmit itself, ascending. Builds the lists the
+    /// round's transmitters lack, after clearing the index if it holds
+    /// more entries than the gain cache's budget of signals, so it never
+    /// holds more than that plus one round's lists.
+    fn near_listeners(&mut self, net: &Network, transmitters: &[usize]) -> &[usize] {
+        if self.stamp != net.stamp() || self.entries > GainCache::budget(net.len()) {
+            self.clear(net);
+        }
+        // The words of `bits` that the lists touch.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &w in transmitters {
+            let entries = &mut self.entries;
+            let list = self.lists[w].get_or_insert_with(|| {
+                let list = Self::build(net, w);
+                *entries += list.len();
+                list
+            });
+            if let (Some(&first), Some(&last)) = (list.first(), list.last()) {
+                lo = lo.min(first as usize / 64);
+                hi = hi.max(last as usize / 64);
+            }
+            for &u in list.iter() {
+                self.bits[u as usize / 64] |= 1 << (u % 64);
+            }
+        }
+        for &w in transmitters {
+            self.bits[w / 64] &= !(1 << (w % 64));
+        }
+        self.near.clear();
+        for word in lo..=hi {
+            let mut bits = std::mem::take(&mut self.bits[word]);
+            while bits != 0 {
+                self.near.push(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        &self.near
+    }
+
+    /// Compares every list, if the index is keyed to `net`, with a
+    /// brute-force scan of all nodes at the same radius, and checks that
+    /// no node off a list receives that list's node at `β·noise` or more.
+    fn audit(&self, net: &Network) -> Result<(), String> {
+        if self.stamp != net.stamp() {
+            return Ok(()); // nothing built, or stale: the next round clears
+        }
+        let p = net.params();
+        let t = p.beta * p.noise;
+        for (w, list) in self.lists.iter().enumerate() {
+            let Some(list) = list else { continue };
+            let r = reach_radius(net, w);
+            let reached = |u: usize| u != w && net.pos(u).dist_sq(net.pos(w)) <= r * r;
+            let brute: Vec<u32> = (0..net.len())
+                .filter(|&u| reached(u))
+                .map(|u| u as u32)
+                .collect();
+            if **list != *brute {
+                let at = list.iter().zip(&brute).take_while(|(a, b)| a == b).count();
+                return Err(format!(
+                    "reach index: node {w}'s list holds {:?} at position {at}, \
+                     a brute-force scan within {r:e} gives {:?}",
+                    list.get(at),
+                    brute.get(at)
+                ));
+            }
+            let heard_off_list = |u: usize| u != w && !reached(u) && net.signal_between(w, u) >= t;
+            if let Some(u) = (0..net.len()).find(|&u| heard_off_list(u)) {
+                return Err(format!(
+                    "reach index: node {u} is off node {w}'s list, yet receives it \
+                     at {:e} ≥ β·noise",
+                    net.signal_between(w, u)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The oracle's exact routine: Eq. (1) evaluated literally at each of
+/// `listeners`, which must be ascending and exclude the transmitters,
+/// each listener's total signal summed in transmitter order.
+/// [`NaiveResolver`] runs it every round at every listener and
+/// [`AggregatedResolver`] on rounds with `|T| ≤` [`EXACT_MAX_TX`] at the
+/// near listeners only, the ones its reach index lists. A listener it
+/// skips decodes nothing ([`REACH_MARGIN`]), so those rounds agree bit
+/// for bit. `signal(slot, u)` is the received signal of
+/// `transmitters[slot]` at listener `u`, i.e.
+/// [`Network::signal_between`]: the oracle computes it, the aggregated
+/// backend reads it from its gain cache. Counts one exact sum per
+/// listener visited and one candidate per decoded receiver.
 fn resolve_exact(
-    net: &Network,
+    p: &SinrParams,
     transmitters: &[usize],
+    listeners: impl Iterator<Item = usize>,
     signal: impl Fn(usize, usize) -> f64,
-    is_tx: &mut Vec<bool>,
     stats: &mut ResolverStats,
     out: &mut Vec<Reception>,
 ) {
-    let p = net.params();
-    is_tx.clear();
-    is_tx.resize(net.len(), false);
-    for &t in transmitters {
-        debug_assert!(!is_tx[t], "node {t} listed twice as transmitter");
-        is_tx[t] = true;
-    }
-    for (u, _) in is_tx.iter().enumerate().filter(|&(_, &tx)| !tx) {
+    for u in listeners {
         stats.exact_sums += 1;
         let total: f64 = (0..transmitters.len()).map(|slot| signal(slot, u)).sum();
         let mut decoded: Option<(usize, usize)> = None;
@@ -441,17 +643,26 @@ impl SinrResolver for NaiveResolver {
     fn resolve_into(&mut self, net: &Network, transmitters: &[usize], out: &mut Vec<Reception>) {
         out.clear();
         self.stats.rounds += 1;
-        if !transmitters.is_empty() {
-            let signal = |slot: usize, u: usize| net.signal_between(transmitters[slot], u);
-            resolve_exact(
-                net,
-                transmitters,
-                signal,
-                &mut self.is_tx,
-                &mut self.stats,
-                out,
-            );
+        if transmitters.is_empty() {
+            return;
         }
+        let is_tx = &mut self.is_tx;
+        is_tx.clear();
+        is_tx.resize(net.len(), false);
+        for &t in transmitters {
+            debug_assert!(!is_tx[t], "node {t} listed twice as transmitter");
+            is_tx[t] = true;
+        }
+        let listeners = (0..net.len()).filter(|&u| !is_tx[u]);
+        let signal = |slot: usize, u: usize| net.signal_between(transmitters[slot], u);
+        resolve_exact(
+            net.params(),
+            transmitters,
+            listeners,
+            signal,
+            &mut self.stats,
+            out,
+        );
     }
 
     fn stats(&self) -> ResolverStats {
@@ -460,9 +671,9 @@ impl SinrResolver for NaiveResolver {
 }
 
 /// The fast backend (see the module docs): the oracle's exact routine over
-/// cached received signals on rounds with `|T| ≤` [`EXACT_MAX_TX`], a
-/// cell-aggregated interference field rebuilt in place for each round
-/// above it. Scales to 10⁵-node deployments with thousands of
+/// cached received signals at the near listeners of rounds with
+/// `|T| ≤` [`EXACT_MAX_TX`], a cell-aggregated interference field rebuilt
+/// in place for each round above it. Scales to 10⁵-node deployments with thousands of
 /// transmitters per round.
 #[derive(Debug, Default)]
 pub struct AggregatedResolver {
@@ -477,6 +688,9 @@ pub struct AggregatedResolver {
     /// The received signals of exact rounds' transmitters; field rounds
     /// leave it idle.
     gains: GainCache,
+    /// Who can hear each of exact rounds' transmitters; field rounds leave
+    /// it idle.
+    reach: ReachIndex,
     /// The interference field of the latest field round; its buffers
     /// persist across rounds.
     field: InterferenceField,
@@ -563,28 +777,32 @@ impl SinrResolver for AggregatedResolver {
         out.clear();
         self.stats.rounds += 1;
         self.last_op = None;
-        if !transmitters.is_empty() {
-            self.gains.load(net, transmitters);
-            let gains = &self.gains;
-            let signal = |slot: usize, u: usize| gains.signal(slot, u);
-            resolve_exact(
-                net,
-                transmitters,
-                signal,
-                &mut self.is_tx,
-                &mut self.stats,
-                out,
-            );
+        if transmitters.is_empty() {
+            return;
         }
+        self.gains.load(net, transmitters);
+        let near = self.reach.near_listeners(net, transmitters);
+        let gains = &self.gains;
+        let signal = |slot: usize, u: usize| gains.signal(slot, u);
+        resolve_exact(
+            net.params(),
+            transmitters,
+            near.iter().copied(),
+            signal,
+            &mut self.stats,
+            out,
+        );
     }
 
     fn stats(&self) -> ResolverStats {
         self.stats
     }
 
-    /// Audits every cached signal column against a fresh computation.
+    /// Audits every cached signal column against a fresh computation, and
+    /// every reach list against a brute-force scan.
     fn audit(&self, net: &Network) -> Result<(), String> {
-        self.gains.audit(net)
+        self.gains.audit(net)?;
+        self.reach.audit(net)
     }
 
     fn last_cache_op(&self) -> Option<CacheOp> {
@@ -872,11 +1090,14 @@ mod tests {
     #[test]
     fn warm_gain_cache_serves_two_networks_alternately() {
         // Same size, different geometry: only the stamp tells them apart.
+        // Reach lists of about 8 nodes, so a stale list would miss the
+        // other network's decoders.
         let mut rng = Rng64::new(909);
-        let nets = [random_net(90, 3.0, &mut rng), random_net(90, 3.0, &mut rng)];
+        let nets = [random_net(90, 6.0, &mut rng), random_net(90, 6.0, &mut rng)];
         let mut agg = AggregatedResolver::new();
         for round in 0..8 {
-            // The same transmitters on both, so a stale column would be read.
+            // The same transmitters on both, so a stale column or list
+            // would be read.
             let mut tx: Vec<usize> = (0..90).collect();
             rng.shuffle(&mut tx);
             tx.truncate(1 + round % EXACT_MAX_TX);
@@ -887,6 +1108,12 @@ mod tests {
                     "round {round}, network {i}: the other network's signals leaked"
                 );
                 agg.audit(net).unwrap();
+                let built = agg.reach.lists.iter().flatten().count();
+                assert_eq!(
+                    (agg.reach.stamp, built),
+                    (net.stamp(), tx.len()),
+                    "round {round}, network {i}: the index holds this round's lists only"
+                );
             }
         }
     }
@@ -897,14 +1124,16 @@ mod tests {
         // rounds of 8 fresh transmitters; n = 3000 for 349, a remainder
         // that plain doubling would overshoot. The round after the cache
         // is full starts afresh, and neither the columns held nor their
-        // allocation ever exceed the bound.
+        // allocation ever exceed the bound. The reach index holds at most
+        // the same number of entries plus one round's lists: on a square
+        // of side 0.7 every node reaches all 2047 others, so it clears.
         assert_eq!(GainCache::budget(4096) / 4096, 256);
-        for n in [4096, 3000] {
+        for (n, side) in [(4096, 18.0), (3000, 18.0), (2048, 0.7)] {
             let budget = GainCache::budget(n);
             let per_round = EXACT_MAX_TX * n;
             let fitting = budget / per_round;
             let mut rng = Rng64::new(n as u64);
-            let net = random_net(n, 18.0, &mut rng);
+            let net = random_net(n, side, &mut rng);
             let mut order: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut order);
             let mut agg = AggregatedResolver::new();
@@ -919,8 +1148,14 @@ mod tests {
                 };
                 assert_eq!(cols.len(), held * per_round, "n = {n}, round {round}");
                 assert!(cols.capacity() <= budget, "n = {n}, round {round}");
+                let entries = agg.reach.entries;
+                assert!(entries <= budget + per_round, "n = {n}, round {round}");
             }
             agg.audit(&net).unwrap();
+            let lists = agg.reach.lists.iter().flatten().count();
+            if side < 1.0 {
+                assert!(lists < (fitting + 4) * EXACT_MAX_TX, "the index cleared");
+            }
         }
     }
 
@@ -1072,14 +1307,126 @@ mod tests {
             "every candidate is accounted for exactly once"
         );
         assert!(st.field_terms > 0, "field decisions sum cell signals");
-        // An exact-routine round counts its work exactly like the oracle.
+        // An exact-routine round decides like the oracle, which sums at
+        // every listener, but sums only at the listeners on some
+        // transmitter's reach list.
         let small = &tx[..EXACT_MAX_TX];
         let mut agg = AggregatedResolver::new();
         let mut naive = NaiveResolver::new();
         assert_eq!(agg.resolve(&net, small), naive.resolve(&net, small));
-        assert_eq!(agg.stats(), naive.stats());
-        assert_eq!(agg.stats().exact_sums, (80 - EXACT_MAX_TX) as u64);
+        assert_eq!(naive.stats().exact_sums, (80 - EXACT_MAX_TX) as u64);
+        let reached = |u: usize, w: usize| {
+            let r = reach_radius(&net, w);
+            net.pos(u).dist_sq(net.pos(w)) <= r * r
+        };
+        let near = (0..80)
+            .filter(|u| !small.contains(u) && small.iter().any(|&w| reached(*u, w)))
+            .count();
+        let expected = ResolverStats {
+            exact_sums: near as u64,
+            ..naive.stats()
+        };
+        assert_eq!(agg.stats(), expected);
         assert_eq!(agg.last_cache_op(), None, "exact rounds build no field");
+    }
+
+    #[test]
+    fn reach_lists_hold_every_decoder_at_the_range() {
+        // A transmitter w at the origin and one listener on the x-axis,
+        // where the distance is exactly the coordinate, at range_of(w)
+        // moved by -4..=4 ulps. The power profiles set range_of(w) to 1
+        // exactly, and to about 10⁴ and 10¹⁰⁰, where the rounded 1/α puts
+        // it a few and dozens of ulps short of the exact range; each runs
+        // alone, among far transmitters whose interference rounds away,
+        // each heard by a node of its own, and beside far silent outliers
+        // that coarsen the grid.
+        let p = SinrParams::default();
+        let profiles = [
+            ("uniform", p, None),
+            (
+                "uniform at 10¹² power",
+                SinrParams { power: 2e12, ..p },
+                None,
+            ),
+            ("heterogeneous", p, Some(2e12)),
+            ("heterogeneous, far reach", p, Some(2e300)),
+        ];
+        let (mut decoded_at_range, mut decoded_past_range) = (false, false);
+        let mut warm = AggregatedResolver::new();
+        for (profile, params, power_of_w) in profiles {
+            let range = {
+                let mut b = Network::builder(vec![Point::ORIGIN]).params(params);
+                if let Some(power) = power_of_w {
+                    b = b.powers(vec![power]);
+                }
+                b.build().unwrap().range_of(0)
+            };
+            let far = 1e6 * range;
+            for setting in ["alone", "interferers", "outliers"] {
+                for k in -4i32..=4 {
+                    let mut x = range;
+                    for _ in 0..k.unsigned_abs() {
+                        x = if k < 0 { x.next_down() } else { x.next_up() };
+                    }
+                    let mut pts = vec![Point::ORIGIN, Point::new(x, 0.0)];
+                    let mut tx = vec![0];
+                    match setting {
+                        "interferers" => {
+                            for at in [Point::new(-far, 0.0), Point::new(0.0, far)] {
+                                tx.push(pts.len());
+                                pts.push(at);
+                                pts.push(at + Point::new(0.5, 0.0));
+                            }
+                        }
+                        "outliers" => {
+                            pts.push(Point::new(1e6 * far, -far));
+                            pts.push(Point::new(-far, 1e6 * far));
+                        }
+                        _ => {}
+                    }
+                    let mut powers = vec![params.power; pts.len()];
+                    powers[0] = power_of_w.unwrap_or(params.power);
+                    let net = Network::builder(pts)
+                        .params(params)
+                        .powers(powers)
+                        .build()
+                        .unwrap();
+                    assert_eq!(net.range_of(0), range);
+                    let at = format!("{profile}, {setting}, {k:+} ulps");
+                    let naive = resolve_naive(&net, &tx);
+                    assert_eq!(AggregatedResolver::new().resolve(&net, &tx), naive, "{at}");
+                    assert_eq!(warm.resolve(&net, &tx), naive, "warm, {at}");
+                    warm.audit(&net).unwrap();
+                    let heard = naive.iter().any(|x| x.receiver == 1);
+                    if k == -1 {
+                        assert!(heard, "{at}: the listener just inside range decodes");
+                    }
+                    decoded_at_range |= heard && k == 0;
+                    decoded_past_range |= heard && k > 0;
+                }
+            }
+        }
+        assert!(
+            decoded_at_range && decoded_past_range,
+            "a listener at the range, and one past it, must decode somewhere"
+        );
+    }
+
+    #[test]
+    fn reach_audit_names_a_corrupted_list() {
+        let mut rng = Rng64::new(1313);
+        let net = random_net(60, 5.0, &mut rng);
+        let mut agg = AggregatedResolver::new();
+        let _ = agg.resolve(&net, &[7, 30]);
+        agg.audit(&net).unwrap();
+        let list = agg.reach.lists[30].as_mut().unwrap();
+        assert!(list.len() > 1, "node 30 reaches others");
+        list[0] = 30;
+        let err = agg.audit(&net).unwrap_err();
+        assert!(
+            err.contains("node 30's list"),
+            "audit must name the list: {err}"
+        );
     }
 
     #[test]
