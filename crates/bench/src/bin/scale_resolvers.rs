@@ -10,8 +10,12 @@
 //!   backend as dispatched, and its field path forced at every `|T|`
 //!   (`field`). Both per-round costs grow linearly in `n`, so the
 //!   naive ÷ field ratio locates the `|T|` crossover. The crossover table
-//!   prints the threshold that sets `radio::EXACT_MAX_TX`: the one whose
-//!   worst per-round slowdown against the faster path is smallest;
+//!   prints the threshold whose worst per-round slowdown against the
+//!   faster path is smallest, beside the compiled `radio::EXACT_MAX_TX`.
+//!   That threshold no longer sets the constant: it times the oracle
+//!   computing every signal afresh at every listener, while the
+//!   aggregated backend's exact rounds read cached signals at their near
+//!   listeners only (the constant's docs give the history);
 //! * **evolve** — a saturated membership set (99.95% transmit — the
 //!   busy-tone/wake-up-storm regime, where the round cost *is* the
 //!   interference field) churned by ~0.01% of the nodes per round: the
@@ -368,9 +372,10 @@ fn main() {
 }
 
 /// The crossover table: per-round naive ÷ field time for every fixed-mode
-/// point (above 1, the field path wins). Then the rule that sets
-/// `radio::EXACT_MAX_TX`: the threshold whose worst per-round slowdown
-/// against the faster path, over every swept size and `|T|`, is smallest.
+/// point (above 1, the field path wins). Then the threshold whose worst
+/// per-round slowdown against the faster path, over every swept size and
+/// `|T|`, is smallest, beside the compiled `radio::EXACT_MAX_TX`, which it
+/// no longer sets.
 fn print_crossover(rows: &[Row]) {
     let per_round = |n: usize, k: usize, t: Timed| {
         rows.iter()

@@ -117,7 +117,9 @@ impl Tx {
 }
 
 /// The strongest signal a listener receives and the strongest of the
-/// rest, over the transmitters within [`Network::max_range`] of it.
+/// rest, over the transmitters within [`Network::max_reach`] of it: a
+/// transmitter's range holds its decoders only up to rounding, and that
+/// radius is the proved bound.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
     /// The strongest signal's transmitter (node index) and its position.
@@ -125,8 +127,8 @@ pub(crate) struct Candidate {
     pos: Point,
     /// The strongest signal.
     pub s1: f64,
-    /// The second-strongest signal, `0.0` when a single transmitter is in
-    /// range.
+    /// The second-strongest signal, `0.0` when a single transmitter is
+    /// within the search radius.
     pub s2: f64,
 }
 
@@ -200,8 +202,11 @@ impl InterferenceField {
 
     /// The strongest and second-strongest signals at a listener at `at`,
     /// over the transmitters within distance `r` of it, or `None` when
-    /// none is. Cells come in [`Grid::within`]'s order (x outer, y inner,
-    /// clipped to the box) and transmitters in slot order within a cell.
+    /// none is. The resolver passes [`Network::max_reach`], which holds
+    /// every transmitter the listener can decode; the largest range holds
+    /// them only up to rounding. Cells come in [`Grid::within`]'s order
+    /// (x outer, y inner, clipped to the box) and transmitters in slot
+    /// order within a cell.
     /// Ties keep the first-scanned transmitter: the scan order is
     /// deterministic, and tied top signals can never be decoded anyway
     /// (`β > 1`).
@@ -246,10 +251,11 @@ impl InterferenceField {
     /// − 1` interferers. The tails are then a function of the listener's
     /// cell alone, so the field fills them once per cell and every such
     /// decision in the cell reads them. Under uniform power the candidate
-    /// lies within one cell side of the listener, hence within ring 1 up
-    /// to the rounding of the distance test; the condition is checked per
-    /// decision all the same, and a decision whose sender lies farther
-    /// (heterogeneous power) fills its own. Debug builds refill the tails
+    /// lies within one cell side of the listener times `1 + 10⁻⁹` (the
+    /// search radius, [`Network::max_reach`]), hence almost always within
+    /// ring 1; the condition is checked per decision all the same, and a
+    /// decision whose sender lies farther (heterogeneous power) fills its
+    /// own. Debug builds refill the tails
     /// of every sharing decision and assert that they equal the shared
     /// ones bit for bit.
     pub(crate) fn decide(
@@ -669,7 +675,7 @@ mod tests {
         ];
         let net = net_of(pts, powers);
         assert!(
-            net.max_range() > 9.0,
+            net.range_of(strong) > 9.0,
             "the strong sender reaches past ring 1"
         );
         let mut field = built(&net, &tx);

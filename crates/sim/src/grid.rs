@@ -1,12 +1,14 @@
 //! Uniform spatial grid.
 //!
 //! The geometric queries of the simulator (communication-graph
-//! construction, density estimation, the resolver's reach lists) go
-//! through this index. Cells have a fixed side length; a disk query of
-//! radius `r` touches `O((r/cell)²)` cells, and never more than the
-//! grid's cell box. The SINR resolver sorts each field round's
-//! transmitters over the network grid's cells and visits that round's
-//! listeners in the grid's member order.
+//! construction, density estimation) go through this index. Cells have a
+//! fixed side length; a disk query of radius `r` touches `O((r/cell)²)`
+//! cells, and never more than the grid's cell box. The SINR resolver
+//! queries no grid (its reach lists come from its gain cache): it sorts
+//! each field round's transmitters over the network grid's cells,
+//! searches them with the same disk walk at radius
+//! [`Network::max_reach`](crate::Network::max_reach), and visits that
+//! round's listeners in the grid's member order.
 //!
 //! **Layout.** A grid covers its *cell box*: the bounding box, in cell
 //! coordinates, of the points it is built on. Its members sit in one

@@ -116,8 +116,8 @@ pub struct Network {
     powers: Vec<f64>,
     /// Cached per-node transmission ranges `(powers[v]/(β·noise))^{1/α}`.
     ranges: Vec<f64>,
-    /// Cached `max(ranges)` — the candidate-search radius of the resolvers.
-    max_range: f64,
+    /// Cached [`Network::max_reach`].
+    max_reach: f64,
     /// True iff every node transmits at `params.power` (the paper's
     /// uniform-power setting).
     uniform_power: bool,
@@ -244,19 +244,27 @@ impl Network {
         self.uniform_power
     }
 
-    /// Transmission range of node `v`: `(P_v / (β·noise))^{1/α}` — the
-    /// farthest distance at which `v` alone can be decoded.
+    /// Transmission range of node `v`: `(P_v / (β·noise))^{1/α}`, the
+    /// farthest distance at which `v` alone can be decoded, up to
+    /// rounding: the rounded `1/α` and `powf` can put the computed range a
+    /// few ulps short of the farthest decoder (66 ulps at a power of
+    /// 2·10³⁰⁰). [`Network::max_reach`] is the proved bound.
     #[inline]
     pub fn range_of(&self, v: usize) -> f64 {
         self.ranges[v]
     }
 
-    /// The largest per-node transmission range (= `params.range()` under
-    /// uniform power). Any decodable transmitter lies within this radius of
-    /// its receiver, so it bounds every candidate search.
+    /// A radius that holds every decoder: no listener decodes, in any
+    /// round, a transmitter farther than this from it, rounding included.
+    /// It is the largest [`Network::range_of`] times `1 + 10⁻⁹`, a margin
+    /// whose proof (`REACH_MARGIN` in this module) bounds the rounding of
+    /// the ranges, the signals and the distances. Where the proof's
+    /// conditions fail (`α ≤ 2`, `β ≤ 1`, `noise ≤ 0`, or a `β·noise` or
+    /// `P_v/(β·noise)` that is not a normal float), it is infinite. It is
+    /// the radius of the field path's candidate search.
     #[inline]
-    pub fn max_range(&self) -> f64 {
-        self.max_range
+    pub fn max_reach(&self) -> f64 {
+        self.max_reach
     }
 
     /// Received signal strength of transmitter `w` at distance `d`:
@@ -290,6 +298,71 @@ impl Network {
 /// Transmission range for a transmit power under the model parameters.
 fn range_for(power: f64, params: &SinrParams) -> f64 {
     (power / (params.beta * params.noise)).powf(1.0 / params.alpha)
+}
+
+/// Relative margin of [`Network::max_reach`] over the largest range: every
+/// node that can decode transmitter `w` lies within
+/// `R = range_of(w)·(1 + REACH_MARGIN)` of it, with `R` and the distance
+/// rounded as [`Grid::within`] and the field's candidate scan round them.
+///
+/// **The proof.** Write `t` for the rounded `β·noise`, `P` for `w`'s
+/// power, `q` for the rounded `P/t`, `X = (P/t)^{1/α}` for the exact
+/// range, `u = 2⁻⁵³` for the unit roundoff and `ε` for a bound on `powf`'s
+/// relative error. The argument needs `ε < 10⁻¹⁰`; glibc and musl document
+/// under one ulp, about `2.2·10⁻¹⁶`. It also needs `α > 2` finite,
+/// `β > 1`, `noise > 0`, and `t` and `q` normal. [`reach_for`] checks
+/// those for every node, and where one fails the reach is infinite.
+///
+/// 1. A decode needs `s ≥ t`, where `s` is `w`'s signal at the
+///    listener. The oracle decodes when `s ≥ β·(noise + (total − s))`,
+///    and `total` is the slot-order sum of every transmitter's signal at
+///    the listener, `s` among them. Every term is non-negative and rounding is monotone, so the
+///    partial sum that adds `s` is at least `s` and no later one falls
+///    below it. Hence `total ≥ s`, `total − s ≥ 0`, and the right-hand
+///    side is at least `t`. Where `total − s` is NaN the test fails;
+///    where it is infinite, `s` must be infinite too.
+/// 2. A decoder lies within `X·(1 + ε + u)`. Here `s` is the rounded
+///    `P/g`, `g = powf(d′, α)`, `d′ = max(d, 10⁻¹²)` and `d` the rounded
+///    distance. Since `t` is normal, `s ≥ t` gives `P/g ≥ t·(1 − u)`. If
+///    `g` is normal, `d′^α ≤ g/(1 − ε) ≤ (P/t)/((1 − u)(1 − ε))`, and the
+///    `α`-th root, `α > 2`, gives the bound. If `g` is subnormal or zero,
+///    `d′^α` lies below the smallest normal up to `powf`'s error, so
+///    `d′^α < 2⁻¹⁰²²/(1 − ε) ≤ q/(1 − ε) ≤ (P/t)(1 + u)/(1 − ε)`, because
+///    `q` is normal: the same bound.
+/// 3. `range_of(w) ≥ X·(1 − ε − 5·10⁻¹⁴)`. It is `powf(q, a)` with
+///    `q ≥ (P/t)(1 − u)`, `a` the rounded `1/α`, `|a − 1/α| ≤ u/α` and
+///    `|ln q| < 745`. So it is at least
+///    `X·(1 − ε)(1 − u)·e^{−745·u/α}`.
+/// 4. Together, a decoder has `d ≤ d′ ≤ range_of(w)·(1 + 2ε + 10⁻¹³)`,
+///    below `range_of(w)·(1 + 3·10⁻¹⁰)`. Rounding `R`, `R²`, the squared
+///    distance and its square root costs a few more units of `u`, far
+///    inside the margin of `10⁻⁹`. For the same reason each coordinate of
+///    a decoder lies within `R` of `w`'s, so the cell keys of a disk
+///    query's walk, which are monotone in the coordinates, reach its cell.
+///
+/// `max_reach` is at least every node's `R`, so a disk query of that
+/// radius around a listener holds every transmitter it can decode. A
+/// margin of 0, or a radius one ulp short of the range, drops decoders:
+/// `radio`'s `reach_lists_hold_every_decoder_at_the_range` places
+/// listeners at the range and up to 72 ulps past it.
+const REACH_MARGIN: f64 = 1e-9;
+
+/// [`Network::max_reach`] for these parameters and per-node powers and
+/// ranges: the largest range times `1 + REACH_MARGIN` where the margin's
+/// proof holds for every node, and infinite where it does not.
+fn reach_for(params: &SinrParams, powers: &[f64], ranges: &[f64]) -> f64 {
+    let t = params.beta * params.noise;
+    let modelled = params.alpha > 2.0
+        && params.alpha.is_finite()
+        && params.beta > 1.0
+        && params.noise > 0.0
+        && t.is_normal()
+        && powers.iter().all(|&p| (p / t).is_normal());
+    if modelled {
+        ranges.iter().copied().fold(0.0, f64::max) * (1.0 + REACH_MARGIN)
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// Builder for [`Network`] (see [`Network::builder`]).
@@ -413,7 +486,7 @@ impl NetworkBuilder {
             None => vec![self.params.power; n],
         };
         let ranges: Vec<f64> = powers.iter().map(|&p| range_for(p, &self.params)).collect();
-        let max_range = ranges.iter().copied().fold(0.0, f64::max);
+        let max_reach = reach_for(&self.params, &powers, &ranges);
         let uniform_power = powers.iter().all(|&p| p == self.params.power);
         let range = self.params.range();
         let grid = Grid::build(&self.points, range);
@@ -439,7 +512,7 @@ impl NetworkBuilder {
             params: self.params,
             powers,
             ranges,
-            max_range,
+            max_reach,
             uniform_power,
             grid,
             comm: Graph::from_adjacency(adj),
@@ -514,7 +587,8 @@ mod tests {
     fn uniform_power_network_reports_the_model_range() {
         let net = Network::builder(square(3, 0.5)).build().unwrap();
         assert!(net.has_uniform_power());
-        assert!((net.max_range() - net.params().range()).abs() < 1e-12);
+        let reach = net.params().range() * (1.0 + REACH_MARGIN);
+        assert_eq!(net.max_reach(), reach);
         for v in 0..net.len() {
             assert_eq!(net.power_of(v), net.params().power);
             assert!((net.range_of(v) - 1.0).abs() < 1e-12);
@@ -541,10 +615,29 @@ mod tests {
         .unwrap();
         assert!(!net.has_uniform_power());
         assert!((net.range_of(0) - 2.0).abs() < 1e-12);
-        assert!((net.max_range() - 2.0).abs() < 1e-12);
+        assert_eq!(net.max_reach(), net.range_of(0) * (1.0 + REACH_MARGIN));
         assert!(!net.comm_graph().has_edge(0, 1), "weak side out of reach");
         assert!(net.comm_graph().has_edge(1, 2), "symmetric weak pair");
         assert!(net.signal_from(0, 0.5) > net.signal_from(1, 0.5));
+    }
+
+    #[test]
+    fn max_reach_is_infinite_where_no_margin_is_proved() {
+        // α = 2 and β = 1 lie outside the model, and a subnormal power
+        // makes P/(β·noise) subnormal.
+        let p = SinrParams::default();
+        for params in [
+            SinrParams { alpha: 2.0, ..p },
+            SinrParams { beta: 1.0, ..p },
+        ] {
+            let net = Network::builder(square(2, 0.5)).params(params).build();
+            assert_eq!(net.unwrap().max_reach(), f64::INFINITY);
+        }
+        let net = Network::builder(square(2, 0.5))
+            .powers(vec![p.power, p.power, p.power, 1e-310])
+            .build()
+            .unwrap();
+        assert_eq!(net.max_reach(), f64::INFINITY);
     }
 
     #[test]

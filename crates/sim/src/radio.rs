@@ -20,33 +20,32 @@
 //!   with `|T| ≤` [`EXACT_MAX_TX`] runs the oracle's own per-listener
 //!   routine, so it equals the oracle by construction; the paper's
 //!   protocols spend almost all their rounds there. It runs the routine
-//!   only at the listeners some transmitter can reach: a decode needs
-//!   the sender's signal alone to reach `β·noise` (interference is never
-//!   negative), so the decoder lies within the sender's range. A reach
-//!   index lists, per node, the nodes within its range times `1 + 10⁻⁹`
-//!   (`REACH_MARGIN`, whose docs prove the margin covers every decoder),
-//!   taken from the network grid on the node's first exact round; a round
-//!   visits the union of its transmitters' lists, transmitters removed,
-//!   in ascending order. The routine's received signals are read from a
-//!   gain cache instead of recomputed: a network's positions and powers
-//!   never change after its build, so each pair's `P_w / d(w,u)^α` is a
-//!   constant, and the cache keeps one column of them per node that has
-//!   transmitted in an exact round, filled on first use from the same
-//!   [`Network::signal_between`] the oracle calls. Both the index and the
-//!   cache are keyed on the network's [stamp](Network::stamp). An exact
-//!   round then costs `|T|` loads and adds per near listener rather than
-//!   `2·|T|` `sqrt` + `powf` at each of the `n` listeners, and its values
-//!   and decisions are the oracle's bit for bit. The cache holds at most
-//!   `max(2²⁰, EXACT_MAX_TX·n)` signals (the whole matrix up to
-//!   `n = 1024`) and is cleared whole when a round's missing columns do
-//!   not fit. Larger rounds rebuild the backend's cell-aggregated
-//!   interference field in place: the round's transmitters in one array
-//!   sorted over the network grid's cells by the grid's own counting
-//!   sort, each entry carrying its position and power. Two exact facts
-//!   cut the work: (1) a decodable transmitter lies within range
-//!   (`signal(d) ≥ β·noise` is necessary), so a listener's candidates are
-//!   the transmitters of the few cells its range disk touches, clipped to
-//!   the grid's box, a contiguous run of that array per column; (2) the
+//!   only at the listeners some transmitter can reach: a listener that
+//!   decodes a sender among interferers would also decode it alone,
+//!   because interference is never negative (see `reach_list`). So a
+//!   round visits the union of its transmitters' reach lists, the nodes
+//!   that pass that lone-transmitter test, transmitters removed, in
+//!   ascending order. The lists and the routine's received signals come
+//!   from one gain cache: a network's positions and powers never change
+//!   after its build, so each pair's `P_w / d(w,u)^α` is a constant, and
+//!   the cache keeps one column of them per node that has transmitted in
+//!   an exact round, filled on first use from the same
+//!   [`Network::signal_between`] the oracle calls, with the node's reach
+//!   list read off the column. The cache is keyed on the network's
+//!   [stamp](Network::stamp). An exact round then costs `|T|` loads and
+//!   adds per near listener rather than `2·|T|` `sqrt` + `powf` at each
+//!   of the `n` listeners, and its values and decisions are the oracle's
+//!   bit for bit. The cache holds at most `max(2²⁰, EXACT_MAX_TX·n)`
+//!   signals (the whole matrix up to `n = 1024`) and is cleared whole
+//!   when a round's missing columns do not fit. Larger rounds rebuild the
+//!   backend's cell-aggregated interference field in place: the round's
+//!   transmitters in one array sorted over the network grid's cells by
+//!   the grid's own counting sort, each entry carrying its position and
+//!   power. Two exact facts cut the work: (1) a decodable transmitter
+//!   lies within [`Network::max_reach`] of its receiver, so a listener's
+//!   candidates are the transmitters of the few cells that disk touches,
+//!   clipped to the grid's box, a contiguous run of that array per
+//!   column; (2) the
 //!   second-strongest transmitter alone contributes its signal as
 //!   interference, so a receiver failing `s₁ ≥ β·(noise + s₂)` is skipped
 //!   without summing. Survivors are decided by exact cell-grouped partial
@@ -61,9 +60,12 @@
 //! ([`Network::powers`](crate::Network::powers)). Every path computes a
 //! signal as `P_w / d^α` through
 //! [`Network::signal_from`](crate::Network::signal_from). Any decodable
-//! transmitter satisfies `P_w/d^α ≥ β·noise`, i.e. lies within
-//! [`Network::max_range`](crate::Network::max_range) of the receiver, so
-//! the field path's candidate search is one disk query. Because β > 1,
+//! transmitter satisfies `P_w/d^α ≥ β·noise`, so it lies within its
+//! [range](crate::Network::range_of) of the receiver up to rounding: the
+//! computed range can fall a few ulps short of the last decoder. The
+//! proved bound is [`Network::max_reach`](crate::Network::max_reach), the
+//! largest range with a margin for that rounding, so the field path's
+//! candidate search is one disk query of that radius. Because β > 1,
 //! only the strongest signal can be decoded, and under heterogeneous power
 //! it need not come from the nearest transmitter. So the search scans the
 //! disk for the strongest and second-strongest signals. Under uniform
@@ -151,9 +153,11 @@ impl FromStr for ResolverKind {
 pub struct ResolverStats {
     /// Rounds resolved.
     pub rounds: u64,
-    /// Decode candidates: receivers with some transmitter within range in
-    /// field rounds; decoded receivers in exact-routine rounds (which have
-    /// no candidate search).
+    /// Decode candidates: receivers with some transmitter within
+    /// [`Network::max_reach`] in field rounds (the ranges hold every
+    /// decoder only up to rounding; that radius is the proved bound);
+    /// decoded receivers in exact-routine rounds (which have no candidate
+    /// search).
     pub candidates: u64,
     /// Field rounds: candidates killed by the second-strongest
     /// short-circuit.
@@ -215,7 +219,8 @@ pub trait SinrResolver: fmt::Debug {
     /// Verifies any state kept across rounds against a fresh computation
     /// (backends without such state trivially pass). The aggregated
     /// backend compares every cached received signal, bit for bit, with a
-    /// fresh computation.
+    /// fresh computation, and every reach list with the lone-transmitter
+    /// test of the fresh signals.
     fn audit(&self, net: &Network) -> Result<(), String> {
         let _ = net;
         Ok(())
@@ -263,8 +268,8 @@ fn mark_transmitters(
 /// Per round the aggregated backend's exact routine costs `|T|` cached
 /// loads and adds per near listener, and there are at most `|T|` reach
 /// lists' worth of those, so a warm exact round does not grow with `n`;
-/// each transmitter's first exact round on a network adds `n` signals to
-/// the gain cache and a grid query for its reach list. The field path
+/// each transmitter's first exact round on a network adds a column of `n`
+/// signals and its reach list to the gain cache. The field path
 /// costs one candidate scan per listener, all `n` of them, plus an
 /// `O(|T|)` rebuild. The costs therefore no longer grow alike in `n`,
 /// and a threshold on `|T|` alone is a simplification that a rule
@@ -287,14 +292,45 @@ pub const EXACT_MAX_TX: usize = 8;
 /// `f64`s (8 MiB), the whole gain matrix up to `n = 1024`.
 const GAIN_CACHE_MIN_ENTRIES: usize = 1 << 20;
 
-/// A cross-round cache of received signals for the exact routine, keyed on
-/// the network's build [stamp](Network::stamp). It holds one column per
-/// node that has transmitted in an exact round on that network: the
-/// node's signal [`Network::signal_between`] at every node. A column is
-/// computed on first use, so a cached value is the oracle's bit for bit.
-/// At most `max(2²⁰, EXACT_MAX_TX·n)` signals are held, which always fits
-/// one exact round; when a round's missing columns do not fit, the whole
-/// cache is cleared.
+/// The reach list of node `w` whose received signals are `column`: the
+/// other nodes that would decode `w` if it transmitted alone, by the
+/// oracle's own test `decodes(p, s, s)`, ascending.
+///
+/// **Every node that can decode `w` in any round is on it.** The oracle
+/// decodes `w` at `u` when `s ≥ β·(noise + (total − s))`, where `total`
+/// is the slot-order sum of every transmitter's signal at `u`, `s` among
+/// them. Every term is non-negative and rounding is monotone, so the
+/// partial sum that adds `s` is at least `s` and no later one falls below
+/// it: `total ≥ s` and `total − s ≥ 0`. For `β ≥ 0` the right-hand side
+/// is then at least the lone test's `β·(noise + 0)`, so a decode among
+/// interferers implies a decode alone. (Where `total − s` is NaN, or `s`
+/// is infinite, both tests fail.) Where `β ≥ 0` fails, which only a
+/// [`SinrParams`] literal outside the model can reach, the list holds
+/// every other node. A listener on no transmitter's list therefore
+/// decodes nothing, and the exact routine may skip it.
+fn reach_list<'a>(
+    p: &'a SinrParams,
+    w: usize,
+    column: &'a [f64],
+) -> impl Iterator<Item = u32> + 'a {
+    let implied = p.beta >= 0.0;
+    column
+        .iter()
+        .enumerate()
+        .filter(move |&(u, &s)| u != w && (!implied || decodes(p, s, s)))
+        .map(|(u, _)| u as u32)
+}
+
+/// A cross-round cache of received signals and reach lists for the exact
+/// routine, keyed on the network's build [stamp](Network::stamp). It holds
+/// one column per node that has transmitted in an exact round on that
+/// network: the node's signal [`Network::signal_between`] at every node,
+/// and the node's [`reach_list`] read off that column. Both are computed
+/// on first use, so a cached value is the oracle's bit for bit. At most
+/// `max(2²⁰, EXACT_MAX_TX·n)` signals are held, which always fits one
+/// exact round; when a round's missing columns do not fit, the whole
+/// cache is cleared. A list holds fewer than `n` nodes, so the lists
+/// never hold more entries than the columns hold signals.
 #[derive(Debug, Default)]
 struct GainCache {
     /// Network stamp the columns were computed against (0 = nothing
@@ -305,9 +341,17 @@ struct GainCache {
     /// The columns back to back: column `c` of node `w` holds
     /// `signal_between(w, u)` at `cols[c·n + u]`.
     cols: Vec<f64>,
+    /// The reach list of column `c`'s node at `lists[c]`.
+    lists: Vec<Box<[u32]>>,
     /// Where each transmitter slot's column starts in `cols`, for the
     /// round being resolved.
     offsets: Vec<usize>,
+    /// One bit per node, all clear between rounds: the union of a
+    /// round's lists.
+    bits: Vec<u64>,
+    /// The listeners of the round being resolved: every node on some
+    /// transmitter's list that does not transmit itself, ascending.
+    near: Vec<usize>,
 }
 
 impl GainCache {
@@ -316,16 +360,20 @@ impl GainCache {
         GAIN_CACHE_MIN_ENTRIES.max(EXACT_MAX_TX * n)
     }
 
-    /// Drops every column and keys the cache to `net`.
+    /// Drops every column and list and keys the cache to `net`.
     fn clear(&mut self, net: &Network) {
         self.stamp = net.stamp();
         self.col_of.clear();
         self.col_of.resize(net.len(), u32::MAX);
         self.cols.clear();
+        self.lists.clear();
+        self.bits.clear();
+        self.bits.resize(net.len().div_ceil(64), 0);
     }
 
-    /// Makes the column of every transmitter present, computing the
-    /// missing ones, and records where each slot's column starts.
+    /// Makes the column and list of every transmitter present, computing
+    /// the missing ones, records where each slot's column starts, and
+    /// collects the round's near listeners.
     fn load(&mut self, net: &Network, transmitters: &[usize]) {
         let n = net.len();
         if self.stamp != net.stamp() {
@@ -347,175 +395,19 @@ impl GainCache {
             self.cols.reserve_exact(grown - self.cols.len());
         }
         self.offsets.clear();
-        for &w in transmitters {
-            if self.col_of[w] == u32::MAX {
-                self.col_of[w] = (self.cols.len() / n) as u32;
-                self.cols.extend((0..n).map(|u| net.signal_between(w, u)));
-            }
-            self.offsets.push(self.col_of[w] as usize * n);
-        }
-    }
-
-    /// Signal of the transmitter in `slot` of the latest
-    /// [`GainCache::load`] at listener `u`.
-    #[inline]
-    fn signal(&self, slot: usize, u: usize) -> f64 {
-        self.cols[self.offsets[slot] + u]
-    }
-
-    /// Compares every cached column, if the cache is keyed to `net`, bit
-    /// for bit against a fresh computation.
-    fn audit(&self, net: &Network) -> Result<(), String> {
-        if self.stamp != net.stamp() {
-            return Ok(()); // nothing cached, or stale: the next load clears
-        }
-        let n = net.len();
-        for (w, &col) in self.col_of.iter().enumerate() {
-            if col == u32::MAX {
-                continue;
-            }
-            let column = &self.cols[col as usize * n..(col as usize + 1) * n];
-            for (u, &cached) in column.iter().enumerate() {
-                let fresh = net.signal_between(w, u);
-                if cached.to_bits() != fresh.to_bits() {
-                    return Err(format!(
-                        "gain cache: transmitter {w} at listener {u} holds {cached:e}, \
-                         a fresh computation gives {fresh:e}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Relative margin of a reach list's radius over its node's range: node
-/// `w`'s list holds every other node `u` with `d²(w, u) ≤ R²`, where
-/// `R = range_of(w)·(1 + REACH_MARGIN)` and both sides are rounded as
-/// [`Grid::within`](crate::Grid::within) rounds them.
-///
-/// **Every node that can decode `w` is on the list.** Write `t` for the
-/// rounded `β·noise`, `P` for `w`'s power, `q` for the rounded `P/t`,
-/// `X = (P/t)^{1/α}` for the exact range, `u = 2⁻⁵³` for the unit
-/// roundoff and `ε` for a bound on `powf`'s relative error. The argument
-/// needs `ε < 10⁻¹⁰`; glibc and musl document under one ulp, about
-/// `2.2·10⁻¹⁶`. It also needs `α > 2` finite, `β > 1`, `noise > 0`, and
-/// `t` and `q` normal. [`reach_radius`] checks those, and where one fails
-/// the radius is infinite and the list holds every node.
-///
-/// 1. A decode needs `s ≥ t`, where `s` is `w`'s signal at `u`. The
-///    oracle decodes when `s ≥ β·(noise + (total − s))`, and `total` is
-///    the slot-order sum of every transmitter's signal at `u`, `s` among
-///    them. Every term is non-negative and rounding is monotone, so the
-///    partial sum that adds `s` is at least `s` and no later one falls
-///    below it. Hence `total ≥ s`, `total − s ≥ 0`, and the right-hand
-///    side is at least `t`. Where `total − s` is NaN the test fails;
-///    where it is infinite, `s` must be infinite too.
-/// 2. A decoder lies within `X·(1 + ε + u)`. Here `s` is the rounded
-///    `P/g`, `g = powf(d′, α)`, `d′ = max(d, 10⁻¹²)` and `d` the rounded
-///    distance. Since `t` is normal, `s ≥ t` gives `P/g ≥ t·(1 − u)`. If
-///    `g` is normal, `d′^α ≤ g/(1 − ε) ≤ (P/t)/((1 − u)(1 − ε))`, and the
-///    `α`-th root, `α > 2`, gives the bound. If `g` is subnormal or zero,
-///    `d′^α` lies below the smallest normal up to `powf`'s error, so
-///    `d′^α < 2⁻¹⁰²²/(1 − ε) ≤ q/(1 − ε) ≤ (P/t)(1 + u)/(1 − ε)`, because
-///    `q` is normal: the same bound.
-/// 3. `range_of(w) ≥ X·(1 − ε − 5·10⁻¹⁴)`. It is `powf(q, a)` with
-///    `q ≥ (P/t)(1 − u)`, `a` the rounded `1/α`, `|a − 1/α| ≤ u/α` and
-///    `|ln q| < 745`. So it is at least
-///    `X·(1 − ε)(1 − u)·e^{−745·u/α}`.
-/// 4. Together, a decoder has `d ≤ d′ ≤ range_of(w)·(1 + 2ε + 10⁻¹³)`,
-///    below `range_of(w)·(1 + 3·10⁻¹⁰)`. Rounding `R`, `R²`, the squared
-///    distance and its square root costs a few more units of `u`, far
-///    inside the margin of `10⁻⁹`. For the same reason each coordinate of
-///    a decoder lies within `R` of `w`'s, so the cell keys of `within`'s
-///    walk, which are monotone in the coordinates, reach its cell.
-///
-/// A listener on no transmitter's list therefore decodes nothing, and the
-/// exact routine may skip it. A margin of 0, or a radius one ulp short of
-/// the range, drops decoders: `reach_lists_hold_every_decoder_at_the_range`
-/// places listeners at the range and just past it.
-const REACH_MARGIN: f64 = 1e-9;
-
-/// The radius of node `w`'s reach list: `range_of(w)·(1 + REACH_MARGIN)`
-/// where the argument of [`REACH_MARGIN`] holds, and infinite, so that
-/// the list holds every node, where it does not.
-fn reach_radius(net: &Network, w: usize) -> f64 {
-    let p = net.params();
-    let t = p.beta * p.noise;
-    let modelled = p.alpha > 2.0
-        && p.alpha.is_finite()
-        && p.beta > 1.0
-        && p.noise > 0.0
-        && t.is_normal()
-        && (net.power_of(w) / t).is_normal();
-    if modelled {
-        net.range_of(w) * (1.0 + REACH_MARGIN)
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// The reach index of the exact routine, keyed on the network's build
-/// [stamp](Network::stamp): for each node that has transmitted in an
-/// exact round on that network since the index was last cleared, the
-/// other nodes within its [`reach_radius`], in ascending order. A list is
-/// taken from the network grid on its node's first exact round; any node
-/// that can decode the node is on it ([`REACH_MARGIN`]).
-#[derive(Debug, Default)]
-struct ReachIndex {
-    /// Network stamp the lists were built against (0 = nothing built;
-    /// real stamps start at 1).
-    stamp: u64,
-    /// Each node's list; `None` until built.
-    lists: Vec<Option<Box<[u32]>>>,
-    /// Entries over all lists.
-    entries: usize,
-    /// One bit per node, all clear between rounds: the union of a
-    /// round's lists.
-    bits: Vec<u64>,
-    /// The listeners of the latest round.
-    near: Vec<usize>,
-}
-
-impl ReachIndex {
-    /// Drops every list and keys the index to `net`.
-    fn clear(&mut self, net: &Network) {
-        self.stamp = net.stamp();
-        self.lists.clear();
-        self.lists.resize(net.len(), None);
-        self.entries = 0;
-        self.bits.clear();
-        self.bits.resize(net.len().div_ceil(64), 0);
-    }
-
-    /// Node `w`'s list, from the network grid.
-    fn build(net: &Network, w: usize) -> Box<[u32]> {
-        let near = net
-            .grid()
-            .within(net.points(), net.pos(w), reach_radius(net, w));
-        let mut list: Vec<u32> = near.filter(|&u| u != w).map(|u| u as u32).collect();
-        list.sort_unstable();
-        list.into_boxed_slice()
-    }
-
-    /// The listeners of a round: every node on some transmitter's list
-    /// that does not transmit itself, ascending. Builds the lists the
-    /// round's transmitters lack, after clearing the index if it holds
-    /// more entries than the gain cache's budget of signals, so it never
-    /// holds more than that plus one round's lists.
-    fn near_listeners(&mut self, net: &Network, transmitters: &[usize]) -> &[usize] {
-        if self.stamp != net.stamp() || self.entries > GainCache::budget(net.len()) {
-            self.clear(net);
-        }
         // The words of `bits` that the lists touch.
         let (mut lo, mut hi) = (usize::MAX, 0);
         for &w in transmitters {
-            let entries = &mut self.entries;
-            let list = self.lists[w].get_or_insert_with(|| {
-                let list = Self::build(net, w);
-                *entries += list.len();
-                list
-            });
+            if self.col_of[w] == u32::MAX {
+                let start = self.cols.len();
+                self.col_of[w] = (start / n) as u32;
+                self.cols.extend((0..n).map(|u| net.signal_between(w, u)));
+                let list = reach_list(net.params(), w, &self.cols[start..]);
+                self.lists.push(list.collect());
+            }
+            let c = self.col_of[w] as usize;
+            self.offsets.push(c * n);
+            let list = &self.lists[c];
             if let (Some(&first), Some(&last)) = (list.first(), list.last()) {
                 lo = lo.min(first as usize / 64);
                 hi = hi.max(last as usize / 64);
@@ -535,41 +427,46 @@ impl ReachIndex {
                 bits &= bits - 1;
             }
         }
-        &self.near
     }
 
-    /// Compares every list, if the index is keyed to `net`, with a
-    /// brute-force scan of all nodes at the same radius, and checks that
-    /// no node off a list receives that list's node at `β·noise` or more.
+    /// Signal of the transmitter in `slot` of the latest
+    /// [`GainCache::load`] at listener `u`.
+    #[inline]
+    fn signal(&self, slot: usize, u: usize) -> f64 {
+        self.cols[self.offsets[slot] + u]
+    }
+
+    /// Compares every cached column, if the cache is keyed to `net`, bit
+    /// for bit against a fresh computation, and every list with the
+    /// [`reach_list`] of the fresh column.
     fn audit(&self, net: &Network) -> Result<(), String> {
         if self.stamp != net.stamp() {
-            return Ok(()); // nothing built, or stale: the next round clears
+            return Ok(()); // nothing cached, or stale: the next load clears
         }
-        let p = net.params();
-        let t = p.beta * p.noise;
-        for (w, list) in self.lists.iter().enumerate() {
-            let Some(list) = list else { continue };
-            let r = reach_radius(net, w);
-            let reached = |u: usize| u != w && net.pos(u).dist_sq(net.pos(w)) <= r * r;
-            let brute: Vec<u32> = (0..net.len())
-                .filter(|&u| reached(u))
-                .map(|u| u as u32)
-                .collect();
-            if **list != *brute {
-                let at = list.iter().zip(&brute).take_while(|(a, b)| a == b).count();
+        let n = net.len();
+        for (w, &c) in self.col_of.iter().enumerate() {
+            if c == u32::MAX {
+                continue;
+            }
+            let c = c as usize;
+            let fresh: Vec<f64> = (0..n).map(|u| net.signal_between(w, u)).collect();
+            let column = &self.cols[c * n..(c + 1) * n];
+            if let Some(u) = (0..n).find(|&u| column[u].to_bits() != fresh[u].to_bits()) {
                 return Err(format!(
-                    "reach index: node {w}'s list holds {:?} at position {at}, \
-                     a brute-force scan within {r:e} gives {:?}",
-                    list.get(at),
-                    brute.get(at)
+                    "gain cache: transmitter {w} at listener {u} holds {:e}, \
+                     a fresh computation gives {:e}",
+                    column[u], fresh[u]
                 ));
             }
-            let heard_off_list = |u: usize| u != w && !reached(u) && net.signal_between(w, u) >= t;
-            if let Some(u) = (0..net.len()).find(|&u| heard_off_list(u)) {
+            let list = &self.lists[c];
+            let want: Vec<u32> = reach_list(net.params(), w, &fresh).collect();
+            if **list != *want {
+                let at = list.iter().zip(&want).take_while(|(a, b)| a == b).count();
                 return Err(format!(
-                    "reach index: node {u} is off node {w}'s list, yet receives it \
-                     at {:e} ≥ β·noise",
-                    net.signal_between(w, u)
+                    "gain cache: node {w}'s list holds {:?} at position {at}, \
+                     the lone-transmitter test of a fresh column gives {:?}",
+                    list.get(at),
+                    want.get(at)
                 ));
             }
         }
@@ -582,9 +479,9 @@ impl ReachIndex {
 /// each listener's total signal summed in transmitter order.
 /// [`NaiveResolver`] runs it every round at every listener and
 /// [`AggregatedResolver`] on rounds with `|T| ≤` [`EXACT_MAX_TX`] at the
-/// near listeners only, the ones its reach index lists. A listener it
-/// skips decodes nothing ([`REACH_MARGIN`]), so those rounds agree bit
-/// for bit. `signal(slot, u)` is the received signal of
+/// near listeners only, the ones on its transmitters' reach lists. A
+/// listener it skips decodes nothing ([`reach_list`]), so those rounds
+/// agree bit for bit. `signal(slot, u)` is the received signal of
 /// `transmitters[slot]` at listener `u`, i.e.
 /// [`Network::signal_between`]: the oracle computes it, the aggregated
 /// backend reads it from its gain cache. Counts one exact sum per
@@ -685,12 +582,9 @@ pub struct AggregatedResolver {
     /// [`CacheOp::Rebuilt`] after a field round, `None` after an exact or
     /// transmitter-less one.
     last_op: Option<CacheOp>,
-    /// The received signals of exact rounds' transmitters; field rounds
-    /// leave it idle.
+    /// The received signals and reach lists of exact rounds'
+    /// transmitters; field rounds leave it idle.
     gains: GainCache,
-    /// Who can hear each of exact rounds' transmitters; field rounds leave
-    /// it idle.
-    reach: ReachIndex,
     /// The interference field of the latest field round; its buffers
     /// persist across rounds.
     field: InterferenceField,
@@ -705,8 +599,9 @@ impl AggregatedResolver {
     /// Resolves one round with the interference field whatever its `|T|`:
     /// what [`SinrResolver::resolve_into`] does above [`EXACT_MAX_TX`].
     /// Public so that `scale_resolvers` can time the field against the
-    /// oracle at small `|T|` (the sweep that sets the constant) and the
-    /// equivalence tests can hold the field to the oracle on small rounds.
+    /// oracle at small `|T|` (its crossover table, which no longer sets
+    /// the constant: see [`EXACT_MAX_TX`]) and the equivalence tests can
+    /// hold the field to the oracle on small rounds.
     ///
     /// Listeners are visited cell by cell of the network grid, so that the
     /// decisions of one cell share its residual bounds; each decoded
@@ -726,7 +621,7 @@ impl AggregatedResolver {
         }
         self.last_op = Some(CacheOp::Rebuilt);
         let p = net.params();
-        let r = net.max_range();
+        let r = net.max_reach();
         mark_transmitters(net.len(), transmitters, &mut self.is_tx, &mut self.slot_of);
         self.field.rebuild(net, transmitters);
         let mut fs = FieldStats::default();
@@ -781,13 +676,12 @@ impl SinrResolver for AggregatedResolver {
             return;
         }
         self.gains.load(net, transmitters);
-        let near = self.reach.near_listeners(net, transmitters);
         let gains = &self.gains;
         let signal = |slot: usize, u: usize| gains.signal(slot, u);
         resolve_exact(
             net.params(),
             transmitters,
-            near.iter().copied(),
+            gains.near.iter().copied(),
             signal,
             &mut self.stats,
             out,
@@ -799,10 +693,9 @@ impl SinrResolver for AggregatedResolver {
     }
 
     /// Audits every cached signal column against a fresh computation, and
-    /// every reach list against a brute-force scan.
+    /// every reach list against the lone-transmitter test of that column.
     fn audit(&self, net: &Network) -> Result<(), String> {
-        self.gains.audit(net)?;
-        self.reach.audit(net)
+        self.gains.audit(net)
     }
 
     fn last_cache_op(&self) -> Option<CacheOp> {
@@ -1108,11 +1001,12 @@ mod tests {
                     "round {round}, network {i}: the other network's signals leaked"
                 );
                 agg.audit(net).unwrap();
-                let built = agg.reach.lists.iter().flatten().count();
+                let gains = &agg.gains;
+                let (columns, lists) = (gains.cols.len() / 90, gains.lists.len());
                 assert_eq!(
-                    (agg.reach.stamp, built),
-                    (net.stamp(), tx.len()),
-                    "round {round}, network {i}: the index holds this round's lists only"
+                    (gains.stamp, columns, lists),
+                    (net.stamp(), tx.len(), tx.len()),
+                    "round {round}, network {i}: the cache holds this round's lists only"
                 );
             }
         }
@@ -1124,9 +1018,10 @@ mod tests {
         // rounds of 8 fresh transmitters; n = 3000 for 349, a remainder
         // that plain doubling would overshoot. The round after the cache
         // is full starts afresh, and neither the columns held nor their
-        // allocation ever exceed the bound. The reach index holds at most
-        // the same number of entries plus one round's lists: on a square
-        // of side 0.7 every node reaches all 2047 others, so it clears.
+        // allocation ever exceed the bound. The reach lists go with their
+        // columns and never hold more entries than the columns hold
+        // signals: on a square of side 0.7 every node reaches all 2047
+        // others, the longest list there is.
         assert_eq!(GainCache::budget(4096) / 4096, 256);
         for (n, side) in [(4096, 18.0), (3000, 18.0), (2048, 0.7)] {
             let budget = GainCache::budget(n);
@@ -1148,14 +1043,13 @@ mod tests {
                 };
                 assert_eq!(cols.len(), held * per_round, "n = {n}, round {round}");
                 assert!(cols.capacity() <= budget, "n = {n}, round {round}");
-                let entries = agg.reach.entries;
-                assert!(entries <= budget + per_round, "n = {n}, round {round}");
+                let entries: usize = agg.gains.lists.iter().map(|l| l.len()).sum();
+                assert!(entries <= cols.len(), "n = {n}, round {round}");
+                if side < 1.0 {
+                    assert_eq!(entries, held * EXACT_MAX_TX * (n - 1), "every node reached");
+                }
             }
             agg.audit(&net).unwrap();
-            let lists = agg.reach.lists.iter().flatten().count();
-            if side < 1.0 {
-                assert!(lists < (fitting + 4) * EXACT_MAX_TX, "the index cleared");
-            }
         }
     }
 
@@ -1309,15 +1203,15 @@ mod tests {
         assert!(st.field_terms > 0, "field decisions sum cell signals");
         // An exact-routine round decides like the oracle, which sums at
         // every listener, but sums only at the listeners on some
-        // transmitter's reach list.
+        // transmitter's reach list: those that would decode it alone.
         let small = &tx[..EXACT_MAX_TX];
         let mut agg = AggregatedResolver::new();
         let mut naive = NaiveResolver::new();
         assert_eq!(agg.resolve(&net, small), naive.resolve(&net, small));
         assert_eq!(naive.stats().exact_sums, (80 - EXACT_MAX_TX) as u64);
         let reached = |u: usize, w: usize| {
-            let r = reach_radius(&net, w);
-            net.pos(u).dist_sq(net.pos(w)) <= r * r
+            let s = net.signal_between(w, u);
+            decodes(net.params(), s, s)
         };
         let near = (0..80)
             .filter(|u| !small.contains(u) && small.iter().any(|&w| reached(*u, w)))
@@ -1334,12 +1228,15 @@ mod tests {
     fn reach_lists_hold_every_decoder_at_the_range() {
         // A transmitter w at the origin and one listener on the x-axis,
         // where the distance is exactly the coordinate, at range_of(w)
-        // moved by -4..=4 ulps. The power profiles set range_of(w) to 1
+        // moved by -4..=72 ulps. The power profiles set range_of(w) to 1
         // exactly, and to about 10⁴ and 10¹⁰⁰, where the rounded 1/α puts
-        // it a few and dozens of ulps short of the exact range; each runs
-        // alone, among far transmitters whose interference rounds away,
-        // each heard by a node of its own, and beside far silent outliers
-        // that coarsen the grid.
+        // it 3 and 66 ulps short of the oracle's last decoder; α = 2 lies
+        // outside the model, where no search radius is proved. Each runs
+        // alone, among two far transmitters whose interference rounds
+        // away, among nine, so that |T| = 10 takes the field path, and
+        // beside far silent outliers that coarsen the grid. Each far
+        // transmitter is heard by a node of its own. Every path decides
+        // like the oracle, and so does one warm backend across all cases.
         let p = SinrParams::default();
         let profiles = [
             ("uniform", p, None),
@@ -1350,7 +1247,15 @@ mod tests {
             ),
             ("heterogeneous", p, Some(2e12)),
             ("heterogeneous, far reach", p, Some(2e300)),
+            ("outside the model", SinrParams { alpha: 2.0, ..p }, None),
         ];
+        let settings = [
+            ("alone", 0),
+            ("interferers", 2),
+            ("field round", EXACT_MAX_TX + 1),
+            ("outliers", 0),
+        ];
+        let polar = |r: f64, a: f64| Point::new(r * a.cos(), r * a.sin());
         let (mut decoded_at_range, mut decoded_past_range) = (false, false);
         let mut warm = AggregatedResolver::new();
         for (profile, params, power_of_w) in profiles {
@@ -1361,28 +1266,24 @@ mod tests {
                 }
                 b.build().unwrap().range_of(0)
             };
-            let far = 1e6 * range;
-            for setting in ["alone", "interferers", "outliers"] {
-                for k in -4i32..=4 {
+            let far = 1e9 * range;
+            for (setting, far_tx) in settings {
+                for k in -4i32..=72 {
                     let mut x = range;
                     for _ in 0..k.unsigned_abs() {
                         x = if k < 0 { x.next_down() } else { x.next_up() };
                     }
                     let mut pts = vec![Point::ORIGIN, Point::new(x, 0.0)];
                     let mut tx = vec![0];
-                    match setting {
-                        "interferers" => {
-                            for at in [Point::new(-far, 0.0), Point::new(0.0, far)] {
-                                tx.push(pts.len());
-                                pts.push(at);
-                                pts.push(at + Point::new(0.5, 0.0));
-                            }
-                        }
-                        "outliers" => {
-                            pts.push(Point::new(1e6 * far, -far));
-                            pts.push(Point::new(-far, 1e6 * far));
-                        }
-                        _ => {}
+                    for i in 0..far_tx {
+                        let at = polar(far, 0.5 + std::f64::consts::TAU * i as f64 / far_tx as f64);
+                        tx.push(pts.len());
+                        pts.push(at);
+                        pts.push(at + Point::new(0.5, 0.0));
+                    }
+                    if setting == "outliers" {
+                        pts.push(Point::new(1e6 * far, -far));
+                        pts.push(Point::new(-far, 1e6 * far));
                     }
                     let mut powers = vec![params.power; pts.len()];
                     powers[0] = power_of_w.unwrap_or(params.power);
@@ -1393,14 +1294,17 @@ mod tests {
                         .unwrap();
                     assert_eq!(net.range_of(0), range);
                     let at = format!("{profile}, {setting}, {k:+} ulps");
-                    let naive = resolve_naive(&net, &tx);
-                    assert_eq!(AggregatedResolver::new().resolve(&net, &tx), naive, "{at}");
+                    let [(_, naive), rest @ ..] = all_paths(&net, &tx);
+                    for (path, got) in rest {
+                        assert_eq!(got, naive, "{path}, {at}");
+                    }
                     assert_eq!(warm.resolve(&net, &tx), naive, "warm, {at}");
                     warm.audit(&net).unwrap();
                     let heard = naive.iter().any(|x| x.receiver == 1);
                     if k == -1 {
                         assert!(heard, "{at}: the listener just inside range decodes");
                     }
+                    assert!(!heard || k < 72, "{at}: the sweep passes the last decoder");
                     decoded_at_range |= heard && k == 0;
                     decoded_past_range |= heard && k > 0;
                 }
@@ -1419,7 +1323,7 @@ mod tests {
         let mut agg = AggregatedResolver::new();
         let _ = agg.resolve(&net, &[7, 30]);
         agg.audit(&net).unwrap();
-        let list = agg.reach.lists[30].as_mut().unwrap();
+        let list = &mut agg.gains.lists[agg.gains.col_of[30] as usize];
         assert!(list.len() > 1, "node 30 reaches others");
         list[0] = 30;
         let err = agg.audit(&net).unwrap_err();

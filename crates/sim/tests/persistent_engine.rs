@@ -1,13 +1,13 @@
 //! The persistent resolution engine must be invisible: running an
 //! [`Engine`] for N rounds over an evolving transmitter set, the
 //! aggregated backend must produce receptions identical to the naive
-//! oracle's, and its warm gain cache and reach index must audit as equal
-//! to a fresh computation after every step ([`Engine::audit_resolver`]):
-//! every cached signal bit for bit, every reach list as a brute-force
-//! scan finds it. Schedules that cross `EXACT_MAX_TX` round by round
-//! build an interference field on every field round and none on the
-//! exact rounds, which read the gain cache at the listeners the reach
-//! index lists.
+//! oracle's, and its warm gain cache must audit as equal to a fresh
+//! computation after every step ([`Engine::audit_resolver`]): every
+//! cached signal bit for bit, every reach list as the lone-transmitter
+//! test of the fresh signals gives it. Schedules that cross
+//! `EXACT_MAX_TX` round by round build an interference field on every
+//! field round and none on the exact rounds, which read the gain cache's
+//! signals at the listeners on its reach lists.
 //! Every property runs under uniform and heterogeneous power (where the
 //! gain matrix is not symmetric).
 

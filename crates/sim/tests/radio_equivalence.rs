@@ -1,11 +1,13 @@
 //! The aggregated backend must return **exactly** the naive oracle's
 //! receptions — the equivalence promised in `radio.rs`'s module docs.
 //! Rounds with `|T| ≤ EXACT_MAX_TX` run the oracle's own routine at every
-//! listener within reach of a transmitter, and no other listener can
-//! decode; above it the field's cell sums are exact partial sums, its
-//! residual bound is only used when conclusive, and an inconclusive
-//! listener falls back to the oracle's own sum and test, so the decisions
-//! coincide with the full Eq. (1) sum. Each instance is checked through
+//! listener that would decode some transmitter sending alone, and no
+//! other listener can decode; above it the field searches each
+//! listener's candidates within `Network::max_reach`, which holds every
+//! decoder, its cell sums are exact partial sums, its residual bound is
+//! only used when conclusive, and an inconclusive listener falls back to
+//! the oracle's own sum and test, so the decisions coincide with the
+//! full Eq. (1) sum. Each instance is checked through
 //! the backend as dispatched and through its field path forced at any
 //! `|T|`.
 //! Property-tested over random, clumped and grid-boundary deployments,
